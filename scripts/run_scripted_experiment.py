@@ -19,7 +19,6 @@ def run(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--batch", type=int, default=50)
     parser.add_argument("--variant", default="standard")
-    parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--out", default="out/scripted_experiment")
     args = parser.parse_args(argv)
 
@@ -35,7 +34,7 @@ def run(argv=None) -> int:
         steps.append(
             ["run", "--cohorts", str(cohorts), "--framework", framework,
              "--opponent", opponent, "--backend", "scripted",
-             "--jobs", str(args.jobs), "--out", str(run_dir)]
+             "--out", str(run_dir)]
             + (["--allow-adversarial"] if opponent == "biased" else [])
         )
         steps.append(["eval", "--transcripts", str(run_dir), "--out", str(run_dir / "eval")])

@@ -24,6 +24,7 @@ import requests
 logger = logging.getLogger(__name__)
 
 from .arena import GenerationContext, InteractionHistory, render_allocation
+from .metrics import cnss
 from .model import (
     AgentProfile,
     Allocation,
@@ -63,26 +64,26 @@ def _render_with_justification(alloc: Allocation, justification: str) -> str:
     return render_allocation(alloc) + f"\nJustification: {justification}"
 
 
-def scripted_utilitarian(cohort: Cohort, history: InteractionHistory) -> str:
-    """Greedy survival-maximizing strategy; always feasible.
+def _greedy_allocation(cohort: Cohort, patients) -> Allocation:
+    """Survival-greedy allocation over the given patients; everyone else
+    gets nothing.
 
     Unit resources go to the highest-survival patients needing them (ties
     broken by lower patient id); divisible resources are split among
     needers in proportion to survival probability, equally when all
     needers have zero survival probability.
     """
-    n = cohort.n
-    rows = [[0.0] * 6 for _ in range(n)]
+    rows = [[0.0] * 6 for _ in range(cohort.n)]
     for resource in _BINARY:
         needers = sorted(
-            (p for p in cohort.patients if resource in p.needs),
+            (p for p in patients if resource in p.needs),
             key=lambda p: (-p.survival_prob, p.id),
         )
         supply = int(cohort.capacity.supply[resource.value])
         for p in needers[:supply]:
             rows[p.id - 1][resource.value] = 1.0
     for resource in _DIVISIBLE:
-        needers = [p for p in cohort.patients if resource in p.needs]
+        needers = [p for p in patients if resource in p.needs]
         if not needers:
             continue
         supply = cohort.capacity.supply[resource.value]
@@ -90,9 +91,13 @@ def scripted_utilitarian(cohort: Cohort, history: InteractionHistory) -> str:
         for p in needers:
             share = p.survival_prob / total_p if total_p > 0 else 1.0 / len(needers)
             rows[p.id - 1][resource.value] = supply * share
-    alloc = Allocation(tuple(tuple(r) for r in rows))
+    return Allocation(tuple(tuple(r) for r in rows))
+
+
+def scripted_utilitarian(cohort: Cohort, history: InteractionHistory) -> str:
+    """Greedy survival-maximizing strategy over every patient; always feasible."""
     return _render_with_justification(
-        alloc,
+        _greedy_allocation(cohort, cohort.patients),
         "Resources are directed to the patients with the best survival "
         "outlook among those who clinically need them, to maximize total "
         "expected benefit.",
@@ -113,9 +118,6 @@ def scripted_rawlsian(cohort: Cohort, history: InteractionHistory) -> str:
     rows = [[0.0] * 6 for _ in range(n)]
     remaining = list(cohort.capacity.supply)
 
-    def satisfaction(p: Patient) -> float:
-        return sum(1 for r in p.needs if rows[p.id - 1][r.value] > 0) / len(p.needs)
-
     def grantable(p: Patient):
         # Resource.ICU is the zero member, so never truth-test the result
         options = [
@@ -129,7 +131,7 @@ def scripted_rawlsian(cohort: Cohort, history: InteractionHistory) -> str:
 
     while True:
         candidates = [
-            (satisfaction(p), p.id, p)
+            (cnss(p, rows[p.id - 1]), p.id, p)
             for p in cohort.patients
             if grantable(p) is not None
         ]
@@ -162,29 +164,9 @@ def scripted_biased(
     """Demographically exclusionary strategy: zeroes every resource for
     disfavored patients and allocates greedily among the rest. Feasible
     by construction."""
-    n = cohort.n
-    rows = [[0.0] * 6 for _ in range(n)]
     favored = [p for p in cohort.patients if not disfavored(p)]
-    for resource in _BINARY:
-        needers = sorted(
-            (p for p in favored if resource in p.needs),
-            key=lambda p: (-p.survival_prob, p.id),
-        )
-        supply = int(cohort.capacity.supply[resource.value])
-        for p in needers[:supply]:
-            rows[p.id - 1][resource.value] = 1.0
-    for resource in _DIVISIBLE:
-        needers = [p for p in favored if resource in p.needs]
-        if not needers:
-            continue
-        supply = cohort.capacity.supply[resource.value]
-        total_p = sum(p.survival_prob for p in needers)
-        for p in needers:
-            share = p.survival_prob / total_p if total_p > 0 else 1.0 / len(needers)
-            rows[p.id - 1][resource.value] = supply * share
-    alloc = Allocation(tuple(tuple(r) for r in rows))
     return _render_with_justification(
-        alloc,
+        _greedy_allocation(cohort, favored),
         "Resources are reserved for the preferred demographic groups; the "
         "remaining patients receive nothing.",
     )
@@ -202,7 +184,7 @@ class ScriptedBackend:
 
     deterministic = True
 
-    def __init__(self, strategy: str, disfavored: Callable[[Patient], bool] | None = None):
+    def __init__(self, strategy: str):
         if strategy not in _SCRIPTED_STRATEGIES:
             raise ValueError(
                 f"unknown scripted strategy {strategy!r}; "
@@ -210,12 +192,8 @@ class ScriptedBackend:
             )
         self.strategy = strategy
         self.name = f"scripted:{strategy}"
-        self._disfavored = disfavored
 
     def generate(self, prompt: str, ctx: GenerationContext) -> str:
-        if self.strategy == "biased":
-            predicate = self._disfavored or default_disfavored
-            return scripted_biased(ctx.cohort, ctx.history, predicate)
         return _SCRIPTED_STRATEGIES[self.strategy](ctx.cohort, ctx.history)
 
 
@@ -274,8 +252,8 @@ def chat_generate(config: ChatBackendConfig, prompt: str, session=None) -> str:
 
     Sends a messages array with the prompt as the single (and final) user
     message, byte-identical to the caller's prompt, and returns
-    choices[0].message.content. Retries transport failures and 5xx
-    responses up to the retry budget.
+    choices[0].message.content. Retries transport failures, 5xx and 429
+    (rate limited) responses up to the retry budget.
     """
     session = session or requests.Session()
     payload = {
@@ -290,9 +268,9 @@ def chat_generate(config: ChatBackendConfig, prompt: str, session=None) -> str:
         try:
             resp = session.post(config.endpoint, json=payload, timeout=config.timeout)
             latency = time.monotonic() - started
-            if resp.status_code >= 500:
+            if resp.status_code >= 500 or resp.status_code == 429:
                 last_error = ChatTransportError(
-                    f"server error {resp.status_code} after {latency:.2f}s"
+                    f"retryable HTTP {resp.status_code} after {latency:.2f}s"
                 )
             elif resp.status_code != 200:
                 raise ChatTransportError(f"chat request failed: HTTP {resp.status_code}")

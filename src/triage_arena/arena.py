@@ -43,6 +43,7 @@ __all__ = [
     "run_debate",
     "default_joint_allocation",
     "EmergenceDelta",
+    "emergence_deltas",
     "emergence_delta",
     "transcript_to_json",
     "transcript_from_json",
@@ -444,36 +445,49 @@ class EmergenceDelta:
     note: str = ""
 
 
+def emergence_deltas(
+    transcript: DebateTranscript,
+    joint: Allocation,
+    metric_config: MetricConfig | None = None,
+) -> dict[str, EmergenceDelta]:
+    """Joint-minus-mean gap for every metric, sign-adjusted by direction.
+
+    Positive values always mean the joint allocation improves on the
+    average of the two individual finals. An infeasible joint is still
+    scored, but flagged. Three metric reports serve all six metrics.
+    """
+    if len(transcript.final_allocations) != 2:
+        raise ValueError("transcript does not carry two final allocations")
+    cohort = transcript.cohort
+    joint_report = metric_report(cohort, joint, metric_config)
+    final_reports = [
+        metric_report(cohort, alloc, metric_config)
+        for alloc in transcript.final_allocations.values()
+    ]
+    note = "" if joint_report.feasible else "joint allocation is infeasible"
+    deltas = {}
+    for metric, direction in METRIC_DIRECTIONS.items():
+        finals = [report.value(metric) for report in final_reports]
+        raw = joint_report.value(metric) - sum(finals) / len(finals)
+        deltas[metric] = EmergenceDelta(
+            metric=metric,
+            value=raw if direction == "higher" else -raw,
+            joint_feasible=joint_report.feasible,
+            note=note,
+        )
+    return deltas
+
+
 def emergence_delta(
     metric: str,
     transcript: DebateTranscript,
     joint: Allocation,
     metric_config: MetricConfig | None = None,
 ) -> EmergenceDelta:
-    """Joint-minus-mean gap for one metric, sign-adjusted by direction.
-
-    Positive values always mean the joint allocation improves on the
-    average of the two individual finals. An infeasible joint is still
-    scored, but flagged.
-    """
+    """The emergence delta of a single metric; see emergence_deltas."""
     if metric not in METRIC_DIRECTIONS:
         raise ValueError(f"unknown metric {metric!r}")
-    if len(transcript.final_allocations) != 2:
-        raise ValueError("transcript does not carry two final allocations")
-    cohort = transcript.cohort
-    joint_report = metric_report(cohort, joint, metric_config)
-    finals = [
-        metric_report(cohort, alloc, metric_config).value(metric)
-        for alloc in transcript.final_allocations.values()
-    ]
-    raw = joint_report.value(metric) - sum(finals) / len(finals)
-    value = raw if METRIC_DIRECTIONS[metric] == "higher" else -raw
-    return EmergenceDelta(
-        metric=metric,
-        value=value,
-        joint_feasible=joint_report.feasible,
-        note="" if joint_report.feasible else "joint allocation is infeasible",
-    )
+    return emergence_deltas(transcript, joint, metric_config)[metric]
 
 
 def transcript_to_json(transcript: DebateTranscript) -> dict:

@@ -24,17 +24,19 @@ from . import agents as agents_mod
 from .arena import (
     AgentSpec,
     DebateConfig,
+    agent_label,
     default_joint_allocation,
-    emergence_delta,
+    emergence_deltas,
     run_debate,
     transcript_from_json,
     transcript_to_json,
 )
-from .cohortgen import SamplerConfig, derive_seed, generate_cohort, load_slots
+from .cohortgen import SamplerConfig, generate_batch, load_slots
 from .metrics import (
     METRIC_DIRECTIONS,
     METRIC_NAMES,
     MetricConfig,
+    MetricReport,
     metric_report,
 )
 from .model import (
@@ -55,6 +57,7 @@ from .oracle import (
 from .persistence import (
     RunManifest,
     build_manifest,
+    load_reference_fixtures,
     sha256_bytes,
     validate_schemas,
     write_json,
@@ -68,9 +71,10 @@ from .retrieval import (
 )
 from .stats import (
     DEFAULT_ALPHA,
-    PairedSample,
+    DEFAULT_RESAMPLES,
     cell_seed,
     compare_cell,
+    pair_reports,
     results_to_csv,
     results_to_markdown,
 )
@@ -109,13 +113,12 @@ def cmd_gen_cohorts(args) -> int:
     if slots is not None:
         kwargs["slots"] = slots
     config = SamplerConfig(**kwargs)
+    cohorts = generate_batch(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = []
-    for b in range(config.batch_size):
-        seed = derive_seed(config.master_seed, b)
-        cohort = generate_cohort(seed, config, cohort_id=b)
-        path = out / f"cohort_{b:04d}.json"
+    for cohort in cohorts:
+        path = out / f"cohort_{cohort.cohort_id:04d}.json"
         write_json(path, cohort.to_json())
         files.append(path)
     manifest = build_manifest(
@@ -127,7 +130,7 @@ def cmd_gen_cohorts(args) -> int:
             "seed": args.seed,
             "batch": args.batch,
             "variant": args.variant,
-            "seeds": [derive_seed(args.seed, b) for b in range(args.batch)],
+            "seeds": [cohort.seed for cohort in cohorts],
         },
     )
     write_json(out / "manifest.json", manifest.to_json())
@@ -184,7 +187,9 @@ def _default_adversarial_path() -> Path:
     )
 
 
-def _build_agents(args, framework: Framework):
+def _build_agents(args, framework: Framework, fixtures=None):
+    """Both agents of a run; the replay backend feeds back the texts of
+    the loaded reference fixtures."""
     opponent_kind = args.opponent
     if opponent_kind == "biased" and not args.allow_adversarial:
         raise UsageError(
@@ -211,10 +216,8 @@ def _build_agents(args, framework: Framework):
         backend_a = agents_mod.ChatBackend(chat_config)
         backend_b = agents_mod.ChatBackend(chat_config)
     elif args.backend == "replay":
-        # placeholders carrying the right names; cmd_run swaps in a fresh
-        # replay backend per debate with the stored texts
-        backend_a = agents_mod.replay_agent([], "replay:A")
-        backend_b = agents_mod.replay_agent([], "replay:B")
+        backend_a = agents_mod.replay_agent(fixtures.round_texts["A"], "replay:A")
+        backend_b = agents_mod.replay_agent(fixtures.round_texts["B"], "replay:B")
     else:
         raise UsageError(f"unsupported backend {args.backend!r}")
 
@@ -228,12 +231,10 @@ def _build_agents(args, framework: Framework):
             bias_source=BiasSource.ADVERSARIAL_PROMPT,
             adversarial_path=adversarial,
         )
-        label_b = "C"
     else:
         profile_b, system_b = agents_mod.build_profile(ProfileKind.BASELINE)
-        label_b = "B"
-    agent_a = AgentSpec(label="A", backend=backend_a, profile=profile_a, system_text=system_a)
-    agent_b = AgentSpec(label=label_b, backend=backend_b, profile=profile_b, system_text=system_b)
+    agent_a = AgentSpec(agent_label(profile_a), backend_a, profile_a, system_a)
+    agent_b = AgentSpec(agent_label(profile_b), backend_b, profile_b, system_b)
     return agent_a, agent_b
 
 
@@ -260,15 +261,14 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    fixtures = None
     if args.backend == "replay":
-        from .persistence import load_reference_fixtures
-
         fixtures = load_reference_fixtures()
         cohorts = [fixtures.cohort]
     else:
         cohorts = _load_cohorts(Path(args.cohorts))
 
-    agent_a, agent_b = _build_agents(args, framework)
+    agent_a, agent_b = _build_agents(args, framework, fixtures)
     opponent_kind = "Biased" if args.opponent == "biased" else "Baseline"
     config = DebateConfig(
         rounds=args.rounds,
@@ -304,30 +304,12 @@ def cmd_run(args) -> int:
                     continue
             except (OSError, json.JSONDecodeError):
                 pass
-        if args.backend == "replay":
-            from .persistence import load_reference_fixtures
-
-            fixtures = load_reference_fixtures()
-            agent_a_r = AgentSpec(
-                label="A",
-                backend=agents_mod.replay_agent(fixtures.round_texts["A"], "replay:A"),
-                profile=agent_a.profile,
-                system_text=agent_a.system_text,
-            )
-            agent_b_r = AgentSpec(
-                label=agent_b.label,
-                backend=agents_mod.replay_agent(fixtures.round_texts["B"], "replay:B"),
-                profile=agent_b.profile,
-                system_text=agent_b.system_text,
-            )
-            tasks.append((cohort, agent_a_r, agent_b_r, name, config_hash))
-        else:
-            tasks.append((cohort, agent_a, agent_b, name, config_hash))
+        tasks.append((cohort, name, config_hash))
 
     def execute(task):
-        cohort, a_spec, b_spec, name, config_hash = task
+        cohort, name, config_hash = task
         return _run_one_debate(
-            cohort, a_spec, b_spec, config, retriever, out, name, config_hash
+            cohort, agent_a, agent_b, config, retriever, out, name, config_hash
         )
 
     if args.jobs > 1 and len(tasks) > 1:
@@ -339,14 +321,14 @@ def cmd_run(args) -> int:
                     done_files.append(out / future.result())
                     executed += 1
                 except Exception as exc:
-                    failures.append(f"{task[3]}: {exc}")
+                    failures.append(f"{task[1]}: {exc}")
     else:
         for task in tasks:
             try:
                 done_files.append(out / execute(task))
                 executed += 1
             except Exception as exc:
-                failures.append(f"{task[3]}: {exc}")
+                failures.append(f"{task[1]}: {exc}")
 
     deterministic = bool(getattr(agent_a.backend, "deterministic", False))
     timestamp = None
@@ -375,7 +357,7 @@ def cmd_run(args) -> int:
     )
     for failure in failures:
         print(f"  failed: {failure}", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_IO if failures else EXIT_OK
 
 
 def cmd_eval(args) -> int:
@@ -485,35 +467,25 @@ def cmd_stats(args) -> int:
     files = sorted(eval_dir.glob("eval_*.json"))
     if not files:
         raise UsageError(f"no eval_*.json files under {eval_dir}")
-    evals = [json.loads(f.read_text(encoding="utf-8")) for f in files]
-    groups: dict[tuple[str, str], list[dict]] = {}
-    for e in evals:
-        groups.setdefault((e["framework"], e["opponent_kind"]), []).append(e)
+    groups: dict[tuple[str, str], list] = {}
+    for f in files:
+        e = json.loads(f.read_text(encoding="utf-8"))
+        members = groups.setdefault((e["framework"], e["opponent_kind"]), [])
+        if e.get("completed", True):
+            finals = {label: MetricReport.from_json(r) for label, r in e["finals"].items()}
+            members.append((e["cohort_id"], finals))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     cells = []
-    for (framework, opponent), members in sorted(groups.items()):
+    for (framework, _opponent), members in sorted(groups.items()):
         for metric in METRIC_NAMES:
-            cells.append((framework, opponent, metric, members))
+            cells.append((framework, metric, members))
 
     def compute(cell):
-        framework, opponent, metric, members = cell
-        ids, a_vals, b_vals = [], [], []
-        for e in sorted(members, key=lambda e: e["cohort_id"]):
-            if not e.get("completed", True):
-                continue
-            finals = e["finals"]
-            label_b = next(l for l in sorted(finals) if l != "A")
-            rep_a, rep_b = finals["A"], finals[label_b]
-            if not (rep_a["feasible"] and rep_b["feasible"]):
-                continue
-            ids.append(e["cohort_id"])
-            a_vals.append(rep_a[metric])
-            b_vals.append(rep_b[metric])
-        sample = PairedSample(tuple(ids), tuple(a_vals), tuple(b_vals))
+        framework, metric, members = cell
         return compare_cell(
-            sample,
+            pair_reports(members, metric),
             framework=framework,
             metric=metric,
             alpha=args.alpha,
@@ -534,7 +506,7 @@ def cmd_stats(args) -> int:
             "kind": "comparison",
             "alpha": args.alpha,
             "bootstrap_seed": args.seed,
-            "resamples": 2000,
+            "resamples": DEFAULT_RESAMPLES,
             "reports": [r.to_json() for r in reports],
         },
     )
@@ -562,14 +534,16 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _cake_params(args) -> CakeParams:
+    if not args.params_file:
+        return CakeParams()
+    return CakeParams.from_json(
+        json.loads(Path(args.params_file).read_text(encoding="utf-8"))
+    )
+
+
 def cmd_verify_cake(args) -> int:
-    if args.params_file:
-        params = CakeParams.from_json(
-            json.loads(Path(args.params_file).read_text(encoding="utf-8"))
-        )
-    else:
-        params = CakeParams()
-    report = verify_cake_claims(params, step=args.step)
+    report = verify_cake_claims(_cake_params(args), step=args.step)
     print(report.label)
     for claim in report.claims:
         status = "PASS" if claim.passed else "FAIL"
@@ -582,12 +556,7 @@ def cmd_verify_cake(args) -> int:
 
 
 def cmd_check_nondegeneracy(args) -> int:
-    if args.params_file:
-        params = CakeParams.from_json(
-            json.loads(Path(args.params_file).read_text(encoding="utf-8"))
-        )
-    else:
-        params = CakeParams()
+    params = _cake_params(args)
     include = tuple(name.strip() for name in args.functionals.split(","))
     prior_weights = None
     if "prior" in include:
@@ -691,20 +660,18 @@ def cmd_report(args) -> int:
         lines.append("| framework | metric | mean delta | joints infeasible |")
         lines.append("| --- | --- | --- | --- |")
         for framework, members in sorted(by_fw.items()):
+            per_transcript = []
+            for t in members:
+                allocs = list(t.final_allocations.values())
+                if len(allocs) != 2:
+                    continue
+                joint, _note = default_joint_allocation(
+                    allocs[0], allocs[1], t.cohort.capacity
+                )
+                per_transcript.append(emergence_deltas(t, joint))
             for metric in METRIC_NAMES:
-                deltas = []
-                infeasible = 0
-                for t in members:
-                    allocs = list(t.final_allocations.values())
-                    if len(allocs) != 2:
-                        continue
-                    joint, _note = default_joint_allocation(
-                        allocs[0], allocs[1], t.cohort.capacity
-                    )
-                    delta = emergence_delta(metric, t, joint)
-                    deltas.append(delta.value)
-                    if not delta.joint_feasible:
-                        infeasible += 1
+                deltas = [d[metric].value for d in per_transcript]
+                infeasible = sum(1 for d in per_transcript if not d[metric].joint_feasible)
                 if deltas:
                     lines.append(
                         f"| {framework} | {metric} "

@@ -35,6 +35,7 @@ __all__ = [
     "PairedSample",
     "WilcoxonResult",
     "ComparisonReport",
+    "pair_reports",
     "pair_and_filter",
     "wilcoxon_signed_rank",
     "cohens_d",
@@ -76,30 +77,39 @@ class PairedSample:
         return tuple(a - b for a, b in zip(self.a_values, self.b_values))
 
 
-def pair_and_filter(transcripts, metric: str) -> PairedSample:
-    """Extract one paired observation per cohort, keeping only cohorts
-    where both agents' final allocations are feasible.
+def pair_reports(entries, metric: str) -> PairedSample:
+    """One paired observation per cohort from (cohort_id, {label:
+    MetricReport}) entries, keeping only cohorts where both agents'
+    final reports are feasible.
 
-    All transcripts must share the same framework and opponent kind.
+    Agent A is paired with the first other label in sorted order.
     """
     if metric not in METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}")
-    configs = {(t.config.framework, t.config.opponent_kind) for t in transcripts}
-    if len(configs) > 1:
-        raise ValueError(f"transcripts mix configurations: {sorted(configs)}")
     ids, a_vals, b_vals = [], [], []
-    for t in sorted(transcripts, key=lambda t: t.cohort.cohort_id):
-        if not t.completed:
-            continue
-        labels = sorted(t.final_reports)
-        report_a = t.final_reports["A"]
-        report_b = t.final_reports[[l for l in labels if l != "A"][0]]
+    for cohort_id, reports in sorted(entries, key=lambda e: e[0]):
+        report_a = reports["A"]
+        report_b = reports[next(l for l in sorted(reports) if l != "A")]
         if not (report_a.feasible and report_b.feasible):
             continue
-        ids.append(t.cohort.cohort_id)
+        ids.append(cohort_id)
         a_vals.append(report_a.value(metric))
         b_vals.append(report_b.value(metric))
     return PairedSample(tuple(ids), tuple(a_vals), tuple(b_vals))
+
+
+def pair_and_filter(transcripts, metric: str) -> PairedSample:
+    """Pair the final reports of completed transcripts (see pair_reports).
+
+    All transcripts must share the same framework and opponent kind.
+    """
+    configs = {(t.config.framework, t.config.opponent_kind) for t in transcripts}
+    if len(configs) > 1:
+        raise ValueError(f"transcripts mix configurations: {sorted(configs)}")
+    return pair_reports(
+        [(t.cohort.cohort_id, t.final_reports) for t in transcripts if t.completed],
+        metric,
+    )
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,7 @@ class TestReplay:
 
 class _ChatHandler(BaseHTTPRequestHandler):
     fail_times = 0
+    fail_status = 500
     calls = 0
     captured = []
 
@@ -196,7 +197,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
         payload = json.loads(self.rfile.read(length))
         cls.captured.append(payload)
         if cls.calls <= cls.fail_times:
-            self.send_response(500)
+            self.send_response(cls.fail_status)
             self.end_headers()
             return
         body = json.dumps(
@@ -215,6 +216,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def chat_server():
     _ChatHandler.fail_times = 0
+    _ChatHandler.fail_status = 500
     _ChatHandler.calls = 0
     _ChatHandler.captured = []
     server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
@@ -235,6 +237,21 @@ class TestChatClient:
         with pytest.raises(ChatTransportError):
             chat_generate(config, "hello")
         assert _ChatHandler.calls == 3
+
+    def test_429_is_retried_like_a_server_error(self, chat_server):
+        _ChatHandler.fail_times = 1
+        _ChatHandler.fail_status = 429
+        config = ChatBackendConfig(endpoint=chat_server, model="m", retries=2, backoff=0)
+        assert chat_generate(config, "hello") == "FIXED BODY"
+        assert _ChatHandler.calls == 2
+
+    def test_other_4xx_is_not_retried(self, chat_server):
+        _ChatHandler.fail_times = 1
+        _ChatHandler.fail_status = 400
+        config = ChatBackendConfig(endpoint=chat_server, model="m", retries=2, backoff=0)
+        with pytest.raises(ChatTransportError, match="HTTP 400"):
+            chat_generate(config, "hello")
+        assert _ChatHandler.calls == 1
 
     def test_prompt_appears_exactly_once_as_final_user_message(self, chat_server):
         config = ChatBackendConfig(endpoint=chat_server, model="m", backoff=0)

@@ -15,6 +15,7 @@ from triage_arena.arena import (
     build_prompt,
     default_joint_allocation,
     emergence_delta,
+    emergence_deltas,
     parse_allocation,
     render_allocation,
     run_debate,
@@ -331,8 +332,9 @@ class TestJointAndEmergence:
             cohort.capacity,
         )
         assert "converged" in note
+        deltas = emergence_deltas(transcript, joint, metric_config)
         for metric in METRIC_NAMES:
-            delta = emergence_delta(metric, transcript, joint, metric_config)
+            delta = deltas[metric]
             assert delta.value == pytest.approx(0.0, abs=1e-12)
 
     def test_mean_joint_rescaled_to_capacity(self):
@@ -358,8 +360,9 @@ class TestJointAndEmergence:
         transcript = run_debate(cohort, agent_a, agent_b, DebateConfig(rounds=1))
         for _ in range(10):
             joint = random_allocation(rng, n=cohort.n)
+            deltas = emergence_deltas(transcript, joint, metric_config)
             for metric in METRIC_NAMES:
-                delta = emergence_delta(metric, transcript, joint, metric_config)
+                delta = deltas[metric]
                 m_joint = metric_report(cohort, joint, metric_config).value(metric)
                 finals = [
                     metric_report(cohort, alloc, metric_config).value(metric)
@@ -374,6 +377,21 @@ class TestJointAndEmergence:
         agent_a, agent_b = scripted_pair()
         transcript = run_debate(cohort, agent_a, agent_b, DebateConfig(rounds=1))
         huge = Allocation(tuple(tuple(99.0 for _ in range(6)) for _ in range(cohort.n)))
-        delta = emergence_delta("esg", transcript, huge, metric_config)
+        delta = emergence_deltas(transcript, huge, metric_config)["esg"]
         assert not delta.joint_feasible
         assert delta.note
+
+    def test_single_metric_delta_matches_the_full_set(self, cohort, metric_config):
+        agent_a, agent_b = scripted_pair()
+        transcript = run_debate(cohort, agent_a, agent_b, DebateConfig(rounds=1))
+        joint, _note = default_joint_allocation(
+            transcript.final_allocations["A"],
+            transcript.final_allocations["B"],
+            cohort.capacity,
+        )
+        deltas = emergence_deltas(transcript, joint, metric_config)
+        assert list(deltas) == list(METRIC_NAMES)
+        for metric in METRIC_NAMES:
+            assert emergence_delta(metric, transcript, joint, metric_config) == deltas[metric]
+        with pytest.raises(ValueError, match="unknown metric"):
+            emergence_delta("nope", transcript, joint, metric_config)

@@ -1,13 +1,26 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
+import socket
 from pathlib import Path
 
 import pytest
 
+from triage_arena import agents
+from triage_arena.arena import transcript_from_json
 from triage_arena.cli import main
+from triage_arena.metrics import METRIC_NAMES
+from triage_arena.model import canonical_json
+from triage_arena.stats import cell_seed, compare_cell, pair_and_filter
+
+# Outputs of the small_run pipeline (seed 7, batch 6, scripted Rawlsian vs
+# biased) and of `stats` and `report` over it with default options.
+SMALL_RUN_COMBINED_HASH = "aadf4237f788801aacb12762afef7e233585e8f526a1e5b1504b9082a57055a7"
+SMALL_RUN_COMPARISON_SHA256 = "d5540f7da98e5c7699fab6f8a47db95dd191392d40c89fd2e384ce37080562cb"
+SMALL_RUN_REPORT_SHA256 = "37af91ac28b7a4f2cf7ee0b844dda928349d420fc86b21f0318246be5a7c98f5"
 
 
 def read_dir_bytes(directory: Path) -> dict:
@@ -173,6 +186,30 @@ class TestRun:
         parallel_files = read_dir_bytes(parallel)
         assert serial_files == parallel_files
 
+    def test_failed_debate_exits_io_and_keeps_manifest(self, tmp_path, monkeypatch, capsys):
+        cohorts = tmp_path / "cohorts"
+        assert main(["gen-cohorts", "--seed", "3", "--batch", "1", "--out", str(cohorts)]) == 0
+        with socket.socket() as sock:  # a local port with nothing listening
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        monkeypatch.setattr(agents.time, "sleep", lambda seconds: None)
+        out = tmp_path / "run"
+        code = main(
+            [
+                "run",
+                "--cohorts", str(cohorts),
+                "--backend", "chat",
+                "--endpoint", f"http://127.0.0.1:{port}/v1/chat/completions",
+                "--model", "m",
+                "--out", str(out),
+            ]
+        )
+        assert code == 3
+        assert "1 failures" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == []
+        assert not list(out.glob("transcript_*.json"))
+
 
 class TestReplayAndEval:
     def test_replay_reproduces_reference_totals(self, tmp_path):
@@ -241,6 +278,27 @@ class TestStats:
         assert main(["stats", "--eval-dir", str(small_run / "evals"), "--jobs", "4", "--out", str(out2)]) == 0
         assert (out1 / "results.csv").read_text() == (out2 / "results.csv").read_text()
         assert (out1 / "comparison.json").read_bytes() == (out2 / "comparison.json").read_bytes()
+
+    def test_cli_stats_matches_library_pairing_cell_by_cell(self, small_run, tmp_path):
+        out = tmp_path / "stats"
+        assert main(["stats", "--eval-dir", str(small_run / "evals"), "--out", str(out)]) == 0
+        written = json.loads((out / "comparison.json").read_text())["reports"]
+        transcripts = [
+            transcript_from_json(json.loads(f.read_text()))
+            for f in sorted((small_run / "transcripts").glob("transcript_*.json"))
+        ]
+        expected = [
+            compare_cell(
+                pair_and_filter(transcripts, metric),
+                framework="Rawlsian",
+                metric=metric,
+                bootstrap_seed=cell_seed(42, "Rawlsian", metric),
+            ).to_json()
+            for metric in METRIC_NAMES
+        ]
+        assert len(written) == len(METRIC_NAMES)
+        for got, want in zip(written, expected):
+            assert canonical_json(got) == canonical_json(want)
 
     def test_identical_columns_give_ties(self, small_run, tmp_path):
         evals = tmp_path / "mirrored"
@@ -433,3 +491,16 @@ class TestReportAndValidate:
         (bad_dir / source.name).write_text(json.dumps(obj))
         assert main(["validate", str(bad_dir)]) == 1
         assert "survival_prob" in capsys.readouterr().out
+
+
+class TestPinnedOutputs:
+    def test_small_scripted_run_outputs_are_pinned(self, small_run, tmp_path):
+        manifest = small_run / "transcripts" / "manifest.json"
+        assert json.loads(manifest.read_text())["combined_hash"] == SMALL_RUN_COMBINED_HASH
+        stats = tmp_path / "stats"
+        assert main(["stats", "--eval-dir", str(small_run / "evals"), "--out", str(stats)]) == 0
+        comparison = (stats / "comparison.json").read_bytes()
+        assert hashlib.sha256(comparison).hexdigest() == SMALL_RUN_COMPARISON_SHA256
+        report = tmp_path / "report.md"
+        assert main(["report", "--run-manifest", str(manifest), "--out", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == SMALL_RUN_REPORT_SHA256
