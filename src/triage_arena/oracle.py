@@ -2,11 +2,18 @@
 
 This module certifies whether competing welfare functionals admit a
 common maximizer on a finite grid. The general route is literal
-enumeration (every grid point, every functional); the cake verifier
-additionally exploits that its welfare functions are separable across
-recipients, which gives the same grid answers through small dynamic
-programs and stays tractable at fine steps. All verdicts are labelled
-grid-certified at their step; nothing here reasons about the continuum.
+enumeration: argmax_set scans every grid allocation for one functional
+and is the scalar reference. check_nondegeneracy evaluates the
+functionals built from per-person utilities (functionals_from_utilities,
+cake_functionals, hospital_functionals) in one array pass instead: it
+builds the grid once as an integer composition array, tabulates each
+person's utility once per distinct row and reduces the utility matrix
+column by column, with the scalar path's float arithmetic. The cake
+verifier additionally exploits that its welfare functions are separable
+across recipients, which gives the same grid answers through small
+dynamic programs and stays tractable at fine steps. All verdicts are
+labelled grid-certified at their step; nothing here reasons about the
+continuum.
 """
 
 from __future__ import annotations
@@ -16,11 +23,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .metrics import gini
 from .model import Allocation, ResourceCapacity
 
 __all__ = [
     "WelfareFunctional",
+    "UtilityAggregate",
     "DiscretizedSpace",
     "EnumerationBoundExceeded",
     "candidate_count",
@@ -53,6 +63,79 @@ class WelfareFunctional:
         return self.evaluator(alloc)
 
 
+_AGGREGATE_KINDS = ("util", "egal", "rawls", "prior")
+
+
+@dataclass(frozen=True)
+class UtilityAggregate:
+    """A welfare evaluator that aggregates per-person utilities.
+
+    utilities[i] maps person i's allocation row to a utility. util sums
+    the utilities, egal is the negated concentration index of their
+    positive parts, rawls takes the minimum and prior is the sum weighted
+    by weights. Calling it evaluates one allocation; over_grid evaluates
+    a whole utility matrix with the same float operations in the same
+    order.
+    """
+
+    kind: str
+    utilities: tuple[Callable[[tuple], float], ...]
+    weights: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.kind not in _AGGREGATE_KINDS:
+            raise ValueError(f"unknown functional {self.kind!r}")
+        if self.kind == "prior":
+            if self.weights is None:
+                raise ValueError("prior requires prior_weights")
+            if len(self.weights) != len(self.utilities):
+                raise ValueError(
+                    f"prior_weights has {len(self.weights)} entries but there "
+                    f"are {len(self.utilities)} utilities"
+                )
+
+    def __call__(self, alloc: Allocation) -> float:
+        values = [u(row) for u, row in zip(self.utilities, alloc.rows)]
+        if self.kind == "util":
+            return sum(values)
+        if self.kind == "egal":
+            return -gini([max(x, 0.0) for x in values])
+        if self.kind == "rawls":
+            return min(values)
+        return sum(w * x for w, x in zip(self.weights, values))
+
+    def over_grid(self, utility: np.ndarray) -> np.ndarray:
+        """Values of M allocations from their (M, n) utility matrix.
+
+        Sums add the columns left to right from 0, as sum() does on
+        CPython up to 3.11 (later versions compensate, which can move a
+        scalar value in its last bits); egal replicates metrics.gini row
+        by row, including its all-zero and equal-vector rules.
+        """
+        if self.kind == "util":
+            return _left_sum(utility.T)
+        if self.kind == "rawls":
+            return utility.min(axis=1)
+        if self.kind == "prior":
+            return _left_sum(w * column for w, column in zip(self.weights, utility.T))
+        n = utility.shape[1]
+        positive = np.maximum(utility, 0.0)
+        total = _left_sum(positive.T)
+        positive.sort(axis=1)
+        weighted = _left_sum((i + 1) * column for i, column in enumerate(positive.T))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            index = 2.0 * weighted / (n * total) - (n + 1) / n
+        index[(total == 0) | (positive[:, 0] == positive[:, -1])] = 0.0
+        return -index
+
+
+def _left_sum(columns) -> np.ndarray:
+    total = 0.0
+    for column in columns:
+        total = total + column
+    return total
+
+
 class EnumerationBoundExceeded(RuntimeError):
     def __init__(self, count: int, bound: int):
         super().__init__(
@@ -69,7 +152,7 @@ class DiscretizedSpace:
 
     Each entry moves in multiples of step; the step must divide every
     supply to within 1e-9. enumeration_bound guards against accidental
-    combinatorial blow-ups in the literal-enumeration routines.
+    combinatorial blow-ups in the enumeration and grid-array routines.
     """
 
     step: float
@@ -205,6 +288,94 @@ class NondegeneracyReport:
         }
 
 
+def _composition_array(total: int, parts: int) -> np.ndarray:
+    """Every tuple of `parts` nonnegative ints summing to at most total,
+    one per row. Stars and bars: the sorted positions of `parts` bars
+    among total + parts slots give the part sizes as the gaps before
+    each bar."""
+    count = math.comb(total + parts, parts)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(total + parts), parts)
+        ),
+        dtype=np.min_scalar_type(total + parts),
+        count=count * parts,
+    ).reshape(count, parts)
+    sizes = np.empty_like(bars)
+    sizes[:, 0] = bars[:, 0]
+    sizes[:, 1:] = np.diff(bars, axis=1) - 1
+    return sizes
+
+
+def _grid_array(space: DiscretizedSpace) -> np.ndarray:
+    """Every grid allocation in integer units, shape (M, n, k), in the
+    smallest unsigned dtype that holds the largest unit count. Holds the
+    same allocations as enumerate_allocations, in another order."""
+    columns = [_composition_array(b, space.n) for b in space.units]
+    counts = [len(column) for column in columns]
+    grid = np.empty(
+        (math.prod(counts), space.n, space.k),
+        dtype=np.min_scalar_type(max(space.units)),
+    )
+    view = grid.reshape(*counts, space.n, space.k)
+    for j, column in enumerate(columns):
+        shape = [1] * space.k + [space.n]
+        shape[j] = counts[j]
+        view[..., j] = column.reshape(shape)
+    return grid
+
+
+def _utility_matrix(
+    utilities: Sequence[Callable[[tuple], float]],
+    grid: np.ndarray,
+    space: DiscretizedSpace,
+) -> np.ndarray:
+    """(M, n) matrix of each person's utility in each grid allocation.
+
+    Each utility is called once per distinct row, on the float row that
+    enumerate_allocations builds for it, so every entry is the float the
+    scalar path computes.
+    """
+    if len(utilities) != space.n:
+        raise ValueError(
+            f"{len(utilities)} utilities for a grid of {space.n} persons"
+        )
+    dims = tuple(b + 1 for b in space.units)
+    rows = [
+        tuple(v * space.step for v in units)
+        for units in itertools.product(*(range(d) for d in dims))
+    ]
+    matrix = np.empty(grid.shape[:2])
+    for i, u in enumerate(utilities):
+        table = np.array([u(row) for row in rows], dtype=float)
+        matrix[:, i] = table[np.ravel_multi_index(tuple(grid[:, i].T), dims)]
+    return matrix
+
+
+def _grid_argmax_rows(
+    functionals: Sequence[WelfareFunctional], space: DiscretizedSpace, tol: float
+) -> dict[str, set]:
+    """The argmax set of each utility-built functional as a set of
+    allocation rows, from one grid array and one utility matrix per
+    distinct utility tuple. Gives the members argmax_set returns."""
+    grid = _grid_array(space)
+    matrices: dict[tuple, np.ndarray] = {}
+    sets = {}
+    for W in functionals:
+        aggregate = W.evaluator
+        if aggregate.utilities not in matrices:
+            matrices[aggregate.utilities] = _utility_matrix(
+                aggregate.utilities, grid, space
+            )
+        values = aggregate.over_grid(matrices[aggregate.utilities])
+        members = grid[values >= values.max() - tol].tolist()
+        sets[W.identifier] = {
+            tuple(tuple(v * space.step for v in row) for row in member)
+            for member in members
+        }
+    return sets
+
+
 def check_nondegeneracy(
     functionals: Sequence[WelfareFunctional],
     space: DiscretizedSpace,
@@ -214,32 +385,43 @@ def check_nondegeneracy(
 
     Degenerate means some allocation maximizes every functional at once.
     No social optimum is ever selected; the report only describes how
-    the optima relate.
+    the optima relate. Functionals whose evaluator is a UtilityAggregate
+    are evaluated together in one array pass over the grid; any other
+    functional is scanned by argmax_set. Both give the same argmax sets.
     """
     if len(functionals) < 2:
         raise ValueError("need at least two functionals")
-    sets = {W.identifier: set(a.rows for a in argmax_set(W, space, tol)) for W in functionals}
     names = [W.identifier for W in functionals]
-    common = set.intersection(*sets.values())
-    witness = Allocation(sorted(common)[0]) if common else None
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"repeated functional identifiers: {', '.join(repeated)}")
+    count = candidate_count(space)
+    if count > space.enumeration_bound:
+        raise EnumerationBoundExceeded(count, space.enumeration_bound)
+    aggregates = [W for W in functionals if isinstance(W.evaluator, UtilityAggregate)]
+    sets = _grid_argmax_rows(aggregates, space, tol) if aggregates else {}
+    for W in functionals:
+        if W.identifier not in sets:
+            sets[W.identifier] = {a.rows for a in argmax_set(W, space, tol)}
+    common = set.intersection(*(sets[name] for name in names))
+    witness = Allocation(min(common)) if common else None
     pairs = []
     for a, b in itertools.combinations(names, 2):
-        inter = sets[a] & sets[b]
-        only_a = sorted(sets[a] - sets[b])
-        only_b = sorted(sets[b] - sets[a])
+        only_a = sets[a] - sets[b]
+        only_b = sets[b] - sets[a]
         pairs.append(
             PairEvidence(
                 first=a,
                 second=b,
-                intersects=bool(inter),
-                only_first=Allocation(only_a[0]) if only_a else None,
-                only_second=Allocation(only_b[0]) if only_b else None,
+                intersects=not sets[a].isdisjoint(sets[b]),
+                only_first=Allocation(min(only_a)) if only_a else None,
+                only_second=Allocation(min(only_b)) if only_b else None,
             )
         )
     return NondegeneracyReport(
         degenerate=bool(common),
         witness=witness,
-        argmax_sizes={name: len(s) for name, s in sets.items()},
+        argmax_sizes={name: len(sets[name]) for name in names},
         pairs=tuple(pairs),
         step=space.step,
         tol=tol,
@@ -339,40 +521,19 @@ def functionals_from_utilities(
     """Build the standard welfare functionals over per-person utilities.
 
     util sums utilities, egal is the negated concentration index of the
-    utility vector, rawls takes the minimum, prior is a weighted sum.
-    Each utility is a function of that person's allocation row.
+    utility vector, rawls takes the minimum, prior is a weighted sum with
+    one weight per utility. Each utility is a function of that person's
+    allocation row. The evaluators are UtilityAggregates, so
+    check_nondegeneracy evaluates them in one array pass.
     """
-    utilities = list(utilities)
-
-    def values(alloc: Allocation) -> list[float]:
-        return [u(row) for u, row in zip(utilities, alloc.rows)]
-
-    built = []
-    for name in include:
-        if name == "util":
-            built.append(WelfareFunctional("util", lambda A, v=values: sum(v(A))))
-        elif name == "egal":
-            built.append(
-                WelfareFunctional(
-                    "egal",
-                    lambda A, v=values: -gini([max(x, 0.0) for x in v(A)]),
-                )
-            )
-        elif name == "rawls":
-            built.append(WelfareFunctional("rawls", lambda A, v=values: min(v(A))))
-        elif name == "prior":
-            if prior_weights is None:
-                raise ValueError("prior requires prior_weights")
-            w = tuple(float(x) for x in prior_weights)
-            built.append(
-                WelfareFunctional(
-                    "prior",
-                    lambda A, v=values, w=w: sum(wi * x for wi, x in zip(w, v(A))),
-                )
-            )
-        else:
-            raise ValueError(f"unknown functional {name!r}")
-    return built
+    utilities = tuple(utilities)
+    weights = None if prior_weights is None else tuple(float(x) for x in prior_weights)
+    return [
+        WelfareFunctional(
+            name, UtilityAggregate(name, utilities, weights if name == "prior" else None)
+        )
+        for name in include
+    ]
 
 
 def cake_functionals(
@@ -583,81 +744,87 @@ class CakeVerificationReport:
         }
 
 
-def _evaluate_claims(params: CakeParams, step: float, tol: float) -> tuple[ClaimResult, ...]:
+def _evaluate_claims(
+    params: CakeParams, step: float, tols: Sequence[float]
+) -> list[tuple[ClaimResult, ...]]:
+    """The three claims judged at each tolerance in tols. The grid
+    optima do not depend on the tolerance and are computed once."""
     table, budget = _tabulate(params, step)
     grid_max, corner_value, best_non_corner, util_witness = _util_grid_analysis(table, budget)
-    corner = tuple(1.0 if i == 0 else 0.0 for i in range(6))
-
-    # (a) the utility-sum argmax is exactly the all-to-first-person corner
-    corner_is_max = corner_value >= grid_max - tol
-    corner_unique = best_non_corner < corner_value - tol
-    if corner_is_max and corner_unique:
-        claim_a = ClaimResult(
-            "util_argmax_is_corner",
-            True,
-            f"corner value {corner_value:.9g} beats every other grid point "
-            f"(runner-up {best_non_corner:.9g})",
-            corner,
-        )
-    else:
-        witness_x = tuple(v * step for v in util_witness)
-        claim_a = ClaimResult(
-            "util_argmax_is_corner",
-            False,
-            f"grid max {grid_max:.9g} at {witness_x} vs corner value "
-            f"{corner_value:.9g}; corner is "
-            + ("tied, not unique" if corner_is_max else "not maximal"),
-            witness_x,
-        )
-
-    # (b) every maximin-optimal allocation gives person 5 a positive share.
-    # A zero share forces that person's utility to 0, so the claim holds
-    # exactly when the maximin grid optimum is strictly positive.
     theta, rawls_units = _rawls_grid_max(table, budget)
     rawls_witness = tuple(v * step for v in rawls_units)
-    if theta > tol:
-        claim_b = ClaimResult(
-            "rawls_argmax_requires_inclusion",
-            True,
-            f"maximin grid optimum {theta:.9g} > 0, so every optimum gives "
-            f"person 5 a positive share",
-            rawls_witness,
-        )
-    else:
-        claim_b = ClaimResult(
-            "rawls_argmax_requires_inclusion",
-            False,
-            f"maximin grid optimum is {theta:.9g}; allocations with a zero "
-            f"share for person 5 are optimal",
-            rawls_witness,
-        )
-
-    # (c) no allocation maximizes all four welfare functionals at once.
-    # It suffices that the utility-sum and maximin argmax sets are disjoint:
-    # compare the best utility sum achievable at the maximin optimum with
-    # the unconstrained grid max.
     best_at_rawls, shared_units = _best_util_at_rawls_optimum(table, budget, theta)
-    if best_at_rawls < grid_max - tol:
-        claim_c = ClaimResult(
-            "argmax_intersection_empty",
-            True,
-            f"best utility sum over maximin-optimal allocations is "
-            f"{best_at_rawls:.9g}, below the utility grid max {grid_max:.9g}; "
-            f"the four argmax sets share no member",
-            None,
-        )
-    else:
-        witness_x = (
-            tuple(v * step for v in shared_units) if shared_units is not None else None
-        )
-        claim_c = ClaimResult(
-            "argmax_intersection_empty",
-            False,
-            f"an allocation is optimal for both the utility sum and the "
-            f"maximin objective (value {best_at_rawls:.9g})",
-            witness_x,
-        )
-    return (claim_a, claim_b, claim_c)
+    corner = tuple(1.0 if i == 0 else 0.0 for i in range(6))
+    verdicts = []
+    for tol in tols:
+        # (a) the utility-sum argmax is exactly the all-to-first-person corner
+        corner_is_max = corner_value >= grid_max - tol
+        corner_unique = best_non_corner < corner_value - tol
+        if corner_is_max and corner_unique:
+            claim_a = ClaimResult(
+                "util_argmax_is_corner",
+                True,
+                f"corner value {corner_value:.9g} beats every other grid point "
+                f"(runner-up {best_non_corner:.9g})",
+                corner,
+            )
+        else:
+            witness_x = tuple(v * step for v in util_witness)
+            claim_a = ClaimResult(
+                "util_argmax_is_corner",
+                False,
+                f"grid max {grid_max:.9g} at {witness_x} vs corner value "
+                f"{corner_value:.9g}; corner is "
+                + ("tied, not unique" if corner_is_max else "not maximal"),
+                witness_x,
+            )
+
+        # (b) every maximin-optimal allocation gives person 5 a positive share.
+        # A zero share forces that person's utility to 0, so the claim holds
+        # exactly when the maximin grid optimum is strictly positive.
+        if theta > tol:
+            claim_b = ClaimResult(
+                "rawls_argmax_requires_inclusion",
+                True,
+                f"maximin grid optimum {theta:.9g} > 0, so every optimum gives "
+                f"person 5 a positive share",
+                rawls_witness,
+            )
+        else:
+            claim_b = ClaimResult(
+                "rawls_argmax_requires_inclusion",
+                False,
+                f"maximin grid optimum is {theta:.9g}; allocations with a zero "
+                f"share for person 5 are optimal",
+                rawls_witness,
+            )
+
+        # (c) no allocation maximizes all four welfare functionals at once.
+        # It suffices that the utility-sum and maximin argmax sets are disjoint:
+        # compare the best utility sum achievable at the maximin optimum with
+        # the unconstrained grid max.
+        if best_at_rawls < grid_max - tol:
+            claim_c = ClaimResult(
+                "argmax_intersection_empty",
+                True,
+                f"best utility sum over maximin-optimal allocations is "
+                f"{best_at_rawls:.9g}, below the utility grid max {grid_max:.9g}; "
+                f"the four argmax sets share no member",
+                None,
+            )
+        else:
+            witness_x = (
+                tuple(v * step for v in shared_units) if shared_units is not None else None
+            )
+            claim_c = ClaimResult(
+                "argmax_intersection_empty",
+                False,
+                f"an allocation is optimal for both the utility sum and the "
+                f"maximin objective (value {best_at_rawls:.9g})",
+                witness_x,
+            )
+        verdicts.append((claim_a, claim_b, claim_c))
+    return verdicts
 
 
 def verify_cake_claims(
@@ -675,8 +842,7 @@ def verify_cake_claims(
             f"step {step} too coarse to resolve the cap and floor thresholds "
             f"(needs step <= {limit:g})"
         )
-    claims = _evaluate_claims(params, step, tol)
-    recheck = _evaluate_claims(params, step, recheck_tol)
+    claims, recheck = _evaluate_claims(params, step, (tol, recheck_tol))
     agrees = all(a.passed == b.passed for a, b in zip(claims, recheck))
     return CakeVerificationReport(
         step=step,

@@ -442,6 +442,26 @@ class TestCheckNondegeneracy:
         code = main(["check-nondegeneracy", "--step", "0.01", "--bound", "1000"])
         assert code == 2
 
+    def test_default_report_is_byte_identical_to_reference(self, tmp_path):
+        # the step-0.05 report the benchmark pins for the oracle-grid workload
+        out = tmp_path / "report.json"
+        assert main(["check-nondegeneracy", "--step", "0.05", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "940f04a765b96710598cb60d01856eada6295cfb4c6aa0f5bd1602ba1f6ecf4c"
+        )
+
+    def test_repeated_functionals_are_usage_error(self, capsys):
+        code = main(
+            ["check-nondegeneracy", "--step", "0.1", "--functionals", "util,util"]
+        )
+        assert code == 2
+        assert "repeated functional identifiers: util" in capsys.readouterr().err
+
+    def test_prior_weights_of_wrong_length_are_usage_error(self, capsys):
+        code = main(["check-nondegeneracy", "--step", "0.1", "--prior-weights", "1,2"])
+        assert code == 2
+        assert "2 entries but there are 6 utilities" in capsys.readouterr().err
+
 
 class TestReportAndValidate:
     def test_report_from_replay_shows_infeasible_rounds(self, tmp_path, capsys):

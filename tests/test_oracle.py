@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import itertools
 import math
+import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from triage_arena.model import ResourceCapacity, validate_allocation
+from triage_arena.metrics import gini
+from triage_arena.model import Allocation, ResourceCapacity, validate_allocation
 from triage_arena.oracle import (
     CakeParams,
     DiscretizedSpace,
     EnumerationBoundExceeded,
+    UtilityAggregate,
     WelfareFunctional,
     argmax_set,
     cake_functionals,
@@ -20,7 +26,12 @@ from triage_arena.oracle import (
     functionals_from_utilities,
     verify_cake_claims,
 )
-from triage_arena.oracle import _suffix_best, _tabulate, _util_grid_analysis
+from triage_arena.oracle import (
+    _grid_argmax_rows,
+    _suffix_best,
+    _tabulate,
+    _util_grid_analysis,
+)
 
 
 def small_space(step=0.5, supply=(1.0,), n=2, bound=5_000_000) -> DiscretizedSpace:
@@ -173,6 +184,185 @@ class TestCheckNondegeneracy:
         report = check_nondegeneracy(functionals, space)
         assert report.degenerate
         assert tuple(r[0] for r in report.witness.rows) == (1.0, 0.0, 0.0)
+
+    def test_repeated_identifiers_rejected(self):
+        functionals = cake_functionals(CakeParams(), include=("util", "util"))
+        with pytest.raises(ValueError, match="repeated functional identifiers: util"):
+            check_nondegeneracy(functionals, cake_space(0.2))
+
+    def test_utility_count_must_match_persons(self):
+        utilities = [lambda row: row[0]] * 2
+        functionals = functionals_from_utilities(utilities, include=("util", "rawls"))
+        with pytest.raises(ValueError, match="2 utilities for a grid of 3 persons"):
+            check_nondegeneracy(functionals, small_space(step=0.5, n=3))
+
+    def test_bound_checked_before_any_grid_work(self):
+        # at step 1e-4 the grid has ~1.4e21 points: only a bound check made
+        # before building anything can return, let alone return at once
+        space = cake_space(0.0001, enumeration_bound=1000)
+        functionals = cake_functionals(CakeParams(), prior_weights=[1.0] * 6)
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBoundExceeded) as excinfo:
+            check_nondegeneracy(functionals, space)
+        assert time.perf_counter() - start < 1.0
+        assert excinfo.value.count == math.comb(10_006, 6)
+        assert excinfo.value.bound == 1000
+
+
+class TestPriorWeights:
+    def test_wrong_length_rejected_naming_both_lengths(self):
+        utilities = [lambda row: row[0]] * 6
+        with pytest.raises(ValueError, match="2 entries but there are 6 utilities"):
+            functionals_from_utilities(utilities, prior_weights=[1.0, 2.0])
+        with pytest.raises(ValueError, match="7 entries but there are 6 utilities"):
+            cake_functionals(CakeParams(), prior_weights=[1.0] * 7)
+
+    def test_weights_ignored_without_prior(self):
+        functionals = cake_functionals(
+            CakeParams(), prior_weights=[1.0, 2.0], include=("util", "rawls")
+        )
+        assert [W.identifier for W in functionals] == ["util", "rawls"]
+
+
+def _scan_report(functionals, space, tol=1e-9):
+    """Reference report: one argmax_set scan per functional, intersected
+    as sets of allocation rows, witnesses the smallest sorted rows."""
+    sets = {W.identifier: {a.rows for a in argmax_set(W, space, tol)} for W in functionals}
+    names = [W.identifier for W in functionals]
+    common = set.intersection(*sets.values())
+    pairs = []
+    for a, b in itertools.combinations(names, 2):
+        only_a = sorted(sets[a] - sets[b])
+        only_b = sorted(sets[b] - sets[a])
+        pairs.append(
+            {
+                "first": a,
+                "second": b,
+                "intersects": bool(sets[a] & sets[b]),
+                "only_first": Allocation(only_a[0]).to_json() if only_a else None,
+                "only_second": Allocation(only_b[0]).to_json() if only_b else None,
+            }
+        )
+    return sets, {
+        "degenerate": bool(common),
+        "witness": Allocation(sorted(common)[0]).to_json() if common else None,
+        "argmax_sizes": {name: len(s) for name, s in sets.items()},
+        "pairs": pairs,
+    }
+
+
+def _assert_matches_scan(functionals, space, tol=1e-9):
+    ref_sets, ref = _scan_report(functionals, space, tol)
+    aggregates = [W for W in functionals if isinstance(W.evaluator, UtilityAggregate)]
+    fast_sets = _grid_argmax_rows(aggregates, space, tol)
+    assert fast_sets == {W.identifier: ref_sets[W.identifier] for W in aggregates}
+    obj = check_nondegeneracy(functionals, space, tol).to_json()
+    assert {key: obj[key] for key in ref} == ref
+
+
+_KINDS = ("util", "egal", "rawls", "prior")
+_include = st.permutations(_KINDS).flatmap(
+    lambda order: st.integers(2, 4).map(lambda size: tuple(order[:size]))
+)
+_weight = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 5.0))
+
+
+@st.composite
+def _cake_params(draw):
+    gamma = draw(st.floats(0.05, 0.4))
+    beta = draw(st.floats(gamma + 0.05, 0.95))
+    threshold = st.one_of(st.sampled_from([0.1, 0.2, 0.4]), st.floats(0.01, 0.5))
+    return CakeParams(
+        alpha=draw(st.floats(1.05, 3.0)),
+        beta=beta,
+        gamma=gamma,
+        lam=draw(st.one_of(st.just(0.0), st.floats(0.0, 200.0))),
+        xbar4=draw(threshold),
+        xmin=draw(threshold),
+        epsilon=draw(st.floats(0.01, 0.5)),
+        delta=draw(st.floats(0.05, 1.0)),
+        allow_degenerate=True,
+    )
+
+
+class TestArrayPassParity:
+    """check_nondegeneracy's array pass against argmax_set scans."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            CakeParams(),
+            CakeParams(xbar4=0.2, xmin=0.2),
+            CakeParams(lam=0.0, xbar4=0.3, xmin=0.3, allow_degenerate=True),
+        ],
+    )
+    def test_cake_step_01(self, params):
+        weights = [3.0, 1.0, 2.0, 1.0, 5.0, 1.0]
+        _assert_matches_scan(cake_functionals(params, weights), cake_space(0.1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        _cake_params(),
+        st.lists(_weight, min_size=6, max_size=6),
+        _include,
+        st.sampled_from([1e-9, 0.0, 1e-3]),
+    )
+    def test_cake_step_02(self, params, weights, include, tol):
+        functionals = cake_functionals(params, weights, include)
+        _assert_matches_scan(functionals, cake_space(0.2), tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.sampled_from([0.0, 0.25, 0.5])),
+            min_size=3,
+            max_size=3,
+        ),
+        st.lists(_weight, min_size=3, max_size=3),
+        _include,
+    )
+    def test_two_resource_space(self, coefficients, weights, include):
+        # utilities read both columns of a row; the threshold term makes ties
+        utilities = [
+            lambda row, a=a, b=b, t=t: a * row[0] ** 2 + b * row[1] + (row[1] >= t)
+            for a, b, t in coefficients
+        ]
+        space = DiscretizedSpace(
+            step=0.25, capacity=ResourceCapacity(supply=(1.0, 0.5)), n=3
+        )
+        functionals = functionals_from_utilities(utilities, weights, include)
+        # a bare evaluator in the mix keeps going through argmax_set
+        bare = WelfareFunctional("bare", lambda alloc: alloc.rows[0][1])
+        _assert_matches_scan(functionals + [bare], space)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_over_grid_replicates_scalar_arithmetic(self, kind):
+        # all-zero, equal, mixed-sign and all-negative rows; the equal row
+        # leaves float residue in the gini formula, and the third row's sum
+        # depends on its order
+        matrix = np.array(
+            [
+                [0.0, 0.0, 0.0],
+                [1.1, 1.1, 1.1],
+                [0.1, 0.4, 0.2],
+                [2.0, -1.0, 0.5],
+                [-1.0, -2.0, -3.0],
+                [0.3, 1e-17, 0.1],
+            ]
+        )
+        weights = (0.3, 1.7, 2.9)
+        scalar = {
+            "util": lambda row: sum(row),
+            "egal": lambda row: -gini([max(x, 0.0) for x in row]),
+            "rawls": min,
+            "prior": lambda row: sum(w * x for w, x in zip(weights, row)),
+        }[kind]
+        aggregate = UtilityAggregate(
+            kind, (abs,) * 3, weights if kind == "prior" else None
+        )
+        assert aggregate.over_grid(matrix).tolist() == [
+            scalar(row) for row in matrix.tolist()
+        ]
 
 
 class TestHospitalFunctionals:
