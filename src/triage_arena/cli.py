@@ -98,7 +98,13 @@ def _load_cohorts(directory: Path) -> list[Cohort]:
     files = sorted(directory.glob("cohort_*.json"))
     if not files:
         raise UsageError(f"no cohort_*.json files under {directory}")
-    return [Cohort.from_json(json.loads(f.read_text(encoding="utf-8"))) for f in files]
+    cohorts = []
+    for f in files:
+        try:
+            cohorts.append(Cohort.from_json(json.loads(f.read_text(encoding="utf-8"))))
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+            raise UsageError(f"invalid cohort file {f}: {type(exc).__name__}: {exc}") from None
+    return cohorts
 
 
 def cmd_gen_cohorts(args) -> int:
@@ -251,6 +257,8 @@ def _run_one_debate(cohort, agent_a, agent_b, config, retriever, out, name, conf
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     try:
         framework = Framework(args.framework)
     except ValueError:
@@ -463,6 +471,8 @@ def _svg_bar_chart(metric: str, rows: list[dict]) -> str:
 
 
 def cmd_stats(args) -> int:
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     eval_dir = Path(args.eval_dir)
     files = sorted(eval_dir.glob("eval_*.json"))
     if not files:

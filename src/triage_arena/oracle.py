@@ -10,10 +10,11 @@ builds the grid once as an integer composition array, tabulates each
 person's utility once per distinct row and reduces the utility matrix
 column by column, with the scalar path's float arithmetic. The cake
 verifier additionally exploits that its welfare functions are separable
-across recipients, which gives the same grid answers through small
-dynamic programs and stays tractable at fine steps. All verdicts are
-labelled grid-certified at their step; nothing here reasons about the
-continuum.
+across recipients: one max-plus budget DP over the utility table gives
+the same grid answers and stays tractable at fine steps. It serves claim
+(a) on the table and claim (c) on the table masked below the maximin
+optimum theta. All verdicts are labelled grid-certified at their step;
+nothing here reasons about the continuum.
 """
 
 from __future__ import annotations
@@ -580,122 +581,91 @@ def cake_space(step: float, enumeration_bound: int = 5_000_000) -> DiscretizedSp
 
 # ---------------------------------------------------------------------------
 # Exact grid computations for the cake claims. The cake welfare functions
-# are separable across the six recipients, so budget dynamic programs give
-# exactly the values a full scan of the unit grid would, at any step.
+# are separable across the six recipients, so one max-plus budget DP gives
+# exactly the values a full scan of the unit grid would, at any step. It
+# serves claim (a) on the utility table and claim (c) on the table masked
+# to -inf below the maximin optimum theta. Each suffix entry is the max of
+# single IEEE additions, so it is the same float a scalar loop would give.
 # Equality with the literal scan is property-tested at coarse steps.
 
 
-def _tabulate(params: CakeParams, step: float) -> tuple[list[list[float]], int]:
+def _tabulate(params: CakeParams, step: float) -> tuple[np.ndarray, int]:
+    """The (n, budget + 1) utility table: entry [i, v] is person i's
+    utility of v units of size step."""
     budget = round(1.0 / step)
     if abs(budget * step - 1.0) > _STEP_TOL:
         raise ValueError(f"step {step} does not divide the unit cake")
     scalar = cake_utilities(params)
-    table = [[u(v * step) for v in range(budget + 1)] for u in scalar]
+    table = np.array([[u(v * step) for v in range(budget + 1)] for u in scalar])
     return table, budget
 
 
-def _suffix_best(table: list[list[float]], budget: int) -> list[list[float]]:
-    """suffix[i][b]: best total utility from persons i..5 with at most b units."""
-    n = len(table)
-    suffix = [[0.0] * (budget + 1) for _ in range(n + 1)]
+def _suffix_best(table: np.ndarray, budget: int) -> np.ndarray:
+    """suffix[i, b]: best total utility from persons i.. with at most b units."""
+    n, size = len(table), budget + 1
+    suffix = np.zeros((n + 1, size))
     for i in range(n - 1, -1, -1):
-        row = table[i]
-        nxt = suffix[i + 1]
-        cur = suffix[i]
-        for b in range(budget + 1):
-            best = -math.inf
-            for v in range(b + 1):
-                cand = row[v] + nxt[b - v]
-                if cand > best:
-                    best = cand
-            cur[b] = best
+        best, nxt = suffix[i], suffix[i + 1]
+        best.fill(-np.inf)
+        for v in range(size):
+            np.maximum(best[v:], table[i, v] + nxt[: size - v], out=best[v:])
     return suffix
 
 
-def _backtrack(table: list[list[float]], suffix: list[list[float]], budget: int) -> tuple[int, ...]:
+def _backtrack(table: np.ndarray, suffix: np.ndarray, budget: int) -> tuple[int, ...]:
+    """Units per person of the optimum suffix[0, budget], each person
+    taking the fewest units that still attain it."""
     units = []
     b = budget
     for i in range(len(table)):
-        for v in range(b + 1):
-            if table[i][v] + suffix[i + 1][b - v] == suffix[i][b]:
-                units.append(v)
-                b -= v
-                break
+        attains = table[i, : b + 1] + suffix[i + 1, b::-1] == suffix[i, b]
+        v = int(np.argmax(attains))
+        units.append(v)
+        b -= v
     return tuple(units)
 
 
-def _util_grid_analysis(table: list[list[float]], budget: int):
+def _util_grid_analysis(table: np.ndarray, budget: int):
     """Grid max of the utility sum, the corner value, and the best value
     attainable by any allocation other than the all-to-first corner."""
     suffix = _suffix_best(table, budget)
-    grid_max = suffix[0][budget]
-    corner_value = table[0][budget]
-    best_non_corner = -math.inf
-    for v0 in range(budget):  # v0 == budget is exactly the corner
-        cand = table[0][v0] + suffix[1][budget - v0]
-        if cand > best_non_corner:
-            best_non_corner = cand
+    # v0 == budget is exactly the corner
+    best_non_corner = np.max(table[0, :budget] + suffix[1, budget:0:-1])
     witness = _backtrack(table, suffix, budget)
-    return grid_max, corner_value, best_non_corner, witness
+    return float(suffix[0, budget]), float(table[0, budget]), float(best_non_corner), witness
 
 
-def _rawls_grid_max(table: list[list[float]], budget: int):
+def _rawls_grid_max(table: np.ndarray, budget: int):
     """Largest achievable min-utility on the grid, by threshold feasibility.
 
-    Candidate thresholds are the tabulated utility values themselves; a
+    Candidate thresholds are the positive tabulated utility values; a
     threshold is achievable iff the per-person minimum unit costs fit in
-    the budget.
+    the budget. A person's cost is the first index at which the running
+    maximum of their row reaches the threshold (budget + 1 if it never
+    does), and the largest achievable candidate is theta. Repeated
+    candidates have equal costs, so they need no deduplication.
     """
-    candidates = sorted({v for row in table for v in row if v > 0}, reverse=True)
-    for theta in candidates:
-        cost = 0
-        units = []
-        feasible = True
-        for row in table:
-            need = next((v for v in range(budget + 1) if row[v] >= theta), None)
-            if need is None:
-                feasible = False
-                break
-            units.append(need)
-            cost += need
-        if feasible and cost <= budget:
-            return theta, tuple(units)
-    return 0.0, tuple(0 for _ in table)
+    reach = np.maximum.accumulate(table, axis=1)
+    candidates = np.sort(table[table > 0])[::-1]
+    cost = sum(np.searchsorted(row, candidates, side="left") for row in reach)
+    feasible = np.flatnonzero(cost <= budget)
+    if not len(feasible):
+        return 0.0, (0,) * len(table)
+    theta = float(candidates[feasible[0]])
+    return theta, tuple(int(np.searchsorted(row, theta, side="left")) for row in reach)
 
 
 def _best_util_at_rawls_optimum(
-    table: list[list[float]], budget: int, theta: float
+    table: np.ndarray, budget: int, theta: float
 ) -> tuple[float, tuple[int, ...] | None]:
     """Max utility sum over allocations whose minimum utility is theta,
     i.e. over the rawls argmax set (theta is the rawls grid max)."""
-    n = len(table)
-    allowed = [[v for v in range(budget + 1) if table[i][v] >= theta] for i in range(n)]
-    if any(not a for a in allowed):
-        return -math.inf, None
-    suffix = [[-math.inf] * (budget + 1) for _ in range(n + 1)]
-    suffix[n] = [0.0] * (budget + 1)
-    for i in range(n - 1, -1, -1):
-        for b in range(budget + 1):
-            best = -math.inf
-            for v in allowed[i]:
-                if v > b:
-                    break
-                cand = table[i][v] + suffix[i + 1][b - v]
-                if cand > best:
-                    best = cand
-            suffix[i][b] = best
-    best = suffix[0][budget]
+    allowed = np.where(table >= theta, table, -np.inf)
+    suffix = _suffix_best(allowed, budget)
+    best = float(suffix[0, budget])
     if best == -math.inf:
         return best, None
-    units = []
-    b = budget
-    for i in range(n):
-        for v in allowed[i]:
-            if v <= b and table[i][v] + suffix[i + 1][b - v] == suffix[i][b]:
-                units.append(v)
-                b -= v
-                break
-    return best, tuple(units)
+    return best, _backtrack(allowed, suffix, budget)
 
 
 @dataclass(frozen=True)
@@ -836,6 +806,8 @@ def verify_cake_claims(
     fall on resolvable grid points. The claims are evaluated at tol and
     re-evaluated at recheck_tol to confirm the verdicts are not knife-edge.
     """
+    if not step > 0:
+        raise ValueError("step must be positive")
     limit = min(params.xbar4, params.xmin) / 2
     if step > limit:
         raise ValueError(

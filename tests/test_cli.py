@@ -165,6 +165,45 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"cohort_id": 0}', "KeyError"),
+            ("{not json", "JSONDecodeError"),
+        ],
+    )
+    def test_invalid_cohort_file_is_config_error(self, tmp_path, capsys, text, reason):
+        cohorts = tmp_path / "cohorts"
+        cohorts.mkdir()
+        (cohorts / "cohort_0000.json").write_text(text)
+        code = main(
+            [
+                "run",
+                "--cohorts", str(cohorts),
+                "--backend", "scripted",
+                "--out", str(tmp_path / "t"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cohort_0000.json" in err
+        assert reason in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_config_error(self, small_run, tmp_path, capsys, jobs):
+        code = main(
+            [
+                "run",
+                "--cohorts", str(small_run / "cohorts"),
+                "--backend", "scripted",
+                "--jobs", jobs,
+                "--out", str(tmp_path / "t"),
+            ]
+        )
+        assert code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
     def test_parallel_run_identical_to_serial(self, small_run, tmp_path):
         serial = tmp_path / "serial"
         parallel = tmp_path / "parallel"
@@ -278,6 +317,14 @@ class TestStats:
         assert main(["stats", "--eval-dir", str(small_run / "evals"), "--jobs", "4", "--out", str(out2)]) == 0
         assert (out1 / "results.csv").read_text() == (out2 / "results.csv").read_text()
         assert (out1 / "comparison.json").read_bytes() == (out2 / "comparison.json").read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_config_error(self, small_run, tmp_path, capsys, jobs):
+        code = main(
+            ["stats", "--eval-dir", str(small_run / "evals"), "--jobs", jobs, "--out", str(tmp_path / "s")]
+        )
+        assert code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
 
     def test_cli_stats_matches_library_pairing_cell_by_cell(self, small_run, tmp_path):
         out = tmp_path / "stats"
@@ -403,8 +450,26 @@ class TestVerifyCake:
         assert "PASS argmax_intersection_empty" in out
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "step, code, digest",
+        [
+            ("0.001", 1, "7703eb2c2700f72d0b7e7fe7cb2f0ca290455002e32498fa23dfe1f89a86556e"),
+            ("0.01", 1, "48dea46fd5b3b4fabb3dcee58ec13638cd77af9d2e17004a8c4583cc5a76f62c"),
+        ],
+    )
+    def test_stdout_is_byte_identical_to_reference(self, capsys, step, code, digest):
+        # step 0.001 is the run the benchmark's oracle-grid workload makes
+        assert main(["verify-cake", "--step", step]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_too_coarse_step_is_config_error(self):
         assert main(["verify-cake", "--step", "0.5"]) == 2
+
+    @pytest.mark.parametrize("step", ["0", "-0.01"])
+    def test_non_positive_step_is_config_error(self, capsys, step):
+        assert main(["verify-cake", "--step", step]) == 2
+        assert "step must be positive" in capsys.readouterr().err
 
     def test_lambda_zero_override_fails_and_exits_one(self, tmp_path, capsys):
         params = tmp_path / "params.json"

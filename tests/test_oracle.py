@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import time
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triage_arena.metrics import gini
-from triage_arena.model import Allocation, ResourceCapacity, validate_allocation
+from triage_arena.model import Allocation, ResourceCapacity, canonical_json, validate_allocation
 from triage_arena.oracle import (
     CakeParams,
     DiscretizedSpace,
@@ -27,7 +28,9 @@ from triage_arena.oracle import (
     verify_cake_claims,
 )
 from triage_arena.oracle import (
+    _best_util_at_rawls_optimum,
     _grid_argmax_rows,
+    _rawls_grid_max,
     _suffix_best,
     _tabulate,
     _util_grid_analysis,
@@ -426,22 +429,70 @@ class TestVerifyCakeClaims:
         # rawls grid max agrees with the scan
         scan_rawls = argmax_set(functionals[1], space)
         rawls_values = {functionals[1](a) for a in scan_rawls}
-        from triage_arena.oracle import _rawls_grid_max
-
         theta, _units = _rawls_grid_max(table, budget)
         assert len(rawls_values) == 1
         assert next(iter(rawls_values)) == pytest.approx(theta, abs=1e-12)
         assert all(a.rows[4][0] > 0 for a in scan_rawls)
 
+    @pytest.mark.parametrize(
+        "table, expected",
+        [
+            # the corner is the unique max: the runner-up excludes it
+            ([[0.0, 1.0, 3.0], [0.0, 1.0, 1.0]], (3.0, 3.0, 2.0, (2, 0))),
+            # one and two units tie for person 0: the witness takes fewer
+            ([[0.0, 2.0, 2.0], [0.0, 0.0, 0.0]], (2.0, 2.0, 2.0, (1, 0))),
+        ],
+    )
+    def test_util_grid_analysis_on_hand_tables(self, table, expected):
+        assert _util_grid_analysis(np.array(table), 2) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(_cake_params())
+    def test_dp_matches_grid_scan(self, params):
+        # every DP answer against the argmax sets of the array pass at step 0.1
+        step = 0.1
+        util, rawls = cake_functionals(params, include=("util", "rawls"))
+        space = cake_space(step)
+        util_rows = _grid_argmax_rows([util], space, 1e-9)["util"]
+        # min involves no arithmetic, so tol 0 gives the exact argmax set,
+        # which is what the DP's table masked below theta describes
+        rawls_rows = _grid_argmax_rows([rawls], space, 0.0)["rawls"]
+
+        def rows(units):
+            return tuple((v * step,) for v in units)
+
+        table, budget = _tabulate(params, step)
+        grid_max, _corner, _runner_up, witness = _util_grid_analysis(table, budget)
+        scan_max = max(util(Allocation(row)) for row in util_rows)
+        assert grid_max == pytest.approx(scan_max, abs=1e-12)
+        assert rows(witness) in util_rows
+
+        theta, units = _rawls_grid_max(table, budget)
+        assert {rawls(Allocation(row)) for row in rawls_rows} == {theta}
+        assert rows(units) in rawls_rows
+
+        best, shared = _best_util_at_rawls_optimum(table, budget, theta)
+        scan_best = max(util(Allocation(row)) for row in rawls_rows)
+        assert best == pytest.approx(scan_best, abs=1e-12)
+        assert rows(shared) in rawls_rows
+
     def test_too_coarse_step_rejected(self):
         with pytest.raises(ValueError, match="too coarse"):
             verify_cake_claims(CakeParams(), step=0.5)
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, math.nan])
+    def test_non_positive_step_rejected(self, step):
+        with pytest.raises(ValueError, match="step must be positive"):
+            verify_cake_claims(CakeParams(), step=step)
 
     def test_negative_control_lambda_zero_fails_a_claim(self):
         report = verify_cake_claims(
             CakeParams(lam=0.0, allow_degenerate=True), step=0.01
         )
         assert not report.all_passed
+        assert hashlib.sha256(canonical_json(report.to_json()).encode()).hexdigest() == (
+            "2d70ca8267e61988bbf5666d97884da7d1a0d92a896227de065bb90f107f4c7f"
+        )
 
     def test_refining_the_grid_never_lowers_the_maximum(self):
         params = CakeParams()
