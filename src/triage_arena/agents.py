@@ -8,6 +8,11 @@ Three backend families:
   reproduce reference debates exactly;
 * an HTTP chat client speaking the common chat-completions JSON wire
   format, for users running the experiment against real language models.
+
+Backend classes declare ``deterministic`` and ``reads_prompt``. The
+scripted and replay backends set ``reads_prompt = False``: their text
+does not depend on the prompt, so the arena passes "" instead of
+rendering one. Backends without the attribute get the rendered prompt.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import requests
 logger = logging.getLogger(__name__)
 
 from .arena import GenerationContext, InteractionHistory, render_allocation
-from .metrics import cnss
 from .model import (
     AgentProfile,
     Allocation,
@@ -79,18 +83,18 @@ def _greedy_allocation(cohort: Cohort, patients) -> Allocation:
             (p for p in patients if resource in p.needs),
             key=lambda p: (-p.survival_prob, p.id),
         )
-        supply = int(cohort.capacity.supply[resource.value])
+        supply = int(cohort.capacity.supply[resource])
         for p in needers[:supply]:
-            rows[p.id - 1][resource.value] = 1.0
+            rows[p.id - 1][resource] = 1.0
     for resource in _DIVISIBLE:
         needers = [p for p in patients if resource in p.needs]
         if not needers:
             continue
-        supply = cohort.capacity.supply[resource.value]
+        supply = cohort.capacity.supply[resource]
         total_p = sum(p.survival_prob for p in needers)
         for p in needers:
             share = p.survival_prob / total_p if total_p > 0 else 1.0 / len(needers)
-            rows[p.id - 1][resource.value] = supply * share
+            rows[p.id - 1][resource] = supply * share
     return Allocation(tuple(tuple(r) for r in rows))
 
 
@@ -114,33 +118,30 @@ def scripted_rawlsian(cohort: Cohort, history: InteractionHistory) -> str:
     for whoever ends up worst off. Stops when no patient has an unmet
     need with remaining capacity.
     """
-    n = cohort.n
-    rows = [[0.0] * 6 for _ in range(n)]
+    rows = [[0.0] * 6 for _ in range(cohort.n)]
     remaining = list(cohort.capacity.supply)
-
-    def grantable(p: Patient):
-        # Resource.ICU is the zero member, so never truth-test the result
-        options = [
-            r
-            for r in sorted(p.needs)
-            if rows[p.id - 1][r.value] == 0 and remaining[r.value] >= 1.0
-        ]
-        if not options:
-            return None
-        return max(options, key=lambda r: (remaining[r.value], -r.value))
-
+    # per patient, in id order: satisfaction is hits / counts, and
+    # open_needs holds the ungranted need indices, ascending
+    counts = [len(p.needs) for p in cohort.patients]
+    open_needs = [sorted(map(int, p.needs)) for p in cohort.patients]
+    hits = [0] * cohort.n
     while True:
-        candidates = [
-            (cnss(p, rows[p.id - 1]), p.id, p)
-            for p in cohort.patients
-            if grantable(p) is not None
-        ]
-        if not candidates:
+        worst, worst_score = -1, 2.0
+        for i, options in enumerate(open_needs):
+            score = hits[i] / counts[i]
+            if score < worst_score:
+                # supply only falls: a need without a whole unit left is gone
+                options[:] = [r for r in options if remaining[r] >= 1.0]
+                if options:
+                    worst, worst_score = i, score
+        if worst < 0:
             break
-        _, _, patient = min(candidates, key=lambda t: (t[0], t[1]))
-        resource = grantable(patient)
-        rows[patient.id - 1][resource.value] = 1.0
-        remaining[resource.value] -= 1.0
+        # max keeps the first of equal keys: the lowest index wins ties
+        resource = max(open_needs[worst], key=remaining.__getitem__)
+        open_needs[worst].remove(resource)
+        rows[worst][resource] = 1.0
+        remaining[resource] -= 1.0
+        hits[worst] += 1
     alloc = Allocation(tuple(tuple(r) for r in rows))
     return _render_with_justification(
         alloc,
@@ -183,6 +184,7 @@ class ScriptedBackend:
     """Deterministic backend around one scripted strategy."""
 
     deterministic = True
+    reads_prompt = False
 
     def __init__(self, strategy: str):
         if strategy not in _SCRIPTED_STRATEGIES:
@@ -205,6 +207,7 @@ class ReplayBackend:
     """Returns the t-th stored text on the t-th call, then errors."""
 
     deterministic = True
+    reads_prompt = False
 
     def __init__(self, texts: list[str], name: str = "replay"):
         self.texts = list(texts)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .metrics import METRIC_DIRECTIONS, MetricConfig, metric_report
+from .metrics import METRIC_DIRECTIONS, MetricConfig, metric_reports
 from .model import (
     AgentProfile,
     Allocation,
@@ -191,7 +191,9 @@ class GenerationContext:
 @dataclass(frozen=True)
 class AgentSpec:
     label: str
-    backend: object  # anything with .name, .deterministic, .generate(prompt, ctx)
+    # anything with .name, .deterministic and .generate(prompt, ctx); a backend
+    # whose class sets reads_prompt = False gets "" instead of a rendered prompt
+    backend: object
     profile: AgentProfile
     system_text: str = ""
 
@@ -325,7 +327,9 @@ def run_debate(
                 history = history.with_retrieval(
                     {"agent": spec.label, "round": round_t, **retrieved.to_json()}
                 )
-            prompt = build_prompt(spec, cohort, history, retrieved, round_t, config)
+            prompt = ""
+            if getattr(spec.backend, "reads_prompt", True):
+                prompt = build_prompt(spec, cohort, history, retrieved, round_t, config)
             ctx = GenerationContext(
                 cohort=cohort,
                 history=history,
@@ -375,9 +379,8 @@ def run_debate(
                 if p.agent == spec.label and p.round == config.rounds
             )
             final_allocations[spec.label] = final.allocation
-            final_reports[spec.label] = metric_report(
-                cohort, final.allocation, config.metric_config
-            )
+        reports = metric_reports(cohort, final_allocations.values(), config.metric_config)
+        final_reports = dict(zip(final_allocations, reports))
     deterministic = bool(
         getattr(agent_a.backend, "deterministic", False)
         and getattr(agent_b.backend, "deterministic", False)
@@ -459,11 +462,9 @@ def emergence_deltas(
     if len(transcript.final_allocations) != 2:
         raise ValueError("transcript does not carry two final allocations")
     cohort = transcript.cohort
-    joint_report = metric_report(cohort, joint, metric_config)
-    final_reports = [
-        metric_report(cohort, alloc, metric_config)
-        for alloc in transcript.final_allocations.values()
-    ]
+    joint_report, *final_reports = metric_reports(
+        cohort, [joint, *transcript.final_allocations.values()], metric_config
+    )
     note = "" if joint_report.feasible else "joint allocation is infeasible"
     deltas = {}
     for metric, direction in METRIC_DIRECTIONS.items():

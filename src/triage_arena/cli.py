@@ -37,7 +37,7 @@ from .metrics import (
     METRIC_NAMES,
     MetricConfig,
     MetricReport,
-    metric_report,
+    metric_reports,
 )
 from .model import (
     BiasSource,
@@ -385,20 +385,24 @@ def cmd_eval(args) -> int:
         except Exception as exc:
             corrupt.append(f"{file.name}: {exc}")
             continue
-        rounds = []
-        for prop in transcript.history.proposals:
-            report = metric_report(transcript.cohort, prop.allocation, metric_config)
-            rounds.append(
-                {
-                    "round": prop.round,
-                    "agent": prop.agent,
-                    "feasible": report.feasible,
-                    "metrics": report.to_json(),
-                }
-            )
+        proposals = transcript.history.proposals
+        reports = metric_reports(
+            transcript.cohort,
+            [p.allocation for p in proposals] + list(transcript.final_allocations.values()),
+            metric_config,
+        )
+        rounds = [
+            {
+                "round": prop.round,
+                "agent": prop.agent,
+                "feasible": report.feasible,
+                "metrics": report.to_json(),
+            }
+            for prop, report in zip(proposals, reports)
+        ]
         finals = {
-            label: metric_report(transcript.cohort, alloc, metric_config).to_json()
-            for label, alloc in transcript.final_allocations.items()
+            label: report.to_json()
+            for label, report in zip(transcript.final_allocations, reports[len(proposals):])
         }
         eval_obj = {
             "schema_version": 1,
@@ -479,11 +483,14 @@ def cmd_stats(args) -> int:
         raise UsageError(f"no eval_*.json files under {eval_dir}")
     groups: dict[tuple[str, str], list] = {}
     for f in files:
-        e = json.loads(f.read_text(encoding="utf-8"))
-        members = groups.setdefault((e["framework"], e["opponent_kind"]), [])
-        if e.get("completed", True):
-            finals = {label: MetricReport.from_json(r) for label, r in e["finals"].items()}
-            members.append((e["cohort_id"], finals))
+        try:
+            e = json.loads(f.read_text(encoding="utf-8"))
+            members = groups.setdefault((e["framework"], e["opponent_kind"]), [])
+            if e.get("completed", True):
+                finals = {label: MetricReport.from_json(r) for label, r in e["finals"].items()}
+                members.append((e["cohort_id"], finals))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+            raise UsageError(f"invalid eval file {f}: {type(exc).__name__}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -43,6 +43,7 @@ __all__ = [
     "gini",
     "compute_weights",
     "metric_report",
+    "metric_reports",
 ]
 
 METRIC_NAMES = ("esg", "rmg", "variance", "dw_esg", "vwci", "gini")
@@ -153,7 +154,7 @@ def cnss(patient: Patient, row) -> float:
     """Fraction of the patient's needed resources with a positive quantity."""
     if not patient.needs:
         raise ValueError(f"patient {patient.id} has an empty needs set")
-    hits = sum(1 for r in patient.needs if row[r.value] > 0)
+    hits = sum(1 for r in patient.needs if row[r] > 0)
     return hits / len(patient.needs)
 
 
@@ -317,24 +318,37 @@ class MetricReport:
 
 def metric_report(cohort: Cohort, alloc: Allocation, config: MetricConfig | None = None) -> MetricReport:
     """Compute CNSS once, then all six metrics plus feasibility."""
+    return metric_reports(cohort, [alloc], config)[0]
+
+
+def metric_reports(cohort: Cohort, allocs, config: MetricConfig | None = None) -> list[MetricReport]:
+    """One MetricReport per allocation of the cohort, in order.
+
+    The weights depend only on the cohort and the config, so both
+    schemes are computed once for all the allocations.
+    """
     if config is None:
         config = MetricConfig.default()
-    vec = cnss_vector(cohort, alloc)
     w_prior = compute_weights(cohort, WeightKind.PRIORITARIAN, config)
     w_care = compute_weights(cohort, WeightKind.CARE, config)
-    if config.gini_source == "nursing":
-        h = [row[4] for row in alloc.rows]
-    else:
-        h = list(vec.values)
-    feas = validate_allocation(alloc, cohort.capacity)
-    return MetricReport(
-        esg=sum(p.survival_prob * c for p, c in zip(cohort.patients, vec.values)),
-        rmg=rmg(vec),
-        variance=variance(vec),
-        dw_esg=dw_esg(cohort, vec, w_prior),
-        vwci=vwci(vec, w_care),
-        gini=gini(h),
-        feasible=feas.feasible,
-        cnss=vec,
-        gini_degenerate=sum(h) == 0,
-    )
+    reports = []
+    for alloc in allocs:
+        vec = cnss_vector(cohort, alloc)
+        if config.gini_source == "nursing":
+            h = [row[4] for row in alloc.rows]
+        else:
+            h = list(vec.values)
+        reports.append(
+            MetricReport(
+                esg=sum(p.survival_prob * c for p, c in zip(cohort.patients, vec.values)),
+                rmg=rmg(vec),
+                variance=variance(vec),
+                dw_esg=dw_esg(cohort, vec, w_prior),
+                vwci=vwci(vec, w_care),
+                gini=gini(h),
+                feasible=validate_allocation(alloc, cohort.capacity).feasible,
+                cnss=vec,
+                gini_degenerate=sum(h) == 0,
+            )
+        )
+    return reports

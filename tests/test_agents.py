@@ -7,8 +7,10 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triage_arena.agents import (
+    _render_with_justification,
     ChatBackendConfig,
     ChatTransportError,
     ReplayExhaustedError,
@@ -25,8 +27,9 @@ from triage_arena.agents import (
 )
 from triage_arena.arena import GenerationContext, InteractionHistory, parse_allocation
 from triage_arena.cohortgen import SamplerConfig, generate_cohort
-from triage_arena.metrics import cnss_vector, rmg
+from triage_arena.metrics import cnss, cnss_vector, rmg
 from triage_arena.model import (
+    Allocation,
     BiasSource,
     Framework,
     ProfileKind,
@@ -37,6 +40,45 @@ from triage_arena.model import (
 from conftest import make_cohort, make_patient
 
 EMPTY = InteractionHistory()
+
+
+def reference_scripted_rawlsian(cohort, history) -> str:
+    """The strategy as first written: it rebuilds every patient's grantable
+    needs at every step. Kept as the oracle for the incremental version."""
+    n = cohort.n
+    rows = [[0.0] * 6 for _ in range(n)]
+    remaining = list(cohort.capacity.supply)
+
+    def grantable(p):
+        # Resource.ICU is the zero member, so never truth-test the result
+        options = [
+            r
+            for r in sorted(p.needs)
+            if rows[p.id - 1][r.value] == 0 and remaining[r.value] >= 1.0
+        ]
+        if not options:
+            return None
+        return max(options, key=lambda r: (remaining[r.value], -r.value))
+
+    while True:
+        candidates = [
+            (cnss(p, rows[p.id - 1]), p.id, p)
+            for p in cohort.patients
+            if grantable(p) is not None
+        ]
+        if not candidates:
+            break
+        _, _, patient = min(candidates, key=lambda t: (t[0], t[1]))
+        resource = grantable(patient)
+        rows[patient.id - 1][resource.value] = 1.0
+        remaining[resource.value] -= 1.0
+    alloc = Allocation(tuple(tuple(r) for r in rows))
+    return _render_with_justification(
+        alloc,
+        "Every grant goes to whichever patient currently has the smallest "
+        "share of their needs met, so the worst-off position is raised "
+        "before anyone else is improved.",
+    )
 
 
 def parse_strategy_output(text: str, cohort):
@@ -138,6 +180,35 @@ class TestScriptedRawlsian:
             if rmg(cnss_vector(cohort, rawls)) >= rmg(cnss_vector(cohort, util)):
                 wins += 1
         assert wins / total >= 0.9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        variant=st.sampled_from(["standard", "tight", "abundant"]),
+    )
+    def test_matches_the_reference_on_generated_cohorts(self, seed, variant):
+        cohort = generate_cohort(seed, SamplerConfig(batch_size=1, capacity_variant=variant))
+        assert scripted_rawlsian(cohort, EMPTY) == reference_scripted_rawlsian(cohort, EMPTY)
+
+    def test_ties_go_to_the_lower_patient_id_then_the_lower_resource_index(self):
+        # tight supply: ICU 2, Surgery 2. Everyone starts at CNSS 0, so
+        # patient 1 goes first and picks ICU over the equally abundant
+        # Surgery; patient 2 then takes the last ICU unit, and patient 3,
+        # with nothing grantable left, gets nothing.
+        patients = [
+            make_patient(1, needs=(Resource.ICU, Resource.SURGERY)),
+            make_patient(2, age=50, needs=(Resource.ICU,)),
+            make_patient(3, age=60, needs=(Resource.ICU,)),
+        ]
+        cohort = make_cohort(patients, variant="tight")
+        text = scripted_rawlsian(cohort, EMPTY)
+        assert text == reference_scripted_rawlsian(cohort, EMPTY)
+        alloc, _ = parse_strategy_output(text, cohort)
+        assert alloc.rows == (
+            (1.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+            (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+        )
 
     def test_always_feasible(self, sampler_config):
         rng = np.random.Generator(np.random.Philox(71))

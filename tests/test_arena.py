@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triage_arena import arena as arena_mod
 from triage_arena.agents import ScriptedBackend, replay_agent
 from triage_arena.arena import (
     AgentSpec,
@@ -315,6 +319,76 @@ class TestRunDebate:
         obj = transcript_to_json(transcript)
         restored = transcript_from_json(obj)
         assert canonical_json(transcript_to_json(restored)) == canonical_json(obj)
+
+
+class TestPromptSkip:
+    # sha256 of the six prompts a prompt-reading backend receives in a
+    # Rawlsian vs biased debate over the conftest cohort, in speaking order
+    PROMPT_SHA256 = (
+        "132aa11c0365e6030fb3b4a3c3d340b880b23a2286ecf17640eb93772288127c",
+        "7d362672cc6a0eefe9138c8b3d7a4a029bf41d95dc3b2e3eb6897dde5fbd171a",
+        "2f9a899ae490ac07fdf6199e3923310825dfe4478006dca84d1aba639a7fbf49",
+        "2e8afa91261d849a9e67dce991def8609cd5c53a9fad3b0f05c9b374d49f3363",
+        "744a537cb61cef0d96e3bc492eaa7d9029dcb6e17c9f9c339fd9025d843abf40",
+        "34c872d26b944c79084ad44e5fa3c4ed75376d64bbf5c9a959ff60896d994f18",
+    )
+
+    @staticmethod
+    def _forbid_prompts(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_prompt called for a backend that ignores prompts")
+
+        monkeypatch.setattr(arena_mod, "build_prompt", refuse)
+
+    def test_scripted_debate_renders_no_prompt(self, cohort, monkeypatch):
+        agent_a, agent_b = scripted_pair(opponent="biased")
+        config = DebateConfig(rounds=3)
+        expected = canonical_json(transcript_to_json(run_debate(cohort, agent_a, agent_b, config)))
+        self._forbid_prompts(monkeypatch)
+        transcript = run_debate(cohort, agent_a, agent_b, config)
+        assert transcript.completed and len(transcript.history.proposals) == 6
+        assert canonical_json(transcript_to_json(transcript)) == expected
+
+    def test_replay_run_renders_no_prompt(self, tmp_path, monkeypatch):
+        from triage_arena.cli import main
+
+        self._forbid_prompts(monkeypatch)
+        out = tmp_path / "replay"
+        assert main(["run", "--backend", "replay", "--framework", "Utilitarian", "--out", str(out)]) == 0
+        (path,) = out.glob("transcript_*.json")
+        transcript = transcript_from_json(json.loads(path.read_text()))
+        assert transcript.completed and len(transcript.history.proposals) == 6
+
+    def test_prompt_reading_backend_gets_the_full_prompts(self, cohort):
+        seen = []
+
+        class Recording:
+            """Scripted text, but no reads_prompt attribute: the default applies."""
+
+            deterministic = True
+
+            def __init__(self, strategy):
+                self.inner = ScriptedBackend(strategy)
+                self.name = self.inner.name
+
+            def generate(self, prompt, ctx):
+                seen.append(prompt)
+                return self.inner.generate(prompt, ctx)
+
+        agent_a, agent_b = scripted_pair(opponent="biased")
+        agent_a = replace(agent_a, backend=Recording("rawlsian"))
+        agent_b = replace(agent_b, backend=Recording("biased"))
+        config = DebateConfig(rounds=3, framework="Rawlsian", opponent_kind="Biased")
+        run_debate(cohort, agent_a, agent_b, config)
+        digests = tuple(hashlib.sha256(p.encode("utf-8")).hexdigest() for p in seen)
+        assert digests == self.PROMPT_SHA256
+
+    def test_scripted_and_replay_backends_declare_they_ignore_prompts(self):
+        from triage_arena.agents import ChatBackend, ReplayBackend
+
+        assert ScriptedBackend.reads_prompt is False
+        assert ReplayBackend.reads_prompt is False
+        assert getattr(ChatBackend, "reads_prompt", True) is True
 
 
 class TestJointAndEmergence:

@@ -326,6 +326,26 @@ class TestStats:
         assert code == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("breakage, reason", [("drop-framework", "KeyError"), ("not-json", "JSONDecodeError")])
+    def test_invalid_eval_file_is_config_error(self, small_run, tmp_path, capsys, breakage, reason):
+        evals = tmp_path / "evals"
+        evals.mkdir()
+        for f in sorted((small_run / "evals").glob("eval_*.json")):
+            (evals / f.name).write_bytes(f.read_bytes())
+        victim = sorted(evals.glob("eval_*.json"))[1]
+        if breakage == "drop-framework":
+            obj = json.loads(victim.read_text())
+            del obj["framework"]
+            victim.write_text(json.dumps(obj))
+        else:
+            victim.write_text("{not json")
+        code = main(["stats", "--eval-dir", str(evals), "--out", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert victim.name in err
+        assert reason in err
+        assert not (tmp_path / "s").exists()
+
     def test_cli_stats_matches_library_pairing_cell_by_cell(self, small_run, tmp_path):
         out = tmp_path / "stats"
         assert main(["stats", "--eval-dir", str(small_run / "evals"), "--out", str(out)]) == 0

@@ -251,6 +251,22 @@ class TestMetricReport:
         assert report.vwci == vwci(vec, wc)
         assert report.gini == gini(list(vec.values))
 
+    def test_batch_computes_weights_once_and_matches_single_reports(
+        self, cohort, metric_config, monkeypatch
+    ):
+        from triage_arena import metrics
+
+        rng = np.random.Generator(np.random.Philox(31))
+        allocs = [random_allocation(rng, n=cohort.n) for _ in range(5)]
+        expected = [metric_report(cohort, a, metric_config) for a in allocs]
+        calls = []
+        original = metrics.compute_weights
+        monkeypatch.setattr(
+            metrics, "compute_weights", lambda *args: calls.append(args[1]) or original(*args)
+        )
+        assert metrics.metric_reports(cohort, allocs, metric_config) == expected
+        assert calls == [WeightKind.PRIORITARIAN, WeightKind.CARE]
+
     def test_json_round_trip(self, cohort, metric_config):
         from triage_arena.metrics import MetricReport
 
