@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .metrics import METRIC_DIRECTIONS, MetricConfig, metric_reports
+from .metrics import METRIC_DIRECTIONS, MetricConfig, MetricReport, metric_reports
 from .model import (
     AgentProfile,
     Allocation,
@@ -161,7 +161,6 @@ class DebateConfig:
     max_parse_retries: int = 1
     framework: str = "Utilitarian"
     opponent_kind: str = "Baseline"
-    metric_config: MetricConfig | None = None
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -379,7 +378,7 @@ def run_debate(
                 if p.agent == spec.label and p.round == config.rounds
             )
             final_allocations[spec.label] = final.allocation
-        reports = metric_reports(cohort, final_allocations.values(), config.metric_config)
+        reports = metric_reports(cohort, final_allocations.values())
         final_reports = dict(zip(final_allocations, reports))
     deterministic = bool(
         getattr(agent_a.backend, "deterministic", False)
@@ -543,8 +542,6 @@ def transcript_from_json(obj: dict) -> DebateTranscript:
         )
         for p in obj["proposals"]
     )
-    from .metrics import MetricReport as _MR
-
     return DebateTranscript(
         cohort=cohort,
         config=config,
@@ -556,7 +553,7 @@ def transcript_from_json(obj: dict) -> DebateTranscript:
             for label, rows in obj["final_allocations"].items()
         },
         final_reports={
-            label: _MR.from_json(rep) for label, rep in obj["final_reports"].items()
+            label: MetricReport.from_json(rep) for label, rep in obj["final_reports"].items()
         },
         backend_ids=dict(obj["backend_ids"]),
         deterministic=obj["deterministic"],

@@ -190,20 +190,8 @@ def candidate_count(space: DiscretizedSpace) -> int:
     return total
 
 
-def _compositions_upto(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative ints summing to at most `total`,
-    in lexicographic order."""
-    if parts == 1:
-        for v in range(total + 1):
-            yield (v,)
-        return
-    for v in range(total + 1):
-        for rest in _compositions_upto(total - v, parts - 1):
-            yield (v,) + rest
-
-
 def enumerate_allocations(space: DiscretizedSpace) -> Iterator[Allocation]:
-    """Yield every grid allocation exactly once, in a deterministic order.
+    """Yield every grid allocation exactly once, in _grid_array's order.
 
     Raises EnumerationBoundExceeded (with the computed count) before
     yielding anything if the grid is too large.
@@ -212,13 +200,8 @@ def enumerate_allocations(space: DiscretizedSpace) -> Iterator[Allocation]:
     if count > space.enumeration_bound:
         raise EnumerationBoundExceeded(count, space.enumeration_bound)
     step = space.step
-    columns = [list(_compositions_upto(b, space.n)) for b in space.units]
-    for combo in itertools.product(*columns):
-        rows = tuple(
-            tuple(combo[j][i] * step for j in range(space.k))
-            for i in range(space.n)
-        )
-        yield Allocation(rows)
+    for member in _grid_array(space):
+        yield Allocation(tuple(tuple(v * step for v in row) for row in member.tolist()))
 
 
 def argmax_set(
@@ -310,8 +293,9 @@ def _composition_array(total: int, parts: int) -> np.ndarray:
 
 def _grid_array(space: DiscretizedSpace) -> np.ndarray:
     """Every grid allocation in integer units, shape (M, n, k), in the
-    smallest unsigned dtype that holds the largest unit count. Holds the
-    same allocations as enumerate_allocations, in another order."""
+    smallest unsigned dtype that holds the largest unit count. Each
+    column runs through its compositions in lexicographic order, the
+    last column fastest."""
     columns = [_composition_array(b, space.n) for b in space.units]
     counts = [len(column) for column in columns]
     grid = np.empty(

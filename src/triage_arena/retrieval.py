@@ -4,7 +4,7 @@ Tokens are whitespace-delimited words. The index is an exact cosine
 scan, never an approximate structure; corpora here are small and
 determinism matters more than speed. Two embedder backends exist: a
 deterministic hashing embedder for tests and offline runs, and a client
-for a remote JSON embedding endpoint.
+for a remote JSON embedding endpoint. Both return a 1-D float array.
 """
 
 from __future__ import annotations
@@ -13,16 +13,15 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 import requests
 
 __all__ = [
     "DocumentChunk",
-    "EmbeddingVector",
     "RetrievalResult",
     "Embedder",
     "HashingEmbedder",
@@ -51,15 +50,6 @@ class DocumentChunk:
     @property
     def content_hash(self) -> str:
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: tuple[float, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -143,7 +133,7 @@ def chunk_document(
 class Embedder(Protocol):
     dim: int
 
-    def embed(self, text: str) -> EmbeddingVector: ...
+    def embed(self, text: str) -> np.ndarray: ...
 
 
 def _stable_bucket(token: str, dim: int) -> int:
@@ -159,7 +149,7 @@ class HashingEmbedder:
         self.dim = dim
         self.calls = 0
 
-    def embed(self, text: str) -> EmbeddingVector:
+    def embed(self, text: str) -> np.ndarray:
         self.calls += 1
         vec = [0.0] * self.dim
         tokens = text.lower().split()
@@ -170,7 +160,7 @@ class HashingEmbedder:
         norm = math.sqrt(sum(v * v for v in vec))
         if norm > 0:
             vec = [v / norm for v in vec]
-        return EmbeddingVector(tuple(vec))
+        return np.array(vec)
 
 
 class RemoteEmbedderError(RuntimeError):
@@ -181,8 +171,8 @@ class RemoteEmbedder:
     """Client for a JSON embedding endpoint (model name configurable).
 
     POSTs {"model": ..., "input": [text]} and reads
-    response["data"][0]["embedding"]. Retries transport errors and 5xx
-    responses up to the retry budget.
+    response["data"][0]["embedding"]. Retries transport errors, 429 and
+    5xx responses up to the retry budget.
     """
 
     def __init__(
@@ -202,14 +192,14 @@ class RemoteEmbedder:
         self.backoff = backoff
         self._session = requests.Session()
 
-    def embed(self, text: str) -> EmbeddingVector:
+    def embed(self, text: str) -> np.ndarray:
         payload = {"model": self.model, "input": [text]}
         last_error = None
         for attempt in range(self.retries + 1):
             try:
                 resp = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
-                if resp.status_code >= 500:
-                    last_error = RemoteEmbedderError(f"server error {resp.status_code}")
+                if resp.status_code >= 500 or resp.status_code == 429:
+                    last_error = RemoteEmbedderError(f"retryable HTTP {resp.status_code}")
                 elif resp.status_code != 200:
                     raise RemoteEmbedderError(f"embedding request failed: {resp.status_code}")
                 else:
@@ -218,7 +208,7 @@ class RemoteEmbedder:
                         raise RemoteEmbedderError(
                             f"embedding dim {len(values)} != configured {self.dim}"
                         )
-                    return EmbeddingVector(tuple(float(v) for v in values))
+                    return np.array([float(v) for v in values])
             except (requests.RequestException, KeyError, ValueError) as exc:
                 last_error = RemoteEmbedderError(f"embedding transport failure: {exc}")
             if attempt < self.retries and self.backoff:
@@ -226,23 +216,23 @@ class RemoteEmbedder:
         raise last_error  # type: ignore[misc]
 
 
-@dataclass
 class VectorIndex:
-    """Immutable-after-build mapping of chunks to embeddings."""
+    """Chunks and their (N, dim) embedding matrix, read-only once built.
 
-    dim: int
-    chunks: list[DocumentChunk] = field(default_factory=list)
-    embeddings: list[EmbeddingVector] = field(default_factory=list)
+    The row norms are computed here, once, so that each query is one
+    matrix-vector product against stored arrays.
+    """
+
+    def __init__(self, dim: int, chunks: Sequence[DocumentChunk] = (), rows: Sequence = ()):
+        self.dim = dim
+        self.chunks: tuple[DocumentChunk, ...] = tuple(chunks)
+        self.matrix = np.array(rows, dtype=float).reshape(len(self.chunks), dim)
+        self.norms = np.linalg.norm(self.matrix, axis=1)
+        self.matrix.flags.writeable = False
+        self.norms.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.chunks)
-
-    @property
-    def content_hashes(self) -> set[str]:
-        return {c.content_hash for c in self.chunks}
-
-    def matrix(self) -> np.ndarray:
-        return np.array([e.values for e in self.embeddings], dtype=float)
 
     def save(self, path: str | Path) -> None:
         obj = {
@@ -259,15 +249,15 @@ class VectorIndex:
                 }
                 for c in self.chunks
             ],
-            "embeddings": [list(e.values) for e in self.embeddings],
+            "embeddings": self.matrix.tolist(),
         }
         Path(path).write_text(json.dumps(obj), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        index = cls(dim=obj["dim"])
-        for c, e in zip(obj["chunks"], obj["embeddings"]):
+        chunks = []
+        for c in obj["chunks"]:
             chunk = DocumentChunk(
                 doc_id=c["doc_id"],
                 page_hint=c["page_hint"],
@@ -276,9 +266,8 @@ class VectorIndex:
             )
             if chunk.content_hash != c["content_hash"]:
                 raise ValueError(f"content hash mismatch for {c['doc_id']}#{c['ordinal']}")
-            index.chunks.append(chunk)
-            index.embeddings.append(EmbeddingVector(tuple(e)))
-        return index
+            chunks.append(chunk)
+        return cls(obj["dim"], chunks, obj["embeddings"])
 
 
 def index_corpus(
@@ -292,33 +281,28 @@ def index_corpus(
     without new embedding calls. Embedder failures are collected and
     reported per chunk with their doc ids.
     """
-    index = VectorIndex(dim=embedder.dim)
-    known: dict[str, tuple[DocumentChunk, EmbeddingVector]] = {}
+    known: dict[str, np.ndarray] = {}
     if existing is not None:
         if existing.dim != embedder.dim:
             raise ValueError("existing index dim does not match the embedder")
-        for c, e in zip(existing.chunks, existing.embeddings):
-            known[c.content_hash] = (c, e)
-    failures = []
+        known = {c.content_hash: row for c, row in zip(existing.chunks, existing.matrix)}
+    kept, rows, failures = [], [], []
     for chunk in chunks:
-        cached = known.get(chunk.content_hash)
-        if cached is not None:
-            index.chunks.append(chunk)
-            index.embeddings.append(cached[1])
-            continue
-        try:
-            vec = embedder.embed(chunk.text)
-        except Exception as exc:
-            failures.append(f"{chunk.doc_id}#{chunk.ordinal}: {exc}")
-            continue
-        if vec.dim != index.dim:
-            failures.append(f"{chunk.doc_id}#{chunk.ordinal}: dim {vec.dim} != {index.dim}")
-            continue
-        index.chunks.append(chunk)
-        index.embeddings.append(vec)
+        vec = known.get(chunk.content_hash)
+        if vec is None:
+            try:
+                vec = embedder.embed(chunk.text)
+            except Exception as exc:
+                failures.append(f"{chunk.doc_id}#{chunk.ordinal}: {exc}")
+                continue
+            if len(vec) != embedder.dim:
+                failures.append(f"{chunk.doc_id}#{chunk.ordinal}: dim {len(vec)} != {embedder.dim}")
+                continue
+        kept.append(chunk)
+        rows.append(vec)
     if failures:
         raise RuntimeError("embedding failures: " + "; ".join(failures))
-    return index
+    return VectorIndex(embedder.dim, kept, rows)
 
 
 SCORE_DECIMALS = 12
@@ -336,21 +320,19 @@ def retrieve(index: VectorIndex, query: str, embedder: Embedder, k: int = 5) -> 
         raise ValueError("cannot retrieve from an empty index")
     if k < 1:
         raise ValueError("k must be at least 1")
-    qvec = np.asarray(embedder.embed(query).values, dtype=float)
-    matrix = index.matrix()
+    qvec = np.asarray(embedder.embed(query), dtype=float)
     qnorm = float(np.linalg.norm(qvec))
-    norms = np.linalg.norm(matrix, axis=1)
-    dots = matrix @ qvec
-    denom = norms * qnorm
+    dots = index.matrix @ qvec
+    denom = index.norms * qnorm
     scores = np.where(denom > 0, dots / np.where(denom > 0, denom, 1.0), 0.0)
-    scores = np.round(scores, SCORE_DECIMALS)
+    scores = np.round(scores, SCORE_DECIMALS).tolist()
     order = sorted(
         range(len(index)),
         key=lambda i: (-scores[i], index.chunks[i].doc_id, index.chunks[i].ordinal),
     )
     top = order[:k]
     return RetrievalResult(
-        chunks=tuple((index.chunks[i], float(scores[i])) for i in top),
+        chunks=tuple((index.chunks[i], scores[i]) for i in top),
         query_text=query,
         k=k,
     )

@@ -496,11 +496,11 @@ def test_criterion_11_retrieval_exactness_and_chunking():
     ]
     embedder = HashingEmbedder()
     index = index_corpus(chunks, embedder)
-    matrix = index.matrix()
+    matrix = index.matrix
     norms = [float(np.linalg.norm(row)) for row in matrix]
     for _ in range(100):
         query = " ".join(f"w{int(rng.integers(0, 4000))}" for _ in range(8))
-        qvec = np.asarray(embedder.embed(query).values)
+        qvec = np.asarray(embedder.embed(query))
         qnorm = float(np.linalg.norm(qvec))
         scored = []
         for idx in range(len(chunks)):

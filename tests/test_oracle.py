@@ -63,6 +63,18 @@ class TestEnumeration:
         }
         assert points == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
+    def test_order_is_product_of_lexicographic_column_compositions(self):
+        space = small_space(step=0.25, supply=(1.0, 0.5), n=3)
+        columns = [
+            [c for c in itertools.product(range(b + 1), repeat=space.n) if sum(c) <= b]
+            for b in space.units
+        ]
+        expected = [
+            tuple(tuple(combo[j][i] * space.step for j in range(space.k)) for i in range(space.n))
+            for combo in itertools.product(*columns)
+        ]
+        assert [a.rows for a in enumerate_allocations(space)] == expected
+
     def test_stars_and_bars_count(self):
         space = small_space(step=0.05, n=6)
         assert candidate_count(space) == math.comb(26, 6)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triage_arena.model import canonical_json
 from triage_arena.retrieval import (
     DocumentChunk,
     HashingEmbedder,
@@ -68,18 +70,18 @@ class TestChunking:
 class TestHashingEmbedder:
     def test_deterministic(self):
         e = HashingEmbedder()
-        assert e.embed("equal concern and respect") == e.embed("equal concern and respect")
+        assert np.array_equal(e.embed("equal concern and respect"), e.embed("equal concern and respect"))
 
     def test_self_cosine_is_one(self):
         e = HashingEmbedder()
-        v = e.embed("the worst off patient comes first").values
+        v = e.embed("the worst off patient comes first")
         assert sum(x * x for x in v) == pytest.approx(1.0)
 
     def test_disjoint_vocabulary_nearly_orthogonal(self):
         e = HashingEmbedder()
         a = e.embed(" ".join(f"alpha{i}" for i in range(40)))
         b = e.embed(" ".join(f"beta{i}" for i in range(40)))
-        cosine = sum(x * y for x, y in zip(a.values, b.values))
+        cosine = sum(x * y for x, y in zip(a, b))
         assert cosine < 0.1
 
 
@@ -118,7 +120,7 @@ class TestIndex:
         index.save(path)
         loaded = VectorIndex.load(path)
         assert len(loaded) == len(index)
-        assert loaded.embeddings[0] == index.embeddings[0]
+        assert np.array_equal(loaded.matrix, index.matrix)
 
     def test_self_retrieval_ranks_first(self):
         rng = np.random.Generator(np.random.Philox(3))
@@ -161,6 +163,15 @@ class TestRetrieve:
         assert result.chunks[0][0].doc_id == "d3"
         assert result.chunks[0][1] == pytest.approx(1.0)
 
+    def test_tied_scores_break_by_doc_id_then_ordinal(self):
+        chunks = [
+            DocumentChunk(doc_id=d, page_hint=0, text="same words here", ordinal=o)
+            for d, o in (("b", 0), ("a", 1), ("a", 0))
+        ]
+        embedder = HashingEmbedder()
+        result = retrieve(index_corpus(chunks, embedder), "same words", embedder, k=3)
+        assert [(c.doc_id, c.ordinal) for c, _ in result.chunks] == [("a", 0), ("a", 1), ("b", 0)]
+
     def test_empty_index_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             retrieve(VectorIndex(dim=8), "query", HashingEmbedder(dim=8))
@@ -176,10 +187,10 @@ class TestRetrieve:
         index = index_corpus(chunks, embedder)
         for q in range(20):
             query = words(8, rng)
-            qvec = np.array(embedder.embed(query).values)
+            qvec = np.array(embedder.embed(query))
             expected = []
-            for chunk, emb in zip(index.chunks, index.embeddings):
-                v = np.array(emb.values)
+            for chunk, emb in zip(index.chunks, index.matrix):
+                v = np.array(emb)
                 denom = float(np.linalg.norm(v)) * float(np.linalg.norm(qvec))
                 score = round(float(v @ qvec / denom), 12) if denom else 0.0
                 expected.append((score, chunk.doc_id, chunk.ordinal))
@@ -196,8 +207,38 @@ class TestRetrieve:
         assert {c.doc_id for c in chunks} >= {"aggregate_welfare", "worst_off_first"}
 
 
+class TestPinnedOutputs:
+    """sha256 values computed before the index held one embedding matrix:
+    scores reach transcripts and order the excerpts in chat prompts, so
+    results and saved bytes must stay bit-identical."""
+
+    @pytest.fixture
+    def sample(self):
+        from importlib import resources
+
+        data = resources.files("triage_arena").joinpath("data")
+        chunks = load_corpus_dir(str(data.joinpath("sample_corpus")), chunk_size=64, overlap=16)
+        queries = json.loads(data.joinpath("queries.json").read_text(encoding="utf-8"))
+        embedder = HashingEmbedder()
+        return index_corpus(chunks, embedder), embedder, queries["round_keywords"]
+
+    def test_round_query_results(self, sample):
+        index, embedder, queries = sample
+        results = [retrieve(index, q, embedder, k=5).to_json() for q in queries]
+        digest = hashlib.sha256(canonical_json(results).encode("utf-8")).hexdigest()
+        assert digest == "66200207880559b63ec500f59195e4d96ebd1c36600e13efcf45b7368c504523"
+
+    def test_saved_index_bytes(self, sample, tmp_path):
+        index, _, _ = sample
+        path = tmp_path / "index.json"
+        index.save(path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "216e0d196262d9066644f6e3c4dfcee51e13517326e5061bf83c465caa2491bf"
+
+
 class _EmbedHandler(BaseHTTPRequestHandler):
     fail_times = 0
+    fail_status = 500
     calls = 0
 
     def do_POST(self):
@@ -206,7 +247,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
         if cls.calls <= cls.fail_times:
-            self.send_response(500)
+            self.send_response(cls.fail_status)
             self.end_headers()
             return
         vec = [float(len(payload["input"][0]))] + [0.0] * 7
@@ -224,6 +265,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def embed_server():
     _EmbedHandler.fail_times = 0
+    _EmbedHandler.fail_status = 500
     _EmbedHandler.calls = 0
     server = HTTPServer(("127.0.0.1", 0), _EmbedHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -236,12 +278,19 @@ class TestRemoteEmbedder:
     def test_round_trip(self, embed_server):
         embedder = RemoteEmbedder(endpoint=embed_server, model="m", dim=8, backoff=0)
         vec = embedder.embed("hello world")
-        assert vec.values[0] == float(len("hello world"))
+        assert vec[0] == float(len("hello world"))
 
     def test_retries_then_succeeds(self, embed_server):
         _EmbedHandler.fail_times = 2
         embedder = RemoteEmbedder(endpoint=embed_server, model="m", dim=8, retries=2, backoff=0)
-        assert embedder.embed("x").dim == 8
+        assert len(embedder.embed("x")) == 8
+
+    def test_rate_limit_retried(self, embed_server):
+        _EmbedHandler.fail_times = 1
+        _EmbedHandler.fail_status = 429
+        embedder = RemoteEmbedder(endpoint=embed_server, model="m", dim=8, retries=1, backoff=0)
+        assert len(embedder.embed("x")) == 8
+        assert _EmbedHandler.calls == 2
 
     def test_exhausted_retries_raise(self, embed_server):
         _EmbedHandler.fail_times = 10
