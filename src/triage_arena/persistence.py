@@ -8,6 +8,7 @@ hash covers the content hashes of every referenced file.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 from importlib import resources as _resources
 from pathlib import Path
 
-import jsonschema
-
 from .model import Allocation, Cohort, canonical_json
+from .schemacheck import compile_schema
 
 __all__ = [
     "sha256_bytes",
@@ -128,13 +128,15 @@ def build_manifest(
     )
 
 
-def _load_schema(kind: str) -> dict:
+@functools.cache
+def _schema_errors(kind: str):
+    """The compiled checker for one packaged schema, built once per process."""
     text = (
         _resources.files("triage_arena")
         .joinpath(f"data/schemas/{kind}.schema.json")
         .read_text(encoding="utf-8")
     )
-    return json.loads(text)
+    return compile_schema(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -147,15 +149,23 @@ def validate_schemas(directory: str | Path) -> list[SchemaViolation]:
     """Validate every JSON file in a run directory against its schema.
 
     Files identify themselves through their kind and schema_version
-    fields; unknown kinds or versions are flagged as unmigratable.
+    fields; unknown kinds or versions are flagged as unmigratable. Raises
+    ValueError when directory is missing or is not a directory.
     """
+    root = Path(directory)
+    if not root.is_dir():
+        reason = "not a directory" if root.exists() else "no such directory"
+        raise ValueError(f"{reason}: {directory}")
     violations = []
-    for file in sorted(Path(directory).rglob("*.json")):
+    for file in sorted(root.rglob("*.json")):
         rel = str(file)
         try:
             obj = json.loads(file.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             violations.append(SchemaViolation(rel, f"unreadable JSON: {exc}"))
+            continue
+        if not isinstance(obj, dict):
+            violations.append(SchemaViolation(rel, f"(root): {obj!r} is not of type 'object'"))
             continue
         kind = obj.get("kind")
         version = obj.get("schema_version")
@@ -167,10 +177,8 @@ def validate_schemas(directory: str | Path) -> list[SchemaViolation]:
                 SchemaViolation(rel, f"unmigratable schema_version {version!r}")
             )
             continue
-        schema = _load_schema(kind)
-        validator = jsonschema.Draft202012Validator(schema)
-        for error in sorted(validator.iter_errors(obj), key=str):
-            location = "/".join(str(p) for p in error.absolute_path) or "(root)"
+        for error in _schema_errors(kind)(obj):
+            location = "/".join(str(p) for p in error.location) or "(root)"
             violations.append(SchemaViolation(rel, f"{location}: {error.message}"))
     return violations
 
