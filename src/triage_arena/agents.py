@@ -24,8 +24,6 @@ from importlib import resources as _resources
 from pathlib import Path
 from typing import Callable
 
-import requests
-
 logger = logging.getLogger(__name__)
 
 from .arena import GenerationContext, InteractionHistory, render_allocation
@@ -258,6 +256,8 @@ def chat_generate(config: ChatBackendConfig, prompt: str, session=None) -> str:
     choices[0].message.content. Retries transport failures, 5xx and 429
     (rate limited) responses up to the retry budget.
     """
+    import requests  # loaded only where a transport is used: it is slow to import
+
     session = session or requests.Session()
     payload = {
         "model": config.model,
@@ -303,6 +303,8 @@ class ChatBackend:
     def __init__(self, config: ChatBackendConfig):
         self.config = config
         self.name = f"chat:{config.model}"
+        import requests
+
         self._session = requests.Session()
 
     def generate(self, prompt: str, ctx: GenerationContext) -> str:

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
 from importlib import resources as _resources
 from pathlib import Path
-
-import requests
 
 from . import agents as agents_mod
 from .arena import (
@@ -176,9 +175,16 @@ def _make_retriever(args, k: int = 5):
     )
     keywords = queries["round_keywords"]
 
+    # The query depends only on the framework and the round, so each
+    # distinct one is embedded and scored once per run. Failures are not
+    # cached; under --jobs a duplicate computation gives the same result.
+    @functools.cache
+    def retrieve_once(query: str):
+        return retrieve(index, query, embedder, k=k)
+
     def retriever(framework: str, round_t: int):
         template = keywords[min(round_t - 1, len(keywords) - 1)]
-        return retrieve(index, f"{framework} {template}", embedder, k=k)
+        return retrieve_once(f"{framework} {template}")
 
     return retriever
 
@@ -797,7 +803,7 @@ def main(argv=None) -> int:
     except (ValueError, EnumerationBoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, requests.RequestException, agents_mod.ChatTransportError) as exc:
+    except (OSError, agents_mod.ChatTransportError) as exc:
         print(f"io/transport error: {exc}", file=sys.stderr)
         return EXIT_IO
 

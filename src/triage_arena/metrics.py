@@ -170,7 +170,10 @@ def cnss_vector(cohort: Cohort, alloc: Allocation) -> CnssVector:
 
 def esg(cohort: Cohort, alloc: Allocation) -> float:
     """Expected survival gain: survival-weighted sum of CNSS."""
-    vec = cnss_vector(cohort, alloc)
+    return _esg_of(cohort, cnss_vector(cohort, alloc))
+
+
+def _esg_of(cohort: Cohort, vec: CnssVector) -> float:
     return sum(p.survival_prob * c for p, c in zip(cohort.patients, vec.values))
 
 
@@ -340,7 +343,7 @@ def metric_reports(cohort: Cohort, allocs, config: MetricConfig | None = None) -
             h = list(vec.values)
         reports.append(
             MetricReport(
-                esg=sum(p.survival_prob * c for p, c in zip(cohort.patients, vec.values)),
+                esg=_esg_of(cohort, vec),
                 rmg=rmg(vec),
                 variance=variance(vec),
                 dw_esg=dw_esg(cohort, vec, w_prior),

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
-import requests
 
 __all__ = [
     "DocumentChunk",
@@ -148,19 +147,32 @@ class HashingEmbedder:
     def __init__(self, dim: int = DEFAULT_DIM):
         self.dim = dim
         self.calls = 0
+        # Unigram buckets, bounded by the vocabulary. Bigrams are hashed
+        # per occurrence: their number grows with the square of it.
+        self._unigram_buckets: dict[str, int] = {}
 
     def embed(self, text: str) -> np.ndarray:
         self.calls += 1
-        vec = [0.0] * self.dim
+        dim = self.dim
+        memo = self._unigram_buckets
         tokens = text.lower().split()
-        for tok in tokens:
-            vec[_stable_bucket(tok, self.dim)] += 1.0
-        for a, b in zip(tokens, tokens[1:]):
-            vec[_stable_bucket(a + " " + b, self.dim)] += 1.0
-        norm = math.sqrt(sum(v * v for v in vec))
+        for tok in set(tokens):
+            if tok not in memo:
+                memo[tok] = _stable_bucket(tok, dim)
+        buckets = [memo[tok] for tok in tokens]
+        blake2b, from_bytes = hashlib.blake2b, int.from_bytes
+        buckets += [
+            from_bytes(blake2b(f"{a} {b}".encode("utf-8"), digest_size=8).digest(), "big") % dim
+            for a, b in zip(tokens, tokens[1:])
+        ]
+        # Integer counts: the sum of squares is exact in any order, and
+        # sqrt and / round correctly, so the vector is the same however
+        # it is summed.
+        vec = np.bincount(np.array(buckets, dtype=np.intp), minlength=dim).astype(float)
+        norm = math.sqrt(vec @ vec)
         if norm > 0:
-            vec = [v / norm for v in vec]
-        return np.array(vec)
+            vec /= norm
+        return vec
 
 
 class RemoteEmbedderError(RuntimeError):
@@ -190,9 +202,13 @@ class RemoteEmbedder:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
+        import requests  # loaded only where a transport is used: it is slow to import
+
         self._session = requests.Session()
 
     def embed(self, text: str) -> np.ndarray:
+        import requests
+
         payload = {"model": self.model, "input": [text]}
         last_error = None
         for attempt in range(self.retries + 1):
@@ -226,7 +242,8 @@ class VectorIndex:
     def __init__(self, dim: int, chunks: Sequence[DocumentChunk] = (), rows: Sequence = ()):
         self.dim = dim
         self.chunks: tuple[DocumentChunk, ...] = tuple(chunks)
-        self.matrix = np.array(rows, dtype=float).reshape(len(self.chunks), dim)
+        # A float array is taken as is, not copied, and frozen below.
+        self.matrix = np.asarray(rows, dtype=float).reshape(len(self.chunks), dim)
         self.norms = np.linalg.norm(self.matrix, axis=1)
         self.matrix.flags.writeable = False
         self.norms.flags.writeable = False
@@ -286,8 +303,9 @@ def index_corpus(
         if existing.dim != embedder.dim:
             raise ValueError("existing index dim does not match the embedder")
         known = {c.content_hash: row for c, row in zip(existing.chunks, existing.matrix)}
-    kept, rows, failures = [], [], []
-    for chunk in chunks:
+    matrix = np.empty((len(chunks), embedder.dim))
+    failures = []
+    for i, chunk in enumerate(chunks):
         vec = known.get(chunk.content_hash)
         if vec is None:
             try:
@@ -298,11 +316,10 @@ def index_corpus(
             if len(vec) != embedder.dim:
                 failures.append(f"{chunk.doc_id}#{chunk.ordinal}: dim {len(vec)} != {embedder.dim}")
                 continue
-        kept.append(chunk)
-        rows.append(vec)
+        matrix[i] = vec
     if failures:
         raise RuntimeError("embedding failures: " + "; ".join(failures))
-    return VectorIndex(embedder.dim, kept, rows)
+    return VectorIndex(embedder.dim, chunks, matrix)
 
 
 SCORE_DECIMALS = 12

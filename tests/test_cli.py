@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
 import json
+import os
 import socket
+import subprocess
+import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from triage_arena import agents
+import triage_arena
+from triage_arena import agents, cli
 from triage_arena.arena import transcript_from_json
 from triage_arena.cli import main
 from triage_arena.metrics import METRIC_NAMES
@@ -457,6 +463,78 @@ class TestChatBackendIntegration:
         assert manifest["timestamp"] is not None
         # finals parsed from the mock body: every patient got the same row
         assert first["final_allocations"]["A"][0] == [0, 0, 1, 1, 2, 0]
+
+
+class TestRetrieverMemo:
+    class CountingEmbedder(cli.HashingEmbedder):
+        """The default embedder, failing on demand; keeps its instances."""
+
+        made = []
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.fail = False
+            type(self).made.append(self)
+
+        def embed(self, text):
+            if self.fail:
+                self.calls += 1
+                raise RuntimeError("embedder down")
+            return super().embed(text)
+
+    @pytest.fixture
+    def retriever(self, monkeypatch):
+        monkeypatch.delenv("TRIAGE_ARENA_EMBED_ENDPOINT", raising=False)
+        monkeypatch.delenv("TRIAGE_ARENA_EMBED_MODEL", raising=False)
+        self.CountingEmbedder.made = []
+        monkeypatch.setattr(cli, "HashingEmbedder", self.CountingEmbedder)
+        corpus = str(resources.files("triage_arena").joinpath("data/sample_corpus"))
+        hook = cli._make_retriever(argparse.Namespace(corpus_dir=corpus))
+        (embedder,) = self.CountingEmbedder.made
+        return hook, embedder, corpus
+
+    def test_each_distinct_query_embedded_once(self, retriever):
+        hook, embedder, corpus = retriever
+        built = embedder.calls
+        asked = [(f, t) for _ in range(2) for f in ("Egalitarian", "CareEthics") for t in (1, 2, 3)]
+        results = [hook(f, t) for f, t in asked]
+        assert embedder.calls - built == 6
+
+        direct_embedder = cli.HashingEmbedder()
+        index = cli.index_corpus(cli.load_corpus_dir(corpus), direct_embedder)
+        for (f, _), got in zip(asked, results):
+            assert got == cli.retrieve(index, got.query_text, direct_embedder, k=5)
+            assert got.query_text.startswith(f)
+
+    def test_failures_are_not_cached(self, retriever):
+        hook, embedder, _ = retriever
+        embedder.fail = True
+        with pytest.raises(RuntimeError, match="embedder down"):
+            hook("Rawlsian", 1)
+        embedder.fail = False
+        calls = embedder.calls
+        assert hook("Rawlsian", 1).query_text.startswith("Rawlsian")
+        assert embedder.calls == calls + 1
+
+
+def test_cli_runs_without_requests(tmp_path):
+    """Commands that open no transport never import `requests`."""
+    script = (
+        "import sys; sys.modules['requests'] = None\n"
+        "from triage_arena.cli import main\n"
+        "out = sys.argv[1]\n"
+        "codes = [main(['gen-cohorts', '--seed', '1', '--batch', '3', '--out', out]),\n"
+        "         main(['validate', out])]\n"
+        "print('exit codes', codes)\n"
+    )
+    src = str(Path(triage_arena.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "cohorts")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exit codes [0, 0]"
 
 
 class TestVerifyCake:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -67,7 +68,48 @@ class TestChunking:
         assert [c.page_hint for c in chunks] == [0, 0, 0, 1, 1, 2]
 
 
+def reference_embed(text: str, dim: int) -> np.ndarray:
+    """The hashing embedder as a plain per-token loop over a list."""
+
+    def bucket(token: str) -> int:
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        return int.from_bytes(digest, "big") % dim
+
+    vec = [0.0] * dim
+    tokens = text.lower().split()
+    for tok in tokens:
+        vec[bucket(tok)] += 1.0
+    for a, b in zip(tokens, tokens[1:]):
+        vec[bucket(a + " " + b)] += 1.0
+    norm = math.sqrt(sum(v * v for v in vec))
+    if norm > 0:
+        vec = [v / norm for v in vec]
+    return np.array(vec)
+
+
+_WORDS = ["Equal", "equal", "EQUAL", "concern", "worst-off", "Straße", "naïve", "患者", "ÉCOLE", "x"]
+_TEXTS = st.one_of(
+    st.just(""),
+    st.text(alphabet=" \t\n\r\f\v\u00a0\u2003", max_size=20),
+    st.lists(st.sampled_from(_WORDS), max_size=60).map(" ".join),
+    st.lists(st.sampled_from(_WORDS[:3]), min_size=2, max_size=30).map("  ".join),
+    st.text(max_size=200),
+)
+
+
 class TestHashingEmbedder:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_TEXTS, min_size=1, max_size=4), st.sampled_from([8, 64, 768]))
+    def test_bit_identical_to_reference_loop(self, texts, dim):
+        embedder = HashingEmbedder(dim=dim)
+        # every text twice: the second pass reads the unigram memo
+        for n, text in enumerate(texts + texts, start=1):
+            got = embedder.embed(text)
+            expected = reference_embed(text, dim)
+            assert got.dtype == expected.dtype and got.shape == (dim,)
+            assert got.tobytes() == expected.tobytes()
+            assert embedder.calls == n
+
     def test_deterministic(self):
         e = HashingEmbedder()
         assert np.array_equal(e.embed("equal concern and respect"), e.embed("equal concern and respect"))
@@ -110,6 +152,23 @@ class TestIndex:
         chunks = [DocumentChunk(doc_id="mydoc", page_hint=0, text="hello", ordinal=0)]
         with pytest.raises(RuntimeError, match="mydoc#0"):
             index_corpus(chunks, Broken())
+
+    def test_wrong_dimension_listed_for_every_chunk(self):
+        class Short:
+            dim = 8
+
+            def embed(self, text):
+                return np.ones(7)
+
+        chunks = [
+            DocumentChunk(doc_id="first", page_hint=0, text="hello", ordinal=0),
+            DocumentChunk(doc_id="second", page_hint=0, text="world", ordinal=3),
+        ]
+        with pytest.raises(RuntimeError) as excinfo:
+            index_corpus(chunks, Short())
+        message = str(excinfo.value)
+        assert "first#0: dim 7 != 8" in message
+        assert "second#3: dim 7 != 8" in message
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.Generator(np.random.Philox(2))
