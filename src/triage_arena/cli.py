@@ -254,14 +254,6 @@ def _transcript_name(framework: str, opponent: str, cohort_id: int) -> str:
     return f"transcript_{framework.lower()}_{opponent.lower()}_{cohort_id:04d}.json"
 
 
-def _run_one_debate(cohort, agent_a, agent_b, config, retriever, out, name, config_hash):
-    transcript = run_debate(cohort, agent_a, agent_b, config, retriever=retriever)
-    obj = transcript_to_json(transcript)
-    obj["config_hash"] = config_hash
-    write_json(out / name, obj)
-    return name
-
-
 def cmd_run(args) -> int:
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
@@ -291,7 +283,6 @@ def cmd_run(args) -> int:
     )
     retriever = _make_retriever(args)
 
-    executed, skipped, failures = 0, 0, []
     done_files = []
     tasks = []
     for cohort in cohorts:
@@ -313,36 +304,33 @@ def cmd_run(args) -> int:
             try:
                 existing = json.loads(target.read_text(encoding="utf-8"))
                 if existing.get("config_hash") == config_hash:
-                    skipped += 1
                     done_files.append(target)
                     continue
             except (OSError, json.JSONDecodeError):
                 pass
         tasks.append((cohort, name, config_hash))
 
-    def execute(task):
-        cohort, name, config_hash = task
-        return _run_one_debate(
-            cohort, agent_a, agent_b, config, retriever, out, name, config_hash
-        )
+    skipped = len(done_files)
 
-    if args.jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {pool.submit(execute, t): t for t in tasks}
-            for future in concurrent.futures.as_completed(futures):
-                task = futures[future]
-                try:
-                    done_files.append(out / future.result())
-                    executed += 1
-                except Exception as exc:
-                    failures.append(f"{task[1]}: {exc}")
-    else:
-        for task in tasks:
-            try:
-                done_files.append(out / execute(task))
-                executed += 1
-            except Exception as exc:
-                failures.append(f"{task[1]}: {exc}")
+    def execute(task):
+        """Run and write one debate; the failure line, or None on success."""
+        cohort, name, config_hash = task
+        try:
+            transcript = run_debate(cohort, agent_a, agent_b, config, retriever=retriever)
+            obj = transcript_to_json(transcript)
+            obj["config_hash"] = config_hash
+            write_json(out / name, obj)
+        except Exception as exc:
+            return f"{name}: {exc}"
+        return None
+
+    # map yields in task order, so failures are listed in cohort order,
+    # and an interrupt cancels the debates still queued.
+    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        outcomes = list(pool.map(execute, tasks))
+    failures = [failure for failure in outcomes if failure is not None]
+    done_files += [out / name for (_, name, _), failure in zip(tasks, outcomes) if failure is None]
+    executed = len(tasks) - len(failures)
 
     deterministic = bool(getattr(agent_a.backend, "deterministic", False))
     timestamp = None
@@ -427,7 +415,7 @@ def cmd_eval(args) -> int:
     print(f"evaluated {len(written)} transcripts, {len(corrupt)} corrupt")
     for item in corrupt:
         print(f"  corrupt: {item}", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_VERIFICATION if corrupt else EXIT_OK
 
 
 def _svg_bar_chart(metric: str, rows: list[dict]) -> str:
@@ -481,8 +469,6 @@ def _svg_bar_chart(metric: str, rows: list[dict]) -> str:
 
 
 def cmd_stats(args) -> int:
-    if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
     eval_dir = Path(args.eval_dir)
     files = sorted(eval_dir.glob("eval_*.json"))
     if not files:
@@ -500,27 +486,17 @@ def cmd_stats(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    cells = []
-    for (framework, _opponent), members in sorted(groups.items()):
-        for metric in METRIC_NAMES:
-            cells.append((framework, metric, members))
-
-    def compute(cell):
-        framework, metric, members = cell
-        return compare_cell(
+    reports = [
+        compare_cell(
             pair_reports(members, metric),
             framework=framework,
             metric=metric,
             alpha=args.alpha,
             bootstrap_seed=cell_seed(args.seed, framework, metric),
-            normality_pretest=args.normality_pretest,
         )
-
-    if args.jobs > 1 and len(cells) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(compute, cells))
-    else:
-        reports = [compute(c) for c in cells]
+        for (framework, _opponent), members in sorted(groups.items())
+        for metric in METRIC_NAMES
+    ]
 
     write_json(
         out / "comparison.json",
@@ -705,7 +681,7 @@ def cmd_report(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote report to {out}")
-    return EXIT_OK
+    return EXIT_VERIFICATION if missing else EXIT_OK
 
 
 def cmd_validate(args) -> int:
@@ -758,8 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-dir", required=True)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--normality-pretest", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stats)
 

@@ -6,10 +6,12 @@ signed-rank test on the paired differences, compute the pooled-SD effect
 size, attach percentile-bootstrap confidence intervals for both means,
 and assign a winner from significance plus the metric's direction.
 
-The signed-rank test uses exact enumeration of all sign assignments for
-n <= 12 (after dropping zero differences, with average ranks for ties)
-and the normal approximation with continuity and tie corrections above
-that. Effect size follows the two-group pooled formula
+The signed-rank test is exact for n <= 12 (after dropping zero
+differences, with average ranks for ties): a dynamic program over the
+doubled ranks counts the sign assignments at each W+. Above that it uses
+the normal approximation with continuity and tie corrections. The
+p-value is always the signed-rank p-value; there is no parametric
+alternative. Effect size follows the two-group pooled formula
 
     d = (mean_a - mean_b) / s_p,
     s_p = sqrt(((n_a - 1) s_a^2 + (n_b - 1) s_b^2) / (n_a + n_b - 2)),
@@ -143,10 +145,12 @@ def wilcoxon_signed_rank(diffs) -> WilcoxonResult:
     """Two-sided signed-rank test on paired differences.
 
     Zero differences are dropped before ranking. If everything is zero
-    the result is degenerate with p = 1. Exact enumeration covers all
-    2^n sign assignments up to n = 12; beyond that the normal
-    approximation applies, with a continuity correction and the usual
-    tie correction on the variance.
+    the result is degenerate with p = 1. Up to n = 12 the p-value is
+    exact: average ranks are multiples of 1/2, so the doubled ranks are
+    integers, and counts[w] is the number of the 2^n sign assignments
+    whose doubled W+ is w. Beyond that the normal approximation applies,
+    with a continuity correction and the usual tie correction on the
+    variance.
     """
     diffs = [float(d) for d in diffs]
     ranks, signs = _signed_ranks(diffs)
@@ -155,20 +159,15 @@ def wilcoxon_signed_rank(diffs) -> WilcoxonResult:
         return WilcoxonResult(statistic=0.0, p_value=1.0, n=0, method="degenerate", degenerate=True)
     w_plus = sum(r for r, s in zip(ranks, signs) if s > 0)
     if n <= EXACT_WILCOXON_MAX_N:
-        total = 0
-        le = 0  # assignments with W+ <= observed
-        ge = 0  # assignments with W+ >= observed
-        for mask in range(1 << n):
-            w = 0.0
-            for i in range(n):
-                if mask >> i & 1:
-                    w += ranks[i]
-            total += 1
-            if w <= w_plus + 1e-12:
-                le += 1
-            if w >= w_plus - 1e-12:
-                ge += 1
-        p = min(1.0, 2.0 * min(le, ge) / total)
+        doubled = [round(2 * r) for r in ranks]
+        observed = sum(d for d, s in zip(doubled, signs) if s > 0)
+        counts = [1] + [0] * sum(doubled)
+        for d in doubled:
+            for w in range(len(counts) - 1, d - 1, -1):
+                counts[w] += counts[w - d]
+        le = sum(counts[: observed + 1])  # assignments with W+ <= observed
+        ge = sum(counts[observed:])  # assignments with W+ >= observed
+        p = min(1.0, 2.0 * min(le, ge) / (1 << n))
         return WilcoxonResult(statistic=w_plus, p_value=p, n=n, method="exact")
     mean = n * (n + 1) / 4
     tie_counts = {}
@@ -275,20 +274,6 @@ def cell_seed(master_seed: int, framework: str, metric: str) -> int:
     return mixed
 
 
-def _paired_t_p_value(diffs) -> float:
-    from scipy import stats as scipy_stats
-
-    return float(scipy_stats.ttest_1samp(list(diffs), 0.0).pvalue)
-
-
-def _differences_look_normal(diffs, alpha: float = 0.05) -> bool:
-    from scipy import stats as scipy_stats
-
-    if len(set(diffs)) < 3:
-        return False
-    return float(scipy_stats.shapiro(list(diffs)).pvalue) >= alpha
-
-
 def compare_cell(
     sample: PairedSample,
     framework: str,
@@ -296,15 +281,9 @@ def compare_cell(
     alpha: float = DEFAULT_ALPHA,
     resamples: int = DEFAULT_RESAMPLES,
     bootstrap_seed: int = DEFAULT_BOOTSTRAP_SEED,
-    normality_pretest: bool = False,
 ) -> ComparisonReport:
-    """Full comparison for one (framework, metric) cell.
-
-    The default test is always the signed-rank test. With
-    normality_pretest=True, normally distributed differences (per a
-    Shapiro-Wilk check at the same alpha) switch the p-value to a paired
-    t-test; this path is off by default.
-    """
+    """Full comparison for one (framework, metric) cell; the p-value is
+    the signed-rank test's."""
     if sample.n == 0:
         return ComparisonReport(
             framework=framework, metric=metric, n=0,
@@ -317,9 +296,6 @@ def compare_cell(
     mean_b = sum(sample.b_values) / sample.n
     wilcoxon = wilcoxon_signed_rank(sample.diffs)
     p = wilcoxon.p_value
-    if normality_pretest and sample.n >= 10 and not wilcoxon.degenerate:
-        if _differences_look_normal(sample.diffs, alpha):
-            p = _paired_t_p_value(sample.diffs)
     d = cohens_d(sample.a_values, sample.b_values) if sample.n >= 2 else float("nan")
     ci_a = bootstrap_ci(sample.a_values, resamples, bootstrap_seed)
     ci_b = bootstrap_ci(sample.b_values, resamples, bootstrap_seed)

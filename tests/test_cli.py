@@ -231,20 +231,25 @@ class TestRun:
         parallel_files = read_dir_bytes(parallel)
         assert serial_files == parallel_files
 
-    def test_failed_debate_exits_io_and_keeps_manifest(self, tmp_path, monkeypatch, capsys):
-        cohorts = tmp_path / "cohorts"
-        assert main(["gen-cohorts", "--seed", "3", "--batch", "1", "--out", str(cohorts)]) == 0
-        with socket.socket() as sock:  # a local port with nothing listening
+    @pytest.fixture
+    def dead_endpoint(self, monkeypatch):
+        """A chat URL on a local port with nothing listening; retries do not sleep."""
+        with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
         monkeypatch.setattr(agents.time, "sleep", lambda seconds: None)
+        return f"http://127.0.0.1:{port}/v1/chat/completions"
+
+    def test_failed_debate_exits_io_and_keeps_manifest(self, tmp_path, dead_endpoint, capsys):
+        cohorts = tmp_path / "cohorts"
+        assert main(["gen-cohorts", "--seed", "3", "--batch", "1", "--out", str(cohorts)]) == 0
         out = tmp_path / "run"
         code = main(
             [
                 "run",
                 "--cohorts", str(cohorts),
                 "--backend", "chat",
-                "--endpoint", f"http://127.0.0.1:{port}/v1/chat/completions",
+                "--endpoint", dead_endpoint,
                 "--model", "m",
                 "--out", str(out),
             ]
@@ -254,6 +259,28 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["files"] == []
         assert not list(out.glob("transcript_*.json"))
+
+    def test_parallel_failures_listed_in_cohort_order(self, tmp_path, dead_endpoint, capsys):
+        cohorts = tmp_path / "cohorts"
+        assert main(["gen-cohorts", "--seed", "3", "--batch", "3", "--out", str(cohorts)]) == 0
+        out = tmp_path / "run"
+        code = main(
+            [
+                "run",
+                "--cohorts", str(cohorts),
+                "--backend", "chat",
+                "--endpoint", dead_endpoint,
+                "--model", "m",
+                "--jobs", "2",
+                "--out", str(out),
+            ]
+        )
+        assert code == 3
+        failed = [line.strip() for line in capsys.readouterr().err.splitlines() if "failed:" in line]
+        assert len(failed) == 3
+        for i, line in enumerate(failed):
+            assert line.startswith(f"failed: transcript_utilitarian_baseline_{i:04d}.json: ")
+        assert json.loads((out / "manifest.json").read_text())["files"] == []
 
 
 class TestReplayAndEval:
@@ -298,7 +325,7 @@ class TestReplayAndEval:
             (transcripts / f.name).write_text(f.read_text())
         (transcripts / "transcript_bad_0099.json").write_text("{not json")
         out = tmp_path / "evalc"
-        assert main(["eval", "--transcripts", str(transcripts), "--out", str(out)]) == 0
+        assert main(["eval", "--transcripts", str(transcripts), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert "1 corrupt" in captured.out
         assert len(list(out.glob("eval_*.json"))) == 2
@@ -317,20 +344,12 @@ class TestStats:
         assert (out / "comparison.json").exists()
         assert sorted(p.name for p in (out / "charts").glob("*.svg"))
 
-    def test_stats_deterministic_across_jobs(self, small_run, tmp_path):
-        out1, out2 = tmp_path / "s1", tmp_path / "s2"
-        assert main(["stats", "--eval-dir", str(small_run / "evals"), "--jobs", "1", "--out", str(out1)]) == 0
-        assert main(["stats", "--eval-dir", str(small_run / "evals"), "--jobs", "4", "--out", str(out2)]) == 0
-        assert (out1 / "results.csv").read_text() == (out2 / "results.csv").read_text()
-        assert (out1 / "comparison.json").read_bytes() == (out2 / "comparison.json").read_bytes()
-
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_jobs_below_one_is_config_error(self, small_run, tmp_path, capsys, jobs):
-        code = main(
-            ["stats", "--eval-dir", str(small_run / "evals"), "--jobs", jobs, "--out", str(tmp_path / "s")]
-        )
-        assert code == 2
-        assert "--jobs must be at least 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--normality-pretest"]], ids=["jobs", "normality-pretest"])
+    def test_removed_flags_are_usage_errors(self, small_run, tmp_path, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stats", "--eval-dir", str(small_run / "evals"), *flag, "--out", str(tmp_path / "s")])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("breakage, reason", [("drop-framework", "KeyError"), ("not-json", "JSONDecodeError")])
     def test_invalid_eval_file_is_config_error(self, small_run, tmp_path, capsys, breakage, reason):
@@ -537,6 +556,29 @@ def test_cli_runs_without_requests(tmp_path):
     assert proc.stdout.splitlines()[-1] == "exit codes [0, 0]"
 
 
+def test_cli_pipeline_runs_without_scipy(tmp_path):
+    """scipy is only a test oracle: gen-cohorts through stats never import it."""
+    script = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from triage_arena.cli import main\n"
+        "base = sys.argv[1]\n"
+        "codes = [main(['gen-cohorts', '--seed', '1', '--batch', '3', '--out', base + '/c']),\n"
+        "         main(['run', '--cohorts', base + '/c', '--out', base + '/t']),\n"
+        "         main(['eval', '--transcripts', base + '/t', '--out', base + '/e']),\n"
+        "         main(['stats', '--eval-dir', base + '/e', '--out', base + '/s'])]\n"
+        "print('exit codes', codes)\n"
+    )
+    src = str(Path(triage_arena.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exit codes [0, 0, 0, 0]"
+    assert (tmp_path / "s" / "comparison.json").exists()
+
+
 class TestVerifyCake:
     def test_default_params_report_and_exit_code(self, capsys):
         code = main(["verify-cake", "--step", "0.01"])
@@ -649,6 +691,19 @@ class TestReportAndValidate:
         manifest = small_run / "transcripts" / "manifest.json"
         main(["report", "--run-manifest", str(manifest), "--out", str(report_path)])
         assert "Missing or invalid" not in report_path.read_text()
+
+    def test_tampered_transcript_is_reported_and_exits_one(self, small_run, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        for f in (small_run / "transcripts").glob("*.json"):
+            (run / f.name).write_bytes(f.read_bytes())
+        victim = sorted(run.glob("transcript_*.json"))[2]
+        victim.write_text(victim.read_text() + "\n")
+        report_path = tmp_path / "tampered.md"
+        assert main(["report", "--run-manifest", str(run / "manifest.json"), "--out", str(report_path)]) == 1
+        text = report_path.read_text()
+        assert "## Missing or invalid inputs" in text
+        assert f"- {victim.name}: content hash mismatch" in text
 
     def test_validate_fresh_dirs(self, small_run):
         assert main(["validate", str(small_run / "cohorts")]) == 0

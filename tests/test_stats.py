@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats as scipy_stats
 
 from triage_arena.stats import (
     CSV_COLUMNS,
@@ -70,15 +71,43 @@ class TestWilcoxon:
     def test_matches_naive_enumerator(self):
         rng = np.random.Generator(np.random.Philox(73))
         for _ in range(60):
-            n = int(rng.integers(1, 11))
+            n = int(rng.integers(1, 13))
             diffs = [round(float(rng.normal()), 2) for _ in range(n)]
             expected_w, expected_p = naive_exact_wilcoxon(diffs)
             result = wilcoxon_signed_rank(diffs)
             if result.degenerate:
                 assert all(d == 0 for d in diffs)
                 continue
+            # the counting DP gives the enumerator's integers, so p is equal
             assert result.statistic == pytest.approx(expected_w)
-            assert result.p_value == pytest.approx(expected_p)
+            assert result.p_value == expected_p
+
+    def test_normal_path_matches_scipy_on_tied_samples(self):
+        rng = np.random.Generator(np.random.Philox(89))
+        checked = 0
+        for _ in range(200):
+            n = int(rng.integers(13, 201))
+            diffs = [round(float(x), 1) for x in rng.normal(0.1, 1.0, size=n)]
+            result = wilcoxon_signed_rank(diffs)
+            if result.method != "normal":  # too few nonzero differences left
+                continue
+            expected = scipy_stats.wilcoxon(
+                diffs, zero_method="wilcox", correction=True, method="approx"
+            ).pvalue
+            assert abs(result.p_value - expected) <= 1e-12
+            checked += 1
+        assert checked >= 150
+
+    def test_exact_path_matches_scipy_without_ties(self):
+        rng = np.random.Generator(np.random.Philox(97))
+        for _ in range(100):
+            n = int(rng.integers(1, 13))
+            diffs = [float(x) for x in rng.normal(0.3, 1.0, size=n)]
+            assert len({abs(d) for d in diffs}) == n and 0.0 not in diffs
+            result = wilcoxon_signed_rank(diffs)
+            assert result.method == "exact"
+            expected = scipy_stats.wilcoxon(diffs, method="exact").pvalue
+            assert abs(result.p_value - expected) <= 1e-12
 
     def test_exact_and_normal_agree_at_crossover(self):
         rng = np.random.Generator(np.random.Philox(79))
@@ -310,13 +339,3 @@ class TestAggregation:
         assert cell_seed(42, "Rawlsian", "rmg") == cell_seed(42, "Rawlsian", "rmg")
         assert cell_seed(42, "Rawlsian", "rmg") != cell_seed(42, "Rawlsian", "gini")
         assert cell_seed(42, "Rawlsian", "rmg") != cell_seed(43, "Rawlsian", "rmg")
-
-    def test_normality_pretest_path_runs(self):
-        rng = np.random.Generator(np.random.Philox(103))
-        a = tuple(float(x) for x in rng.normal(0.6, 0.05, size=20))
-        b = tuple(float(x) for x in rng.normal(0.5, 0.05, size=20))
-        sample = PairedSample(tuple(range(20)), a, b)
-        default = compare_cell(sample, "Rawlsian", "rmg")
-        pretested = compare_cell(sample, "Rawlsian", "rmg", normality_pretest=True)
-        assert 0 <= pretested.p_value <= 1
-        assert default.ci_a == pretested.ci_a
