@@ -324,10 +324,14 @@ def cmd_run(args) -> int:
             return f"{name}: {exc}"
         return None
 
-    # map yields in task order, so failures are listed in cohort order,
-    # and an interrupt cancels the debates still queued.
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        outcomes = list(pool.map(execute, tasks))
+    # Both mappers yield in task order, so failures are listed in cohort
+    # order; an interrupt cancels the debates still queued. One job runs on
+    # the calling thread, without a pool.
+    if args.jobs == 1:
+        outcomes = [execute(task) for task in tasks]
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            outcomes = list(pool.map(execute, tasks))
     failures = [failure for failure in outcomes if failure is not None]
     done_files += [out / name for (_, name, _), failure in zip(tasks, outcomes) if failure is None]
     executed = len(tasks) - len(failures)
