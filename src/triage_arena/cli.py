@@ -301,13 +301,14 @@ def cmd_run(args) -> int:
         )
         target = out / name
         if target.exists():
+            # an unreadable, undecodable or non-object transcript is not done
             try:
                 existing = json.loads(target.read_text(encoding="utf-8"))
-                if existing.get("config_hash") == config_hash:
-                    done_files.append(target)
-                    continue
-            except (OSError, json.JSONDecodeError):
-                pass
+            except (OSError, ValueError):
+                existing = None
+            if isinstance(existing, dict) and existing.get("config_hash") == config_hash:
+                done_files.append(target)
+                continue
         tasks.append((cohort, name, config_hash))
 
     skipped = len(done_files)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _encode_str
 
 __all__ = [
     "RESOURCE_NAMES",
@@ -396,6 +397,106 @@ def validate_allocation(alloc: Allocation, capacity: ResourceCapacity) -> Feasib
     )
 
 
+class _Unhandled(Exception):
+    """Input the fast encoder leaves to json.dumps."""
+
+
+_INF = float("inf")
+
+
+def _float_str(value: float) -> str:
+    # json writes the non-finite floats as JavaScript names
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# Exact types only: a subclass (str Enum, IntEnum, numpy scalar) is left to json.
+_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_str,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
+_NUMBERS = frozenset((int, float))
+_STRS = frozenset((str,))
+# (closing newline, newline before an item, separator between items) per
+# nesting depth; deeper input raises IndexError and is left to json.
+_INDENTS = tuple(
+    ("\n" + "  " * depth, "\n" + "  " * (depth + 1), ",\n" + "  " * (depth + 1))
+    for depth in range(64)
+)
+
+
+def _write(obj, append, depth: int) -> None:
+    """Append the chunks of obj's indented JSON, obj being at nesting depth."""
+    t = type(obj)
+    if t is dict:
+        if not obj:
+            append("{}")
+            return
+        newline, inner, sep = _INDENTS[depth]
+        lead = "{" + inner
+        # encode_basestring raises TypeError on a non-str key
+        for key, value in sorted(obj.items()):
+            scalar = _SCALARS.get(type(value))
+            if scalar is not None:
+                append(f"{lead}{_encode_str(key)}: {scalar(value)}")
+            else:
+                append(f"{lead}{_encode_str(key)}: ")
+                _write(value, append, depth + 1)
+            lead = sep
+        append(newline + "}")
+    elif t is list or t is tuple:
+        if not obj:
+            append("[]")
+            return
+        newline, inner, sep = _INDENTS[depth]
+        kinds = set(map(type, obj))
+        if kinds <= _NUMBERS:
+            text = sep.join(map(repr, obj))
+            if "n" not in text:  # no nan or inf, which json spells differently
+                append(f"[{inner}{text}{newline}]")
+                return
+        elif kinds == _STRS:
+            append(f"[{inner}{sep.join(map(_encode_str, obj))}{newline}]")
+            return
+        lead = "[" + inner
+        for item in obj:
+            scalar = _SCALARS.get(type(item))
+            if scalar is not None:
+                append(lead + scalar(item))
+            else:
+                append(lead)
+                _write(item, append, depth + 1)
+            lead = sep
+        append(newline + "]")
+    else:
+        scalar = _SCALARS.get(t)
+        if scalar is None:
+            raise _Unhandled
+        append(scalar(obj))
+
+
 def canonical_json(obj) -> str:
-    """Stable JSON encoding used for all persisted files and hashing."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Stable JSON encoding used for all persisted files and hashing.
+
+    The bytes are those of json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False) plus a newline. The shapes the harness writes go
+    through a specialised encoder. Any other input (non-str keys, subclasses
+    of the JSON types, unserialisable, circular or very deep objects) is
+    encoded by json.dumps itself, so its output and exceptions stay the
+    stdlib's.
+    """
+    parts: list[str] = []
+    try:
+        _write(obj, parts.append, 0)
+    except (_Unhandled, TypeError, ValueError, IndexError, RecursionError):
+        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    parts.append("\n")
+    return "".join(parts)

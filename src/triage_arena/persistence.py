@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from importlib import resources as _resources
 from pathlib import Path
@@ -46,11 +46,25 @@ def sha256_file(path: str | Path) -> str:
     return sha256_bytes(Path(path).read_bytes())
 
 
+# Numbers the temp files of this process. With the pid it makes a name no live
+# writer uses; O_EXCL skips a file a dead process left behind.
+_tmp_serial = itertools.count()
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+    """Write via a temp file in the same directory plus rename.
+
+    The file gets mode 0o666 less the umask, as open() would give it.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    while True:
+        tmp = path.parent / f"{path.name}.{os.getpid()}.{next(_tmp_serial)}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -158,6 +159,32 @@ class TestRun:
         assert code == 0
         out = capsys.readouterr().out
         assert "executed 0 debates, skipped 6" in out
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"[1]"], ids=["not-utf8", "not-an-object"]
+    )
+    def test_rerun_redoes_bad_existing_transcript(self, small_run, tmp_path, capsys, content):
+        out = tmp_path / "t"
+        shutil.copytree(small_run / "transcripts", out)
+        target = sorted(out.glob("transcript_*.json"))[2]
+        good = target.read_bytes()
+        target.write_bytes(content)
+        code = main(
+            [
+                "run",
+                "--cohorts", str(small_run / "cohorts"),
+                "--framework", "Rawlsian",
+                "--opponent", "biased",
+                "--backend", "scripted",
+                "--allow-adversarial",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert "executed 1 debates, skipped 5 existing, 0 failures" in capsys.readouterr().out
+        assert target.read_bytes() == good
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["combined_hash"] == SMALL_RUN_COMBINED_HASH
 
     def test_unsupported_scripted_framework_is_config_error(self, small_run, tmp_path):
         code = main(
@@ -732,6 +759,14 @@ class TestReportAndValidate:
 
 
 class TestPinnedOutputs:
+    def test_every_written_file_is_stdlib_indented_json(self, small_run):
+        files = sorted(small_run.rglob("*.json"))
+        assert len(files) >= 19  # 6 cohorts, 6 transcripts, 6 evals and manifests
+        for file in files:
+            data = file.read_bytes()
+            stdlib = json.dumps(json.loads(data), sort_keys=True, indent=2, ensure_ascii=False)
+            assert data == (stdlib + "\n").encode("utf-8"), file.name
+
     def test_small_scripted_run_outputs_are_pinned(self, small_run, tmp_path):
         manifest = small_run / "transcripts" / "manifest.json"
         assert json.loads(manifest.read_text())["combined_hash"] == SMALL_RUN_COMBINED_HASH

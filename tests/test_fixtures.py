@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from importlib import resources
@@ -20,6 +21,7 @@ from triage_arena.model import Allocation, column_totals, validate_allocation
 from triage_arena.persistence import (
     FixtureChecksumError,
     RunManifest,
+    atomic_write_text,
     build_manifest,
     load_reference_fixtures,
     validate_schemas,
@@ -169,6 +171,27 @@ class TestManifest:
         manifest = build_manifest("rid", tmp_path, [tmp_path / "x.json"], {"k": "v"})
         restored = RunManifest.from_json(manifest.to_json())
         assert restored == manifest
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_mode_matches_open(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "atomic.json", "{}\n")
+            with open(tmp_path / "plain.json", "w", encoding="utf-8") as handle:
+                handle.write("{}\n")
+        finally:
+            os.umask(previous)
+        modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("atomic.json", "plain.json")}
+        assert modes == {0o666 & ~umask}
+
+    def test_overwrite_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out" / "x.json"
+        atomic_write_text(target, "first")
+        atomic_write_text(target, "second")
+        assert target.read_text(encoding="utf-8") == "second"
+        assert [p.name for p in target.parent.iterdir()] == ["x.json"]
 
 
 class TestValidateSchemas:

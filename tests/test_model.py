@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import enum
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -230,3 +232,107 @@ class TestValidateAllocation:
         )
         if validate_allocation(alloc, cap).feasible:
             assert validate_allocation(smaller, cap).feasible
+
+
+def stdlib_json(obj) -> str:
+    """The encoding canonical_json must reproduce byte for byte."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+# Strings with quotes, backslashes, control and non-ASCII characters.
+_json_text = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€😀'))
+)
+_json_floats = st.one_of(
+    st.floats(),  # includes nan, ±inf, -0.0 and subnormals
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308, 1e-7, 1e16]),
+)
+_json_ints = st.one_of(st.integers(), st.integers(min_value=-(2**200), max_value=2**200))
+_json_scalars = st.one_of(st.none(), st.booleans(), _json_ints, _json_floats, _json_text)
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_json_text, children, max_size=5),
+        # the homogeneous lists that are encoded in one join
+        st.lists(_json_floats, max_size=6),
+        st.lists(st.one_of(st.booleans(), _json_ints, _json_floats), max_size=6),
+        st.lists(_json_text, max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
+class _Colour(str, enum.Enum):
+    RED = "red"
+
+
+def _circular_list():
+    items = []
+    items.append(items)
+    return items
+
+
+def _nested(depth):
+    tree = [1.0, "leaf", {}]
+    for level in range(depth):
+        tree = [level, {"k": tree}] if level % 2 else [tree]
+    return tree
+
+
+class TestCanonicalJson:
+    @given(_json_trees)
+    def test_matches_stdlib_indented_json(self, tree):
+        assert canonical_json(tree) == stdlib_json(tree)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {},
+            [],
+            (),
+            [[], {}, ()],
+            {"b": [1.0, float("nan")], "a": (float("inf"), -float("inf"), -0.0)},
+            [1, 2.5, 10**40, -(10**40)],
+            [True, False, None],
+            [1, True, 0.5],
+            "tab\t \"quote\" \\ é",
+            _Colour.RED,
+            [_Colour.RED, "red"],
+            {"k": _Colour.RED},
+            {_Colour.RED: 1},
+            Resource.ICU,
+            [Resource.VENT, 1],
+            {"r": Resource.SURGERY},
+            np.float64(0.1),
+            [np.float64(0.1), 0.2],
+            {"x": np.float64(-0.0)},
+            {2: "b", 1: "a"},
+            {None: 1},
+            {1.5: "x", 0.5: "y"},
+            {True: 1},
+            _nested(100),
+        ],
+        ids=lambda obj: repr(obj)[:40],
+    )
+    def test_subclasses_and_non_str_keys_match_stdlib(self, obj):
+        assert canonical_json(obj) == stdlib_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj, error",
+        [
+            (object(), TypeError),
+            ({"a": [1, {2, 3}]}, TypeError),
+            ({1: "a", "b": 2}, TypeError),
+            (np.int64(3), TypeError),
+            (_circular_list(), ValueError),
+        ],
+        ids=["object", "set", "mixed-keys", "numpy-int", "circular-list"],
+    )
+    def test_errors_are_stdlib_errors(self, obj, error):
+        with pytest.raises(error) as want:
+            stdlib_json(obj)
+        with pytest.raises(error) as got:
+            canonical_json(obj)
+        assert str(got.value) == str(want.value)
