@@ -18,7 +18,6 @@ rendering one. Backends without the attribute get the rendered prompt.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 from importlib import resources as _resources
 from pathlib import Path
@@ -36,6 +35,7 @@ from .model import (
     Patient,
     ProfileKind,
     Resource,
+    TransportError,
 )
 
 __all__ = [
@@ -244,71 +244,73 @@ class ChatBackendConfig:
             raise ValueError("temperature must be nonnegative")
 
 
-class ChatTransportError(RuntimeError):
+class ChatTransportError(TransportError):
     pass
 
 
-def chat_generate(config: ChatBackendConfig, prompt: str, session=None) -> str:
+def _chat_transport(config: ChatBackendConfig):
+    from .transport import JsonEndpoint  # loaded only where a transport is used
+
+    return JsonEndpoint(
+        config.endpoint,
+        timeout=config.timeout,
+        retries=config.retries,
+        backoff=config.backoff,
+        error=ChatTransportError,
+    )
+
+
+def chat_generate(config: ChatBackendConfig, prompt: str, transport=None) -> str:
     """One chat-completion round trip.
 
     Sends a messages array with the prompt as the single (and final) user
     message, byte-identical to the caller's prompt, and returns
-    choices[0].message.content. Retries transport failures, 5xx and 429
-    (rate limited) responses up to the retry budget.
+    choices[0].message.content. `transport` is the backend's keep-alive
+    `transport.JsonEndpoint`; without one, a connection is opened for
+    this call alone. Transport failures, 5xx and 429 (rate limited)
+    responses are retried up to the retry budget.
     """
-    import requests  # loaded only where a transport is used: it is slow to import
-
-    session = session or requests.Session()
     payload = {
         "model": config.model,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": config.temperature,
         "max_tokens": config.max_tokens,
     }
-    last_error: Exception | None = None
-    for attempt in range(config.retries + 1):
-        started = time.monotonic()
+    if transport is not None:
+        body = transport.post(payload)
+    else:
+        transport = _chat_transport(config)
         try:
-            resp = session.post(config.endpoint, json=payload, timeout=config.timeout)
-            latency = time.monotonic() - started
-            if resp.status_code >= 500 or resp.status_code == 429:
-                last_error = ChatTransportError(
-                    f"retryable HTTP {resp.status_code} after {latency:.2f}s"
-                )
-            elif resp.status_code != 200:
-                raise ChatTransportError(f"chat request failed: HTTP {resp.status_code}")
-            else:
-                try:
-                    body = resp.json()
-                    content = body["choices"][0]["message"]["content"]
-                except (KeyError, IndexError, TypeError, ValueError) as exc:
-                    raise ChatTransportError(f"malformed chat response body: {exc}") from exc
-                logger.debug(
-                    "chat completion id=%s model=%s latency=%.3fs attempt=%d",
-                    body.get("id", "-"), config.model, latency, attempt + 1,
-                )
-                return content
-        except requests.RequestException as exc:
-            last_error = ChatTransportError(f"transport failure: {exc}")
-        if attempt < config.retries and config.backoff:
-            time.sleep(config.backoff * (attempt + 1))
-    raise last_error  # type: ignore[misc]
+            body = transport.post(payload)
+        finally:
+            transport.close()
+    try:
+        content = body["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ChatTransportError(f"malformed chat response body: {exc!r}") from exc
+    logger.debug("chat completion id=%s model=%s", body.get("id", "-"), config.model)
+    return content
 
 
 class ChatBackend:
-    """HTTP chat backend; not deterministic and says so."""
+    """HTTP chat backend; not deterministic and says so.
+
+    Its keep-alive connections are shared by every thread that calls
+    `generate`.
+    """
 
     deterministic = False
 
     def __init__(self, config: ChatBackendConfig):
         self.config = config
         self.name = f"chat:{config.model}"
-        import requests
-
-        self._session = requests.Session()
+        self._transport = _chat_transport(config)
 
     def generate(self, prompt: str, ctx: GenerationContext) -> str:
-        return chat_generate(self.config, prompt, session=self._session)
+        return chat_generate(self.config, prompt, self._transport)
+
+    def close(self) -> None:
+        self._transport.close()
 
 
 _PREAMBLE_FILES = {

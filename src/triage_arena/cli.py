@@ -43,6 +43,7 @@ from .model import (
     Cohort,
     Framework,
     ProfileKind,
+    TransportError,
     canonical_json,
 )
 from .oracle import (
@@ -328,11 +329,16 @@ def cmd_run(args) -> int:
     # Both mappers yield in task order, so failures are listed in cohort
     # order; an interrupt cancels the debates still queued. One job runs on
     # the calling thread, without a pool.
-    if args.jobs == 1:
-        outcomes = [execute(task) for task in tasks]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(execute, tasks))
+    try:
+        if args.jobs == 1:
+            outcomes = [execute(task) for task in tasks]
+        else:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
+                outcomes = list(pool.map(execute, tasks))
+    finally:
+        for agent in (agent_a, agent_b):
+            if hasattr(agent.backend, "close"):
+                agent.backend.close()
     failures = [failure for failure in outcomes if failure is not None]
     done_files += [out / name for (_, name, _), failure in zip(tasks, outcomes) if failure is None]
     executed = len(tasks) - len(failures)
@@ -782,7 +788,7 @@ def main(argv=None) -> int:
     except (ValueError, EnumerationBoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, agents_mod.ChatTransportError) as exc:
+    except (OSError, TransportError) as exc:
         print(f"io/transport error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -33,6 +33,7 @@ __all__ = [
     "column_totals",
     "FEASIBILITY_TOL",
     "canonical_json",
+    "TransportError",
 ]
 
 # Canonical resource ordering. Serialized matrices always use this column order.
@@ -41,6 +42,11 @@ RESOURCE_NAMES = ("ICU", "Vent", "MedA", "MedB", "Nursing", "Surgery")
 # Absolute tolerance on column sums when checking feasibility. Quantities in
 # real transcripts are small integers, so this cannot flip a verdict on them.
 FEASIBILITY_TOL = 1e-9
+
+
+class TransportError(RuntimeError):
+    """A chat or embedding endpoint could not be reached or answered in
+    error; the base of `ChatTransportError` and `RemoteEmbedderError`."""
 
 
 class Resource(enum.IntEnum):

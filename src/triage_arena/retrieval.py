@@ -12,12 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
+
+from .model import TransportError
 
 __all__ = [
     "DocumentChunk",
@@ -175,7 +176,7 @@ class HashingEmbedder:
         return vec
 
 
-class RemoteEmbedderError(RuntimeError):
+class RemoteEmbedderError(TransportError):
     pass
 
 
@@ -196,40 +197,24 @@ class RemoteEmbedder:
         retries: int = 2,
         backoff: float = 0.5,
     ):
+        from .transport import JsonEndpoint  # loaded only where a transport is used
+
         self.endpoint = endpoint
         self.model = model
         self.dim = dim
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        import requests  # loaded only where a transport is used: it is slow to import
-
-        self._session = requests.Session()
+        self._transport = JsonEndpoint(
+            endpoint, timeout=timeout, retries=retries, backoff=backoff, error=RemoteEmbedderError
+        )
 
     def embed(self, text: str) -> np.ndarray:
-        import requests
-
-        payload = {"model": self.model, "input": [text]}
-        last_error = None
-        for attempt in range(self.retries + 1):
-            try:
-                resp = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
-                if resp.status_code >= 500 or resp.status_code == 429:
-                    last_error = RemoteEmbedderError(f"retryable HTTP {resp.status_code}")
-                elif resp.status_code != 200:
-                    raise RemoteEmbedderError(f"embedding request failed: {resp.status_code}")
-                else:
-                    values = resp.json()["data"][0]["embedding"]
-                    if len(values) != self.dim:
-                        raise RemoteEmbedderError(
-                            f"embedding dim {len(values)} != configured {self.dim}"
-                        )
-                    return np.array([float(v) for v in values])
-            except (requests.RequestException, KeyError, ValueError) as exc:
-                last_error = RemoteEmbedderError(f"embedding transport failure: {exc}")
-            if attempt < self.retries and self.backoff:
-                time.sleep(self.backoff * (attempt + 1))
-        raise last_error  # type: ignore[misc]
+        body = self._transport.post({"model": self.model, "input": [text]})
+        try:
+            vec = np.array([float(v) for v in body["data"][0]["embedding"]])
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise RemoteEmbedderError(f"malformed embedding response body: {exc!r}") from exc
+        if len(vec) != self.dim:
+            raise RemoteEmbedderError(f"embedding dim {len(vec)} != configured {self.dim}")
+        return vec
 
 
 class VectorIndex:
@@ -295,8 +280,10 @@ def index_corpus(
     """Embed chunks into a cosine index; re-indexing is idempotent.
 
     Chunks whose content hash is already present in `existing` are reused
-    without new embedding calls. Embedder failures are collected and
-    reported per chunk with their doc ids.
+    without new embedding calls. The first chunk whose embedding raises
+    stops the build with a TransportError naming that chunk, so a dead
+    endpoint costs one chunk's retries, not every chunk's. Vectors of the
+    wrong dimension are reported together, per chunk with their doc ids.
     """
     known: dict[str, np.ndarray] = {}
     if existing is not None:
@@ -304,21 +291,20 @@ def index_corpus(
             raise ValueError("existing index dim does not match the embedder")
         known = {c.content_hash: row for c, row in zip(existing.chunks, existing.matrix)}
     matrix = np.empty((len(chunks), embedder.dim))
-    failures = []
+    mismatches = []
     for i, chunk in enumerate(chunks):
         vec = known.get(chunk.content_hash)
         if vec is None:
             try:
                 vec = embedder.embed(chunk.text)
             except Exception as exc:
-                failures.append(f"{chunk.doc_id}#{chunk.ordinal}: {exc}")
-                continue
+                raise TransportError(f"embedding {chunk.doc_id}#{chunk.ordinal} failed: {exc}") from exc
             if len(vec) != embedder.dim:
-                failures.append(f"{chunk.doc_id}#{chunk.ordinal}: dim {len(vec)} != {embedder.dim}")
+                mismatches.append(f"{chunk.doc_id}#{chunk.ordinal}: dim {len(vec)} != {embedder.dim}")
                 continue
         matrix[i] = vec
-    if failures:
-        raise RuntimeError("embedding failures: " + "; ".join(failures))
+    if mismatches:
+        raise RuntimeError("embedding dimension mismatch: " + "; ".join(mismatches))
     return VectorIndex(embedder.dim, chunks, matrix)
 
 

@@ -10,13 +10,14 @@ import shutil
 import socket
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import triage_arena
-from triage_arena import agents, cli
+from triage_arena import cli
 from triage_arena.arena import transcript_from_json
 from triage_arena.cli import main
 from triage_arena.metrics import METRIC_NAMES
@@ -61,6 +62,21 @@ def small_run(tmp_path_factory):
     )
     assert main(["eval", "--transcripts", str(transcripts), "--out", str(evals)]) == 0
     return base
+
+
+@pytest.fixture(scope="module")
+def mock_chat():
+    """The benchmark's keep-alive mock chat server, whose every reply
+    depends only on the prompt; its URL."""
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "mockchat.py"
+    proc = subprocess.Popen([sys.executable, str(script)], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        port = int(proc.stdout.readline())
+        yield f"http://127.0.0.1:{port}/v1/chat/completions"
+    finally:
+        proc.stdin.close()
+        proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 class TestGenCohorts:
@@ -264,7 +280,7 @@ class TestRun:
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
-        monkeypatch.setattr(agents.time, "sleep", lambda seconds: None)
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)
         return f"http://127.0.0.1:{port}/v1/chat/completions"
 
     def test_failed_debate_exits_io_and_keeps_manifest(self, tmp_path, dead_endpoint, capsys):
@@ -511,6 +527,41 @@ class TestChatBackendIntegration:
         assert first["final_allocations"]["A"][0] == [0, 0, 1, 1, 2, 0]
 
 
+class TestChatTransport:
+    def test_jobs3_shares_the_backends_and_matches_jobs1(self, tmp_path, mock_chat):
+        cohorts = tmp_path / "cohorts"
+        assert main(["gen-cohorts", "--seed", "5", "--batch", "6", "--out", str(cohorts)]) == 0
+        proposals = {}
+        for jobs in ("1", "3"):
+            out = tmp_path / f"jobs{jobs}"
+            argv = ["run", "--cohorts", str(cohorts), "--backend", "chat", "--endpoint", mock_chat,
+                    "--model", "m", "--framework", "CareEthics", "--jobs", jobs, "--out", str(out)]
+            assert main(argv) == 0
+            proposals[jobs] = {
+                f.name: json.loads(f.read_text())["proposals"] for f in sorted(out.glob("transcript_*.json"))
+            }
+        assert len(proposals["3"]) == 6
+        assert proposals["3"] == proposals["1"]
+
+    def test_dead_embedding_endpoint_exits_io_without_traceback(self, tmp_path, monkeypatch, capsys):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        monkeypatch.setenv("TRIAGE_ARENA_EMBED_ENDPOINT", f"http://127.0.0.1:{port}/embed")
+        monkeypatch.setenv("TRIAGE_ARENA_EMBED_MODEL", "m")
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)
+        cohorts = tmp_path / "cohorts"
+        assert main(["gen-cohorts", "--seed", "3", "--batch", "1", "--out", str(cohorts)]) == 0
+        capsys.readouterr()
+        corpus = str(resources.files("triage_arena").joinpath("data/sample_corpus"))
+        code = main(["run", "--cohorts", str(cohorts), "--corpus-dir", corpus, "--out", str(tmp_path / "run")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("io/transport error: embedding ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
 class TestRetrieverMemo:
     class CountingEmbedder(cli.HashingEmbedder):
         """The default embedder, failing on demand; keeps its instances."""
@@ -563,24 +614,32 @@ class TestRetrieverMemo:
         assert embedder.calls == calls + 1
 
 
-def test_cli_runs_without_requests(tmp_path):
-    """Commands that open no transport never import `requests`."""
+def test_cli_runs_without_requests(tmp_path, mock_chat):
+    """`requests` is not used at all, and commands that open no transport
+    do not load `http.client` either."""
     script = (
         "import sys; sys.modules['requests'] = None\n"
         "from triage_arena.cli import main\n"
-        "out = sys.argv[1]\n"
+        "out, endpoint, corpus = sys.argv[1:]\n"
         "codes = [main(['gen-cohorts', '--seed', '1', '--batch', '3', '--out', out]),\n"
         "         main(['validate', out])]\n"
+        "print('http.client loaded', 'http.client' in sys.modules)\n"
+        "codes.append(main(['run', '--cohorts', out, '--backend', 'chat', '--endpoint', endpoint,\n"
+        "                   '--model', 'm', '--corpus-dir', corpus, '--out', out + '-run']))\n"
         "print('exit codes', codes)\n"
     )
     src = str(Path(triage_arena.__file__).resolve().parents[1])
+    corpus = str(resources.files("triage_arena").joinpath("data/sample_corpus"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "cohorts")],
+        [sys.executable, "-c", script, str(tmp_path / "cohorts"), mock_chat, corpus],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "exit codes [0, 0]"
+    lines = proc.stdout.splitlines()
+    assert "http.client loaded False" in lines
+    assert lines[-1] == "exit codes [0, 0, 0]"
+    assert len(list((tmp_path / "cohorts-run").glob("transcript_*.json"))) == 3
 
 
 def test_cli_pipeline_runs_without_scipy(tmp_path):

@@ -5,12 +5,13 @@ import json
 import math
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triage_arena.model import canonical_json
+from triage_arena.model import TransportError, canonical_json
 from triage_arena.retrieval import (
     DocumentChunk,
     HashingEmbedder,
@@ -356,3 +357,13 @@ class TestRemoteEmbedder:
         embedder = RemoteEmbedder(endpoint=embed_server, model="m", dim=8, retries=1, backoff=0)
         with pytest.raises(RemoteEmbedderError):
             embedder.embed("x")
+
+    def test_dead_endpoint_stops_the_index_at_the_first_chunk(self, embed_server):
+        _EmbedHandler.fail_times = 1000
+        _EmbedHandler.fail_status = 503
+        chunks = load_corpus_dir(resources.files("triage_arena").joinpath("data/sample_corpus"))
+        assert len(chunks) == 6
+        embedder = RemoteEmbedder(endpoint=embed_server, model="m", dim=8, retries=2, backoff=0)
+        with pytest.raises(TransportError, match=f"embedding {chunks[0].doc_id}#0 failed"):
+            index_corpus(chunks, embedder)
+        assert _EmbedHandler.calls == 3
