@@ -45,7 +45,7 @@ from .arena import (
 from .oracle import (
     CakeParams,
     DiscretizedSpace,
-    WelfareFunctional,
+    UtilityAggregate,
     argmax_set,
     cake_utilities,
     check_nondegeneracy,
@@ -57,7 +57,6 @@ from .stats import (
     PairedSample,
     bootstrap_ci,
     cohens_d,
-    pair_and_filter,
     wilcoxon_signed_rank,
 )
 

@@ -46,7 +46,6 @@ __all__ = [
     "ScriptedBackend",
     "ReplayExhaustedError",
     "ReplayBackend",
-    "replay_agent",
     "ChatBackendConfig",
     "ChatTransportError",
     "chat_generate",
@@ -223,10 +222,6 @@ class ReplayBackend:
         return text
 
 
-def replay_agent(transcript_texts: list[str], name: str = "replay") -> ReplayBackend:
-    return ReplayBackend(transcript_texts, name=name)
-
-
 @dataclass(frozen=True)
 class ChatBackendConfig:
     endpoint: str
@@ -369,12 +364,9 @@ def build_profile(
         return profile, framework_preamble(framework)
     if kind is ProfileKind.BASELINE:
         return profile, baseline_preamble()
-    if bias_source is BiasSource.ADVERSARIAL_PROMPT:
-        if adversarial_path is None:
-            raise ValueError(
-                "an adversarially prompted profile requires an explicit "
-                "adversarial prompt file path"
-            )
-        return profile, load_adversarial_prompt(adversarial_path)
-    # biased_corpus: conditioning comes from retrieval over a biased corpus
-    return profile, baseline_preamble()
+    if adversarial_path is None:
+        raise ValueError(
+            "an adversarially prompted profile requires an explicit "
+            "adversarial prompt file path"
+        )
+    return profile, load_adversarial_prompt(adversarial_path)

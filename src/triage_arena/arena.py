@@ -154,11 +154,15 @@ class InteractionHistory:
         return replace(self, retrieval_logs=self.retrieval_logs + (log,))
 
 
+# The fixed protocol: agent A speaks first in every round, and a reply
+# that does not parse is retried once with a format reminder.
+SPEAKING_ORDER = ("A", "opponent")
+MAX_PARSE_RETRIES = 1
+
+
 @dataclass(frozen=True)
 class DebateConfig:
     rounds: int = 3
-    speaking_order: tuple[str, str] = ("A", "opponent")
-    max_parse_retries: int = 1
     framework: str = "Utilitarian"
     opponent_kind: str = "Baseline"
 
@@ -169,8 +173,8 @@ class DebateConfig:
     def to_json(self) -> dict:
         return {
             "rounds": self.rounds,
-            "speaking_order": list(self.speaking_order),
-            "max_parse_retries": self.max_parse_retries,
+            "speaking_order": list(SPEAKING_ORDER),
+            "max_parse_retries": MAX_PARSE_RETRIES,
             "framework": self.framework,
             "opponent_kind": self.opponent_kind,
         }
@@ -305,16 +309,13 @@ def run_debate(
 
     retriever, when given, is called as retriever(framework, round) and
     must return a RetrievalResult; it is only consulted for profiles with
-    retrieval enabled. Parse failures are retried with a format reminder
-    up to max_parse_retries, then recorded as a failed transcript with
-    the raw text preserved.
+    retrieval enabled. A speaks first in every round. Parse failures are
+    retried with a format reminder up to MAX_PARSE_RETRIES times, then
+    recorded as a failed transcript with the raw text preserved.
     """
     history = InteractionHistory()
     failed = None
-    if config.speaking_order[0] == "A":
-        order = (agent_a, agent_b)
-    else:
-        order = (agent_b, agent_a)
+    order = (agent_a, agent_b)
     for round_t in range(1, config.rounds + 1):
         for spec in order:
             retrieved = None
@@ -339,12 +340,12 @@ def run_debate(
             text = spec.backend.generate(prompt, ctx)
             alloc = None
             warnings: list[str] = []
-            for attempt in range(config.max_parse_retries + 1):
+            for attempt in range(MAX_PARSE_RETRIES + 1):
                 try:
                     alloc, warnings = parse_allocation(text, cohort.n)
                     break
                 except ParseError:
-                    if attempt >= config.max_parse_retries:
+                    if attempt >= MAX_PARSE_RETRIES:
                         break
                     reminder = (
                         prompt
@@ -514,13 +515,20 @@ def transcript_to_json(transcript: DebateTranscript) -> dict:
 
 
 def transcript_from_json(obj: dict) -> DebateTranscript:
+    """Rebuild a transcript; ValueError if its config records a speaking
+    order or parse-retry count other than the fixed protocol's."""
     cohort = Cohort.from_json(obj["cohort"])
+    stored = obj["config"]
+    protocol = (stored["speaking_order"], stored["max_parse_retries"])
+    if protocol != (list(SPEAKING_ORDER), MAX_PARSE_RETRIES):
+        raise ValueError(
+            f"speaking order and parse retries {protocol!r} are not the fixed "
+            f"protocol {(list(SPEAKING_ORDER), MAX_PARSE_RETRIES)!r}"
+        )
     config = DebateConfig(
-        rounds=obj["config"]["rounds"],
-        speaking_order=tuple(obj["config"]["speaking_order"]),
-        max_parse_retries=obj["config"]["max_parse_retries"],
-        framework=obj["config"]["framework"],
-        opponent_kind=obj["config"]["opponent_kind"],
+        rounds=stored["rounds"],
+        framework=stored["framework"],
+        opponent_kind=stored["opponent_kind"],
     )
     proposals = tuple(
         Proposal(

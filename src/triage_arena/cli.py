@@ -30,7 +30,7 @@ from .arena import (
     transcript_from_json,
     transcript_to_json,
 )
-from .cohortgen import SamplerConfig, generate_batch, load_slots
+from .cohortgen import SamplerConfig, generate_batch, slots_from_json
 from .metrics import (
     METRIC_DIRECTIONS,
     METRIC_NAMES,
@@ -94,23 +94,26 @@ class UsageError(ValueError):
     pass
 
 
+def _read_input(path, kind: str, parse):
+    """parse(obj) of the JSON object in an input file. A file that does
+    not decode, or lacks what parse needs, is a UsageError naming it."""
+    try:
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+        raise UsageError(f"invalid {kind} file {path}: {type(exc).__name__}: {exc}") from None
+
+
 def _load_cohorts(directory: Path) -> list[Cohort]:
     files = sorted(directory.glob("cohort_*.json"))
     if not files:
         raise UsageError(f"no cohort_*.json files under {directory}")
-    cohorts = []
-    for f in files:
-        try:
-            cohorts.append(Cohort.from_json(json.loads(f.read_text(encoding="utf-8"))))
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
-            raise UsageError(f"invalid cohort file {f}: {type(exc).__name__}: {exc}") from None
-    return cohorts
+    return [_read_input(f, "cohort", Cohort.from_json) for f in files]
 
 
 def cmd_gen_cohorts(args) -> int:
     if args.batch < 1:
         raise UsageError("--batch must be at least 1")
-    slots = load_slots(args.slots_file) if args.slots_file else None
+    slots = _read_input(args.slots_file, "slots", slots_from_json) if args.slots_file else None
     kwargs = dict(
         master_seed=args.seed,
         batch_size=args.batch,
@@ -229,8 +232,8 @@ def _build_agents(args, framework: Framework, fixtures=None):
         backend_a = agents_mod.ChatBackend(chat_config)
         backend_b = agents_mod.ChatBackend(chat_config)
     elif args.backend == "replay":
-        backend_a = agents_mod.replay_agent(fixtures.round_texts["A"], "replay:A")
-        backend_b = agents_mod.replay_agent(fixtures.round_texts["B"], "replay:B")
+        backend_a = agents_mod.ReplayBackend(fixtures.round_texts["A"], "replay:A")
+        backend_b = agents_mod.ReplayBackend(fixtures.round_texts["B"], "replay:B")
     else:
         raise UsageError(f"unsupported backend {args.backend!r}")
 
@@ -479,6 +482,16 @@ def _svg_bar_chart(metric: str, rows: list[dict]) -> str:
     return "\n".join(parts)
 
 
+def _eval_entry(e: dict):
+    """An eval file's (framework, opponent) group and its pairing entry,
+    None when the debate did not complete."""
+    group = (e["framework"], e["opponent_kind"])
+    if not e.get("completed", True):
+        return group, None
+    finals = {label: MetricReport.from_json(r) for label, r in e["finals"].items()}
+    return group, (e["cohort_id"], finals)
+
+
 def cmd_stats(args) -> int:
     eval_dir = Path(args.eval_dir)
     files = sorted(eval_dir.glob("eval_*.json"))
@@ -486,14 +499,10 @@ def cmd_stats(args) -> int:
         raise UsageError(f"no eval_*.json files under {eval_dir}")
     groups: dict[tuple[str, str], list] = {}
     for f in files:
-        try:
-            e = json.loads(f.read_text(encoding="utf-8"))
-            members = groups.setdefault((e["framework"], e["opponent_kind"]), [])
-            if e.get("completed", True):
-                finals = {label: MetricReport.from_json(r) for label, r in e["finals"].items()}
-                members.append((e["cohort_id"], finals))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
-            raise UsageError(f"invalid eval file {f}: {type(exc).__name__}: {exc}") from None
+        group, entry = _read_input(f, "eval", _eval_entry)
+        members = groups.setdefault(group, [])
+        if entry is not None:
+            members.append(entry)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -547,9 +556,7 @@ def cmd_stats(args) -> int:
 def _cake_params(args) -> CakeParams:
     if not args.params_file:
         return CakeParams()
-    return CakeParams.from_json(
-        json.loads(Path(args.params_file).read_text(encoding="utf-8"))
-    )
+    return _read_input(args.params_file, "params", CakeParams.from_json)
 
 
 def cmd_verify_cake(args) -> int:
@@ -590,9 +597,7 @@ def cmd_check_nondegeneracy(args) -> int:
 def cmd_report(args) -> int:
     manifest_path = Path(args.run_manifest)
     base = manifest_path.parent
-    manifest = RunManifest.from_json(
-        json.loads(manifest_path.read_text(encoding="utf-8"))
-    )
+    manifest = _read_input(manifest_path, "manifest", RunManifest.from_json)
     missing = manifest.verify(base)
     transcripts = []
     for rel, _hash in manifest.files:

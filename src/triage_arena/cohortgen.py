@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources as _resources
-from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +29,7 @@ __all__ = [
     "CohortGenerationError",
     "splitmix64",
     "derive_seed",
-    "load_slots",
+    "slots_from_json",
     "default_slots",
     "generate_cohort",
     "generate_batch",
@@ -127,8 +126,8 @@ class ArchetypeSlot:
         )
 
 
-def load_slots(path: str | Path) -> tuple[ArchetypeSlot, ...]:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+def slots_from_json(obj: dict) -> tuple[ArchetypeSlot, ...]:
+    """The slots of a decoded slots file ({"slots": [...]})."""
     return tuple(ArchetypeSlot.from_json(s) for s in obj["slots"])
 
 
@@ -138,8 +137,7 @@ def default_slots() -> tuple[ArchetypeSlot, ...]:
         .joinpath("data/slots.json")
         .read_text(encoding="utf-8")
     )
-    obj = json.loads(text)
-    return tuple(ArchetypeSlot.from_json(s) for s in obj["slots"])
+    return slots_from_json(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,6 @@ class SamplerConfig:
     batch_size: int = 50
     capacity_variant: str = "standard"
     slots: tuple[ArchetypeSlot, ...] = field(default_factory=default_slots)
-    shuffle_slots: bool = True
     max_resample_attempts: int = 100
 
     def __post_init__(self):
@@ -203,10 +200,7 @@ def generate_cohort(seed: int, config: SamplerConfig, cohort_id: int = 0) -> Coh
     n = config.cohort_size
     for _ in range(config.max_resample_attempts):
         draws = [_draw_patient(rng, slot) for slot in config.slots]
-        if config.shuffle_slots:
-            order = [int(i) for i in rng.permutation(n)]
-        else:
-            order = list(range(n))
+        order = [int(i) for i in rng.permutation(n)]
         keys = {
             (d["age"], d["gender"], d["race"], d["ses"], d["citizenship"])
             for d in draws

@@ -121,7 +121,6 @@ class MetricConfig:
     kind_weights: dict
     floor: float = 0.1
     scale: float = 0.9
-    gini_source: str = "cnss"  # "cnss" or "nursing"
 
     @classmethod
     def from_json(cls, obj: dict) -> "MetricConfig":
@@ -131,7 +130,6 @@ class MetricConfig:
             kind_weights=obj["kind_weights"],
             floor=obj.get("floor", 0.1),
             scale=obj.get("scale", 0.9),
-            gini_source=obj.get("gini_source", "cnss"),
         )
 
     @classmethod
@@ -337,10 +335,6 @@ def metric_reports(cohort: Cohort, allocs, config: MetricConfig | None = None) -
     reports = []
     for alloc in allocs:
         vec = cnss_vector(cohort, alloc)
-        if config.gini_source == "nursing":
-            h = [row[4] for row in alloc.rows]
-        else:
-            h = list(vec.values)
         reports.append(
             MetricReport(
                 esg=_esg_of(cohort, vec),
@@ -348,10 +342,10 @@ def metric_reports(cohort: Cohort, allocs, config: MetricConfig | None = None) -
                 variance=variance(vec),
                 dw_esg=dw_esg(cohort, vec, w_prior),
                 vwci=vwci(vec, w_care),
-                gini=gini(h),
+                gini=gini(vec.values),
                 feasible=validate_allocation(alloc, cohort.capacity).feasible,
                 cnss=vec,
-                gini_degenerate=sum(h) == 0,
+                gini_degenerate=sum(vec.values) == 0,
             )
         )
     return reports

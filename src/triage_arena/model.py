@@ -91,7 +91,6 @@ class ProfileKind(enum.Enum):
 class BiasSource(enum.Enum):
     NONE = "none"
     ADVERSARIAL_PROMPT = "adversarial_prompt"
-    BIASED_CORPUS = "biased_corpus"
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Brute-force welfare optimization over discretized allocation spaces.
 
 This module certifies whether competing welfare functionals admit a
-common maximizer on a finite grid. The general route is literal
-enumeration: argmax_set scans every grid allocation for one functional
-and is the scalar reference. check_nondegeneracy evaluates the
-functionals built from per-person utilities (functionals_from_utilities,
-cake_functionals, hospital_functionals) in one array pass instead: it
-builds the grid once as an integer composition array, tabulates each
+common maximizer on a finite grid. Every functional is a
+UtilityAggregate over per-person utilities (functionals_from_utilities,
+cake_functionals, hospital_functionals). argmax_set, a literal scan of
+every grid allocation for any scalar objective, is the reference.
+check_nondegeneracy evaluates the aggregates in one array pass instead:
+it builds the grid once as an integer composition array, tabulates each
 person's utility once per distinct row and reduces the utility matrix
 column by column, with the scalar path's float arithmetic. The cake
 verifier additionally exploits that its welfare functions are separable
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ from .metrics import gini
 from .model import Allocation, ResourceCapacity
 
 __all__ = [
-    "WelfareFunctional",
     "UtilityAggregate",
     "DiscretizedSpace",
     "EnumerationBoundExceeded",
@@ -52,24 +51,13 @@ __all__ = [
 _STEP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class WelfareFunctional:
-    """A named scalar objective over allocations, always maximized."""
-
-    identifier: str
-    evaluator: Callable[[Allocation], float]
-    direction: str = "max"
-
-    def __call__(self, alloc: Allocation) -> float:
-        return self.evaluator(alloc)
-
-
 _AGGREGATE_KINDS = ("util", "egal", "rawls", "prior")
 
 
 @dataclass(frozen=True)
 class UtilityAggregate:
-    """A welfare evaluator that aggregates per-person utilities.
+    """A welfare functional, always maximized, that aggregates per-person
+    utilities; kind names it.
 
     utilities[i] maps person i's allocation row to a utility. util sums
     the utilities, egal is the negated concentration index of their
@@ -205,9 +193,9 @@ def enumerate_allocations(space: DiscretizedSpace) -> Iterator[Allocation]:
 
 
 def argmax_set(
-    W: WelfareFunctional, space: DiscretizedSpace, tol: float = 1e-9
+    W: Callable[[Allocation], float], space: DiscretizedSpace, tol: float = 1e-9
 ) -> list[Allocation]:
-    """All grid allocations within tol of the grid maximum, full scan.
+    """All grid allocations within tol of the grid maximum of W, full scan.
 
     Returned in canonical (row-tuple sorted) order.
     """
@@ -338,23 +326,20 @@ def _utility_matrix(
 
 
 def _grid_argmax_rows(
-    functionals: Sequence[WelfareFunctional], space: DiscretizedSpace, tol: float
+    functionals: Sequence[UtilityAggregate], space: DiscretizedSpace, tol: float
 ) -> dict[str, set]:
-    """The argmax set of each utility-built functional as a set of
-    allocation rows, from one grid array and one utility matrix per
-    distinct utility tuple. Gives the members argmax_set returns."""
+    """The argmax set of each functional, by kind, as a set of allocation
+    rows, from one grid array and one utility matrix per distinct utility
+    tuple. Gives the members argmax_set returns."""
     grid = _grid_array(space)
     matrices: dict[tuple, np.ndarray] = {}
     sets = {}
     for W in functionals:
-        aggregate = W.evaluator
-        if aggregate.utilities not in matrices:
-            matrices[aggregate.utilities] = _utility_matrix(
-                aggregate.utilities, grid, space
-            )
-        values = aggregate.over_grid(matrices[aggregate.utilities])
+        if W.utilities not in matrices:
+            matrices[W.utilities] = _utility_matrix(W.utilities, grid, space)
+        values = W.over_grid(matrices[W.utilities])
         members = grid[values >= values.max() - tol].tolist()
-        sets[W.identifier] = {
+        sets[W.kind] = {
             tuple(tuple(v * space.step for v in row) for row in member)
             for member in members
         }
@@ -362,7 +347,7 @@ def _grid_argmax_rows(
 
 
 def check_nondegeneracy(
-    functionals: Sequence[WelfareFunctional],
+    functionals: Sequence[UtilityAggregate],
     space: DiscretizedSpace,
     tol: float = 1e-9,
 ) -> NondegeneracyReport:
@@ -370,24 +355,23 @@ def check_nondegeneracy(
 
     Degenerate means some allocation maximizes every functional at once.
     No social optimum is ever selected; the report only describes how
-    the optima relate. Functionals whose evaluator is a UtilityAggregate
-    are evaluated together in one array pass over the grid; any other
-    functional is scanned by argmax_set. Both give the same argmax sets.
+    the optima relate. The functionals are UtilityAggregates of distinct
+    kinds, evaluated together in one array pass over the grid; it gives
+    the argmax sets argmax_set would.
     """
     if len(functionals) < 2:
         raise ValueError("need at least two functionals")
-    names = [W.identifier for W in functionals]
+    for W in functionals:
+        if not isinstance(W, UtilityAggregate):
+            raise ValueError(f"functional {W!r} is not a UtilityAggregate")
+    names = [W.kind for W in functionals]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"repeated functional identifiers: {', '.join(repeated)}")
     count = candidate_count(space)
     if count > space.enumeration_bound:
         raise EnumerationBoundExceeded(count, space.enumeration_bound)
-    aggregates = [W for W in functionals if isinstance(W.evaluator, UtilityAggregate)]
-    sets = _grid_argmax_rows(aggregates, space, tol) if aggregates else {}
-    for W in functionals:
-        if W.identifier not in sets:
-            sets[W.identifier] = {a.rows for a in argmax_set(W, space, tol)}
+    sets = _grid_argmax_rows(functionals, space, tol)
     common = set.intersection(*(sets[name] for name in names))
     witness = Allocation(min(common)) if common else None
     pairs = []
@@ -454,13 +438,14 @@ class CakeParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CakeParams":
-        known = {
-            "alpha", "beta", "gamma", "lam", "xbar4", "xmin",
-            "epsilon", "delta", "allow_degenerate",
-        }
-        kwargs = {k: v for k, v in obj.items() if k in known}
-        if "lambda" in obj:
-            kwargs["lam"] = obj["lambda"]
+        """Parameters by field name; "lambda" is accepted for lam. Any
+        other key is a ValueError that lists it."""
+        kwargs = dict(obj)
+        if "lambda" in kwargs:
+            kwargs["lam"] = kwargs.pop("lambda")
+        unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown cake parameters: {', '.join(unknown)}")
         return cls(**kwargs)
 
 
@@ -502,21 +487,18 @@ def functionals_from_utilities(
     utilities: Sequence[Callable[[tuple], float]],
     prior_weights: Sequence[float] | None = None,
     include: Sequence[str] = ("util", "egal", "rawls", "prior"),
-) -> list[WelfareFunctional]:
+) -> list[UtilityAggregate]:
     """Build the standard welfare functionals over per-person utilities.
 
     util sums utilities, egal is the negated concentration index of the
     utility vector, rawls takes the minimum, prior is a weighted sum with
     one weight per utility. Each utility is a function of that person's
-    allocation row. The evaluators are UtilityAggregates, so
-    check_nondegeneracy evaluates them in one array pass.
+    allocation row.
     """
     utilities = tuple(utilities)
     weights = None if prior_weights is None else tuple(float(x) for x in prior_weights)
     return [
-        WelfareFunctional(
-            name, UtilityAggregate(name, utilities, weights if name == "prior" else None)
-        )
+        UtilityAggregate(name, utilities, weights if name == "prior" else None)
         for name in include
     ]
 
@@ -525,7 +507,7 @@ def cake_functionals(
     params: CakeParams,
     prior_weights: Sequence[float] | None = None,
     include: Sequence[str] = ("util", "egal", "rawls", "prior"),
-) -> list[WelfareFunctional]:
+) -> list[UtilityAggregate]:
     scalar = cake_utilities(params)
     row_utils = [lambda row, u=u: u(row[0]) for u in scalar]
     return functionals_from_utilities(row_utils, prior_weights, include)
@@ -535,7 +517,7 @@ def hospital_functionals(
     cohort,
     metric_config=None,
     include: Sequence[str] = ("util", "egal", "rawls", "prior"),
-) -> list[WelfareFunctional]:
+) -> list[UtilityAggregate]:
     """Welfare functionals over a patient cohort, with per-patient utility
     equal to that patient's need-satisfaction score and prioritarian
     weights taken from the metrics configuration."""

@@ -10,7 +10,6 @@ for a remote JSON embedding endpoint. Both return a 1-D float array.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,10 +45,6 @@ class DocumentChunk:
     page_hint: int
     text: str
     ordinal: int
-
-    @property
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -236,72 +231,25 @@ class VectorIndex:
     def __len__(self) -> int:
         return len(self.chunks)
 
-    def save(self, path: str | Path) -> None:
-        obj = {
-            "kind": "vector_index",
-            "schema_version": 1,
-            "dim": self.dim,
-            "chunks": [
-                {
-                    "doc_id": c.doc_id,
-                    "page_hint": c.page_hint,
-                    "text": c.text,
-                    "ordinal": c.ordinal,
-                    "content_hash": c.content_hash,
-                }
-                for c in self.chunks
-            ],
-            "embeddings": self.matrix.tolist(),
-        }
-        Path(path).write_text(json.dumps(obj), encoding="utf-8")
 
-    @classmethod
-    def load(cls, path: str | Path) -> "VectorIndex":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        chunks = []
-        for c in obj["chunks"]:
-            chunk = DocumentChunk(
-                doc_id=c["doc_id"],
-                page_hint=c["page_hint"],
-                text=c["text"],
-                ordinal=c["ordinal"],
-            )
-            if chunk.content_hash != c["content_hash"]:
-                raise ValueError(f"content hash mismatch for {c['doc_id']}#{c['ordinal']}")
-            chunks.append(chunk)
-        return cls(obj["dim"], chunks, obj["embeddings"])
+def index_corpus(chunks: list[DocumentChunk], embedder: Embedder) -> VectorIndex:
+    """Embed every chunk into a cosine index.
 
-
-def index_corpus(
-    chunks: list[DocumentChunk],
-    embedder: Embedder,
-    existing: VectorIndex | None = None,
-) -> VectorIndex:
-    """Embed chunks into a cosine index; re-indexing is idempotent.
-
-    Chunks whose content hash is already present in `existing` are reused
-    without new embedding calls. The first chunk whose embedding raises
-    stops the build with a TransportError naming that chunk, so a dead
-    endpoint costs one chunk's retries, not every chunk's. Vectors of the
-    wrong dimension are reported together, per chunk with their doc ids.
+    The first chunk whose embedding raises stops the build with a
+    TransportError naming that chunk, so a dead endpoint costs one
+    chunk's retries, not every chunk's. Vectors of the wrong dimension
+    are reported together, per chunk with their doc ids.
     """
-    known: dict[str, np.ndarray] = {}
-    if existing is not None:
-        if existing.dim != embedder.dim:
-            raise ValueError("existing index dim does not match the embedder")
-        known = {c.content_hash: row for c, row in zip(existing.chunks, existing.matrix)}
     matrix = np.empty((len(chunks), embedder.dim))
     mismatches = []
     for i, chunk in enumerate(chunks):
-        vec = known.get(chunk.content_hash)
-        if vec is None:
-            try:
-                vec = embedder.embed(chunk.text)
-            except Exception as exc:
-                raise TransportError(f"embedding {chunk.doc_id}#{chunk.ordinal} failed: {exc}") from exc
-            if len(vec) != embedder.dim:
-                mismatches.append(f"{chunk.doc_id}#{chunk.ordinal}: dim {len(vec)} != {embedder.dim}")
-                continue
+        try:
+            vec = embedder.embed(chunk.text)
+        except Exception as exc:
+            raise TransportError(f"embedding {chunk.doc_id}#{chunk.ordinal} failed: {exc}") from exc
+        if len(vec) != embedder.dim:
+            mismatches.append(f"{chunk.doc_id}#{chunk.ordinal}: dim {len(vec)} != {embedder.dim}")
+            continue
         matrix[i] = vec
     if mismatches:
         raise RuntimeError("embedding dimension mismatch: " + "; ".join(mismatches))

@@ -38,7 +38,6 @@ __all__ = [
     "WilcoxonResult",
     "ComparisonReport",
     "pair_reports",
-    "pair_and_filter",
     "wilcoxon_signed_rank",
     "cohens_d",
     "bootstrap_ci",
@@ -98,20 +97,6 @@ def pair_reports(entries, metric: str) -> PairedSample:
         a_vals.append(report_a.value(metric))
         b_vals.append(report_b.value(metric))
     return PairedSample(tuple(ids), tuple(a_vals), tuple(b_vals))
-
-
-def pair_and_filter(transcripts, metric: str) -> PairedSample:
-    """Pair the final reports of completed transcripts (see pair_reports).
-
-    All transcripts must share the same framework and opponent kind.
-    """
-    configs = {(t.config.framework, t.config.opponent_kind) for t in transcripts}
-    if len(configs) > 1:
-        raise ValueError(f"transcripts mix configurations: {sorted(configs)}")
-    return pair_reports(
-        [(t.cohort.cohort_id, t.final_reports) for t in transcripts if t.completed],
-        metric,
-    )
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from triage_arena.agents import ScriptedBackend, build_profile, replay_agent
+from triage_arena.agents import ReplayBackend, ScriptedBackend, build_profile
 from triage_arena.arena import (
     AgentSpec,
     DebateConfig,
@@ -304,8 +304,8 @@ def test_criterion_05_reference_transcript_replay():
     cohort = fixtures.cohort
     profile_a, system_a = build_profile(ProfileKind.ALIGNED, Framework.UTILITARIAN)
     profile_b, system_b = build_profile(ProfileKind.BASELINE)
-    agent_a = AgentSpec("A", replay_agent(fixtures.round_texts["A"]), profile_a, system_a)
-    agent_b = AgentSpec("B", replay_agent(fixtures.round_texts["B"]), profile_b, system_b)
+    agent_a = AgentSpec("A", ReplayBackend(fixtures.round_texts["A"]), profile_a, system_a)
+    agent_b = AgentSpec("B", ReplayBackend(fixtures.round_texts["B"]), profile_b, system_b)
     transcript = run_debate(cohort, agent_a, agent_b, DebateConfig(rounds=3))
     assert transcript.completed
 

@@ -13,6 +13,7 @@ from triage_arena.agents import (
     _render_with_justification,
     ChatBackendConfig,
     ChatTransportError,
+    ReplayBackend,
     ReplayExhaustedError,
     ScriptedBackend,
     build_profile,
@@ -20,7 +21,6 @@ from triage_arena.agents import (
     chat_generate,
     default_disfavored,
     framework_preamble,
-    replay_agent,
     scripted_biased,
     scripted_rawlsian,
     scripted_utilitarian,
@@ -248,7 +248,7 @@ class TestScriptedBackendContract:
 
 class TestReplay:
     def test_returns_texts_in_order_then_errors(self):
-        backend = replay_agent(["one", "two", "three"])
+        backend = ReplayBackend(["one", "two", "three"])
         ctx = None
         assert [backend.generate("", ctx) for _ in range(3)] == ["one", "two", "three"]
         with pytest.raises(ReplayExhaustedError):
@@ -295,6 +295,8 @@ def chat_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
 
 
 class TestChatClient:

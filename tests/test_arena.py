@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triage_arena import arena as arena_mod
-from triage_arena.agents import ScriptedBackend, replay_agent
+from triage_arena.agents import ReplayBackend, ScriptedBackend
 from triage_arena.arena import (
     AgentSpec,
     DebateConfig,
@@ -239,14 +239,14 @@ class TestRunDebate:
 
         agent_a, agent_b = scripted_pair()
         flaky = AgentSpec(label="A", backend=SecondTimeLucky(), profile=agent_a.profile)
-        transcript = run_debate(cohort, flaky, agent_b, DebateConfig(rounds=1, max_parse_retries=1))
+        transcript = run_debate(cohort, flaky, agent_b, DebateConfig(rounds=1))
         assert transcript.completed
 
     def test_infeasible_proposals_recorded_not_repaired(self, cohort):
         too_much = "\n".join(
             f"Patient {i}: [5, 5, 50, 50, 50, 5]" for i in range(1, cohort.n + 1)
         )
-        backend = replay_agent([too_much], name="replay:over")
+        backend = ReplayBackend([too_much], name="replay:over")
         agent_a, agent_b = scripted_pair()
         over = AgentSpec(label="A", backend=backend, profile=agent_a.profile)
         transcript = run_debate(cohort, over, agent_b, DebateConfig(rounds=1))
@@ -272,12 +272,13 @@ class TestRunDebate:
         run_debate(cohort, agent_a, recorder, DebateConfig(rounds=1))
         assert "Round 1, Agent A proposed" in seen_prompts[0]
 
-    def test_speaking_order_configurable(self, cohort):
+    def test_a_speaks_first_in_every_round(self, cohort):
         agent_a, agent_b = scripted_pair()
-        reversed_config = DebateConfig(rounds=1, speaking_order=("opponent", "A"))
-        transcript = run_debate(cohort, agent_a, agent_b, reversed_config)
-        assert transcript.history.proposals[0].agent == "B"
-        assert transcript.history.proposals[1].agent == "A"
+        transcript = run_debate(cohort, agent_a, agent_b, DebateConfig(rounds=2))
+        assert [(p.round, p.agent) for p in transcript.history.proposals] == [
+            (1, "A"), (1, "B"), (2, "A"), (2, "B")
+        ]
+        assert transcript_to_json(transcript)["config"]["speaking_order"] == ["A", "opponent"]
 
     def test_retrieval_logs_recorded_per_call(self, cohort):
         from triage_arena.retrieval import (
@@ -397,8 +398,8 @@ class TestJointAndEmergence:
         shared = "\n".join(
             f"Patient {i}: [0, 0, 2, 0, 2, 0]" for i in range(1, cohort.n + 1)
         )
-        spec_a = AgentSpec(label="A", backend=replay_agent([shared]), profile=agent_a.profile)
-        spec_b = AgentSpec(label="B", backend=replay_agent([shared]), profile=agent_b.profile)
+        spec_a = AgentSpec(label="A", backend=ReplayBackend([shared]), profile=agent_a.profile)
+        spec_b = AgentSpec(label="B", backend=ReplayBackend([shared]), profile=agent_b.profile)
         transcript = run_debate(cohort, spec_a, spec_b, DebateConfig(rounds=1))
         joint, note = default_joint_allocation(
             transcript.final_allocations["A"],

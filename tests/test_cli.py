@@ -22,7 +22,7 @@ from triage_arena.arena import transcript_from_json
 from triage_arena.cli import main
 from triage_arena.metrics import METRIC_NAMES
 from triage_arena.model import canonical_json
-from triage_arena.stats import cell_seed, compare_cell, pair_and_filter
+from triage_arena.stats import cell_seed, compare_cell, pair_reports
 
 # Outputs of the small_run pipeline (seed 7, batch 6, scripted Rawlsian vs
 # biased) and of `stats` and `report` over it with default options.
@@ -110,8 +110,9 @@ class TestGenCohorts:
         cohort = json.loads((out / "cohort_0000.json").read_text())
         assert cohort["capacity"]["supply"] == [2, 1, 45, 35, 60, 2]
 
-    def test_custom_slots_file(self, tmp_path):
-        slots = {
+    @staticmethod
+    def _slots(count=3):
+        return {
             "slots": [
                 {
                     "slot_id": f"slot_custom_{i}",
@@ -127,11 +128,13 @@ class TestGenCohorts:
                     "occupation_options": ["Worker"],
                     "family_options": ["None"],
                 }
-                for i in range(3)
+                for i in range(count)
             ]
         }
+
+    def test_custom_slots_file(self, tmp_path):
         slots_file = tmp_path / "slots.json"
-        slots_file.write_text(json.dumps(slots))
+        slots_file.write_text(json.dumps(self._slots()))
         out = tmp_path / "custom"
         assert main([
             "gen-cohorts", "--seed", "1", "--batch", "2",
@@ -140,6 +143,18 @@ class TestGenCohorts:
         cohort = json.loads((out / "cohort_0000.json").read_text())
         assert len(cohort["patients"]) == 3
         assert all(p["slot_id"].startswith("slot_custom") for p in cohort["patients"])
+
+    def test_slot_without_age_range_is_config_error(self, tmp_path, capsys):
+        slots = self._slots()
+        del slots["slots"][1]["age_range"]
+        slots_file = tmp_path / "slots.json"
+        slots_file.write_text(json.dumps(slots))
+        out = tmp_path / "custom"
+        code = main(["gen-cohorts", "--batch", "1", "--slots-file", str(slots_file), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"invalid slots file {slots_file}: KeyError: 'age_range'" in err
+        assert not out.exists()
 
 
 class TestRun:
@@ -367,10 +382,20 @@ class TestReplayAndEval:
         for f in source:
             (transcripts / f.name).write_text(f.read_text())
         (transcripts / "transcript_bad_0099.json").write_text("{not json")
+        # transcripts recorded under another protocol are not relabelled
+        for name, field, value in [
+            ("transcript_reordered_0098.json", "speaking_order", ["opponent", "A"]),
+            ("transcript_retries_0097.json", "max_parse_retries", 2),
+        ]:
+            obj = json.loads(source[0].read_text())
+            obj["config"][field] = value
+            (transcripts / name).write_text(json.dumps(obj))
         out = tmp_path / "evalc"
         assert main(["eval", "--transcripts", str(transcripts), "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert "1 corrupt" in captured.out
+        assert "3 corrupt" in captured.out
+        for name in ("transcript_reordered_0098.json", "transcript_retries_0097.json"):
+            assert f"{name}: speaking order and parse retries" in captured.err
         assert len(list(out.glob("eval_*.json"))) == 2
 
 
@@ -424,7 +449,10 @@ class TestStats:
         ]
         expected = [
             compare_cell(
-                pair_and_filter(transcripts, metric),
+                pair_reports(
+                    [(t.cohort.cohort_id, t.final_reports) for t in transcripts if t.completed],
+                    metric,
+                ),
                 framework="Rawlsian",
                 metric=metric,
                 bootstrap_seed=cell_seed(42, "Rawlsian", metric),
@@ -486,6 +514,8 @@ class TestChatBackendIntegration:
         thread.start()
         yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", Handler
         server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
 
     def test_chat_run_with_retrieval_corpus(self, small_run, tmp_path, allocation_server):
         from importlib import resources
@@ -709,6 +739,20 @@ class TestVerifyCake:
         params.write_text(json.dumps({"gamma": 0.9, "beta": 0.5}))
         assert main(["verify-cake", "--params-file", str(params)]) == 2
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ({"lamda": 0.0}, "unknown cake parameters: lamda"),
+            (["lambda", 0.0], "invalid params file"),
+        ],
+        ids=["misspelt-key", "not-an-object"],
+    )
+    def test_unknown_or_malformed_params_are_config_errors(self, tmp_path, capsys, content, reason):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(content))
+        assert main(["verify-cake", "--params-file", str(params)]) == 2
+        assert reason in capsys.readouterr().err
+
 
 class TestCheckNondegeneracy:
     def test_cake_non_degenerate_on_coarse_grid(self, tmp_path, capsys):
@@ -747,6 +791,15 @@ class TestCheckNondegeneracy:
         )
         assert code == 2
         assert "repeated functional identifiers: util" in capsys.readouterr().err
+
+    def test_unknown_param_keys_are_usage_error(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"xbar4": 0.2, "lamda": 0.0, "xmn": 0.1}))
+        code = main(["check-nondegeneracy", "--params-file", str(params), "--step", "0.1"])
+        assert code == 2
+        assert f"invalid params file {params}: ValueError: unknown cake parameters: lamda, xmn" in (
+            capsys.readouterr().err
+        )
 
     def test_prior_weights_of_wrong_length_are_usage_error(self, capsys):
         code = main(["check-nondegeneracy", "--step", "0.1", "--prior-weights", "1,2"])
@@ -805,6 +858,14 @@ class TestReportAndValidate:
             ]
         )
         assert code == 3
+
+    def test_file_that_is_not_a_manifest_is_usage_error(self, small_run, tmp_path, capsys):
+        not_manifest = sorted((small_run / "transcripts").glob("transcript_*.json"))[0]
+        out = tmp_path / "r.md"
+        code = main(["report", "--run-manifest", str(not_manifest), "--out", str(out)])
+        assert code == 2
+        assert f"invalid manifest file {not_manifest}: KeyError: 'run_id'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validate_flags_corruption(self, small_run, tmp_path, capsys):
         bad_dir = tmp_path / "bad"

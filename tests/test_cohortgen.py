@@ -100,11 +100,6 @@ class TestGenerateCohort:
         with pytest.raises(CohortGenerationError, match="seed 5"):
             generate_cohort(5, config)
 
-    def test_shuffle_disabled_keeps_slot_order(self):
-        config = SamplerConfig(master_seed=0, batch_size=1, shuffle_slots=False)
-        cohort = generate_cohort(11, config)
-        assert [p.slot_id for p in cohort.patients] == [s.slot_id for s in config.slots]
-
     def test_labels_consistent_with_probabilities(self, sampler_config):
         rng = np.random.Generator(np.random.Philox(41))
         for _ in range(100):

@@ -276,21 +276,6 @@ class TestMetricReport:
         restored = MetricReport.from_json(report.to_json())
         assert restored == report
 
-    def test_nursing_gini_source(self, cohort):
-        config = MetricConfig.default()
-        nursing_config = MetricConfig(
-            attribute_scores=config.attribute_scores,
-            age_bands=config.age_bands,
-            kind_weights=config.kind_weights,
-            gini_source="nursing",
-        )
-        rows = [[0.0] * 6 for _ in range(cohort.n)]
-        rows[0][4] = 10.0  # all nursing to one patient
-        alloc = Allocation(tuple(map(tuple, rows)))
-        report = metric_report(cohort, alloc, nursing_config)
-        n = cohort.n
-        assert report.gini == pytest.approx((n - 1) / n)
-
 
 class TestInvariants:
     def test_directions_table(self):

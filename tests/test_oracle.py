@@ -16,7 +16,6 @@ from triage_arena.oracle import (
     DiscretizedSpace,
     EnumerationBoundExceeded,
     UtilityAggregate,
-    WelfareFunctional,
     argmax_set,
     cake_functionals,
     cake_space,
@@ -102,13 +101,13 @@ class TestEnumeration:
 class TestArgmaxSet:
     def test_constant_functional_returns_entire_space(self):
         space = small_space()
-        constant = WelfareFunctional("const", lambda a: 1.0)
+        constant = lambda a: 1.0
         assert len(argmax_set(constant, space)) == candidate_count(space)
 
     def test_matches_naive_full_scan(self):
         # independent oracle: materialize the grid, evaluate, filter
         space = small_space(step=0.25, n=3)
-        w = WelfareFunctional("w", lambda a: a.rows[0][0] - a.rows[2][0] ** 2)
+        w = lambda a: a.rows[0][0] - a.rows[2][0] ** 2
         everything = list(enumerate_allocations(space))
         values = [w(a) for a in everything]
         best = max(values)
@@ -119,7 +118,7 @@ class TestArgmaxSet:
 
     def test_tol_zero_exact_maximizers(self):
         space = small_space(step=0.5, n=2)
-        w = WelfareFunctional("sum", lambda a: a.rows[0][0] + a.rows[1][0])
+        w = lambda a: a.rows[0][0] + a.rows[1][0]
         maximizers = argmax_set(w, space, tol=0.0)
         assert {tuple(r[0] for r in a.rows) for a in maximizers} == {(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)}
 
@@ -159,8 +158,10 @@ class TestCakeUtilities:
 class TestCheckNondegeneracy:
     def test_identical_functionals_degenerate(self):
         space = small_space(step=0.5, n=2)
-        w1 = WelfareFunctional("w1", lambda a: a.rows[0][0])
-        w2 = WelfareFunctional("w2", lambda a: a.rows[0][0])
+        # with unit weights prior is util, so the two share every maximizer
+        utilities = (lambda row: row[0], lambda row: 0.0)
+        w1 = UtilityAggregate("util", utilities)
+        w2 = UtilityAggregate("prior", utilities, (1.0, 1.0))
         report = check_nondegeneracy([w1, w2], space)
         assert report.degenerate
         assert report.witness is not None
@@ -168,7 +169,13 @@ class TestCheckNondegeneracy:
 
     def test_requires_two_functionals(self):
         with pytest.raises(ValueError):
-            check_nondegeneracy([WelfareFunctional("w", lambda a: 0.0)], small_space())
+            check_nondegeneracy([UtilityAggregate("util", (lambda row: 0.0,) * 2)], small_space())
+
+    def test_rejects_functionals_that_are_not_aggregates(self):
+        utilities = (lambda row: row[0],) * 2
+        bare = lambda alloc: alloc.rows[0][0]
+        with pytest.raises(ValueError, match="not a UtilityAggregate"):
+            check_nondegeneracy([UtilityAggregate("util", utilities), bare], small_space())
 
     def test_cake_problem_non_degenerate_on_coarse_grid(self):
         params = CakeParams(xbar4=0.2, xmin=0.2)
@@ -236,14 +243,14 @@ class TestPriorWeights:
         functionals = cake_functionals(
             CakeParams(), prior_weights=[1.0, 2.0], include=("util", "rawls")
         )
-        assert [W.identifier for W in functionals] == ["util", "rawls"]
+        assert [W.kind for W in functionals] == ["util", "rawls"]
 
 
 def _scan_report(functionals, space, tol=1e-9):
     """Reference report: one argmax_set scan per functional, intersected
     as sets of allocation rows, witnesses the smallest sorted rows."""
-    sets = {W.identifier: {a.rows for a in argmax_set(W, space, tol)} for W in functionals}
-    names = [W.identifier for W in functionals]
+    sets = {W.kind: {a.rows for a in argmax_set(W, space, tol)} for W in functionals}
+    names = [W.kind for W in functionals]
     common = set.intersection(*sets.values())
     pairs = []
     for a, b in itertools.combinations(names, 2):
@@ -268,9 +275,7 @@ def _scan_report(functionals, space, tol=1e-9):
 
 def _assert_matches_scan(functionals, space, tol=1e-9):
     ref_sets, ref = _scan_report(functionals, space, tol)
-    aggregates = [W for W in functionals if isinstance(W.evaluator, UtilityAggregate)]
-    fast_sets = _grid_argmax_rows(aggregates, space, tol)
-    assert fast_sets == {W.identifier: ref_sets[W.identifier] for W in aggregates}
+    assert _grid_argmax_rows(functionals, space, tol) == ref_sets
     obj = check_nondegeneracy(functionals, space, tol).to_json()
     assert {key: obj[key] for key in ref} == ref
 
@@ -346,9 +351,7 @@ class TestArrayPassParity:
             step=0.25, capacity=ResourceCapacity(supply=(1.0, 0.5)), n=3
         )
         functionals = functionals_from_utilities(utilities, weights, include)
-        # a bare evaluator in the mix keeps going through argmax_set
-        bare = WelfareFunctional("bare", lambda alloc: alloc.rows[0][1])
-        _assert_matches_scan(functionals + [bare], space)
+        _assert_matches_scan(functionals, space)
 
     @pytest.mark.parametrize("kind", _KINDS)
     def test_over_grid_replicates_scalar_arithmetic(self, kind):
@@ -395,7 +398,7 @@ class TestHospitalFunctionals:
         from conftest import random_allocation
 
         functionals = hospital_functionals(cohort, metric_config)
-        by_name = {f.identifier: f for f in functionals}
+        by_name = {f.kind: f for f in functionals}
         rng = np.random.Generator(np.random.Philox(43))
         alloc = random_allocation(rng, n=cohort.n)
         vec = cnss_vector(cohort, alloc)

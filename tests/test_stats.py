@@ -19,7 +19,7 @@ from triage_arena.stats import (
     cell_seed,
     cohens_d,
     compare_cell,
-    pair_and_filter,
+    pair_reports,
     results_to_csv,
     results_to_markdown,
     wilcoxon_signed_rank,
@@ -236,7 +236,9 @@ class TestPairedSample:
 
 
 class TestPairAndFilter:
-    def _fake_transcripts(self, feasible_pairs):
+    def _fake_entries(self, feasible_pairs):
+        """(cohort_id, final reports) of one-round scripted debates, the
+        opponent over capacity in the cohorts marked infeasible."""
         from triage_arena.agents import ScriptedBackend, build_profile
         from triage_arena.arena import AgentSpec, DebateConfig, run_debate
         from triage_arena.cohortgen import SamplerConfig, generate_cohort
@@ -245,52 +247,41 @@ class TestPairAndFilter:
         config = SamplerConfig(master_seed=3, batch_size=1)
         profile_a, sys_a = build_profile(ProfileKind.ALIGNED, Framework.RAWLSIAN)
         profile_b, sys_b = build_profile(ProfileKind.BASELINE)
-        transcripts = []
+        entries = []
         for cohort_id, make_infeasible in feasible_pairs:
             cohort = generate_cohort(1000 + cohort_id, config, cohort_id=cohort_id)
             agent_a = AgentSpec("A", ScriptedBackend("rawlsian"), profile_a, sys_a)
             if make_infeasible:
-                from triage_arena.agents import replay_agent
+                from triage_arena.agents import ReplayBackend
 
                 over = "\n".join(
                     f"Patient {i}: [9, 9, 99, 99, 99, 9]" for i in range(1, cohort.n + 1)
                 )
-                agent_b = AgentSpec("B", replay_agent([over] * 3), profile_b, sys_b)
+                agent_b = AgentSpec("B", ReplayBackend([over] * 3), profile_b, sys_b)
             else:
                 agent_b = AgentSpec("B", ScriptedBackend("utilitarian"), profile_b, sys_b)
-            transcripts.append(
-                run_debate(cohort, agent_a, agent_b, DebateConfig(rounds=1))
-            )
-        return transcripts
+            transcript = run_debate(cohort, agent_a, agent_b, DebateConfig(rounds=1))
+            entries.append((cohort_id, transcript.final_reports))
+        return entries
 
     def test_all_feasible_keeps_everything(self):
-        transcripts = self._fake_transcripts([(0, False), (1, False), (2, False)])
-        sample = pair_and_filter(transcripts, "rmg")
+        entries = self._fake_entries([(0, False), (1, False), (2, False)])
+        sample = pair_reports(entries, "rmg")
         assert sample.n == 3
         assert sample.cohort_ids == (0, 1, 2)
 
     def test_one_infeasible_excludes_that_cohort_entirely(self):
-        transcripts = self._fake_transcripts([(0, False), (32, True), (40, False)])
-        sample = pair_and_filter(transcripts, "rmg")
+        entries = self._fake_entries([(0, False), (32, True), (40, False)])
+        sample = pair_reports(entries, "rmg")
         assert sample.cohort_ids == (0, 40)
 
     def test_empty_input_gives_empty_sample(self):
-        sample = pair_and_filter([], "esg")
+        sample = pair_reports([], "esg")
         assert sample.n == 0
         report = compare_cell(sample, "Rawlsian", "esg")
         assert report.n == 0
         assert report.winner == "tie"
         assert report.degenerate
-
-    def test_mixed_configurations_rejected(self):
-        transcripts = self._fake_transcripts([(0, False)])
-        import dataclasses
-
-        other = dataclasses.replace(
-            transcripts[0], config=dataclasses.replace(transcripts[0].config, framework="Egalitarian")
-        )
-        with pytest.raises(ValueError, match="mix"):
-            pair_and_filter(transcripts + [other], "rmg")
 
 
 class TestAggregation:
