@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from math import isfinite
 
 from .metrics import METRIC_DIRECTIONS, MetricConfig, MetricReport, metric_reports
 from .model import (
@@ -23,6 +24,7 @@ from .model import (
     ProfileKind,
     RESOURCE_NAMES,
     ResourceCapacity,
+    _IS_NEGATIVE,
     column_totals,
     validate_allocation,
 )
@@ -57,21 +59,20 @@ class ParseError(ValueError):
 
 
 def _format_quantity(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
+    return str(int(v)) if v.is_integer() else repr(v)
 
 
 def render_allocation(alloc: Allocation) -> str:
     """Canonical one-line-per-patient rendering plus a totals line."""
     lines = [
-        f"Patient {i + 1}: [" + ", ".join(_format_quantity(v) for v in row) + "]"
-        for i, row in enumerate(alloc.rows)
+        f"Patient {i}: [{', '.join(map(_format_quantity, row))}]"
+        for i, row in enumerate(alloc.rows, 1)
     ]
-    totals = column_totals(alloc)
-    lines.append("Total: [" + ", ".join(_format_quantity(v) for v in totals) + "]")
+    lines.append(f"Total: [{', '.join(map(_format_quantity, column_totals(alloc)))}]")
     return "\n".join(lines)
 
 
-_ROW_RE = re.compile(r"(?:patient|p)\s*(\d+)\s*[:\-]?\s*\[([^\]\n]*)\]", re.IGNORECASE)
+_ROW_RE = re.compile(r"\b(?:patient|p)\s*(\d+)\s*[:\-]?\s*\[([^\]\n]*)\]", re.IGNORECASE)
 _NUM_RE = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
@@ -81,39 +82,48 @@ def parse_allocation(text: str, n: int, k: int = 6) -> tuple[Allocation, list[st
     Accepts integers and decimals, rows in any order, and "P3" as well as
     "Patient 3". Missing patients become zero rows with a warning;
     duplicate rows keep the last occurrence with a warning; negative
-    entries are clamped to zero with a warning. Raises ParseError when no
-    recognizable patient vector is found.
+    entries are clamped to zero with a warning; a row with the wrong
+    number of quantities, or with one too large to be finite, is ignored
+    with a warning. Raises ParseError when no recognizable patient vector
+    is found.
     """
     warnings: list[str] = []
     rows: dict[int, tuple[float, ...]] = {}
-    for match in _ROW_RE.finditer(text):
-        pid = int(match.group(1))
-        values = [float(m.group(0)) for m in _NUM_RE.finditer(match.group(2))]
+    for pid_text, body in _ROW_RE.findall(text):
+        pid = int(pid_text)
+        values = list(map(float, _NUM_RE.findall(body)))
         if len(values) != k:
             warnings.append(
                 f"patient {pid}: expected {k} quantities, found {len(values)}; line ignored"
             )
             continue
+        if not all(map(isfinite, values)):
+            j = next(j for j, v in enumerate(values) if not isfinite(v))
+            warnings.append(
+                f"patient {pid}: quantity {values[j]} for {RESOURCE_NAMES[j]} "
+                f"is not finite; line ignored"
+            )
+            continue
         if pid < 1 or pid > n:
             warnings.append(f"patient id {pid} outside 1..{n}; line ignored")
             continue
-        clamped = []
-        for j, v in enumerate(values):
-            if v < 0:
-                warnings.append(
-                    f"patient {pid}: negative quantity {v} for {RESOURCE_NAMES[j]} clamped to 0"
-                )
-                v = 0.0
-            clamped.append(v)
+        if any(map(_IS_NEGATIVE, values)):
+            for j, v in enumerate(values):
+                if v < 0:
+                    warnings.append(
+                        f"patient {pid}: negative quantity {v} for {RESOURCE_NAMES[j]} clamped to 0"
+                    )
+                    values[j] = 0.0
         if pid in rows:
             warnings.append(f"duplicate line for patient {pid}; keeping the last one")
-        rows[pid] = tuple(clamped)
+        rows[pid] = tuple(values)
     if not rows:
         raise ParseError("no recognizable patient allocation lines", text)
+    zero_row = (0.0,) * k
     for pid in range(1, n + 1):
         if pid not in rows:
             warnings.append(f"patient {pid} missing; defaulted to a zero row")
-            rows[pid] = tuple(0.0 for _ in range(k))
+            rows[pid] = zero_row
     alloc = Allocation(tuple(rows[pid] for pid in range(1, n + 1)))
     return alloc, warnings
 
@@ -311,11 +321,17 @@ def run_debate(
     must return a RetrievalResult; it is only consulted for profiles with
     retrieval enabled. A speaks first in every round. Parse failures are
     retried with a format reminder up to MAX_PARSE_RETRIES times, then
-    recorded as a failed transcript with the raw text preserved.
+    recorded as a failed transcript with the raw text preserved. A reply
+    text seen before in the debate reuses its parse and feasibility
+    verdict.
     """
     history = InteractionHistory()
     failed = None
     order = (agent_a, agent_b)
+    # reply text -> (allocation, parse warnings, feasibility): a text the
+    # agents repeat is parsed and checked once; one that fails to parse
+    # is never stored, so it is retried every time
+    parsed: dict[str, tuple[Allocation, tuple[str, ...], FeasibilityResult]] = {}
     for round_t in range(1, config.rounds + 1):
         for spec in order:
             retrieved = None
@@ -338,31 +354,39 @@ def run_debate(
                 profile=spec.profile,
             )
             text = spec.backend.generate(prompt, ctx)
-            alloc = None
-            warnings: list[str] = []
+            checked = None
             for attempt in range(MAX_PARSE_RETRIES + 1):
+                checked = parsed.get(text)
+                if checked is not None:
+                    break
                 try:
                     alloc, warnings = parse_allocation(text, cohort.n)
-                    break
                 except ParseError:
-                    if attempt >= MAX_PARSE_RETRIES:
-                        break
-                    reminder = (
-                        prompt
-                        + "\n\nYour previous reply could not be parsed. "
-                        + _FORMAT_INSTRUCTION
-                    )
-                    text = spec.backend.generate(reminder, ctx)
-            if alloc is None:
+                    if attempt < MAX_PARSE_RETRIES:
+                        reminder = (
+                            prompt
+                            + "\n\nYour previous reply could not be parsed. "
+                            + _FORMAT_INSTRUCTION
+                        )
+                        text = spec.backend.generate(reminder, ctx)
+                    continue
+                checked = parsed[text] = (
+                    alloc,
+                    tuple(warnings),
+                    validate_allocation(alloc, cohort.capacity),
+                )
+                break
+            if checked is None:
                 failed = {"agent": spec.label, "round": round_t, "raw_text": text}
                 break
+            alloc, warnings, feasibility = checked
             proposal = Proposal(
                 agent=spec.label,
                 round=round_t,
                 allocation=alloc,
                 justification=_extract_justification(text),
-                parse_warnings=tuple(warnings),
-                feasibility=validate_allocation(alloc, cohort.capacity),
+                parse_warnings=warnings,
+                feasibility=feasibility,
                 raw_text=text,
             )
             history = history.with_proposal(proposal)

@@ -326,17 +326,20 @@ def metric_reports(cohort: Cohort, allocs, config: MetricConfig | None = None) -
     """One MetricReport per allocation of the cohort, in order.
 
     The weights depend only on the cohort and the config, so both
-    schemes are computed once for all the allocations.
+    schemes are computed once for all the allocations. Equal allocations
+    share one report, computed once.
     """
     if config is None:
         config = MetricConfig.default()
     w_prior = compute_weights(cohort, WeightKind.PRIORITARIAN, config)
     w_care = compute_weights(cohort, WeightKind.CARE, config)
+    by_alloc: dict[Allocation, MetricReport] = {}
     reports = []
     for alloc in allocs:
-        vec = cnss_vector(cohort, alloc)
-        reports.append(
-            MetricReport(
+        report = by_alloc.get(alloc)
+        if report is None:
+            vec = cnss_vector(cohort, alloc)
+            report = by_alloc[alloc] = MetricReport(
                 esg=_esg_of(cohort, vec),
                 rmg=rmg(vec),
                 variance=variance(vec),
@@ -347,5 +350,5 @@ def metric_reports(cohort: Cohort, allocs, config: MetricConfig | None = None) -
                 cnss=vec,
                 gini_degenerate=sum(vec.values) == 0,
             )
-        )
+        reports.append(report)
     return reports

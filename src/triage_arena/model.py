@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring as _encode_str
 
 __all__ = [
@@ -42,6 +43,9 @@ RESOURCE_NAMES = ("ICU", "Vent", "MedA", "MedB", "Nursing", "Surgery")
 # Absolute tolerance on column sums when checking feasibility. Quantities in
 # real transcripts are small integers, so this cannot flip a verdict on them.
 FEASIBILITY_TOL = 1e-9
+
+# `_IS_NEGATIVE(v)` is `v < 0` as a builtin, for map() over many entries
+_IS_NEGATIVE = (0.0).__gt__
 
 
 class TransportError(RuntimeError):
@@ -324,17 +328,19 @@ class Allocation:
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(float(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(map(float, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise ValueError("allocation must have at least one row")
         k = len(rows[0])
         if any(len(r) != k for r in rows):
             raise ValueError("allocation rows must all have the same length")
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v < 0:
-                    raise ValueError(f"allocation entry [{i}][{j}] = {v} is negative")
+        # NaN and -0.0 compare false, so they pass, as a per-entry `v < 0` did
+        if any(map(_IS_NEGATIVE, chain.from_iterable(rows))):
+            i, j, v = next(
+                (i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v < 0
+            )
+            raise ValueError(f"allocation entry [{i}][{j}] = {v} is negative")
 
     @property
     def n(self) -> int:
@@ -361,7 +367,7 @@ class Allocation:
 
 def column_totals(alloc: Allocation) -> tuple[float, ...]:
     """Per-resource totals over all patients."""
-    return tuple(sum(row[j] for row in alloc.rows) for j in range(alloc.k))
+    return tuple(map(sum, zip(*alloc.rows)))
 
 
 @dataclass(frozen=True)

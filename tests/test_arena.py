@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -33,6 +34,7 @@ from triage_arena.model import (
     BiasSource,
     Framework,
     ProfileKind,
+    RESOURCE_NAMES,
     canonical_json,
     capacity_for_variant,
 )
@@ -68,7 +70,132 @@ def scripted_pair(framework=Framework.RAWLSIAN, opponent="baseline"):
     return agent_a, agent_b
 
 
+# The row-by-row parser as it stood before it moved to findall and map,
+# with a word boundary before the row label and non-finite rows ignored.
+_REF_ROW_RE = re.compile(r"\b(?:patient|p)\s*(\d+)\s*[:\-]?\s*\[([^\]\n]*)\]", re.IGNORECASE)
+_REF_NUM_RE = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def reference_parse_allocation(text, n, k=6):
+    warnings = []
+    rows = {}
+    for match in _REF_ROW_RE.finditer(text):
+        pid = int(match.group(1))
+        values = [float(m.group(0)) for m in _REF_NUM_RE.finditer(match.group(2))]
+        if len(values) != k:
+            warnings.append(
+                f"patient {pid}: expected {k} quantities, found {len(values)}; line ignored"
+            )
+            continue
+        infinite = [j for j, v in enumerate(values) if not math.isfinite(v)]
+        if infinite:
+            j = infinite[0]
+            warnings.append(
+                f"patient {pid}: quantity {values[j]} for {RESOURCE_NAMES[j]} "
+                f"is not finite; line ignored"
+            )
+            continue
+        if pid < 1 or pid > n:
+            warnings.append(f"patient id {pid} outside 1..{n}; line ignored")
+            continue
+        clamped = []
+        for j, v in enumerate(values):
+            if v < 0:
+                warnings.append(
+                    f"patient {pid}: negative quantity {v} for {RESOURCE_NAMES[j]} clamped to 0"
+                )
+                v = 0.0
+            clamped.append(v)
+        if pid in rows:
+            warnings.append(f"duplicate line for patient {pid}; keeping the last one")
+        rows[pid] = tuple(clamped)
+    if not rows:
+        raise ParseError("no recognizable patient allocation lines", text)
+    for pid in range(1, n + 1):
+        if pid not in rows:
+            warnings.append(f"patient {pid} missing; defaulted to a zero row")
+            rows[pid] = tuple(0.0 for _ in range(k))
+    return Allocation(tuple(rows[pid] for pid in range(1, n + 1))), warnings
+
+
+_QUANTITY = st.one_of(
+    st.integers(min_value=-20, max_value=20).map(str),
+    st.builds(lambda a, b: f"{a}.{b}", st.integers(-9, 9), st.integers(0, 999)),
+    st.builds(
+        lambda m, e: f"{m}e{e}",
+        st.sampled_from(["1", "-1", "2.5", "+3", "-0"]),
+        st.sampled_from(["0", "2", "-3", "+1", "400", "-400", "308", "309"]),
+    ),
+    st.sampled_from(["0", "-0", "+0", "0.0", "-0.0", "2e400", "-2e400", "9" * 400]),
+)
+_ROW_LINE = st.builds(
+    lambda label, gap, pid, sep, values, comma: (
+        f"{label}{gap}{pid}{sep}[{comma.join(values)}]"
+    ),
+    st.sampled_from(["Patient", "patient", "PATIENT", "pAtIeNt", "P", "p"]),
+    st.sampled_from(["", " ", "  "]),
+    st.integers(min_value=0, max_value=6),
+    st.sampled_from([":", ": ", " - ", "-", "", " "]),
+    st.one_of(
+        st.lists(_QUANTITY, min_size=6, max_size=6),
+        st.lists(_QUANTITY, min_size=0, max_size=8),
+    ),
+    st.sampled_from([", ", ",", " ", "; "]),
+)
+_JUNK_LINE = st.one_of(
+    st.sampled_from([
+        "Summary by group 2: [0, 1, 2, 3, 4, 5]",
+        "Step 1: [9, 9, 9, 9, 9, 9]",
+        "Total: [3, 2, 60, 50, 80, 3]",
+        "Justification: patients first, p1 and P2 [noted].",
+        "xP3: [1, 1, 1, 1, 1, 1]",
+        "",
+    ]),
+    st.text(alphabet="Pp:[] ,.-+eE0123456789atienx", max_size=40),
+)
+
+
 class TestParser:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(_ROW_LINE, _ROW_LINE, _JUNK_LINE), max_size=10),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_matches_the_row_by_row_reference(self, lines, n):
+        text = "\n".join(lines)
+        try:
+            expected = reference_parse_allocation(text, n)
+        except ParseError:
+            with pytest.raises(ParseError):
+                parse_allocation(text, n)
+            return
+        alloc, warnings = parse_allocation(text, n)
+        assert repr(alloc.rows) == repr(expected[0].rows)  # -0.0 kept apart from 0.0
+        assert warnings == expected[1]
+
+    @pytest.mark.parametrize(
+        "line", ["Summary by group 2: [0, 1, 2, 3, 4, 5]", "Step 1: [9, 9, 9, 9, 9, 9]"]
+    )
+    def test_label_inside_a_word_is_not_a_patient_row(self, line):
+        text = "Patient 1: [0, 0, 1, 0, 1, 0]\nPatient 2: [1, 0, 0, 0, 1, 0]\n" + line
+        alloc, warnings = parse_allocation(text, n=2)
+        assert alloc.rows == ((0, 0, 1, 0, 1, 0), (1, 0, 0, 0, 1, 0))
+        assert warnings == []
+        with pytest.raises(ParseError):
+            parse_allocation(line, n=2)
+
+    def test_row_with_an_overflowing_quantity_ignored(self):
+        text = "Patient 1: [0, 2e400, 0, 0, 0, 0]\nPatient 2: [1, 0, 0, 0, 0, 0]"
+        alloc, warnings = parse_allocation(text, n=2)
+        assert alloc.rows == ((0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0))
+        assert warnings == [
+            "patient 1: quantity inf for Vent is not finite; line ignored",
+            "patient 1 missing; defaulted to a zero row",
+        ]
+        assert all(map(math.isfinite, (v for row in alloc.rows for v in row)))
+        with pytest.raises(ParseError):
+            parse_allocation("Patient 1: [-1e999, 0, 0, 0, 0, 0]", n=1)
+
     def test_specific_row_extracted(self):
         text = (
             "Patient 1: [1, 0, 10, 0, 8, 1]\n"
@@ -241,6 +368,49 @@ class TestRunDebate:
         flaky = AgentSpec(label="A", backend=SecondTimeLucky(), profile=agent_a.profile)
         transcript = run_debate(cohort, flaky, agent_b, DebateConfig(rounds=1))
         assert transcript.completed
+
+    def test_repeated_reply_parsed_and_checked_once(self, cohort, monkeypatch):
+        parsed, checked = [], []
+        parse, validate = arena_mod.parse_allocation, arena_mod.validate_allocation
+        monkeypatch.setattr(
+            arena_mod, "parse_allocation", lambda text, n: parsed.append(text) or parse(text, n)
+        )
+        monkeypatch.setattr(
+            arena_mod,
+            "validate_allocation",
+            lambda alloc, cap: checked.append(alloc) or validate(alloc, cap),
+        )
+        agent_a, agent_b = scripted_pair(opponent="biased")
+        transcript = run_debate(cohort, agent_a, agent_b, DebateConfig(rounds=3))
+        texts = [p.raw_text for p in transcript.history.proposals]
+        assert len(texts) == 6 and len(set(texts)) == 2
+        assert sorted(parsed) == sorted(set(texts))
+        assert len(checked) == 2
+
+    def test_unparseable_reply_is_retried_in_every_round(self, cohort):
+        class OddCallsFail:
+            name = "odd-calls-fail"
+            deterministic = True
+
+            def __init__(self):
+                self.calls = 0
+
+            def generate(self, prompt, ctx):
+                self.calls += 1
+                if self.calls % 2 == 1:
+                    return "hmm let me think"
+                return "\n".join(
+                    f"Patient {i}: [0, 0, 1, 0, 1, 0]" for i in range(1, ctx.cohort.n + 1)
+                )
+
+        agent_a, agent_b = scripted_pair()
+        backend = OddCallsFail()
+        flaky = AgentSpec(label="A", backend=backend, profile=agent_a.profile)
+        transcript = run_debate(cohort, flaky, agent_b, DebateConfig(rounds=3))
+        assert transcript.completed
+        assert backend.calls == 6
+        a_props = [p for p in transcript.history.proposals if p.agent == "A"]
+        assert len({p.raw_text for p in a_props}) == 1
 
     def test_infeasible_proposals_recorded_not_repaired(self, cohort):
         too_much = "\n".join(

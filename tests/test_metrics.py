@@ -267,6 +267,27 @@ class TestMetricReport:
         assert metrics.metric_reports(cohort, allocs, metric_config) == expected
         assert calls == [WeightKind.PRIORITARIAN, WeightKind.CARE]
 
+    @given(
+        st.lists(st.integers(min_value=0, max_value=9), min_size=2, max_size=3),
+        st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=10),
+    )
+    def test_repeated_allocations_share_one_report_in_input_order(
+        self, cohort, metric_config, seeds, picks
+    ):
+        from triage_arena import metrics
+
+        pool = [
+            random_allocation(np.random.Generator(np.random.Philox(s)), n=cohort.n, max_units=1)
+            for s in seeds
+        ]
+        # equal rows, distinct objects, as eval reads them back from JSON
+        allocs = [Allocation(pool[i % len(pool)].rows) for i in picks]
+        reports = metrics.metric_reports(cohort, allocs, metric_config)
+        assert reports == [metrics.metric_reports(cohort, [a], metric_config)[0] for a in allocs]
+        for a, ra in zip(allocs, reports):
+            for b, rb in zip(allocs, reports):
+                assert (ra is rb) == (a == b)
+
     def test_json_round_trip(self, cohort, metric_config):
         from triage_arena.metrics import MetricReport
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 
 import numpy as np
 import pytest
@@ -147,10 +148,54 @@ class TestAgentProfile:
         assert profile.bias_source is BiasSource.ADVERSARIAL_PROMPT
 
 
+def _first_negative_message(rows):
+    """The entry-by-entry check Allocation made before it scanned rows
+    with map(); None when no entry is negative."""
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if float(v) < 0:
+                return f"allocation entry [{i}][{j}] = {float(v)} is negative"
+    return None
+
+
 class TestAllocation:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             Allocation(((0.0, -1.0, 0.0, 0.0, 0.0, 0.0),))
+
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda k: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.floats(allow_nan=True, allow_infinity=True),
+                        st.sampled_from([0.0, -0.0, -1.0, float("nan"), -1e-300]),
+                        st.integers(min_value=-3, max_value=3),
+                    ),
+                    min_size=k,
+                    max_size=k,
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    def test_first_negative_entry_named_as_before(self, rows):
+        expected = _first_negative_message(rows)
+        if expected is None:
+            alloc = Allocation(rows)
+            assert repr(alloc.rows) == repr(tuple(tuple(float(v) for v in r) for r in rows))
+        else:
+            with pytest.raises(ValueError) as info:
+                Allocation(rows)
+            assert str(info.value) == expected
+
+    def test_nan_and_negative_zero_accepted(self):
+        alloc = Allocation(((float("nan"), -0.0, 1.0),))
+        assert math.isnan(alloc.rows[0][0])
+        assert math.copysign(1.0, alloc.rows[0][1]) == -1.0
+        with pytest.raises(ValueError, match=r"^allocation entry \[1\]\[2\] = -0.5 is negative$"):
+            Allocation(((0.0, 0.0, 0.0), (-0.0, float("nan"), -0.5)))
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
