@@ -90,7 +90,15 @@ def parse_allocation(text: str, n: int, k: int = 6) -> tuple[Allocation, list[st
     warnings: list[str] = []
     rows: dict[int, tuple[float, ...]] = {}
     for pid_text, body in _ROW_RE.findall(text):
-        pid = int(pid_text)
+        digits = pid_text.lstrip("0") or "0"
+        try:
+            pid = int(digits)
+        except ValueError:  # longer than the interpreter's integer-string limit
+            warnings.append(
+                f"patient id {digits[:8]}... ({len(digits)} digits) outside 1..{n}; "
+                f"line ignored"
+            )
+            continue
         values = list(map(float, _NUM_RE.findall(body)))
         if len(values) != k:
             warnings.append(

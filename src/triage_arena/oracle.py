@@ -7,14 +7,15 @@ cake_functionals, hospital_functionals). argmax_set, a literal scan of
 every grid allocation for any scalar objective, is the reference.
 check_nondegeneracy evaluates the aggregates in one array pass instead:
 it builds the grid once as an integer composition array, tabulates each
-person's utility once per distinct row and reduces the utility matrix
-column by column, with the scalar path's float arithmetic. The cake
-verifier additionally exploits that its welfare functions are separable
-across recipients: one max-plus budget DP over the utility table gives
-the same grid answers and stays tractable at fine steps. It serves claim
-(a) on the table and claim (c) on the table masked below the maximin
-optimum theta. All verdicts are labelled grid-certified at their step;
-nothing here reasons about the continuum.
+person's utility once per distinct row and reduces the utility matrix of
+each fixed-size block of grid rows column by column, with the scalar
+path's float arithmetic. The cake verifier additionally exploits that
+its welfare functions are separable across recipients: one max-plus
+budget DP over the utility table gives the same grid answers and stays
+tractable at fine steps. It serves claim (a) on the table and claim (c)
+on the table masked below the maximin optimum theta. All verdicts are
+labelled grid-certified at their step; nothing here reasons about the
+continuum.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 _STEP_TOL = 1e-9
+# grid allocations per block of the nondegeneracy pass; a block's float
+# working memory is about 140 bytes a row, and 4,096 rows ran fastest
+_BLOCK_ROWS = 4096
 
 
 _AGGREGATE_KINDS = ("util", "egal", "rawls", "prior")
@@ -275,7 +279,8 @@ def _composition_array(total: int, parts: int) -> np.ndarray:
     ).reshape(count, parts)
     sizes = np.empty_like(bars)
     sizes[:, 0] = bars[:, 0]
-    sizes[:, 1:] = np.diff(bars, axis=1) - 1
+    np.subtract(bars[:, 1:], bars[:, :-1], out=sizes[:, 1:])
+    sizes[:, 1:] -= 1
     return sizes
 
 
@@ -298,52 +303,73 @@ def _grid_array(space: DiscretizedSpace) -> np.ndarray:
     return grid
 
 
-def _utility_matrix(
-    utilities: Sequence[Callable[[tuple], float]],
-    grid: np.ndarray,
-    space: DiscretizedSpace,
-) -> np.ndarray:
-    """(M, n) matrix of each person's utility in each grid allocation.
+def _grid_argmax_rows(
+    functionals: Sequence[UtilityAggregate], space: DiscretizedSpace, tol: float
+) -> dict[str, set]:
+    """The argmax set of each functional, by kind, as a set of allocation
+    rows. Gives the members argmax_set returns.
 
-    Each utility is called once per distinct row, on the float row that
-    enumerate_allocations builds for it, so every entry is the float the
-    scalar path computes.
+    Each distinct utility tuple is tabulated once over the distinct unit
+    rows, each utility called on the float row enumerate_allocations
+    builds for it. The grid is then scanned in blocks of _BLOCK_ROWS
+    allocations: each block's (rows, n) utility matrix goes through
+    over_grid, whose values are row-local and so the floats a whole-grid
+    pass gives. Per functional, a running maximum keeps the candidates
+    within tol of it, pruned whenever it rises; a NaN value anywhere on
+    the grid empties the functional's set, as a NaN grid maximum would.
     """
-    if len(utilities) != space.n:
-        raise ValueError(
-            f"{len(utilities)} utilities for a grid of {space.n} persons"
-        )
     dims = tuple(b + 1 for b in space.units)
     rows = [
         tuple(v * space.step for v in units)
         for units in itertools.product(*(range(d) for d in dims))
     ]
-    matrix = np.empty(grid.shape[:2])
-    for i, u in enumerate(utilities):
-        table = np.array([u(row) for row in rows], dtype=float)
-        matrix[:, i] = table[np.ravel_multi_index(tuple(grid[:, i].T), dims)]
-    return matrix
-
-
-def _grid_argmax_rows(
-    functionals: Sequence[UtilityAggregate], space: DiscretizedSpace, tol: float
-) -> dict[str, set]:
-    """The argmax set of each functional, by kind, as a set of allocation
-    rows, from one grid array and one utility matrix per distinct utility
-    tuple. Gives the members argmax_set returns."""
-    grid = _grid_array(space)
-    matrices: dict[tuple, np.ndarray] = {}
-    sets = {}
+    tables: dict[tuple, np.ndarray] = {}
     for W in functionals:
-        if W.utilities not in matrices:
-            matrices[W.utilities] = _utility_matrix(W.utilities, grid, space)
-        values = W.over_grid(matrices[W.utilities])
-        members = grid[values >= values.max() - tol].tolist()
-        sets[W.kind] = {
+        if len(W.utilities) != space.n:
+            raise ValueError(
+                f"{len(W.utilities)} utilities for a grid of {space.n} persons"
+            )
+        if W.utilities not in tables:
+            tables[W.utilities] = np.array(
+                [[u(row) for row in rows] for u in W.utilities], dtype=float
+            )
+    grid = _grid_array(space)
+    persons = np.arange(space.n)
+    best = {W.kind: -math.inf for W in functionals}
+    kept: dict[str, list] = {W.kind: [] for W in functionals}
+    for start in range(0, len(grid), _BLOCK_ROWS):
+        block = grid[start : start + _BLOCK_ROWS]
+        flat = np.ravel_multi_index(tuple(np.moveaxis(block, 2, 0)), dims)
+        matrices: dict[tuple, np.ndarray] = {}
+        for W in functionals:
+            if math.isnan(best[W.kind]):
+                continue
+            if W.utilities not in matrices:
+                matrices[W.utilities] = tables[W.utilities][persons, flat]
+            values = W.over_grid(matrices[W.utilities])
+            top = values.max()
+            if math.isnan(top):
+                best[W.kind] = math.nan
+                kept[W.kind] = []
+                continue
+            if top > best[W.kind]:
+                best[W.kind] = top
+                kept[W.kind] = [_within(v, i, top - tol) for v, i in kept[W.kind]]
+            indices = np.arange(start, start + len(block))
+            kept[W.kind].append(_within(values, indices, best[W.kind] - tol))
+    return {
+        W.kind: {
             tuple(tuple(v * space.step for v in row) for row in member)
-            for member in members
+            for _, indices in kept[W.kind]
+            for member in grid[indices].tolist()
         }
-    return sets
+        for W in functionals
+    }
+
+
+def _within(values: np.ndarray, indices: np.ndarray, floor: float):
+    near = values >= floor
+    return values[near], indices[near]
 
 
 def check_nondegeneracy(

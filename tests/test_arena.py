@@ -241,6 +241,23 @@ class TestParser:
         alloc, warnings = parse_allocation(text, n=2)
         assert any("outside" in w for w in warnings)
 
+    def test_id_beyond_the_integer_string_limit_ignored(self):
+        # int() refuses strings of more than 4,300 digits; such a row is out
+        # of range, and only ParseError may leave the parser
+        long_id = "Patient " + "1" * 5000 + ": [0, 0, 0, 0, 0, 0]"
+        alloc, warnings = parse_allocation(long_id + "\nPatient 2: [0, 0, 0, 0, 0, 1]", n=2)
+        assert alloc.rows == ((0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1))
+        assert warnings == [
+            "patient id 11111111... (5000 digits) outside 1..2; line ignored",
+            "patient 1 missing; defaulted to a zero row",
+        ]
+        with pytest.raises(ParseError):
+            parse_allocation(long_id, n=2)
+        # leading zeros do not count towards the limit
+        alloc, warnings = parse_allocation("P" + "0" * 5000 + "2: [0, 0, 0, 0, 0, 1]", n=2)
+        assert alloc.rows[1] == (0, 0, 0, 0, 0, 1)
+        assert warnings == ["patient 1 missing; defaulted to a zero row"]
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_render_parse_round_trip(self, seed):

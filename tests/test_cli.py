@@ -785,6 +785,14 @@ class TestCheckNondegeneracy:
             "940f04a765b96710598cb60d01856eada6295cfb4c6aa0f5bd1602ba1f6ecf4c"
         )
 
+    def test_many_block_report_is_byte_identical_to_reference(self, tmp_path):
+        # step 0.04 scans its 736,281 grid points in 180 blocks
+        out = tmp_path / "report.json"
+        assert main(["check-nondegeneracy", "--step", "0.04", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "178ef38244915165bcb4c388bae41dbdcd0faabaea3b4fd9602cfa17d9ff1aea"
+        )
+
     def test_repeated_functionals_are_usage_error(self, capsys):
         code = main(
             ["check-nondegeneracy", "--step", "0.1", "--functionals", "util,util"]

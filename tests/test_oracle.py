@@ -4,11 +4,13 @@ import hashlib
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triage_arena import oracle
 from triage_arena.metrics import gini
 from triage_arena.model import Allocation, ResourceCapacity, canonical_json, validate_allocation
 from triage_arena.oracle import (
@@ -28,6 +30,7 @@ from triage_arena.oracle import (
 )
 from triage_arena.oracle import (
     _best_util_at_rawls_optimum,
+    _grid_array,
     _grid_argmax_rows,
     _rawls_grid_max,
     _suffix_best,
@@ -305,6 +308,25 @@ def _cake_params(draw):
     )
 
 
+def _two_resource_utilities(coefficients):
+    # utilities read both columns of a row; the threshold term makes ties
+    return [
+        lambda row, a=a, b=b, t=t: a * row[0] ** 2 + b * row[1] + (row[1] >= t)
+        for a, b, t in coefficients
+    ]
+
+
+_TWO_RESOURCE_SPACE = DiscretizedSpace(
+    step=0.25, capacity=ResourceCapacity(supply=(1.0, 0.5)), n=3
+)
+_COEFFICIENTS = st.lists(
+    st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.sampled_from([0.0, 0.25, 0.5])),
+    min_size=3,
+    max_size=3,
+)
+_TOL = st.sampled_from([1e-9, 0.0, 1e-3])
+
+
 class TestArrayPassParity:
     """check_nondegeneracy's array pass against argmax_set scans."""
 
@@ -332,26 +354,12 @@ class TestArrayPassParity:
         _assert_matches_scan(functionals, cake_space(0.2), tol)
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.sampled_from([0.0, 0.25, 0.5])),
-            min_size=3,
-            max_size=3,
-        ),
-        st.lists(_weight, min_size=3, max_size=3),
-        _include,
-    )
+    @given(_COEFFICIENTS, st.lists(_weight, min_size=3, max_size=3), _include)
     def test_two_resource_space(self, coefficients, weights, include):
-        # utilities read both columns of a row; the threshold term makes ties
-        utilities = [
-            lambda row, a=a, b=b, t=t: a * row[0] ** 2 + b * row[1] + (row[1] >= t)
-            for a, b, t in coefficients
-        ]
-        space = DiscretizedSpace(
-            step=0.25, capacity=ResourceCapacity(supply=(1.0, 0.5)), n=3
+        functionals = functionals_from_utilities(
+            _two_resource_utilities(coefficients), weights, include
         )
-        functionals = functionals_from_utilities(utilities, weights, include)
-        _assert_matches_scan(functionals, space)
+        _assert_matches_scan(functionals, _TWO_RESOURCE_SPACE)
 
     @pytest.mark.parametrize("kind", _KINDS)
     def test_over_grid_replicates_scalar_arithmetic(self, kind):
@@ -381,6 +389,74 @@ class TestArrayPassParity:
         assert aggregate.over_grid(matrix).tolist() == [
             scalar(row) for row in matrix.tolist()
         ]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+class TestBlockBoundaries:
+    """The blocked grid pass with blocks that split the grid's argmax runs
+    anywhere, against argmax_set scans."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(_cake_params(), st.lists(_weight, min_size=6, max_size=6), _include, _TOL)
+    def test_cake_step_02(self, rows, params, weights, include, tol):
+        functionals = cake_functionals(params, weights, include)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_BLOCK_ROWS", rows)
+            _assert_matches_scan(functionals, cake_space(0.2), tol)
+
+    @settings(max_examples=15, deadline=None)
+    @given(_COEFFICIENTS, st.lists(_weight, min_size=3, max_size=3), _include, _TOL)
+    def test_two_resource_space(self, rows, coefficients, weights, include, tol):
+        functionals = functionals_from_utilities(
+            _two_resource_utilities(coefficients), weights, include
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_BLOCK_ROWS", rows)
+            _assert_matches_scan(functionals, _TWO_RESOURCE_SPACE, tol)
+
+    def test_nan_at_one_grid_point_empties_its_sets(self, rows):
+        # person 1's utility is NaN on the whole cake, which only the last
+        # grid point gives, so the NaN arrives after candidates were kept;
+        # as a NaN maximum over the whole grid did, it empties the sets of
+        # the functionals built on it, and only those
+        space = cake_space(0.2)
+        assert _grid_array(space)[-1, :, 0].tolist() == [5, 0, 0, 0, 0, 0]
+        clean = cake_functionals(CakeParams(), include=("util",))[0].utilities
+        first = clean[0]
+        poisoned = (lambda row: math.nan if row[0] == 1.0 else first(row),) + clean[1:]
+        functionals = [
+            UtilityAggregate("util", poisoned),
+            UtilityAggregate("egal", poisoned),
+            UtilityAggregate("rawls", clean),
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_BLOCK_ROWS", rows)
+            sets = _grid_argmax_rows(functionals, space, 1e-9)
+            report = check_nondegeneracy(functionals, space).to_json()
+        rawls = {a.rows for a in argmax_set(functionals[2], space)}
+        assert sets == {"util": set(), "egal": set(), "rawls": rawls}
+        assert report["argmax_sizes"] == {"util": 0, "egal": 0, "rawls": len(rawls)}
+        assert report["degenerate"] is False
+
+
+class TestGridMemory:
+    def test_float_working_memory_is_bounded(self):
+        # a whole-grid pass held the (M, n) float64 utility matrix and
+        # egal's sorted copy at once: about 32 MB here; the argmax sets it
+        # returns take about 4 MB
+        functionals = cake_functionals(CakeParams(), [1.0] * 6)
+        space = cake_space(0.05)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _grid_argmax_rows(functionals, space, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestHospitalFunctionals:
