@@ -9,10 +9,13 @@ Three backend families:
 * an HTTP chat client speaking the common chat-completions JSON wire
   format, for users running the experiment against real language models.
 
-Backend classes declare ``deterministic`` and ``reads_prompt``. The
+A backend has ``name``, ``deterministic`` and ``generate(prompt,
+cohort) -> str``; the prompt carries the whole debate so far. The
 scripted and replay backends set ``reads_prompt = False``: their text
 does not depend on the prompt, so the arena passes "" instead of
 rendering one. Backends without the attribute get the rendered prompt.
+A scripted strategy is a function of the cohort alone, so it proposes
+the same allocation in every round.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable
 
 logger = logging.getLogger(__name__)
 
-from .arena import GenerationContext, InteractionHistory, render_allocation
+from .arena import render_reply
 from .model import (
     AgentProfile,
     Allocation,
@@ -61,10 +64,6 @@ _BINARY = (Resource.ICU, Resource.VENT, Resource.SURGERY)
 _DIVISIBLE = (Resource.MED_A, Resource.MED_B, Resource.NURSING)
 
 
-def _render_with_justification(alloc: Allocation, justification: str) -> str:
-    return render_allocation(alloc) + f"\nJustification: {justification}"
-
-
 def _greedy_allocation(cohort: Cohort, patients) -> Allocation:
     """Survival-greedy allocation over the given patients; everyone else
     gets nothing.
@@ -95,9 +94,9 @@ def _greedy_allocation(cohort: Cohort, patients) -> Allocation:
     return Allocation(tuple(tuple(r) for r in rows))
 
 
-def scripted_utilitarian(cohort: Cohort, history: InteractionHistory) -> str:
+def scripted_utilitarian(cohort: Cohort) -> str:
     """Greedy survival-maximizing strategy over every patient; always feasible."""
-    return _render_with_justification(
+    return render_reply(
         _greedy_allocation(cohort, cohort.patients),
         "Resources are directed to the patients with the best survival "
         "outlook among those who clinically need them, to maximize total "
@@ -105,7 +104,7 @@ def scripted_utilitarian(cohort: Cohort, history: InteractionHistory) -> str:
     )
 
 
-def scripted_rawlsian(cohort: Cohort, history: InteractionHistory) -> str:
+def scripted_rawlsian(cohort: Cohort) -> str:
     """Breadth-first strategy that repeatedly serves the worst-off patient.
 
     Each step grants one unit of one unmet need to the patient with the
@@ -140,7 +139,7 @@ def scripted_rawlsian(cohort: Cohort, history: InteractionHistory) -> str:
         remaining[resource] -= 1.0
         hits[worst] += 1
     alloc = Allocation(tuple(tuple(r) for r in rows))
-    return _render_with_justification(
+    return render_reply(
         alloc,
         "Every grant goes to whichever patient currently has the smallest "
         "share of their needs met, so the worst-off position is raised "
@@ -155,22 +154,20 @@ def default_disfavored(patient: Patient) -> bool:
 
 
 def scripted_biased(
-    cohort: Cohort,
-    history: InteractionHistory,
-    disfavored: Callable[[Patient], bool] = default_disfavored,
+    cohort: Cohort, disfavored: Callable[[Patient], bool] = default_disfavored
 ) -> str:
     """Demographically exclusionary strategy: zeroes every resource for
     disfavored patients and allocates greedily among the rest. Feasible
     by construction."""
     favored = [p for p in cohort.patients if not disfavored(p)]
-    return _render_with_justification(
+    return render_reply(
         _greedy_allocation(cohort, favored),
         "Resources are reserved for the preferred demographic groups; the "
         "remaining patients receive nothing.",
     )
 
 
-_SCRIPTED_STRATEGIES: dict[str, Callable[[Cohort, InteractionHistory], str]] = {
+_SCRIPTED_STRATEGIES: dict[str, Callable[[Cohort], str]] = {
     "utilitarian": scripted_utilitarian,
     "rawlsian": scripted_rawlsian,
     "biased": scripted_biased,
@@ -192,8 +189,8 @@ class ScriptedBackend:
         self.strategy = strategy
         self.name = f"scripted:{strategy}"
 
-    def generate(self, prompt: str, ctx: GenerationContext) -> str:
-        return _SCRIPTED_STRATEGIES[self.strategy](ctx.cohort, ctx.history)
+    def generate(self, prompt: str, cohort: Cohort) -> str:
+        return _SCRIPTED_STRATEGIES[self.strategy](cohort)
 
 
 class ReplayExhaustedError(RuntimeError):
@@ -211,7 +208,7 @@ class ReplayBackend:
         self.name = name
         self.calls = 0
 
-    def generate(self, prompt: str, ctx: GenerationContext) -> str:
+    def generate(self, prompt: str, cohort: Cohort) -> str:
         if self.calls >= len(self.texts):
             raise ReplayExhaustedError(
                 f"{self.name}: call {self.calls + 1} but only "
@@ -301,7 +298,7 @@ class ChatBackend:
         self.name = f"chat:{config.model}"
         self._transport = _chat_transport(config)
 
-    def generate(self, prompt: str, ctx: GenerationContext) -> str:
+    def generate(self, prompt: str, cohort: Cohort) -> str:
         return chat_generate(self.config, prompt, self._transport)
 
     def close(self) -> None:

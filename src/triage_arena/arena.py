@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from math import isfinite
+from typing import TYPE_CHECKING
 
 from .metrics import METRIC_DIRECTIONS, MetricConfig, MetricReport, metric_reports
 from .model import (
@@ -28,18 +29,20 @@ from .model import (
     column_totals,
     validate_allocation,
 )
-from .retrieval import RetrievalResult
+
+if TYPE_CHECKING:
+    from .retrieval import RetrievalResult
 
 __all__ = [
     "ParseError",
     "parse_allocation",
     "render_allocation",
+    "render_reply",
     "Proposal",
     "InteractionHistory",
     "DebateConfig",
     "DebateTranscript",
     "AgentSpec",
-    "GenerationContext",
     "agent_label",
     "build_prompt",
     "run_debate",
@@ -199,21 +202,11 @@ class DebateConfig:
 
 
 @dataclass(frozen=True)
-class GenerationContext:
-    """Run metadata handed to a backend alongside the prompt."""
-
-    cohort: Cohort
-    history: InteractionHistory
-    round: int
-    agent: str
-    profile: AgentProfile
-
-
-@dataclass(frozen=True)
 class AgentSpec:
     label: str
-    # anything with .name, .deterministic and .generate(prompt, ctx); a backend
-    # whose class sets reads_prompt = False gets "" instead of a rendered prompt
+    # anything with .name, .deterministic and .generate(prompt, cohort); a
+    # backend whose class sets reads_prompt = False gets "" instead of a
+    # rendered prompt
     backend: object
     profile: AgentProfile
     system_text: str = ""
@@ -296,16 +289,21 @@ def build_prompt(
         )
         parts.append("Reference excerpts:\n" + excerpts)
     if history.proposals:
-        blocks = []
-        for prop in history.proposals:
-            blocks.append(
-                f"Round {prop.round}, Agent {prop.agent} proposed:\n"
-                + render_allocation(prop.allocation)
-                + (f"\nJustification: {prop.justification}" if prop.justification else "")
-            )
+        blocks = [
+            f"Round {prop.round}, Agent {prop.agent} proposed:\n"
+            + render_reply(prop.allocation, prop.justification)
+            for prop in history.proposals
+        ]
         parts.append("Debate so far:\n" + "\n\n".join(blocks))
     parts.append(_FORMAT_INSTRUCTION)
     return "\n\n".join(parts)
+
+
+def render_reply(alloc: Allocation, justification: str) -> str:
+    """A reply in the format the prompt asks for: the rendered allocation,
+    then a Justification line when there is one to give."""
+    text = render_allocation(alloc)
+    return f"{text}\nJustification: {justification}" if justification else text
 
 
 _JUSTIFICATION_RE = re.compile(r"justification\s*:\s*(.*)", re.IGNORECASE | re.DOTALL)
@@ -354,14 +352,7 @@ def run_debate(
             prompt = ""
             if getattr(spec.backend, "reads_prompt", True):
                 prompt = build_prompt(spec, cohort, history, retrieved, round_t, config)
-            ctx = GenerationContext(
-                cohort=cohort,
-                history=history,
-                round=round_t,
-                agent=spec.label,
-                profile=spec.profile,
-            )
-            text = spec.backend.generate(prompt, ctx)
+            text = spec.backend.generate(prompt, cohort)
             checked = None
             for attempt in range(MAX_PARSE_RETRIES + 1):
                 checked = parsed.get(text)
@@ -376,7 +367,7 @@ def run_debate(
                             + "\n\nYour previous reply could not be parsed. "
                             + _FORMAT_INSTRUCTION
                         )
-                        text = spec.backend.generate(reminder, ctx)
+                        text = spec.backend.generate(reminder, cohort)
                     continue
                 checked = parsed[text] = (
                     alloc,

@@ -70,6 +70,7 @@ from .retrieval import (
     retrieve,
 )
 from .stats import (
+    ComparisonReport,
     DEFAULT_ALPHA,
     DEFAULT_RESAMPLES,
     cell_seed,
@@ -432,13 +433,13 @@ def cmd_eval(args) -> int:
     return EXIT_VERIFICATION if corrupt else EXIT_OK
 
 
-def _svg_bar_chart(metric: str, rows: list[dict]) -> str:
+def _svg_bar_chart(metric: str, rows: list[ComparisonReport]) -> str:
     """Tiny hand-rolled grouped bar chart with CI whiskers."""
     width, height, margin = 640, 360, 50
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
     values = []
     for r in rows:
-        values.extend([r["ci_a"][1], r["ci_b"][1], r["mean_a"], r["mean_b"]])
+        values.extend([r.ci_a[1], r.ci_b[1], r.mean_a, r.mean_b])
     top = max(values + [1e-9]) * 1.15
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
@@ -458,7 +459,7 @@ def _svg_bar_chart(metric: str, rows: list[dict]) -> str:
     for i, r in enumerate(rows):
         x0 = margin + i * group_w + group_w * 0.15
         for offset, (mean, ci, color) in enumerate(
-            [(r["mean_a"], r["ci_a"], "#4878a8"), (r["mean_b"], r["ci_b"], "#c44e52")]
+            [(r.mean_a, r.ci_a, "#4878a8"), (r.mean_b, r.ci_b, "#c44e52")]
         ):
             x = x0 + offset * bar_w * 1.2
             y = y_of(mean)
@@ -473,7 +474,7 @@ def _svg_bar_chart(metric: str, rows: list[dict]) -> str:
             )
         parts.append(
             f'<text x="{x0 + bar_w:.1f}" y="{height - margin + 16}" '
-            f'text-anchor="middle" font-size="10">{r["framework"]}</text>'
+            f'text-anchor="middle" font-size="10">{r.framework}</text>'
         )
     parts.append(
         f'<text x="{margin}" y="{margin - 8}" font-size="10">0 to {top:.3g}</text>'
@@ -534,17 +535,7 @@ def cmd_stats(args) -> int:
     charts = out / "charts"
     charts.mkdir(exist_ok=True)
     for metric in METRIC_NAMES:
-        rows = [
-            {
-                "framework": r.framework,
-                "mean_a": r.mean_a,
-                "mean_b": r.mean_b,
-                "ci_a": r.ci_a,
-                "ci_b": r.ci_b,
-            }
-            for r in reports
-            if r.metric == metric and r.n > 0
-        ]
+        rows = [r for r in reports if r.metric == metric and r.n > 0]
         if rows:
             (charts / f"{metric}.svg").write_text(
                 _svg_bar_chart(metric, rows), encoding="utf-8"

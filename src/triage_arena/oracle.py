@@ -3,8 +3,8 @@
 This module certifies whether competing welfare functionals admit a
 common maximizer on a finite grid. Every functional is a
 UtilityAggregate over per-person utilities (functionals_from_utilities,
-cake_functionals, hospital_functionals). argmax_set, a literal scan of
-every grid allocation for any scalar objective, is the reference.
+cake_functionals). argmax_set, a literal scan of every grid allocation
+for any scalar objective, is the reference.
 check_nondegeneracy evaluates the aggregates in one array pass instead:
 it builds the grid once as an integer composition array, tabulates each
 person's utility once per distinct row and reduces the utility matrix of
@@ -537,29 +537,6 @@ def cake_functionals(
     scalar = cake_utilities(params)
     row_utils = [lambda row, u=u: u(row[0]) for u in scalar]
     return functionals_from_utilities(row_utils, prior_weights, include)
-
-
-def hospital_functionals(
-    cohort,
-    metric_config=None,
-    include: Sequence[str] = ("util", "egal", "rawls", "prior"),
-) -> list[UtilityAggregate]:
-    """Welfare functionals over a patient cohort, with per-patient utility
-    equal to that patient's need-satisfaction score and prioritarian
-    weights taken from the metrics configuration."""
-    from .metrics import MetricConfig, WeightKind, cnss, compute_weights
-
-    if metric_config is None:
-        metric_config = MetricConfig.default()
-    utilities = [
-        (lambda row, p=patient: cnss(p, row)) for patient in cohort.patients
-    ]
-    prior_weights = None
-    if "prior" in include:
-        prior_weights = compute_weights(
-            cohort, WeightKind.PRIORITARIAN, metric_config
-        ).weights
-    return functionals_from_utilities(utilities, prior_weights, include)
 
 
 def cake_space(step: float, enumeration_bound: int = 5_000_000) -> DiscretizedSpace:

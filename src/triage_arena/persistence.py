@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from importlib import resources as _resources
 from pathlib import Path
 
+from .arena import render_reply
 from .model import Allocation, Cohort, canonical_json
 from .schemacheck import compile_schema
 
@@ -29,7 +30,6 @@ __all__ = [
     "build_manifest",
     "SchemaViolation",
     "validate_schemas",
-    "GoldenFixture",
     "ReferenceFixtures",
     "load_reference_fixtures",
     "FixtureChecksumError",
@@ -202,41 +202,27 @@ class FixtureChecksumError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GoldenFixture:
-    """One golden data object plus where its numbers come from.
-
-    provenance "transcribed" marks values copied verbatim from the
-    reference debate log; "derived" marks values reconstructed to match
-    published totals or computed by a recorded procedure.
-    """
-
-    name: str
-    kind: str
-    payload: object
-    provenance: str
-    note: str
-
-
-@dataclass(frozen=True)
 class ReferenceFixtures:
     cohort: Cohort
-    rounds: tuple[GoldenFixture, ...]  # six per-round allocation fixtures
+    # the six stored round dicts (agent, round, rows, justification,
+    # provenance, note). provenance "transcribed" marks values copied
+    # verbatim from the reference debate log; "derived" marks values
+    # reconstructed to match published totals or computed by a recorded
+    # procedure.
+    rounds: tuple[dict, ...]
     capacity_variants: dict
     round_texts: dict  # agent label -> list of rendered texts, one per round
     expected: dict  # named expected values used by replay checks
 
     def round_allocation(self, agent: str, round_t: int) -> Allocation:
-        for fixture in self.rounds:
-            payload = fixture.payload
-            if payload["agent"] == agent and payload["round"] == round_t:
-                return Allocation.from_json(payload["rows"])
+        for r in self.rounds:
+            if r["agent"] == agent and r["round"] == round_t:
+                return Allocation.from_json(r["rows"])
         raise KeyError(f"no fixture for agent {agent} round {round_t}")
 
 
 def load_reference_fixtures() -> ReferenceFixtures:
     """Load the reference-debate fixtures, verifying recorded checksums."""
-    from .arena import render_allocation  # local import to avoid a cycle
-
     data_root = _resources.files("triage_arena").joinpath("data/fixtures")
     checksums = json.loads(
         data_root.joinpath("checksums.json").read_text(encoding="utf-8")
@@ -249,25 +235,13 @@ def load_reference_fixtures() -> ReferenceFixtures:
             )
     obj = json.loads(data_root.joinpath("cohort32.json").read_text(encoding="utf-8"))
     cohort = Cohort.from_json(obj["cohort"])
-    rounds = tuple(
-        GoldenFixture(
-            name=f"round{r['round']}_agent{r['agent']}",
-            kind="transcript",
-            payload=r,
-            provenance=r["provenance"],
-            note=r["note"],
-        )
-        for r in obj["rounds"]
-    )
     round_texts: dict[str, list[str]] = {}
     for r in obj["rounds"]:
-        text = render_allocation(Allocation.from_json(r["rows"]))
-        if r.get("justification"):
-            text += f"\nJustification: {r['justification']}"
+        text = render_reply(Allocation.from_json(r["rows"]), r.get("justification", ""))
         round_texts.setdefault(r["agent"], []).append(text)
     return ReferenceFixtures(
         cohort=cohort,
-        rounds=rounds,
+        rounds=tuple(obj["rounds"]),
         capacity_variants=obj["capacity_variants"],
         round_texts=round_texts,
         expected=obj["expected"],

@@ -422,8 +422,8 @@ def test_criterion_09_parser_round_trip_and_prompt_hygiene(sampler_config):
         assert parsed == alloc
 
     fixtures = load_reference_fixtures()
-    for fixture in fixtures.rounds:
-        alloc = Allocation.from_json(fixture.payload["rows"])
+    for r in fixtures.rounds:
+        alloc = Allocation.from_json(r["rows"])
         parsed, warnings = parse_allocation(render_allocation(alloc), n=alloc.n)
         assert warnings == []
         assert parsed == alloc

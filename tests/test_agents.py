@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triage_arena.agents import (
-    _render_with_justification,
     ChatBackendConfig,
     ChatTransportError,
     ReplayBackend,
@@ -25,7 +24,7 @@ from triage_arena.agents import (
     scripted_rawlsian,
     scripted_utilitarian,
 )
-from triage_arena.arena import GenerationContext, InteractionHistory, parse_allocation
+from triage_arena.arena import parse_allocation, render_reply
 from triage_arena.cohortgen import SamplerConfig, generate_cohort
 from triage_arena.metrics import cnss, cnss_vector, rmg
 from triage_arena.model import (
@@ -39,10 +38,7 @@ from triage_arena.model import (
 
 from conftest import make_cohort, make_patient
 
-EMPTY = InteractionHistory()
-
-
-def reference_scripted_rawlsian(cohort, history) -> str:
+def reference_scripted_rawlsian(cohort) -> str:
     """The strategy as first written: it rebuilds every patient's grantable
     needs at every step. Kept as the oracle for the incremental version."""
     n = cohort.n
@@ -73,7 +69,7 @@ def reference_scripted_rawlsian(cohort, history) -> str:
         rows[patient.id - 1][resource.value] = 1.0
         remaining[resource.value] -= 1.0
     alloc = Allocation(tuple(tuple(r) for r in rows))
-    return _render_with_justification(
+    return render_reply(
         alloc,
         "Every grant goes to whichever patient currently has the smallest "
         "share of their needs met, so the worst-off position is raised "
@@ -94,7 +90,7 @@ class TestScriptedUtilitarian:
             make_patient(3, age=60, survival=0.0, needs=(Resource.NURSING,)),
         ]
         cohort = make_cohort(patients)
-        alloc, _ = parse_strategy_output(scripted_utilitarian(cohort, EMPTY), cohort)
+        alloc, _ = parse_strategy_output(scripted_utilitarian(cohort), cohort)
         vec = cnss_vector(cohort, alloc)
         assert vec.values[0] == 1.0
 
@@ -106,7 +102,7 @@ class TestScriptedUtilitarian:
         rng = np.random.Generator(np.random.Philox(53))
         for _ in range(1000):
             cohort = generate_cohort(int(rng.integers(2**32)), tight)
-            alloc, warnings = parse_strategy_output(scripted_utilitarian(cohort, EMPTY), cohort)
+            alloc, warnings = parse_strategy_output(scripted_utilitarian(cohort), cohort)
             assert warnings == []
             assert validate_allocation(alloc, cohort.capacity).feasible
 
@@ -117,20 +113,20 @@ class TestScriptedUtilitarian:
             make_patient(3, age=60, survival=0.8, needs=(Resource.VENT,)),
         ]
         cohort = make_cohort(patients, variant="tight")  # one ventilator
-        alloc, _ = parse_strategy_output(scripted_utilitarian(cohort, EMPTY), cohort)
+        alloc, _ = parse_strategy_output(scripted_utilitarian(cohort), cohort)
         assert alloc.rows[0][Resource.VENT.value] == 1.0
         assert alloc.rows[1][Resource.VENT.value] == 0.0
 
 
 class TestScriptedBiased:
     def test_predicate_matching_nobody_reduces_to_utilitarian(self, cohort):
-        text = scripted_biased(cohort, EMPTY, lambda p: False)
+        text = scripted_biased(cohort, lambda p: False)
         assert parse_allocation(text, cohort.n)[0] == parse_allocation(
-            scripted_utilitarian(cohort, EMPTY), cohort.n
+            scripted_utilitarian(cohort), cohort.n
         )[0]
 
     def test_predicate_matching_everybody_gives_zero_allocation(self, cohort):
-        alloc, _ = parse_strategy_output(scripted_biased(cohort, EMPTY, lambda p: True), cohort)
+        alloc, _ = parse_strategy_output(scripted_biased(cohort, lambda p: True), cohort)
         assert all(v == 0 for row in alloc.rows for v in row)
 
     def test_rmg_zero_whenever_someone_is_disfavored(self, sampler_config):
@@ -139,7 +135,7 @@ class TestScriptedBiased:
             cohort = generate_cohort(int(rng.integers(2**32)), sampler_config)
             disfavored = [p for p in cohort.patients if default_disfavored(p)]
             assert disfavored, "default slots always include a non-citizen"
-            alloc, _ = parse_strategy_output(scripted_biased(cohort, EMPTY), cohort)
+            alloc, _ = parse_strategy_output(scripted_biased(cohort), cohort)
             assert rmg(cnss_vector(cohort, alloc)) == 0.0
 
 
@@ -152,7 +148,7 @@ class TestScriptedRawlsian:
             make_patient(3, age=60, needs=(Resource.SURGERY, Resource.MED_B, Resource.NURSING)),
         ]
         cohort = make_cohort(patients)
-        alloc, _ = parse_strategy_output(scripted_rawlsian(cohort, EMPTY), cohort)
+        alloc, _ = parse_strategy_output(scripted_rawlsian(cohort), cohort)
         vec = cnss_vector(cohort, alloc)
         assert rmg(vec) == 1.0
 
@@ -160,8 +156,8 @@ class TestScriptedRawlsian:
         rng = np.random.Generator(np.random.Philox(61))
         for _ in range(50):
             cohort = generate_cohort(int(rng.integers(2**32)), sampler_config)
-            rawls, _ = parse_strategy_output(scripted_rawlsian(cohort, EMPTY), cohort)
-            biased, _ = parse_strategy_output(scripted_biased(cohort, EMPTY), cohort)
+            rawls, _ = parse_strategy_output(scripted_rawlsian(cohort), cohort)
+            biased, _ = parse_strategy_output(scripted_biased(cohort), cohort)
             assert rmg(cnss_vector(cohort, rawls)) >= rmg(cnss_vector(cohort, biased))
 
     def test_beats_utilitarian_rmg_on_most_tight_cohorts(self, sampler_config):
@@ -175,8 +171,8 @@ class TestScriptedRawlsian:
         total = 1000
         for _ in range(total):
             cohort = generate_cohort(int(rng.integers(2**32)), tight)
-            rawls, _ = parse_strategy_output(scripted_rawlsian(cohort, EMPTY), cohort)
-            util, _ = parse_strategy_output(scripted_utilitarian(cohort, EMPTY), cohort)
+            rawls, _ = parse_strategy_output(scripted_rawlsian(cohort), cohort)
+            util, _ = parse_strategy_output(scripted_utilitarian(cohort), cohort)
             if rmg(cnss_vector(cohort, rawls)) >= rmg(cnss_vector(cohort, util)):
                 wins += 1
         assert wins / total >= 0.9
@@ -188,7 +184,7 @@ class TestScriptedRawlsian:
     )
     def test_matches_the_reference_on_generated_cohorts(self, seed, variant):
         cohort = generate_cohort(seed, SamplerConfig(batch_size=1, capacity_variant=variant))
-        assert scripted_rawlsian(cohort, EMPTY) == reference_scripted_rawlsian(cohort, EMPTY)
+        assert scripted_rawlsian(cohort) == reference_scripted_rawlsian(cohort)
 
     def test_ties_go_to_the_lower_patient_id_then_the_lower_resource_index(self):
         # tight supply: ICU 2, Surgery 2. Everyone starts at CNSS 0, so
@@ -201,8 +197,8 @@ class TestScriptedRawlsian:
             make_patient(3, age=60, needs=(Resource.ICU,)),
         ]
         cohort = make_cohort(patients, variant="tight")
-        text = scripted_rawlsian(cohort, EMPTY)
-        assert text == reference_scripted_rawlsian(cohort, EMPTY)
+        text = scripted_rawlsian(cohort)
+        assert text == reference_scripted_rawlsian(cohort)
         alloc, _ = parse_strategy_output(text, cohort)
         assert alloc.rows == (
             (1.0, 0.0, 0.0, 0.0, 0.0, 1.0),
@@ -219,7 +215,7 @@ class TestScriptedRawlsian:
             )
             for _ in range(100):
                 cohort = generate_cohort(int(rng.integers(2**32)), config)
-                alloc, warnings = parse_strategy_output(scripted_rawlsian(cohort, EMPTY), cohort)
+                alloc, warnings = parse_strategy_output(scripted_rawlsian(cohort), cohort)
                 assert warnings == []
                 assert validate_allocation(alloc, cohort.capacity).feasible
 
@@ -228,11 +224,7 @@ class TestScriptedBackendContract:
     def test_outputs_parse_cleanly_with_zero_warnings(self, cohort):
         for strategy in ("utilitarian", "rawlsian", "biased"):
             backend = ScriptedBackend(strategy)
-            ctx = GenerationContext(
-                cohort=cohort, history=EMPTY, round=1, agent="A",
-                profile=build_profile(ProfileKind.BASELINE)[0],
-            )
-            text = backend.generate("ignored", ctx)
+            text = backend.generate("ignored", cohort)
             _, warnings = parse_allocation(text, cohort.n)
             assert warnings == []
 
@@ -241,18 +233,18 @@ class TestScriptedBackendContract:
             ScriptedBackend("leximin")
 
     def test_pure_function_of_inputs(self, cohort):
-        a = scripted_rawlsian(cohort, EMPTY)
-        b = scripted_rawlsian(cohort, EMPTY)
+        a = scripted_rawlsian(cohort)
+        b = scripted_rawlsian(cohort)
         assert a == b
 
 
 class TestReplay:
     def test_returns_texts_in_order_then_errors(self):
         backend = ReplayBackend(["one", "two", "three"])
-        ctx = None
-        assert [backend.generate("", ctx) for _ in range(3)] == ["one", "two", "three"]
+        cohort = None
+        assert [backend.generate("", cohort) for _ in range(3)] == ["one", "two", "three"]
         with pytest.raises(ReplayExhaustedError):
-            backend.generate("", ctx)
+            backend.generate("", cohort)
 
 
 class _ChatHandler(BaseHTTPRequestHandler):

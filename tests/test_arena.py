@@ -3,13 +3,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import triage_arena
 from triage_arena import arena as arena_mod
 from triage_arena.agents import ReplayBackend, ScriptedBackend
 from triage_arena.arena import (
@@ -21,8 +26,10 @@ from triage_arena.arena import (
     default_joint_allocation,
     emergence_delta,
     emergence_deltas,
+    _extract_justification,
     parse_allocation,
     render_allocation,
+    render_reply,
     run_debate,
     transcript_from_json,
     transcript_to_json,
@@ -268,6 +275,26 @@ class TestParser:
         assert parsed == alloc
         assert warnings == []
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.floats(0, 1e6, allow_nan=False, allow_infinity=False)] * 6),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        st.text(alphabet=st.characters(blacklist_characters="["), max_size=60),
+    )
+    def test_reply_render_parse_identity(self, rows, justification):
+        """What render_reply writes, the parser and the justification
+        extractor read back: the same allocation and the stripped text."""
+        alloc = Allocation(tuple(rows))
+        reply = render_reply(alloc, justification)
+        assert ("\nJustification: " in reply) == bool(justification)
+        assert parse_allocation(reply, n=alloc.n) == (alloc, [])
+        assert _extract_justification(reply) == justification.strip()
+
     def test_totals_line_matches_column_totals(self):
         from triage_arena.model import column_totals
 
@@ -279,6 +306,22 @@ class TestParser:
             for v in column_totals(alloc)
         ) + "]"
         assert totals_line == expected
+
+
+def test_importing_arena_leaves_retrieval_unloaded():
+    """The arena only annotates with the retrieval types, so importing it
+    does not load the retrieval module."""
+    script = (
+        "import sys, triage_arena.arena\n"
+        "print('retrieval loaded', 'triage_arena.retrieval' in sys.modules)\n"
+    )
+    src = str(Path(triage_arena.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["retrieval loaded False"]
 
 
 class TestPrompts:
@@ -353,7 +396,7 @@ class TestRunDebate:
             name = "gibberish"
             deterministic = True
 
-            def generate(self, prompt, ctx):
+            def generate(self, prompt, cohort):
                 return "no allocations here at all"
 
         agent_a, agent_b = scripted_pair()
@@ -373,12 +416,12 @@ class TestRunDebate:
             def __init__(self):
                 self.calls = 0
 
-            def generate(self, prompt, ctx):
+            def generate(self, prompt, cohort):
                 self.calls += 1
                 if self.calls % 2 == 1:
                     return "hmm let me think"
                 return "\n".join(
-                    f"Patient {i}: [0, 0, 1, 0, 1, 0]" for i in range(1, ctx.cohort.n + 1)
+                    f"Patient {i}: [0, 0, 1, 0, 1, 0]" for i in range(1, cohort.n + 1)
                 )
 
         agent_a, agent_b = scripted_pair()
@@ -412,12 +455,12 @@ class TestRunDebate:
             def __init__(self):
                 self.calls = 0
 
-            def generate(self, prompt, ctx):
+            def generate(self, prompt, cohort):
                 self.calls += 1
                 if self.calls % 2 == 1:
                     return "hmm let me think"
                 return "\n".join(
-                    f"Patient {i}: [0, 0, 1, 0, 1, 0]" for i in range(1, ctx.cohort.n + 1)
+                    f"Patient {i}: [0, 0, 1, 0, 1, 0]" for i in range(1, cohort.n + 1)
                 )
 
         agent_a, agent_b = scripted_pair()
@@ -448,10 +491,10 @@ class TestRunDebate:
             name = "recorder"
             deterministic = True
 
-            def generate(self, prompt, ctx):
+            def generate(self, prompt, cohort):
                 seen_prompts.append(prompt)
                 return "\n".join(
-                    f"Patient {i}: [0, 0, 0, 0, 1, 0]" for i in range(1, ctx.cohort.n + 1)
+                    f"Patient {i}: [0, 0, 0, 0, 1, 0]" for i in range(1, cohort.n + 1)
                 )
 
         agent_a, agent_b = scripted_pair()
@@ -559,9 +602,9 @@ class TestPromptSkip:
                 self.inner = ScriptedBackend(strategy)
                 self.name = self.inner.name
 
-            def generate(self, prompt, ctx):
+            def generate(self, prompt, cohort):
                 seen.append(prompt)
-                return self.inner.generate(prompt, ctx)
+                return self.inner.generate(prompt, cohort)
 
         agent_a, agent_b = scripted_pair(opponent="biased")
         agent_a = replace(agent_a, backend=Recording("rawlsian"))

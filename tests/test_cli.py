@@ -29,6 +29,9 @@ from triage_arena.stats import cell_seed, compare_cell, pair_reports
 SMALL_RUN_COMBINED_HASH = "aadf4237f788801aacb12762afef7e233585e8f526a1e5b1504b9082a57055a7"
 SMALL_RUN_COMPARISON_SHA256 = "d5540f7da98e5c7699fab6f8a47db95dd191392d40c89fd2e384ce37080562cb"
 SMALL_RUN_REPORT_SHA256 = "37af91ac28b7a4f2cf7ee0b844dda928349d420fc86b21f0318246be5a7c98f5"
+# Manifest of `run --backend replay --framework Utilitarian`: the reference
+# debate's stored rounds rendered as replies and replayed.
+REPLAY_COMBINED_HASH = "935111c6a1b7225223aa82598d0fa19045497ec6a9e2f5341e66954b529c7144"
 
 
 def read_dir_bytes(directory: Path) -> dict:
@@ -362,6 +365,8 @@ class TestReplayAndEval:
         assert totals_a == [2, 1, 50, 35, 56, 2]
         assert totals_b == [2, 1, 53, 35, 56, 2]
         assert transcript["final_reports"]["A"]["feasible"] is False
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["combined_hash"] == REPLAY_COMBINED_HASH
         evals = tmp_path / "replay_eval"
         assert main(["eval", "--transcripts", str(out), "--out", str(evals)]) == 0
         eval_obj = json.loads(next(evals.glob("eval_*.json")).read_text())

@@ -92,9 +92,9 @@ class TestReferenceFixtures:
 
     def test_every_fixture_has_provenance(self):
         fixtures = load_reference_fixtures()
-        for fixture in fixtures.rounds:
-            assert fixture.provenance in ("transcribed", "derived")
-            assert fixture.note
+        for r in fixtures.rounds:
+            assert r["provenance"] in ("transcribed", "derived")
+            assert r["note"]
 
     def test_checksum_mismatch_detected(self, tmp_path, monkeypatch):
         src = resources.files("triage_arena").joinpath("data/fixtures")

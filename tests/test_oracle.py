@@ -459,34 +459,6 @@ class TestGridMemory:
         assert peak < 12e6
 
 
-class TestHospitalFunctionals:
-    def test_values_built_from_need_satisfaction(self, cohort, metric_config):
-        import numpy as np
-
-        from triage_arena.metrics import (
-            WeightKind,
-            cnss_vector,
-            compute_weights,
-            gini,
-        )
-        from triage_arena.oracle import hospital_functionals
-
-        from conftest import random_allocation
-
-        functionals = hospital_functionals(cohort, metric_config)
-        by_name = {f.kind: f for f in functionals}
-        rng = np.random.Generator(np.random.Philox(43))
-        alloc = random_allocation(rng, n=cohort.n)
-        vec = cnss_vector(cohort, alloc)
-        assert by_name["util"](alloc) == pytest.approx(sum(vec.values))
-        assert by_name["rawls"](alloc) == min(vec.values)
-        assert by_name["egal"](alloc) == pytest.approx(-gini(list(vec.values)))
-        weights = compute_weights(cohort, WeightKind.PRIORITARIAN, metric_config)
-        assert by_name["prior"](alloc) == pytest.approx(
-            sum(w * v for w, v in zip(weights.weights, vec.values))
-        )
-
-
 class TestVerifyCakeClaims:
     def test_default_params_step_001(self):
         report = verify_cake_claims(CakeParams(), step=0.01)
