@@ -20,6 +20,7 @@ continuum.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -154,13 +155,13 @@ class DiscretizedSpace:
     enumeration_bound: int = 5_000_000
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and positive, not {self.step}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         for supply in self.capacity.supply:
             units = round(supply / self.step)
-            if abs(units * self.step - supply) > _STEP_TOL:
+            if not abs(units * self.step - supply) <= _STEP_TOL:
                 raise ValueError(
                     f"step {self.step} does not divide supply {supply}"
                 )
@@ -191,9 +192,13 @@ def enumerate_allocations(space: DiscretizedSpace) -> Iterator[Allocation]:
     count = candidate_count(space)
     if count > space.enumeration_bound:
         raise EnumerationBoundExceeded(count, space.enumeration_bound)
-    step = space.step
     for member in _grid_array(space):
-        yield Allocation(tuple(tuple(v * step for v in row) for row in member.tolist()))
+        yield _allocation(member, space.step)
+
+
+def _allocation(member: np.ndarray, step: float) -> Allocation:
+    """The allocation of a grid member: its (n, k) unit counts times step."""
+    return Allocation(tuple(tuple(v * step for v in row) for row in member.tolist()))
 
 
 def argmax_set(
@@ -203,6 +208,8 @@ def argmax_set(
 
     Returned in canonical (row-tuple sorted) order.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, not {tol}")
     best = None
     kept: list[tuple[float, Allocation]] = []
     for alloc in enumerate_allocations(space):
@@ -266,21 +273,22 @@ class NondegeneracyReport:
 
 def _composition_array(total: int, parts: int) -> np.ndarray:
     """Every tuple of `parts` nonnegative ints summing to at most total,
-    one per row. Stars and bars: the sorted positions of `parts` bars
-    among total + parts slots give the part sizes as the gaps before
-    each bar."""
-    count = math.comb(total + parts, parts)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(total + parts), parts)
-        ),
-        dtype=np.min_scalar_type(total + parts),
-        count=count * parts,
-    ).reshape(count, parts)
-    sizes = np.empty_like(bars)
-    sizes[:, 0] = bars[:, 0]
-    np.subtract(bars[:, 1:], bars[:, :-1], out=sizes[:, 1:])
-    sizes[:, 1:] -= 1
+    one per row, in lexicographic order, in the smallest unsigned dtype
+    that holds total + parts. Built from the last part forwards: the
+    tuples one part wider are each first part, in increasing order,
+    prefixed to the narrower tuples that fit in the remaining budget."""
+    dtype = np.min_scalar_type(total + parts)
+    sizes = np.arange(total + 1, dtype=dtype)[:, None]
+    for width in range(2, parts + 1):
+        sums = sizes.sum(axis=1, dtype=dtype)
+        wider = np.empty((math.comb(total + width, width), width), dtype)
+        start = 0
+        for first in range(total + 1):
+            rest = sizes[sums <= total - first]
+            wider[start : start + len(rest), 0] = first
+            wider[start : start + len(rest), 1:] = rest
+            start += len(rest)
+        sizes = wider
     return sizes
 
 
@@ -289,12 +297,12 @@ def _grid_array(space: DiscretizedSpace) -> np.ndarray:
     smallest unsigned dtype that holds the largest unit count. Each
     column runs through its compositions in lexicographic order, the
     last column fastest."""
+    dtype = np.min_scalar_type(max(space.units))
     columns = [_composition_array(b, space.n) for b in space.units]
+    if space.k == 1:
+        return columns[0].astype(dtype, copy=False)[:, :, None]
     counts = [len(column) for column in columns]
-    grid = np.empty(
-        (math.prod(counts), space.n, space.k),
-        dtype=np.min_scalar_type(max(space.units)),
-    )
+    grid = np.empty((math.prod(counts), space.n, space.k), dtype)
     view = grid.reshape(*counts, space.n, space.k)
     for j, column in enumerate(columns):
         shape = [1] * space.k + [space.n]
@@ -303,11 +311,15 @@ def _grid_array(space: DiscretizedSpace) -> np.ndarray:
     return grid
 
 
-def _grid_argmax_rows(
-    functionals: Sequence[UtilityAggregate], space: DiscretizedSpace, tol: float
-) -> dict[str, set]:
-    """The argmax set of each functional, by kind, as a set of allocation
-    rows. Gives the members argmax_set returns.
+def _grid_argmax_indices(
+    functionals: Sequence[UtilityAggregate],
+    space: DiscretizedSpace,
+    grid: np.ndarray,
+    tol: float,
+) -> dict[str, np.ndarray]:
+    """The argmax set of each functional, by kind, as the sorted indices
+    of its members in grid, which is _grid_array(space). Gives the
+    members argmax_set returns.
 
     Each distinct utility tuple is tabulated once over the distinct unit
     rows, each utility called on the float row enumerate_allocations
@@ -333,13 +345,13 @@ def _grid_argmax_rows(
             tables[W.utilities] = np.array(
                 [[u(row) for row in rows] for u in W.utilities], dtype=float
             )
-    grid = _grid_array(space)
     persons = np.arange(space.n)
     best = {W.kind: -math.inf for W in functionals}
     kept: dict[str, list] = {W.kind: [] for W in functionals}
     for start in range(0, len(grid), _BLOCK_ROWS):
         block = grid[start : start + _BLOCK_ROWS]
         flat = np.ravel_multi_index(tuple(np.moveaxis(block, 2, 0)), dims)
+        indices = np.arange(start, start + len(block))
         matrices: dict[tuple, np.ndarray] = {}
         for W in functionals:
             if math.isnan(best[W.kind]):
@@ -355,14 +367,9 @@ def _grid_argmax_rows(
             if top > best[W.kind]:
                 best[W.kind] = top
                 kept[W.kind] = [_within(v, i, top - tol) for v, i in kept[W.kind]]
-            indices = np.arange(start, start + len(block))
             kept[W.kind].append(_within(values, indices, best[W.kind] - tol))
     return {
-        W.kind: {
-            tuple(tuple(v * space.step for v in row) for row in member)
-            for _, indices in kept[W.kind]
-            for member in grid[indices].tolist()
-        }
+        W.kind: np.concatenate([np.empty(0, np.intp)] + [i for _, i in kept[W.kind]])
         for W in functionals
     }
 
@@ -370,6 +377,16 @@ def _grid_argmax_rows(
 def _within(values: np.ndarray, indices: np.ndarray, floor: float):
     near = values >= floor
     return values[near], indices[near]
+
+
+def _smallest(grid: np.ndarray, indices: np.ndarray, step: float) -> Allocation | None:
+    """The allocation among grid[indices] whose rows come first in row-tuple
+    order, or None if there is none. v -> v * step is strictly increasing,
+    so the integer rows sort as the float rows do."""
+    if not len(indices):
+        return None
+    members = grid[indices].reshape(len(indices), -1)
+    return _allocation(grid[indices[np.lexsort(members.T[::-1])[0]]], step)
 
 
 def check_nondegeneracy(
@@ -394,28 +411,30 @@ def check_nondegeneracy(
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"repeated functional identifiers: {', '.join(repeated)}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, not {tol}")
     count = candidate_count(space)
     if count > space.enumeration_bound:
         raise EnumerationBoundExceeded(count, space.enumeration_bound)
-    sets = _grid_argmax_rows(functionals, space, tol)
-    common = set.intersection(*(sets[name] for name in names))
-    witness = Allocation(min(common)) if common else None
-    pairs = []
-    for a, b in itertools.combinations(names, 2):
-        only_a = sets[a] - sets[b]
-        only_b = sets[b] - sets[a]
-        pairs.append(
-            PairEvidence(
-                first=a,
-                second=b,
-                intersects=not sets[a].isdisjoint(sets[b]),
-                only_first=Allocation(min(only_a)) if only_a else None,
-                only_second=Allocation(min(only_b)) if only_b else None,
-            )
+    grid = _grid_array(space)
+    sets = _grid_argmax_indices(functionals, space, grid, tol)
+    # each set is sorted and free of repeats, which the set operations assume
+    intersect = functools.partial(np.intersect1d, assume_unique=True)
+    minus = functools.partial(np.setdiff1d, assume_unique=True)
+    common = functools.reduce(intersect, (sets[name] for name in names))
+    pairs = [
+        PairEvidence(
+            first=a,
+            second=b,
+            intersects=len(intersect(sets[a], sets[b])) > 0,
+            only_first=_smallest(grid, minus(sets[a], sets[b]), space.step),
+            only_second=_smallest(grid, minus(sets[b], sets[a]), space.step),
         )
+        for a, b in itertools.combinations(names, 2)
+    ]
     return NondegeneracyReport(
-        degenerate=bool(common),
-        witness=witness,
+        degenerate=len(common) > 0,
+        witness=_smallest(grid, common, space.step),
         argmax_sizes={name: len(sets[name]) for name in names},
         pairs=tuple(pairs),
         step=space.step,
@@ -562,7 +581,7 @@ def _tabulate(params: CakeParams, step: float) -> tuple[np.ndarray, int]:
     """The (n, budget + 1) utility table: entry [i, v] is person i's
     utility of v units of size step."""
     budget = round(1.0 / step)
-    if abs(budget * step - 1.0) > _STEP_TOL:
+    if not abs(budget * step - 1.0) <= _STEP_TOL:
         raise ValueError(f"step {step} does not divide the unit cake")
     scalar = cake_utilities(params)
     table = np.array([[u(v * step) for v in range(budget + 1)] for u in scalar])

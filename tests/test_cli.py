@@ -819,6 +819,24 @@ class TestCheckNondegeneracy:
         assert code == 2
         assert "2 entries but there are 6 utilities" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["inf", "nan", "-inf", "0"])
+    def test_non_finite_or_non_positive_step_is_usage_error(self, tmp_path, capsys, step):
+        # an accepted --step inf would write "step": Infinity, which is not JSON
+        out = tmp_path / "report.json"
+        assert main(["check-nondegeneracy", f"--step={step}", "--out", str(out)]) == 2
+        assert "step must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_negative_or_nan_tol_is_usage_error(self, tmp_path, capsys, tol):
+        # such a tol would empty every argmax set and certify the grid
+        # non-degenerate
+        out = tmp_path / "report.json"
+        code = main(["check-nondegeneracy", "--step", "0.05", "--tol", tol, "--out", str(out)])
+        assert code == 2
+        assert "tol must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReportAndValidate:
     def test_report_from_replay_shows_infeasible_rounds(self, tmp_path, capsys):

@@ -30,8 +30,10 @@ from triage_arena.oracle import (
 )
 from triage_arena.oracle import (
     _best_util_at_rawls_optimum,
+    _composition_array,
     _grid_array,
-    _grid_argmax_rows,
+    _grid_argmax_indices,
+    _smallest,
     _rawls_grid_max,
     _suffix_best,
     _tabulate,
@@ -100,6 +102,40 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="divide"):
             small_space(step=0.3)
 
+    @pytest.mark.parametrize("step", [0.0, -0.5, math.inf, -math.inf, math.nan])
+    def test_step_must_be_finite_and_positive(self, step):
+        # an infinite step makes the divisibility residue 0 * inf - 1.0
+        # NaN, which no comparison with the tolerance may let through
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            small_space(step=step)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 12), st.integers(1, 6))
+    def test_composition_array_matches_stars_and_bars(self, total, parts):
+        expected = _stars_and_bars(total, parts)
+        actual = _composition_array(total, parts)
+        assert actual.dtype == expected.dtype
+        assert actual.tolist() == expected.tolist()
+
+
+def _stars_and_bars(total, parts):
+    """Every composition by bar positions: the sorted positions of `parts`
+    bars among total + parts slots give the part sizes as the gaps before
+    each bar, in itertools.combinations order."""
+    count = math.comb(total + parts, parts)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(total + parts), parts)
+        ),
+        dtype=np.min_scalar_type(total + parts),
+        count=count * parts,
+    ).reshape(count, parts)
+    sizes = np.empty_like(bars)
+    sizes[:, 0] = bars[:, 0]
+    np.subtract(bars[:, 1:], bars[:, :-1], out=sizes[:, 1:])
+    sizes[:, 1:] -= 1
+    return sizes
+
 
 class TestArgmaxSet:
     def test_constant_functional_returns_entire_space(self):
@@ -124,6 +160,11 @@ class TestArgmaxSet:
         w = lambda a: a.rows[0][0] + a.rows[1][0]
         maximizers = argmax_set(w, space, tol=0.0)
         assert {tuple(r[0] for r in a.rows) for a in maximizers} == {(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)}
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan])
+    def test_negative_or_nan_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            argmax_set(lambda a: 0.0, small_space(), tol=tol)
 
 
 class TestCakeUtilities:
@@ -221,6 +262,14 @@ class TestCheckNondegeneracy:
         with pytest.raises(ValueError, match="2 utilities for a grid of 3 persons"):
             check_nondegeneracy(functionals, small_space(step=0.5, n=3))
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan])
+    def test_negative_or_nan_tol_rejected(self, tol):
+        # such a tol keeps no candidate, so every argmax set would be
+        # empty and the report would read non-degenerate
+        functionals = cake_functionals(CakeParams(), prior_weights=[1.0] * 6)
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            check_nondegeneracy(functionals, cake_space(0.2), tol=tol)
+
     def test_bound_checked_before_any_grid_work(self):
         # at step 1e-4 the grid has ~1.4e21 points: only a bound check made
         # before building anything can return, let alone return at once
@@ -276,9 +325,24 @@ def _scan_report(functionals, space, tol=1e-9):
     }
 
 
+def _argmax_rows(functionals, space, tol):
+    """The array pass's argmax sets, each mapped from grid indices to the
+    set of allocation rows enumerate_allocations gives those members."""
+    grid = _grid_array(space)
+    indices = _grid_argmax_indices(functionals, space, grid, tol)
+    rows = {}
+    for kind, members in indices.items():
+        assert members.tolist() == sorted(set(members.tolist()))
+        rows[kind] = {
+            tuple(tuple(v * space.step for v in row) for row in member)
+            for member in grid[members].tolist()
+        }
+    return rows
+
+
 def _assert_matches_scan(functionals, space, tol=1e-9):
     ref_sets, ref = _scan_report(functionals, space, tol)
-    assert _grid_argmax_rows(functionals, space, tol) == ref_sets
+    assert _argmax_rows(functionals, space, tol) == ref_sets
     obj = check_nondegeneracy(functionals, space, tol).to_json()
     assert {key: obj[key] for key in ref} == ref
 
@@ -361,6 +425,19 @@ class TestArrayPassParity:
         )
         _assert_matches_scan(functionals, _TWO_RESOURCE_SPACE)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_smallest_is_first_in_row_tuple_order(self, data):
+        # the two-resource grid runs through one resource column after the
+        # other, so its order is not the row-tuple order of its allocations
+        space = _TWO_RESOURCE_SPACE
+        grid = _grid_array(space)
+        allocations = list(enumerate_allocations(space))
+        members = sorted(data.draw(st.sets(st.integers(0, len(grid) - 1), min_size=1)))
+        smallest = _smallest(grid, np.array(members), space.step)
+        assert smallest.rows == min(allocations[i].rows for i in members)
+        assert _smallest(grid, np.empty(0, np.intp), space.step) is None
+
     @pytest.mark.parametrize("kind", _KINDS)
     def test_over_grid_replicates_scalar_arithmetic(self, kind):
         # all-zero, equal, mixed-sign and all-negative rows; the equal row
@@ -431,7 +508,7 @@ class TestBlockBoundaries:
         ]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_BLOCK_ROWS", rows)
-            sets = _grid_argmax_rows(functionals, space, 1e-9)
+            sets = _argmax_rows(functionals, space, 1e-9)
             report = check_nondegeneracy(functionals, space).to_json()
         rawls = {a.rows for a in argmax_set(functionals[2], space)}
         assert sets == {"util": set(), "egal": set(), "rawls": rawls}
@@ -439,24 +516,36 @@ class TestBlockBoundaries:
         assert report["degenerate"] is False
 
 
+def _traced_peak(call):
+    """Bytes allocated at the peak of call() above what was held before."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 class TestGridMemory:
     def test_float_working_memory_is_bounded(self):
         # a whole-grid pass held the (M, n) float64 utility matrix and
-        # egal's sorted copy at once: about 32 MB here; the argmax sets it
-        # returns take about 4 MB
+        # egal's sorted copy at once: about 32 MB here
         functionals = cake_functionals(CakeParams(), [1.0] * 6)
         space = cake_space(0.05)
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            _grid_argmax_rows(functionals, space, 1e-9)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak < 12e6
+        grid = _grid_array(space)
+        assert _traced_peak(lambda: _grid_argmax_indices(functionals, space, grid, 1e-9)) < 12e6
+
+    def test_step_004_report_memory_is_bounded(self):
+        # the 736,281-point grid is 4.4 MB of uint8 and the maximin set
+        # has 20,349 members, which must stay grid indices: as tuples of
+        # float tuples they alone take about 12.7 MB
+        functionals = cake_functionals(CakeParams(), [1.0] * 6)
+        space = cake_space(0.04)
+        assert _traced_peak(lambda: check_nondegeneracy(functionals, space)) < 12e6
 
 
 class TestVerifyCakeClaims:
@@ -516,10 +605,10 @@ class TestVerifyCakeClaims:
         step = 0.1
         util, rawls = cake_functionals(params, include=("util", "rawls"))
         space = cake_space(step)
-        util_rows = _grid_argmax_rows([util], space, 1e-9)["util"]
+        util_rows = _argmax_rows([util], space, 1e-9)["util"]
         # min involves no arithmetic, so tol 0 gives the exact argmax set,
         # which is what the DP's table masked below theta describes
-        rawls_rows = _grid_argmax_rows([rawls], space, 0.0)["rawls"]
+        rawls_rows = _argmax_rows([rawls], space, 0.0)["rawls"]
 
         def rows(units):
             return tuple((v * step,) for v in units)
