@@ -4,7 +4,6 @@ over constrained hospital resource allocation."""
 from .model import (
     Allocation,
     AgentProfile,
-    BiasSource,
     Cohort,
     Framework,
     Patient,
@@ -18,7 +17,6 @@ from .model import (
 )
 from .metrics import (
     CnssVector,
-    MetricConfig,
     MetricReport,
     WeightKind,
     WeightScheme,

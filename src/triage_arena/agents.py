@@ -32,7 +32,6 @@ from .arena import render_reply
 from .model import (
     AgentProfile,
     Allocation,
-    BiasSource,
     Cohort,
     Framework,
     Patient,
@@ -252,15 +251,15 @@ def _chat_transport(config: ChatBackendConfig):
     )
 
 
-def chat_generate(config: ChatBackendConfig, prompt: str, transport=None) -> str:
+def chat_generate(config: ChatBackendConfig, prompt: str, transport) -> str:
     """One chat-completion round trip.
 
     Sends a messages array with the prompt as the single (and final) user
     message, byte-identical to the caller's prompt, and returns
-    choices[0].message.content. `transport` is the backend's keep-alive
-    `transport.JsonEndpoint`; without one, a connection is opened for
-    this call alone. Transport failures, 5xx and 429 (rate limited)
-    responses are retried up to the retry budget.
+    choices[0].message.content. `transport` is the caller's keep-alive
+    `transport.JsonEndpoint` from `_chat_transport(config)`; the caller
+    closes it. Transport failures, 5xx and 429 (rate limited) responses
+    are retried up to the retry budget.
     """
     payload = {
         "model": config.model,
@@ -268,14 +267,7 @@ def chat_generate(config: ChatBackendConfig, prompt: str, transport=None) -> str
         "temperature": config.temperature,
         "max_tokens": config.max_tokens,
     }
-    if transport is not None:
-        body = transport.post(payload)
-    else:
-        transport = _chat_transport(config)
-        try:
-            body = transport.post(payload)
-        finally:
-            transport.close()
+    body = transport.post(payload)
     try:
         content = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
@@ -342,7 +334,6 @@ def build_profile(
     kind: ProfileKind,
     framework: Framework | None = None,
     retrieval_enabled: bool = False,
-    bias_source: BiasSource = BiasSource.NONE,
     adversarial_path: str | Path | None = None,
 ) -> tuple[AgentProfile, str]:
     """Assemble a profile and its system preamble text.
@@ -352,10 +343,7 @@ def build_profile(
     loaded verbatim from the explicitly supplied path.
     """
     profile = AgentProfile(
-        kind=kind,
-        framework=framework,
-        retrieval_enabled=retrieval_enabled,
-        bias_source=bias_source,
+        kind=kind, framework=framework, retrieval_enabled=retrieval_enabled
     )
     if kind is ProfileKind.ALIGNED:
         return profile, framework_preamble(framework)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from math import isfinite
 from typing import TYPE_CHECKING
 
-from .metrics import METRIC_DIRECTIONS, MetricConfig, MetricReport, metric_reports
+from .metrics import METRIC_DIRECTIONS, MetricReport, metric_reports
 from .model import (
     AgentProfile,
     Allocation,
@@ -472,9 +472,7 @@ class EmergenceDelta:
 
 
 def emergence_deltas(
-    transcript: DebateTranscript,
-    joint: Allocation,
-    metric_config: MetricConfig | None = None,
+    transcript: DebateTranscript, joint: Allocation
 ) -> dict[str, EmergenceDelta]:
     """Joint-minus-mean gap for every metric, sign-adjusted by direction.
 
@@ -486,7 +484,7 @@ def emergence_deltas(
         raise ValueError("transcript does not carry two final allocations")
     cohort = transcript.cohort
     joint_report, *final_reports = metric_reports(
-        cohort, [joint, *transcript.final_allocations.values()], metric_config
+        cohort, [joint, *transcript.final_allocations.values()]
     )
     note = "" if joint_report.feasible else "joint allocation is infeasible"
     deltas = {}
@@ -503,15 +501,12 @@ def emergence_deltas(
 
 
 def emergence_delta(
-    metric: str,
-    transcript: DebateTranscript,
-    joint: Allocation,
-    metric_config: MetricConfig | None = None,
+    metric: str, transcript: DebateTranscript, joint: Allocation
 ) -> EmergenceDelta:
     """The emergence delta of a single metric; see emergence_deltas."""
     if metric not in METRIC_DIRECTIONS:
         raise ValueError(f"unknown metric {metric!r}")
-    return emergence_deltas(transcript, joint, metric_config)[metric]
+    return emergence_deltas(transcript, joint)[metric]
 
 
 def transcript_to_json(transcript: DebateTranscript) -> dict:

@@ -34,12 +34,10 @@ from .cohortgen import SamplerConfig, generate_batch, slots_from_json
 from .metrics import (
     METRIC_DIRECTIONS,
     METRIC_NAMES,
-    MetricConfig,
     MetricReport,
     metric_reports,
 )
 from .model import (
-    BiasSource,
     Cohort,
     Framework,
     ProfileKind,
@@ -244,9 +242,7 @@ def _build_agents(args, framework: Framework, fixtures=None):
     if opponent_kind == "biased":
         adversarial = Path(args.adversarial_file) if args.adversarial_file else _default_adversarial_path()
         profile_b, system_b = agents_mod.build_profile(
-            ProfileKind.BIASED,
-            bias_source=BiasSource.ADVERSARIAL_PROMPT,
-            adversarial_path=adversarial,
+            ProfileKind.BIASED, adversarial_path=adversarial
         )
     else:
         profile_b, system_b = agents_mod.build_profile(ProfileKind.BASELINE)
@@ -381,7 +377,6 @@ def cmd_eval(args) -> int:
     transcripts_dir = Path(args.transcripts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    metric_config = MetricConfig.default()
     files = sorted(transcripts_dir.glob("transcript_*.json"))
     if not files:
         raise UsageError(f"no transcript_*.json files under {transcripts_dir}")
@@ -398,7 +393,6 @@ def cmd_eval(args) -> int:
         reports = metric_reports(
             transcript.cohort,
             [p.allocation for p in proposals] + list(transcript.final_allocations.values()),
-            metric_config,
         )
         rounds = [
             {
@@ -494,6 +488,8 @@ def _eval_entry(e: dict):
 
 
 def cmd_stats(args) -> int:
+    if not 0 < args.alpha < 1:
+        raise UsageError(f"--alpha must lie in (0, 1), not {args.alpha}")
     eval_dir = Path(args.eval_dir)
     files = sorted(eval_dir.glob("eval_*.json"))
     if not files:

@@ -18,6 +18,7 @@ The six metrics and their optimization directions:
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources as _resources
@@ -28,7 +29,6 @@ __all__ = [
     "CnssVector",
     "WeightKind",
     "WeightScheme",
-    "MetricConfig",
     "MetricReport",
     "METRIC_NAMES",
     "METRIC_DIRECTIONS",
@@ -93,7 +93,7 @@ class WeightKind(enum.Enum):
 
 @dataclass(frozen=True)
 class WeightScheme:
-    """Per-patient disadvantage weights, deterministic in cohort and config."""
+    """Per-patient disadvantage weights, deterministic in the cohort."""
 
     kind: WeightKind
     weights: tuple[float, ...]
@@ -103,49 +103,25 @@ class WeightScheme:
             raise ValueError("weights must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class MetricConfig:
-    """Declarative scoring tables behind the weighted metrics.
+@functools.cache
+def _scoring_table() -> dict:
+    """The packaged scoring table behind the weighted metrics, read on
+    first use and shared for the process; callers must not mutate it.
 
     attribute_scores maps each categorical attribute value to a
     disadvantage score in [0, 1] (higher means historically more
-    disadvantaged). age_bands is a list of (upper_age, score) pairs
+    disadvantaged). age_bands is a list of [upper_age, score] pairs
     checked in order. kind_weights gives the per-attribute mixing
     weights for each weight kind. The final per-patient weight is
     floor + scale * (weighted mean of attribute scores), keeping
     weights strictly positive.
     """
-
-    attribute_scores: dict
-    age_bands: tuple[tuple[int, float], ...]
-    kind_weights: dict
-    floor: float = 0.1
-    scale: float = 0.9
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MetricConfig":
-        return cls(
-            attribute_scores=obj["attribute_scores"],
-            age_bands=tuple((int(a), float(s)) for a, s in obj["age_bands"]),
-            kind_weights=obj["kind_weights"],
-            floor=obj.get("floor", 0.1),
-            scale=obj.get("scale", 0.9),
-        )
-
-    @classmethod
-    def default(cls) -> "MetricConfig":
-        global _DEFAULT_CONFIG
-        if _DEFAULT_CONFIG is None:
-            text = (
-                _resources.files("triage_arena")
-                .joinpath("data/attribute_scores.json")
-                .read_text(encoding="utf-8")
-            )
-            _DEFAULT_CONFIG = cls.from_json(json.loads(text))
-        return _DEFAULT_CONFIG
-
-
-_DEFAULT_CONFIG: "MetricConfig | None" = None
+    text = (
+        _resources.files("triage_arena")
+        .joinpath("data/attribute_scores.json")
+        .read_text(encoding="utf-8")
+    )
+    return json.loads(text)
 
 
 def cnss(patient: Patient, row) -> float:
@@ -232,13 +208,13 @@ def gini(h) -> float:
     return 2.0 * weighted / (n * total) - (n + 1) / n
 
 
-def _score_for(attribute: str, value, config: MetricConfig) -> float:
+def _score_for(attribute: str, value) -> float:
     if attribute == "age":
-        for upper, score in config.age_bands:
+        for upper, score in _scoring_table()["age_bands"]:
             if value <= upper:
-                return score
+                return float(score)
         raise ValueError(f"age {value} not covered by any age band")
-    table = config.attribute_scores.get(attribute)
+    table = _scoring_table()["attribute_scores"].get(attribute)
     if table is None:
         raise ValueError(f"no score table for attribute {attribute!r}")
     if value not in table:
@@ -248,7 +224,7 @@ def _score_for(attribute: str, value, config: MetricConfig) -> float:
     return float(table[value])
 
 
-def compute_weights(cohort: Cohort, kind: WeightKind, config: MetricConfig) -> WeightScheme:
+def compute_weights(cohort: Cohort, kind: WeightKind) -> WeightScheme:
     """Derive per-patient weights from demographic disadvantage scores.
 
     Each attribute value maps to a score in [0, 1]; the raw patient score
@@ -256,17 +232,19 @@ def compute_weights(cohort: Cohort, kind: WeightKind, config: MetricConfig) -> W
     weight is floor + scale * raw. Prioritarian mixing emphasizes SES,
     care mixing emphasizes age and gender.
     """
-    mix = config.kind_weights[kind.value]
+    table = _scoring_table()
+    mix = table["kind_weights"][kind.value]
+    floor, scale = table["floor"], table["scale"]
     weights = []
     for p in cohort.patients:
         raw = (
-            mix["ses"] * _score_for("ses", p.ses, config)
-            + mix["citizenship"] * _score_for("citizenship", p.citizenship, config)
-            + mix["race"] * _score_for("race", p.race, config)
-            + mix["age"] * _score_for("age", p.age, config)
-            + mix["gender"] * _score_for("gender", p.gender, config)
+            mix["ses"] * _score_for("ses", p.ses)
+            + mix["citizenship"] * _score_for("citizenship", p.citizenship)
+            + mix["race"] * _score_for("race", p.race)
+            + mix["age"] * _score_for("age", p.age)
+            + mix["gender"] * _score_for("gender", p.gender)
         )
-        weights.append(config.floor + config.scale * raw)
+        weights.append(floor + scale * raw)
     return WeightScheme(kind=kind, weights=tuple(weights))
 
 
@@ -317,22 +295,20 @@ class MetricReport:
         )
 
 
-def metric_report(cohort: Cohort, alloc: Allocation, config: MetricConfig | None = None) -> MetricReport:
+def metric_report(cohort: Cohort, alloc: Allocation) -> MetricReport:
     """Compute CNSS once, then all six metrics plus feasibility."""
-    return metric_reports(cohort, [alloc], config)[0]
+    return metric_reports(cohort, [alloc])[0]
 
 
-def metric_reports(cohort: Cohort, allocs, config: MetricConfig | None = None) -> list[MetricReport]:
+def metric_reports(cohort: Cohort, allocs) -> list[MetricReport]:
     """One MetricReport per allocation of the cohort, in order.
 
-    The weights depend only on the cohort and the config, so both
-    schemes are computed once for all the allocations. Equal allocations
-    share one report, computed once.
+    The weights depend only on the cohort, so both schemes are computed
+    once for all the allocations. Equal allocations share one report,
+    computed once.
     """
-    if config is None:
-        config = MetricConfig.default()
-    w_prior = compute_weights(cohort, WeightKind.PRIORITARIAN, config)
-    w_care = compute_weights(cohort, WeightKind.CARE, config)
+    w_prior = compute_weights(cohort, WeightKind.PRIORITARIAN)
+    w_care = compute_weights(cohort, WeightKind.CARE)
     by_alloc: dict[Allocation, MetricReport] = {}
     reports = []
     for alloc in allocs:

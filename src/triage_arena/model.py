@@ -19,7 +19,6 @@ __all__ = [
     "Resource",
     "Framework",
     "ProfileKind",
-    "BiasSource",
     "AgentProfile",
     "ResourceCapacity",
     "CAPACITY_VARIANTS",
@@ -92,44 +91,32 @@ class ProfileKind(enum.Enum):
     BIASED = "Biased"
 
 
-class BiasSource(enum.Enum):
-    NONE = "none"
-    ADVERSARIAL_PROMPT = "adversarial_prompt"
-
-
 @dataclass(frozen=True)
 class AgentProfile:
-    """How an agent is conditioned: aligned, plain baseline, or biased.
+    """How an agent is conditioned: aligned, plain baseline, or biased
+    through an adversarial prompt.
 
-    Aligned profiles require a framework; baseline profiles must not carry
-    one; biased profiles require a concrete bias source.
+    Aligned profiles require a framework; baseline and biased profiles
+    must not carry one.
     """
 
     kind: ProfileKind
     framework: Framework | None = None
     retrieval_enabled: bool = False
-    bias_source: BiasSource = BiasSource.NONE
 
     def __post_init__(self):
         if self.kind is ProfileKind.ALIGNED:
             if self.framework is None:
                 raise ValueError("aligned profile requires a framework")
-            if self.bias_source is not BiasSource.NONE:
-                raise ValueError("aligned profile cannot carry a bias source")
-        elif self.kind is ProfileKind.BASELINE:
-            if self.framework is not None:
-                raise ValueError("baseline profile must not carry a framework")
-            if self.bias_source is not BiasSource.NONE:
-                raise ValueError("baseline profile cannot carry a bias source")
-        else:  # BIASED
-            if self.framework is not None:
-                raise ValueError("biased profile must not carry a framework")
-            if self.bias_source is BiasSource.NONE:
-                raise ValueError("biased profile requires a bias source")
+        elif self.framework is not None:
+            raise ValueError(
+                f"{self.kind.value.lower()} profile must not carry a framework"
+            )
 
 
-# Named capacity variants. "abundant" is a uniform scale-up of "standard"
-# that preserves integral supplies; it is overridable through config.
+# Named capacity variants, selected by name (`gen-cohorts --variant`).
+# "abundant" is a uniform scale-up of "standard" that preserves integral
+# supplies.
 CAPACITY_VARIANTS: dict[str, tuple[float, ...]] = {
     "standard": (3.0, 2.0, 60.0, 50.0, 80.0, 3.0),
     "tight": (2.0, 1.0, 45.0, 35.0, 60.0, 2.0),

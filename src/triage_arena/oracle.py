@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 _STEP_TOL = 1e-9
+CLAIM_TOL = 1e-9
+RECHECK_TOL = 1e-6
 # grid allocations per block of the nondegeneracy pass; a block's float
 # working memory is about 140 bytes a row, and 4,096 rows ran fastest
 _BLOCK_ROWS = 4096
@@ -87,6 +89,8 @@ class UtilityAggregate:
                     f"prior_weights has {len(self.weights)} entries but there "
                     f"are {len(self.utilities)} utilities"
                 )
+            if not all(map(math.isfinite, self.weights)):
+                raise ValueError(f"prior_weights must be finite, not {list(self.weights)}")
 
     def __call__(self, alloc: Allocation) -> float:
         values = [u(row) for u, row in zip(self.utilities, alloc.rows)]
@@ -451,9 +455,10 @@ class CakeParams:
     harm penalty for the capped recipient, xbar4 the safe cap, xmin the
     minimum meaningful share, epsilon the flat inclusion utility.
 
-    The orderings 0 < gamma < beta < 1 < alpha and positivity are hard
-    invariants. The magnitude guards (lam >= 50, xbar4 and xmin <= 0.2)
-    can be relaxed with allow_degenerate=True for negative-control runs.
+    Finiteness, the orderings 0 < gamma < beta < 1 < alpha and positivity
+    are hard invariants. The magnitude guards (lam >= 50, xbar4 and
+    xmin <= 0.2) can be relaxed with allow_degenerate=True for
+    negative-control runs.
     """
 
     alpha: float = 2.0
@@ -467,6 +472,10 @@ class CakeParams:
     allow_degenerate: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "allow_degenerate" and not math.isfinite(value):
+                raise ValueError(f"cake parameters must be finite: {f.name}={value}")
         if not (0 < self.gamma < self.beta < 1 < self.alpha):
             raise ValueError("require 0 < gamma < beta < 1 < alpha")
         if self.epsilon <= 0 or self.delta <= 0:
@@ -785,14 +794,13 @@ def _evaluate_claims(
     return verdicts
 
 
-def verify_cake_claims(
-    params: CakeParams, step: float, tol: float = 1e-9, recheck_tol: float = 1e-6
-) -> CakeVerificationReport:
+def verify_cake_claims(params: CakeParams, step: float) -> CakeVerificationReport:
     """Check the three cake claims on the grid at the given step.
 
     Requires step <= min(xbar4, xmin) / 2 so the cap and floor thresholds
-    fall on resolvable grid points. The claims are evaluated at tol and
-    re-evaluated at recheck_tol to confirm the verdicts are not knife-edge.
+    fall on resolvable grid points. The claims are evaluated at
+    CLAIM_TOL and re-evaluated at RECHECK_TOL to confirm the verdicts are
+    not knife-edge.
     """
     if not step > 0:
         raise ValueError("step must be positive")
@@ -802,12 +810,12 @@ def verify_cake_claims(
             f"step {step} too coarse to resolve the cap and floor thresholds "
             f"(needs step <= {limit:g})"
         )
-    claims, recheck = _evaluate_claims(params, step, (tol, recheck_tol))
+    claims, recheck = _evaluate_claims(params, step, (CLAIM_TOL, RECHECK_TOL))
     agrees = all(a.passed == b.passed for a, b in zip(claims, recheck))
     return CakeVerificationReport(
         step=step,
-        tol=tol,
+        tol=CLAIM_TOL,
         claims=claims,
-        recheck_tol=recheck_tol,
+        recheck_tol=RECHECK_TOL,
         recheck_agrees=agrees,
     )

@@ -52,6 +52,7 @@ __all__ = [
 EXACT_WILCOXON_MAX_N = 12
 DEFAULT_ALPHA = 0.05
 DEFAULT_RESAMPLES = 2000
+CI_LEVEL = 0.95
 DEFAULT_BOOTSTRAP_SEED = 42
 
 
@@ -186,21 +187,17 @@ def cohens_d(a, b) -> float:
     return (mean_a - mean_b) / pooled
 
 
-def bootstrap_ci(
-    sample,
-    resamples: int = DEFAULT_RESAMPLES,
-    seed: int = DEFAULT_BOOTSTRAP_SEED,
-    level: float = 0.95,
-) -> tuple[float, float]:
-    """Percentile interval of resampled means, deterministic given seed."""
+def bootstrap_ci(sample, seed: int = DEFAULT_BOOTSTRAP_SEED) -> tuple[float, float]:
+    """Percentile interval at CI_LEVEL of DEFAULT_RESAMPLES resampled
+    means, deterministic given seed."""
     sample = np.asarray(list(sample), dtype=float)
     if sample.size == 0:
         raise ValueError("bootstrap_ci requires a nonempty sample")
     rng = np.random.Generator(np.random.Philox(seed))
-    draws = rng.integers(0, sample.size, size=(resamples, sample.size))
+    draws = rng.integers(0, sample.size, size=(DEFAULT_RESAMPLES, sample.size))
     means = sample[draws].mean(axis=1)
-    lo = float(np.percentile(means, (1 - level) / 2 * 100))
-    hi = float(np.percentile(means, (1 + level) / 2 * 100))
+    lo = float(np.percentile(means, (1 - CI_LEVEL) / 2 * 100))
+    hi = float(np.percentile(means, (1 + CI_LEVEL) / 2 * 100))
     return lo, hi
 
 
@@ -264,7 +261,6 @@ def compare_cell(
     framework: str,
     metric: str,
     alpha: float = DEFAULT_ALPHA,
-    resamples: int = DEFAULT_RESAMPLES,
     bootstrap_seed: int = DEFAULT_BOOTSTRAP_SEED,
 ) -> ComparisonReport:
     """Full comparison for one (framework, metric) cell; the p-value is
@@ -282,8 +278,8 @@ def compare_cell(
     wilcoxon = wilcoxon_signed_rank(sample.diffs)
     p = wilcoxon.p_value
     d = cohens_d(sample.a_values, sample.b_values) if sample.n >= 2 else float("nan")
-    ci_a = bootstrap_ci(sample.a_values, resamples, bootstrap_seed)
-    ci_b = bootstrap_ci(sample.b_values, resamples, bootstrap_seed)
+    ci_a = bootstrap_ci(sample.a_values, bootstrap_seed)
+    ci_b = bootstrap_ci(sample.b_values, bootstrap_seed)
     winner = assign_winner(p, mean_a, mean_b, METRIC_DIRECTIONS[metric], alpha)
     return ComparisonReport(
         framework=framework, metric=metric, n=sample.n,

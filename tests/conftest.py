@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from contextlib import closing
+
 import numpy as np
 import pytest
 
+from triage_arena.agents import ChatBackend
 from triage_arena.cohortgen import SamplerConfig, generate_cohort
-from triage_arena.metrics import MetricConfig
 from triage_arena.model import (
     Allocation,
     Cohort,
@@ -13,11 +15,6 @@ from triage_arena.model import (
     capacity_for_variant,
     discretize_survival,
 )
-
-
-@pytest.fixture(scope="session")
-def metric_config() -> MetricConfig:
-    return MetricConfig.default()
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +75,9 @@ def random_cohort_and_allocation(rng: np.random.Generator, config: SamplerConfig
     cohort = generate_cohort(seed, config, cohort_id=int(rng.integers(0, 10_000)))
     alloc = random_allocation(rng, n=cohort.n)
     return cohort, alloc
+
+
+def chat_reply(config, prompt: str) -> str:
+    """One reply from a chat backend closed after it."""
+    with closing(ChatBackend(config)) as backend:
+        return backend.generate(prompt, None)

@@ -17,7 +17,6 @@ from triage_arena.agents import (
     ScriptedBackend,
     build_profile,
     baseline_preamble,
-    chat_generate,
     default_disfavored,
     framework_preamble,
     scripted_biased,
@@ -29,14 +28,13 @@ from triage_arena.cohortgen import SamplerConfig, generate_cohort
 from triage_arena.metrics import cnss, cnss_vector, rmg
 from triage_arena.model import (
     Allocation,
-    BiasSource,
     Framework,
     ProfileKind,
     Resource,
     validate_allocation,
 )
 
-from conftest import make_cohort, make_patient
+from conftest import chat_reply, make_cohort, make_patient
 
 def reference_scripted_rawlsian(cohort) -> str:
     """The strategy as first written: it rebuilds every patient's grantable
@@ -294,20 +292,20 @@ def chat_server():
 class TestChatClient:
     def test_echoes_fixed_body(self, chat_server):
         config = ChatBackendConfig(endpoint=chat_server, model="test-model", backoff=0)
-        assert chat_generate(config, "hello") == "FIXED BODY"
+        assert chat_reply(config, "hello") == "FIXED BODY"
 
     def test_500_three_times_with_budget_two_surfaces_error(self, chat_server):
         _ChatHandler.fail_times = 3
         config = ChatBackendConfig(endpoint=chat_server, model="m", retries=2, backoff=0)
         with pytest.raises(ChatTransportError):
-            chat_generate(config, "hello")
+            chat_reply(config, "hello")
         assert _ChatHandler.calls == 3
 
     def test_429_is_retried_like_a_server_error(self, chat_server):
         _ChatHandler.fail_times = 1
         _ChatHandler.fail_status = 429
         config = ChatBackendConfig(endpoint=chat_server, model="m", retries=2, backoff=0)
-        assert chat_generate(config, "hello") == "FIXED BODY"
+        assert chat_reply(config, "hello") == "FIXED BODY"
         assert _ChatHandler.calls == 2
 
     def test_other_4xx_is_not_retried(self, chat_server):
@@ -315,13 +313,13 @@ class TestChatClient:
         _ChatHandler.fail_status = 400
         config = ChatBackendConfig(endpoint=chat_server, model="m", retries=2, backoff=0)
         with pytest.raises(ChatTransportError, match="HTTP 400"):
-            chat_generate(config, "hello")
+            chat_reply(config, "hello")
         assert _ChatHandler.calls == 1
 
     def test_prompt_appears_exactly_once_as_final_user_message(self, chat_server):
         config = ChatBackendConfig(endpoint=chat_server, model="m", backoff=0)
         prompt = "allocate wisely éø"
-        chat_generate(config, prompt)
+        chat_reply(config, prompt)
         payload = _ChatHandler.captured[-1]
         user_messages = [m for m in payload["messages"] if m["role"] == "user"]
         assert len(user_messages) == 1
@@ -346,17 +344,13 @@ class TestProfiles:
 
     def test_adversarial_preamble_is_byte_identical_to_file(self):
         path = resources.files("triage_arena").joinpath("data/adversarial/biased_prompt.txt")
-        profile, system = build_profile(
-            ProfileKind.BIASED,
-            bias_source=BiasSource.ADVERSARIAL_PROMPT,
-            adversarial_path=str(path),
-        )
+        profile, system = build_profile(ProfileKind.BIASED, adversarial_path=str(path))
         assert system.encode("utf-8") == path.read_bytes()
-        assert profile.bias_source is BiasSource.ADVERSARIAL_PROMPT
+        assert profile.kind is ProfileKind.BIASED
 
     def test_adversarial_requires_explicit_path(self):
         with pytest.raises(ValueError, match="explicit"):
-            build_profile(ProfileKind.BIASED, bias_source=BiasSource.ADVERSARIAL_PROMPT)
+            build_profile(ProfileKind.BIASED)
 
     def test_aligned_with_retrieval_sets_flag(self):
         profile, system = build_profile(

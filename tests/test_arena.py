@@ -38,7 +38,6 @@ from triage_arena.cohortgen import generate_cohort
 from triage_arena.metrics import METRIC_NAMES, metric_report
 from triage_arena.model import (
     Allocation,
-    BiasSource,
     Framework,
     ProfileKind,
     RESOURCE_NAMES,
@@ -62,11 +61,7 @@ def scripted_pair(framework=Framework.RAWLSIAN, opponent="baseline"):
         from importlib import resources
 
         path = resources.files("triage_arena").joinpath("data/adversarial/biased_prompt.txt")
-        profile_b, system_b = build_profile(
-            ProfileKind.BIASED,
-            bias_source=BiasSource.ADVERSARIAL_PROMPT,
-            adversarial_path=str(path),
-        )
+        profile_b, system_b = build_profile(ProfileKind.BIASED, adversarial_path=str(path))
         backend = ScriptedBackend("biased")
         label = "C"
     else:
@@ -623,7 +618,7 @@ class TestPromptSkip:
 
 
 class TestJointAndEmergence:
-    def test_equal_finals_give_zero_delta(self, cohort, metric_config):
+    def test_equal_finals_give_zero_delta(self, cohort):
         agent_a, agent_b = scripted_pair()
         shared = "\n".join(
             f"Patient {i}: [0, 0, 2, 0, 2, 0]" for i in range(1, cohort.n + 1)
@@ -637,7 +632,7 @@ class TestJointAndEmergence:
             cohort.capacity,
         )
         assert "converged" in note
-        deltas = emergence_deltas(transcript, joint, metric_config)
+        deltas = emergence_deltas(transcript, joint)
         for metric in METRIC_NAMES:
             delta = deltas[metric]
             assert delta.value == pytest.approx(0.0, abs=1e-12)
@@ -659,18 +654,18 @@ class TestJointAndEmergence:
         assert "rescaled" in note
         assert column_totals(joint)[2] == pytest.approx(45.0)
 
-    def test_hand_formula_on_random_instances(self, cohort, metric_config):
+    def test_hand_formula_on_random_instances(self, cohort):
         rng = np.random.Generator(np.random.Philox(10))
         agent_a, agent_b = scripted_pair()
         transcript = run_debate(cohort, agent_a, agent_b, DebateConfig(rounds=1))
         for _ in range(10):
             joint = random_allocation(rng, n=cohort.n)
-            deltas = emergence_deltas(transcript, joint, metric_config)
+            deltas = emergence_deltas(transcript, joint)
             for metric in METRIC_NAMES:
                 delta = deltas[metric]
-                m_joint = metric_report(cohort, joint, metric_config).value(metric)
+                m_joint = metric_report(cohort, joint).value(metric)
                 finals = [
-                    metric_report(cohort, alloc, metric_config).value(metric)
+                    metric_report(cohort, alloc).value(metric)
                     for alloc in transcript.final_allocations.values()
                 ]
                 expected = m_joint - sum(finals) / 2
@@ -678,15 +673,15 @@ class TestJointAndEmergence:
                     expected = -expected
                 assert delta.value == pytest.approx(expected, abs=1e-12)
 
-    def test_infeasible_joint_flagged(self, cohort, metric_config):
+    def test_infeasible_joint_flagged(self, cohort):
         agent_a, agent_b = scripted_pair()
         transcript = run_debate(cohort, agent_a, agent_b, DebateConfig(rounds=1))
         huge = Allocation(tuple(tuple(99.0 for _ in range(6)) for _ in range(cohort.n)))
-        delta = emergence_deltas(transcript, huge, metric_config)["esg"]
+        delta = emergence_deltas(transcript, huge)["esg"]
         assert not delta.joint_feasible
         assert delta.note
 
-    def test_single_metric_delta_matches_the_full_set(self, cohort, metric_config):
+    def test_single_metric_delta_matches_the_full_set(self, cohort):
         agent_a, agent_b = scripted_pair()
         transcript = run_debate(cohort, agent_a, agent_b, DebateConfig(rounds=1))
         joint, _note = default_joint_allocation(
@@ -694,9 +689,9 @@ class TestJointAndEmergence:
             transcript.final_allocations["B"],
             cohort.capacity,
         )
-        deltas = emergence_deltas(transcript, joint, metric_config)
+        deltas = emergence_deltas(transcript, joint)
         assert list(deltas) == list(METRIC_NAMES)
         for metric in METRIC_NAMES:
-            assert emergence_delta(metric, transcript, joint, metric_config) == deltas[metric]
+            assert emergence_delta(metric, transcript, joint) == deltas[metric]
         with pytest.raises(ValueError, match="unknown metric"):
-            emergence_delta("nope", transcript, joint, metric_config)
+            emergence_delta("nope", transcript, joint)

@@ -29,6 +29,15 @@ from triage_arena.stats import cell_seed, compare_cell, pair_reports
 SMALL_RUN_COMBINED_HASH = "aadf4237f788801aacb12762afef7e233585e8f526a1e5b1504b9082a57055a7"
 SMALL_RUN_COMPARISON_SHA256 = "d5540f7da98e5c7699fab6f8a47db95dd191392d40c89fd2e384ce37080562cb"
 SMALL_RUN_REPORT_SHA256 = "37af91ac28b7a4f2cf7ee0b844dda928349d420fc86b21f0318246be5a7c98f5"
+# Its per-round and final metric reports, one eval file per cohort.
+SMALL_RUN_EVAL_SHA256 = {
+    "eval_rawlsian_biased_0000.json": "6311dace59c116f46ff63e0d725e4e7beb79d8177629b34208e7412762861268",
+    "eval_rawlsian_biased_0001.json": "7e44fb60483bca54a622bc438c799bace59cc7fb121b0676702366e7dd69aaa7",
+    "eval_rawlsian_biased_0002.json": "59cf54b83248cfe37b37a70b454537aaff53729cf9d4c7a347fe2d79fe53290a",
+    "eval_rawlsian_biased_0003.json": "fa1467df517bbd17b802a09c7a259df404e2a52ff9e7bf46451bb60e3c7e4971",
+    "eval_rawlsian_biased_0004.json": "126b275aed2817266668d11479cf02dce50575485085e089e1509d54afa7f828",
+    "eval_rawlsian_biased_0005.json": "7af24c59b15208f04b4e1f5bc69dc930693567c0fb8d3b5a0479500452408937",
+}
 # Manifest of `run --backend replay --framework Utilitarian`: the reference
 # debate's stored rounds rendered as replies and replayed.
 REPLAY_COMBINED_HASH = "935111c6a1b7225223aa82598d0fa19045497ec6a9e2f5341e66954b529c7144"
@@ -444,6 +453,16 @@ class TestStats:
         assert reason in err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("alpha", ["0", "1", "2", "-1", "nan"])
+    def test_alpha_outside_unit_interval_is_usage_error(self, small_run, tmp_path, capsys, alpha):
+        # such an alpha would write a comparison.json that validate rejects,
+        # or, for NaN, one it passes
+        out = tmp_path / "s"
+        code = main(["stats", "--eval-dir", str(small_run / "evals"), f"--alpha={alpha}", "--out", str(out)])
+        assert code == 2
+        assert "--alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cli_stats_matches_library_pairing_cell_by_cell(self, small_run, tmp_path):
         out = tmp_path / "stats"
         assert main(["stats", "--eval-dir", str(small_run / "evals"), "--out", str(out)]) == 0
@@ -744,6 +763,14 @@ class TestVerifyCake:
         params.write_text(json.dumps({"gamma": 0.9, "beta": 0.5}))
         assert main(["verify-cake", "--params-file", str(params)]) == 2
 
+    @pytest.mark.parametrize("text", ['{"lam": NaN}', '{"alpha": Infinity}'])
+    def test_non_finite_params_are_config_errors(self, tmp_path, capsys, text):
+        # a NaN lam used to be accepted and reported as "grid max nan"
+        params = tmp_path / "params.json"
+        params.write_text(text)
+        assert main(["verify-cake", "--params-file", str(params), "--step", "0.01"]) == 2
+        assert "cake parameters must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "content, reason",
         [
@@ -818,6 +845,28 @@ class TestCheckNondegeneracy:
         code = main(["check-nondegeneracy", "--step", "0.1", "--prior-weights", "1,2"])
         assert code == 2
         assert "2 entries but there are 6 utilities" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "params_text, weights, reason",
+        [
+            ('{"lam": NaN}', "1,1,1,1,1,1", "cake parameters must be finite: lam=nan"),
+            ("{}", "nan,1,1,1,1,1", "prior_weights must be finite"),
+            ("{}", "inf,1,1,1,1,1", "prior_weights must be finite"),
+        ],
+        ids=["nan-lam", "nan-weight", "inf-weight"],
+    )
+    def test_non_finite_params_or_weights_are_usage_errors(self, tmp_path, capsys, params_text, weights, reason):
+        # each used to empty an argmax set and certify "non-degenerate"
+        params = tmp_path / "params.json"
+        params.write_text(params_text)
+        out = tmp_path / "report.json"
+        code = main([
+            "check-nondegeneracy", "--step", "0.1", "--params-file", str(params),
+            "--prior-weights", weights, "--out", str(out),
+        ])
+        assert code == 2
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("step", ["inf", "nan", "-inf", "0"])
     def test_non_finite_or_non_positive_step_is_usage_error(self, tmp_path, capsys, step):
@@ -928,3 +977,10 @@ class TestPinnedOutputs:
         report = tmp_path / "report.md"
         assert main(["report", "--run-manifest", str(manifest), "--out", str(report)]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == SMALL_RUN_REPORT_SHA256
+
+    def test_small_run_eval_files_are_pinned(self, small_run):
+        written = {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted((small_run / "evals").glob("eval_*.json"))
+        }
+        assert written == SMALL_RUN_EVAL_SHA256

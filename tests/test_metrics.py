@@ -10,7 +10,6 @@ from triage_arena.metrics import (
     FRAMEWORK_METRIC,
     METRIC_DIRECTIONS,
     METRIC_NAMES,
-    MetricConfig,
     WeightKind,
     WeightScheme,
     cnss,
@@ -118,24 +117,24 @@ class TestGini:
 
 
 class TestWeights:
-    def test_identical_demographics_equal_weights(self, metric_config):
+    def test_identical_demographics_equal_weights(self):
         patients = [
             make_patient(i + 1, age=30 + i, needs=(Resource.ICU,)) for i in range(4)
         ]
         # ages differ (diversity) but fall in the same scoring band
         cohort = make_cohort(patients)
         for kind in WeightKind:
-            scheme = compute_weights(cohort, kind, metric_config)
+            scheme = compute_weights(cohort, kind)
             assert len(set(scheme.weights)) == 1
 
-    def test_lower_ses_strictly_higher_prioritarian_weight(self, metric_config):
+    def test_lower_ses_strictly_higher_prioritarian_weight(self):
         low = make_patient(1, ses="Low")
         high = make_patient(2, age=41, ses="High")
         cohort = make_cohort([low, high])
-        scheme = compute_weights(cohort, WeightKind.PRIORITARIAN, metric_config)
+        scheme = compute_weights(cohort, WeightKind.PRIORITARIAN)
         assert scheme.weights[0] > scheme.weights[1]
 
-    def test_refugee_child_outweighs_upper_ses_adult(self, metric_config):
+    def test_refugee_child_outweighs_upper_ses_adult(self):
         # calibration ordering: the disadvantaged child must far outweigh
         # the well-off adult under prioritarian weighting
         adult = make_patient(1, age=56, gender="Non-binary", race="White", ses="Upper")
@@ -144,29 +143,29 @@ class TestWeights:
             ses="Refugee", citizenship="Refugee",
         )
         cohort = make_cohort([adult, child])
-        scheme = compute_weights(cohort, WeightKind.PRIORITARIAN, metric_config)
+        scheme = compute_weights(cohort, WeightKind.PRIORITARIAN)
         assert scheme.weights[1] > scheme.weights[0] + 0.3
 
-    def test_weights_strictly_positive_and_at_most_one(self, metric_config, sampler_config):
+    def test_weights_strictly_positive_and_at_most_one(self, sampler_config):
         rng = np.random.Generator(np.random.Philox(11))
         for _ in range(50):
             cohort = generate_cohort(int(rng.integers(2**32)), sampler_config)
             for kind in WeightKind:
-                scheme = compute_weights(cohort, kind, metric_config)
+                scheme = compute_weights(cohort, kind)
                 assert all(0 < w <= 1 for w in scheme.weights)
 
-    def test_missing_attribute_value_errors(self, metric_config):
+    def test_missing_attribute_value_errors(self):
         stranger = make_patient(1, race="Martian")
         cohort = make_cohort([stranger, make_patient(2, age=50)])
         with pytest.raises(ValueError, match="missing from the race"):
-            compute_weights(cohort, WeightKind.PRIORITARIAN, metric_config)
+            compute_weights(cohort, WeightKind.PRIORITARIAN)
 
-    def test_kind_mismatch_rejected(self, cohort, metric_config):
-        care = compute_weights(cohort, WeightKind.CARE, metric_config)
+    def test_kind_mismatch_rejected(self, cohort):
+        care = compute_weights(cohort, WeightKind.CARE)
         vec = CnssVector(tuple(0.5 for _ in range(cohort.n)))
         with pytest.raises(ValueError, match="prioritarian"):
             dw_esg(cohort, vec, care)
-        prior = compute_weights(cohort, WeightKind.PRIORITARIAN, metric_config)
+        prior = compute_weights(cohort, WeightKind.PRIORITARIAN)
         with pytest.raises(ValueError, match="care"):
             vwci(vec, prior)
 
@@ -183,8 +182,8 @@ class TestWeightedMetrics:
             esg(cohort, alloc), abs=1e-12
         )
 
-    def test_dw_esg_zero_for_zero_cnss(self, cohort, metric_config):
-        weights = compute_weights(cohort, WeightKind.PRIORITARIAN, metric_config)
+    def test_dw_esg_zero_for_zero_cnss(self, cohort):
+        weights = compute_weights(cohort, WeightKind.PRIORITARIAN)
         vec = CnssVector(tuple(0.0 for _ in range(cohort.n)))
         assert dw_esg(cohort, vec, weights) == 0.0
 
@@ -195,15 +194,15 @@ class TestWeightedMetrics:
         vec = CnssVector(tuple(1.0 for _ in range(cohort.n)))
         assert vwci(vec, uniform) == cohort.n
 
-    def test_scalar_loop_oracles(self, sampler_config, metric_config):
+    def test_scalar_loop_oracles(self, sampler_config):
         # independent elementwise recomputation of both weighted metrics
         rng = np.random.Generator(np.random.Philox(17))
         for _ in range(25):
             cohort = generate_cohort(int(rng.integers(2**32)), sampler_config)
             alloc = random_allocation(rng, n=cohort.n)
             vec = cnss_vector(cohort, alloc)
-            wp = compute_weights(cohort, WeightKind.PRIORITARIAN, metric_config)
-            wc = compute_weights(cohort, WeightKind.CARE, metric_config)
+            wp = compute_weights(cohort, WeightKind.PRIORITARIAN)
+            wc = compute_weights(cohort, WeightKind.CARE)
             expected_dw = 0.0
             expected_vw = 0.0
             for i, patient in enumerate(cohort.patients):
@@ -214,8 +213,8 @@ class TestWeightedMetrics:
 
 
 class TestMetricReport:
-    def test_zero_allocation(self, cohort, metric_config):
-        report = metric_report(cohort, Allocation.zeros(cohort.n), metric_config)
+    def test_zero_allocation(self, cohort):
+        report = metric_report(cohort, Allocation.zeros(cohort.n))
         assert report.esg == 0
         assert report.rmg == 0
         assert report.variance == 0
@@ -225,46 +224,46 @@ class TestMetricReport:
         assert report.gini_degenerate
         assert report.feasible
 
-    def test_fully_satisfying_allocation(self, cohort, metric_config):
+    def test_fully_satisfying_allocation(self, cohort):
         rows = []
         for p in cohort.patients:
             row = [0.0] * 6
             for r in p.needs:
                 row[r.value] = 0.25
             rows.append(tuple(row))
-        report = metric_report(cohort, Allocation(tuple(rows)), metric_config)
+        report = metric_report(cohort, Allocation(tuple(rows)))
         assert report.rmg == 1.0
         assert report.variance == 0.0
         assert not report.gini_degenerate
 
-    def test_composition_matches_individual_calls(self, cohort, metric_config):
+    def test_composition_matches_individual_calls(self, cohort):
         rng = np.random.Generator(np.random.Philox(23))
         alloc = random_allocation(rng, n=cohort.n)
-        report = metric_report(cohort, alloc, metric_config)
+        report = metric_report(cohort, alloc)
         vec = cnss_vector(cohort, alloc)
         assert report.esg == esg(cohort, alloc)
         assert report.rmg == rmg(vec)
         assert report.variance == variance(vec)
-        wp = compute_weights(cohort, WeightKind.PRIORITARIAN, metric_config)
-        wc = compute_weights(cohort, WeightKind.CARE, metric_config)
+        wp = compute_weights(cohort, WeightKind.PRIORITARIAN)
+        wc = compute_weights(cohort, WeightKind.CARE)
         assert report.dw_esg == dw_esg(cohort, vec, wp)
         assert report.vwci == vwci(vec, wc)
         assert report.gini == gini(list(vec.values))
 
     def test_batch_computes_weights_once_and_matches_single_reports(
-        self, cohort, metric_config, monkeypatch
+        self, cohort, monkeypatch
     ):
         from triage_arena import metrics
 
         rng = np.random.Generator(np.random.Philox(31))
         allocs = [random_allocation(rng, n=cohort.n) for _ in range(5)]
-        expected = [metric_report(cohort, a, metric_config) for a in allocs]
+        expected = [metric_report(cohort, a) for a in allocs]
         calls = []
         original = metrics.compute_weights
         monkeypatch.setattr(
             metrics, "compute_weights", lambda *args: calls.append(args[1]) or original(*args)
         )
-        assert metrics.metric_reports(cohort, allocs, metric_config) == expected
+        assert metrics.metric_reports(cohort, allocs) == expected
         assert calls == [WeightKind.PRIORITARIAN, WeightKind.CARE]
 
     @given(
@@ -272,7 +271,7 @@ class TestMetricReport:
         st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=10),
     )
     def test_repeated_allocations_share_one_report_in_input_order(
-        self, cohort, metric_config, seeds, picks
+        self, cohort, seeds, picks
     ):
         from triage_arena import metrics
 
@@ -282,18 +281,18 @@ class TestMetricReport:
         ]
         # equal rows, distinct objects, as eval reads them back from JSON
         allocs = [Allocation(pool[i % len(pool)].rows) for i in picks]
-        reports = metrics.metric_reports(cohort, allocs, metric_config)
-        assert reports == [metrics.metric_reports(cohort, [a], metric_config)[0] for a in allocs]
+        reports = metrics.metric_reports(cohort, allocs)
+        assert reports == [metrics.metric_reports(cohort, [a])[0] for a in allocs]
         for a, ra in zip(allocs, reports):
             for b, rb in zip(allocs, reports):
                 assert (ra is rb) == (a == b)
 
-    def test_json_round_trip(self, cohort, metric_config):
+    def test_json_round_trip(self, cohort):
         from triage_arena.metrics import MetricReport
 
         rng = np.random.Generator(np.random.Philox(29))
         alloc = random_allocation(rng, n=cohort.n)
-        report = metric_report(cohort, alloc, metric_config)
+        report = metric_report(cohort, alloc)
         restored = MetricReport.from_json(report.to_json())
         assert restored == report
 
@@ -310,7 +309,7 @@ class TestInvariants:
         }
         assert set(FRAMEWORK_METRIC.values()) == set(METRIC_NAMES)
 
-    def test_permutation_equivariance(self, metric_config):
+    def test_permutation_equivariance(self):
         patients = [
             make_patient(1, age=30, ses="Low", needs=(Resource.ICU, Resource.MED_A)),
             make_patient(2, age=40, ses="High", needs=(Resource.VENT,)),
@@ -319,7 +318,7 @@ class TestInvariants:
         cohort = make_cohort(patients)
         rng = np.random.Generator(np.random.Philox(31))
         alloc = random_allocation(rng, n=3)
-        report = metric_report(cohort, alloc, metric_config)
+        report = metric_report(cohort, alloc)
 
         order = [2, 0, 1]
         permuted_patients = []
@@ -333,22 +332,22 @@ class TestInvariants:
             )
         permuted_cohort = make_cohort(permuted_patients)
         permuted_alloc = Allocation(tuple(alloc.rows[i] for i in order))
-        permuted_report = metric_report(permuted_cohort, permuted_alloc, metric_config)
+        permuted_report = metric_report(permuted_cohort, permuted_alloc)
         for metric in METRIC_NAMES:
             assert permuted_report.value(metric) == pytest.approx(
                 report.value(metric), abs=1e-12
             )
 
-    def test_metric_bounds_on_random_inputs(self, sampler_config, metric_config):
+    def test_metric_bounds_on_random_inputs(self, sampler_config):
         rng = np.random.Generator(np.random.Philox(47))
         for _ in range(200):
             cohort = generate_cohort(int(rng.integers(2**32)), sampler_config)
             alloc = random_allocation(rng, n=cohort.n)
-            report = metric_report(cohort, alloc, metric_config)
+            report = metric_report(cohort, alloc)
             n = cohort.n
             p_sum = sum(p.survival_prob for p in cohort.patients)
-            wp = compute_weights(cohort, WeightKind.PRIORITARIAN, metric_config)
-            wc = compute_weights(cohort, WeightKind.CARE, metric_config)
+            wp = compute_weights(cohort, WeightKind.PRIORITARIAN)
+            wc = compute_weights(cohort, WeightKind.CARE)
             assert 0 <= report.esg <= p_sum + 1e-12
             assert 0 <= report.rmg <= 1
             assert 0 <= report.variance <= 0.25
@@ -357,23 +356,23 @@ class TestInvariants:
             assert 0 <= report.dw_esg <= dw_cap + 1e-12
             assert 0 <= report.vwci <= sum(wc.weights) + 1e-12
 
-    def test_scale_invariance_spot(self, cohort, metric_config):
+    def test_scale_invariance_spot(self, cohort):
         rng = np.random.Generator(np.random.Philox(37))
         alloc = random_allocation(rng, n=cohort.n)
         doubled = alloc.scaled(2.0)
-        r1 = metric_report(cohort, alloc, metric_config)
-        r2 = metric_report(cohort, doubled, metric_config)
+        r1 = metric_report(cohort, alloc)
+        r2 = metric_report(cohort, doubled)
         for metric in METRIC_NAMES:
             assert r1.value(metric) == r2.value(metric)
 
-    def test_monotone_in_need_satisfaction_spot(self, cohort, metric_config):
+    def test_monotone_in_need_satisfaction_spot(self, cohort):
         alloc = Allocation.zeros(cohort.n)
         patient = cohort.patients[0]
         resource = sorted(patient.needs)[0]
         rows = [list(row) for row in alloc.rows]
         rows[0][resource.value] = 2.0
         improved = Allocation(tuple(map(tuple, rows)))
-        before = metric_report(cohort, alloc, metric_config)
-        after = metric_report(cohort, improved, metric_config)
+        before = metric_report(cohort, alloc)
+        after = metric_report(cohort, improved)
         for metric in ("esg", "rmg", "dw_esg", "vwci"):
             assert after.value(metric) >= before.value(metric)

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from triage_arena.model import (
     Allocation,
     AgentProfile,
-    BiasSource,
     Cohort,
     Framework,
     ProfileKind,
@@ -139,13 +138,10 @@ class TestAgentProfile:
         with pytest.raises(ValueError):
             AgentProfile(kind=ProfileKind.BASELINE, framework=Framework.RAWLSIAN)
 
-    def test_biased_requires_bias_source(self):
-        with pytest.raises(ValueError):
-            AgentProfile(kind=ProfileKind.BIASED)
-        profile = AgentProfile(
-            kind=ProfileKind.BIASED, bias_source=BiasSource.ADVERSARIAL_PROMPT
-        )
-        assert profile.bias_source is BiasSource.ADVERSARIAL_PROMPT
+    def test_biased_rejects_framework(self):
+        with pytest.raises(ValueError, match="biased profile must not carry a framework"):
+            AgentProfile(kind=ProfileKind.BIASED, framework=Framework.RAWLSIAN)
+        assert AgentProfile(kind=ProfileKind.BIASED).framework is None
 
 
 def _first_negative_message(rows):

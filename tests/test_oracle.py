@@ -198,6 +198,14 @@ class TestCakeUtilities:
         with pytest.raises(ValueError):
             CakeParams(gamma=0.7, beta=0.5, allow_degenerate=True)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "lam", "xbar4", "xmin", "epsilon", "delta"])
+    def test_non_finite_fields_rejected(self, name, value):
+        # every comparison with NaN is false, so the ordering checks alone
+        # let a NaN lam through
+        with pytest.raises(ValueError, match=f"cake parameters must be finite: {name}="):
+            CakeParams(**{name: value}, allow_degenerate=True)
+
 
 class TestCheckNondegeneracy:
     def test_identical_functionals_degenerate(self):
@@ -290,6 +298,12 @@ class TestPriorWeights:
             functionals_from_utilities(utilities, prior_weights=[1.0, 2.0])
         with pytest.raises(ValueError, match="7 entries but there are 6 utilities"):
             cake_functionals(CakeParams(), prior_weights=[1.0] * 7)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN weight would empty the prior argmax set
+        with pytest.raises(ValueError, match="prior_weights must be finite"):
+            cake_functionals(CakeParams(), prior_weights=[bad] + [1.0] * 5)
 
     def test_weights_ignored_without_prior(self):
         functionals = cake_functionals(

@@ -14,6 +14,8 @@ import pytest
 from triage_arena.agents import ChatBackendConfig, ChatTransportError, chat_generate
 from triage_arena.transport import JsonEndpoint
 
+from conftest import chat_reply
+
 REPLY = json.dumps({"choices": [{"message": {"role": "assistant", "content": "FIXED BODY"}}]}).encode()
 
 
@@ -124,32 +126,32 @@ class TestFaults:
 
     def test_truncated_body_is_retried(self, serve, no_proxy_env):
         server, url = serve(["truncate", "ok"])
-        assert chat_generate(_config(url, retries=1), "hello") == "FIXED BODY"
+        assert chat_reply(_config(url, retries=1), "hello") == "FIXED BODY"
         assert len(server.requests) == 2
 
     @pytest.mark.parametrize("action", ["malformed", "no-choices"])
     def test_malformed_200_raises_after_one_request(self, serve, no_proxy_env, action):
         server, url = serve([action])
         with pytest.raises(ChatTransportError, match="malformed"):
-            chat_generate(_config(url, retries=2), "hello")
+            chat_reply(_config(url, retries=2), "hello")
         assert len(server.requests) == 1
 
     def test_read_timeout_raises_after_every_attempt(self, serve, no_proxy_env):
         server, url = serve(["stall"])
         with pytest.raises(ChatTransportError, match="timed out"):
-            chat_generate(_config(url, retries=2, timeout=0.2), "hello")
+            chat_reply(_config(url, retries=2, timeout=0.2), "hello")
         assert len(server.requests) == 3
 
     def test_redirect_is_an_error_not_followed(self, serve, no_proxy_env):
         server, url = serve([302])
         with pytest.raises(ChatTransportError, match="HTTP 302"):
-            chat_generate(_config(url, retries=2), "hello")
+            chat_reply(_config(url, retries=2), "hello")
         assert len(server.requests) == 1
 
     def test_request_body_is_compact_json_of_the_payload(self, serve, no_proxy_env):
         server, url = serve()
         config = _config(url, temperature=0.25)
-        chat_generate(config, "allocate wisely éø  ")
+        chat_reply(config, "allocate wisely éø  ")
         _, headers, body = server.requests[0]
         payload = {
             "model": "m",
@@ -170,7 +172,7 @@ class TestProxy:
         origin, url = serve()
         proxy, _ = serve()
         no_proxy_env.setenv("http_proxy", f"http://127.0.0.1:{proxy.server_port}")
-        assert chat_generate(_config(url), "hello") == "FIXED BODY"
+        assert chat_reply(_config(url), "hello") == "FIXED BODY"
         assert origin.requests == []
         (requestline, headers, _), = proxy.requests
         assert requestline == f"POST {url} HTTP/1.1"
@@ -180,7 +182,7 @@ class TestProxy:
         _, url = serve()
         proxy, _ = serve()
         no_proxy_env.setenv("http_proxy", f"http://us%40er:pw@127.0.0.1:{proxy.server_port}")
-        chat_generate(_config(url), "hello")
+        chat_reply(_config(url), "hello")
         (_, headers, _), = proxy.requests
         assert headers["Proxy-Authorization"] == "Basic dXNAZXI6cHc="  # us@er:pw
 
@@ -189,7 +191,7 @@ class TestProxy:
         proxy, _ = serve()
         no_proxy_env.setenv("http_proxy", f"http://127.0.0.1:{proxy.server_port}")
         no_proxy_env.setenv("no_proxy", "127.0.0.1")
-        assert chat_generate(_config(url), "hello") == "FIXED BODY"
+        assert chat_reply(_config(url), "hello") == "FIXED BODY"
         assert proxy.requests == []
         assert len(origin.requests) == 1
 
@@ -201,7 +203,7 @@ class TestProxy:
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
         with pytest.raises(ChatTransportError, match="403"):
-            chat_generate(_config(f"https://127.0.0.1:{port}/v1/chat", retries=0), "hello")
+            chat_reply(_config(f"https://127.0.0.1:{port}/v1/chat", retries=0), "hello")
         (requestline, _, _), = proxy.requests
         assert requestline == f"CONNECT 127.0.0.1:{port} HTTP/1.0"
 
