@@ -79,7 +79,7 @@ _ROW_RE = re.compile(r"\b(?:patient|p)\s*(\d+)\s*[:\-]?\s*\[([^\]\n]*)\]", re.IG
 _NUM_RE = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
-def parse_allocation(text: str, n: int, k: int = 6) -> tuple[Allocation, list[str]]:
+def parse_allocation(text: str, n: int) -> tuple[Allocation, list[str]]:
     """Extract per-patient resource vectors from free-form agent text.
 
     Accepts integers and decimals, rows in any order, and "P3" as well as
@@ -103,9 +103,10 @@ def parse_allocation(text: str, n: int, k: int = 6) -> tuple[Allocation, list[st
             )
             continue
         values = list(map(float, _NUM_RE.findall(body)))
-        if len(values) != k:
+        if len(values) != len(RESOURCE_NAMES):
             warnings.append(
-                f"patient {pid}: expected {k} quantities, found {len(values)}; line ignored"
+                f"patient {pid}: expected {len(RESOURCE_NAMES)} quantities, "
+                f"found {len(values)}; line ignored"
             )
             continue
         if not all(map(isfinite, values)):
@@ -130,7 +131,7 @@ def parse_allocation(text: str, n: int, k: int = 6) -> tuple[Allocation, list[st
         rows[pid] = tuple(values)
     if not rows:
         raise ParseError("no recognizable patient allocation lines", text)
-    zero_row = (0.0,) * k
+    zero_row = (0.0,) * len(RESOURCE_NAMES)
     for pid in range(1, n + 1):
         if pid not in rows:
             warnings.append(f"patient {pid} missing; defaulted to a zero row")

@@ -159,7 +159,7 @@ def _chat_config_from(args) -> agents_mod.ChatBackendConfig:
     )
 
 
-def _make_retriever(args, k: int = 5):
+def _make_retriever(args):
     """Build the per-round retrieval hook from a corpus directory."""
     if not args.corpus_dir:
         return None
@@ -183,7 +183,7 @@ def _make_retriever(args, k: int = 5):
     # cached; under --jobs a duplicate computation gives the same result.
     @functools.cache
     def retrieve_once(query: str):
-        return retrieve(index, query, embedder, k=k)
+        return retrieve(index, query, embedder)
 
     def retriever(framework: str, round_t: int):
         template = keywords[min(round_t - 1, len(keywords) - 1)]

@@ -1,21 +1,22 @@
-"""Brute-force welfare optimization over discretized allocation spaces.
+"""Brute-force welfare optimization on the cake grid.
 
 This module certifies whether competing welfare functionals admit a
-common maximizer on a finite grid. Every functional is a
-UtilityAggregate over per-person utilities (functionals_from_utilities,
+common maximizer on a finite grid: n persons' shares of one unit good,
+in multiples of a step. Every functional is a UtilityAggregate over
+per-person utilities of a share (functionals_from_utilities,
 cake_functionals). argmax_set, a literal scan of every grid allocation
 for any scalar objective, is the reference.
 check_nondegeneracy evaluates the aggregates in one array pass instead:
-it builds the grid once as an integer composition array, tabulates each
-person's utility once per distinct row and reduces the utility matrix of
-each fixed-size block of grid rows column by column, with the scalar
-path's float arithmetic. The cake verifier additionally exploits that
-its welfare functions are separable across recipients: one max-plus
-budget DP over the utility table gives the same grid answers and stays
-tractable at fine steps. It serves claim (a) on the table and claim (c)
-on the table masked below the maximin optimum theta. All verdicts are
-labelled grid-certified at their step; nothing here reasons about the
-continuum.
+it builds the grid once as an (M, n) integer composition array,
+tabulates each person's utility once per grid share and reduces the
+utility matrix of each fixed-size block of grid rows column by column,
+with the scalar path's float arithmetic. The cake verifier additionally
+exploits that its welfare functions are separable across recipients:
+one max-plus budget DP over the same utility table gives the same grid
+answers and stays tractable at fine steps. It serves claim (a) on the
+table and claim (c) on the table masked below the maximin optimum
+theta. All verdicts are labelled grid-certified at their step; nothing
+here reasons about the continuum.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .metrics import gini
-from .model import Allocation, ResourceCapacity
+from .model import Allocation
 
 __all__ = [
     "UtilityAggregate",
@@ -66,7 +67,7 @@ class UtilityAggregate:
     """A welfare functional, always maximized, that aggregates per-person
     utilities; kind names it.
 
-    utilities[i] maps person i's allocation row to a utility. util sums
+    utilities[i] maps person i's share of the cake to a utility. util sums
     the utilities, egal is the negated concentration index of their
     positive parts, rawls takes the minimum and prior is the sum weighted
     by weights. Calling it evaluates one allocation; over_grid evaluates
@@ -75,7 +76,7 @@ class UtilityAggregate:
     """
 
     kind: str
-    utilities: tuple[Callable[[tuple], float], ...]
+    utilities: tuple[Callable[[float], float], ...]
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -93,7 +94,7 @@ class UtilityAggregate:
                 raise ValueError(f"prior_weights must be finite, not {list(self.weights)}")
 
     def __call__(self, alloc: Allocation) -> float:
-        values = [u(row) for u, row in zip(self.utilities, alloc.rows)]
+        values = [u(row[0]) for u, row in zip(self.utilities, alloc.rows)]
         if self.kind == "util":
             return sum(values)
         if self.kind == "egal":
@@ -146,15 +147,15 @@ class EnumerationBoundExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class DiscretizedSpace:
-    """A finite grid over the feasible allocation polytope.
+    """The cake grid: n persons' shares of one unit good, each a multiple
+    of step, summing to at most 1.
 
-    Each entry moves in multiples of step; the step must divide every
-    supply to within 1e-9. enumeration_bound guards against accidental
-    combinatorial blow-ups in the enumeration and grid-array routines.
+    The step must divide the cake to within 1e-9. enumeration_bound
+    guards against accidental combinatorial blow-ups in the enumeration
+    and the grid pass; the cake DP does not enumerate and ignores it.
     """
 
     step: float
-    capacity: ResourceCapacity
     n: int
     enumeration_bound: int = 5_000_000
 
@@ -163,32 +164,22 @@ class DiscretizedSpace:
             raise ValueError(f"step must be finite and positive, not {self.step}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        for supply in self.capacity.supply:
-            units = round(supply / self.step)
-            if not abs(units * self.step - supply) <= _STEP_TOL:
-                raise ValueError(
-                    f"step {self.step} does not divide supply {supply}"
-                )
+        if not abs(self.units * self.step - 1.0) <= _STEP_TOL:
+            raise ValueError(f"step {self.step} does not divide the unit cake")
 
     @property
-    def k(self) -> int:
-        return self.capacity.k
-
-    @property
-    def units(self) -> tuple[int, ...]:
-        return tuple(round(s / self.step) for s in self.capacity.supply)
+    def units(self) -> int:
+        """The whole cake in steps."""
+        return round(1.0 / self.step)
 
 
 def candidate_count(space: DiscretizedSpace) -> int:
-    """Number of grid allocations, via stars and bars per column."""
-    total = 1
-    for b in space.units:
-        total *= math.comb(b + space.n, space.n)
-    return total
+    """Number of grid allocations, by stars and bars."""
+    return math.comb(space.units + space.n, space.n)
 
 
 def enumerate_allocations(space: DiscretizedSpace) -> Iterator[Allocation]:
-    """Yield every grid allocation exactly once, in _grid_array's order.
+    """Yield every grid allocation exactly once, in lexicographic order.
 
     Raises EnumerationBoundExceeded (with the computed count) before
     yielding anything if the grid is too large.
@@ -196,13 +187,14 @@ def enumerate_allocations(space: DiscretizedSpace) -> Iterator[Allocation]:
     count = candidate_count(space)
     if count > space.enumeration_bound:
         raise EnumerationBoundExceeded(count, space.enumeration_bound)
-    for member in _grid_array(space):
+    for member in _composition_array(space.units, space.n):
         yield _allocation(member, space.step)
 
 
 def _allocation(member: np.ndarray, step: float) -> Allocation:
-    """The allocation of a grid member: its (n, k) unit counts times step."""
-    return Allocation(tuple(tuple(v * step for v in row) for row in member.tolist()))
+    """The allocation of a grid member: each person's unit count times
+    step, as a one-column row."""
+    return Allocation(tuple((v * step,) for v in member.tolist()))
 
 
 def argmax_set(
@@ -296,23 +288,15 @@ def _composition_array(total: int, parts: int) -> np.ndarray:
     return sizes
 
 
-def _grid_array(space: DiscretizedSpace) -> np.ndarray:
-    """Every grid allocation in integer units, shape (M, n, k), in the
-    smallest unsigned dtype that holds the largest unit count. Each
-    column runs through its compositions in lexicographic order, the
-    last column fastest."""
-    dtype = np.min_scalar_type(max(space.units))
-    columns = [_composition_array(b, space.n) for b in space.units]
-    if space.k == 1:
-        return columns[0].astype(dtype, copy=False)[:, :, None]
-    counts = [len(column) for column in columns]
-    grid = np.empty((math.prod(counts), space.n, space.k), dtype)
-    view = grid.reshape(*counts, space.n, space.k)
-    for j, column in enumerate(columns):
-        shape = [1] * space.k + [space.n]
-        shape[j] = counts[j]
-        view[..., j] = column.reshape(shape)
-    return grid
+def _utility_table(
+    utilities: Sequence[Callable[[float], float]], space: DiscretizedSpace
+) -> np.ndarray:
+    """The (n, units + 1) utility table: entry [i, v] is person i's
+    utility of v steps of cake."""
+    if len(utilities) != space.n:
+        raise ValueError(f"{len(utilities)} utilities for a grid of {space.n} persons")
+    shares = [v * space.step for v in range(space.units + 1)]
+    return np.array([[u(x) for x in shares] for u in utilities], dtype=float)
 
 
 def _grid_argmax_indices(
@@ -322,46 +306,31 @@ def _grid_argmax_indices(
     tol: float,
 ) -> dict[str, np.ndarray]:
     """The argmax set of each functional, by kind, as the sorted indices
-    of its members in grid, which is _grid_array(space). Gives the
-    members argmax_set returns.
+    of its members in grid, which is _composition_array(space.units,
+    space.n). Gives the members argmax_set returns.
 
-    Each distinct utility tuple is tabulated once over the distinct unit
-    rows, each utility called on the float row enumerate_allocations
-    builds for it. The grid is then scanned in blocks of _BLOCK_ROWS
-    allocations: each block's (rows, n) utility matrix goes through
+    Each distinct utility tuple is tabulated once (_utility_table), each
+    utility called on the float share enumerate_allocations builds. The
+    grid is then scanned in blocks of _BLOCK_ROWS allocations: each
+    block's (rows, n) utility matrix, read from the table, goes through
     over_grid, whose values are row-local and so the floats a whole-grid
     pass gives. Per functional, a running maximum keeps the candidates
     within tol of it, pruned whenever it rises; a NaN value anywhere on
     the grid empties the functional's set, as a NaN grid maximum would.
     """
-    dims = tuple(b + 1 for b in space.units)
-    rows = [
-        tuple(v * space.step for v in units)
-        for units in itertools.product(*(range(d) for d in dims))
-    ]
-    tables: dict[tuple, np.ndarray] = {}
-    for W in functionals:
-        if len(W.utilities) != space.n:
-            raise ValueError(
-                f"{len(W.utilities)} utilities for a grid of {space.n} persons"
-            )
-        if W.utilities not in tables:
-            tables[W.utilities] = np.array(
-                [[u(row) for row in rows] for u in W.utilities], dtype=float
-            )
+    tables = {u: _utility_table(u, space) for u in {W.utilities for W in functionals}}
     persons = np.arange(space.n)
     best = {W.kind: -math.inf for W in functionals}
     kept: dict[str, list] = {W.kind: [] for W in functionals}
     for start in range(0, len(grid), _BLOCK_ROWS):
         block = grid[start : start + _BLOCK_ROWS]
-        flat = np.ravel_multi_index(tuple(np.moveaxis(block, 2, 0)), dims)
         indices = np.arange(start, start + len(block))
         matrices: dict[tuple, np.ndarray] = {}
         for W in functionals:
             if math.isnan(best[W.kind]):
                 continue
             if W.utilities not in matrices:
-                matrices[W.utilities] = tables[W.utilities][persons, flat]
+                matrices[W.utilities] = tables[W.utilities][persons, block]
             values = W.over_grid(matrices[W.utilities])
             top = values.max()
             if math.isnan(top):
@@ -383,16 +352,6 @@ def _within(values: np.ndarray, indices: np.ndarray, floor: float):
     return values[near], indices[near]
 
 
-def _smallest(grid: np.ndarray, indices: np.ndarray, step: float) -> Allocation | None:
-    """The allocation among grid[indices] whose rows come first in row-tuple
-    order, or None if there is none. v -> v * step is strictly increasing,
-    so the integer rows sort as the float rows do."""
-    if not len(indices):
-        return None
-    members = grid[indices].reshape(len(indices), -1)
-    return _allocation(grid[indices[np.lexsort(members.T[::-1])[0]]], step)
-
-
 def check_nondegeneracy(
     functionals: Sequence[UtilityAggregate],
     space: DiscretizedSpace,
@@ -404,7 +363,8 @@ def check_nondegeneracy(
     No social optimum is ever selected; the report only describes how
     the optima relate. The functionals are UtilityAggregates of distinct
     kinds, evaluated together in one array pass over the grid; it gives
-    the argmax sets argmax_set would.
+    the argmax sets argmax_set would. A set can only be empty if NaN
+    reached its functional's values, which is a ValueError naming it.
     """
     if len(functionals) < 2:
         raise ValueError("need at least two functionals")
@@ -420,8 +380,17 @@ def check_nondegeneracy(
     count = candidate_count(space)
     if count > space.enumeration_bound:
         raise EnumerationBoundExceeded(count, space.enumeration_bound)
-    grid = _grid_array(space)
+    grid = _composition_array(space.units, space.n)
     sets = _grid_argmax_indices(functionals, space, grid, tol)
+    empty = [name for name in names if not len(sets[name])]
+    if empty:
+        raise ValueError(f"no grid maximum for {', '.join(empty)}: NaN reached its values")
+
+    def first(indices: np.ndarray) -> Allocation | None:
+        # the grid's compositions are in lexicographic order and v -> v * step
+        # is increasing, so a sorted set's first index is its row-tuple minimum
+        return _allocation(grid[indices[0]], space.step) if len(indices) else None
+
     # each set is sorted and free of repeats, which the set operations assume
     intersect = functools.partial(np.intersect1d, assume_unique=True)
     minus = functools.partial(np.setdiff1d, assume_unique=True)
@@ -431,14 +400,14 @@ def check_nondegeneracy(
             first=a,
             second=b,
             intersects=len(intersect(sets[a], sets[b])) > 0,
-            only_first=_smallest(grid, minus(sets[a], sets[b]), space.step),
-            only_second=_smallest(grid, minus(sets[b], sets[a]), space.step),
+            only_first=first(minus(sets[a], sets[b])),
+            only_second=first(minus(sets[b], sets[a])),
         )
         for a, b in itertools.combinations(names, 2)
     ]
     return NondegeneracyReport(
         degenerate=len(common) > 0,
-        witness=_smallest(grid, common, space.step),
+        witness=first(common),
         argmax_sizes={name: len(sets[name]) for name in names},
         pairs=tuple(pairs),
         step=space.step,
@@ -538,7 +507,7 @@ def cake_utilities(params: CakeParams) -> tuple[Callable[[float], float], ...]:
 
 
 def functionals_from_utilities(
-    utilities: Sequence[Callable[[tuple], float]],
+    utilities: Sequence[Callable[[float], float]],
     prior_weights: Sequence[float] | None = None,
     include: Sequence[str] = ("util", "egal", "rawls", "prior"),
 ) -> list[UtilityAggregate]:
@@ -547,7 +516,7 @@ def functionals_from_utilities(
     util sums utilities, egal is the negated concentration index of the
     utility vector, rawls takes the minimum, prior is a weighted sum with
     one weight per utility. Each utility is a function of that person's
-    allocation row.
+    share of the cake.
     """
     utilities = tuple(utilities)
     weights = None if prior_weights is None else tuple(float(x) for x in prior_weights)
@@ -562,18 +531,11 @@ def cake_functionals(
     prior_weights: Sequence[float] | None = None,
     include: Sequence[str] = ("util", "egal", "rawls", "prior"),
 ) -> list[UtilityAggregate]:
-    scalar = cake_utilities(params)
-    row_utils = [lambda row, u=u: u(row[0]) for u in scalar]
-    return functionals_from_utilities(row_utils, prior_weights, include)
+    return functionals_from_utilities(cake_utilities(params), prior_weights, include)
 
 
 def cake_space(step: float, enumeration_bound: int = 5_000_000) -> DiscretizedSpace:
-    return DiscretizedSpace(
-        step=step,
-        capacity=ResourceCapacity(supply=(1.0,), variant="cake"),
-        n=6,
-        enumeration_bound=enumeration_bound,
-    )
+    return DiscretizedSpace(step=step, n=6, enumeration_bound=enumeration_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -584,17 +546,6 @@ def cake_space(step: float, enumeration_bound: int = 5_000_000) -> DiscretizedSp
 # to -inf below the maximin optimum theta. Each suffix entry is the max of
 # single IEEE additions, so it is the same float a scalar loop would give.
 # Equality with the literal scan is property-tested at coarse steps.
-
-
-def _tabulate(params: CakeParams, step: float) -> tuple[np.ndarray, int]:
-    """The (n, budget + 1) utility table: entry [i, v] is person i's
-    utility of v units of size step."""
-    budget = round(1.0 / step)
-    if not abs(budget * step - 1.0) <= _STEP_TOL:
-        raise ValueError(f"step {step} does not divide the unit cake")
-    scalar = cake_utilities(params)
-    table = np.array([[u(v * step) for v in range(budget + 1)] for u in scalar])
-    return table, budget
 
 
 def _suffix_best(table: np.ndarray, budget: int) -> np.ndarray:
@@ -712,11 +663,12 @@ class CakeVerificationReport:
 
 
 def _evaluate_claims(
-    params: CakeParams, step: float, tols: Sequence[float]
+    params: CakeParams, space: DiscretizedSpace, tols: Sequence[float]
 ) -> list[tuple[ClaimResult, ...]]:
     """The three claims judged at each tolerance in tols. The grid
     optima do not depend on the tolerance and are computed once."""
-    table, budget = _tabulate(params, step)
+    step, budget = space.step, space.units
+    table = _utility_table(cake_utilities(params), space)
     grid_max, corner_value, best_non_corner, util_witness = _util_grid_analysis(table, budget)
     theta, rawls_units = _rawls_grid_max(table, budget)
     rawls_witness = tuple(v * step for v in rawls_units)
@@ -802,15 +754,14 @@ def verify_cake_claims(params: CakeParams, step: float) -> CakeVerificationRepor
     CLAIM_TOL and re-evaluated at RECHECK_TOL to confirm the verdicts are
     not knife-edge.
     """
-    if not step > 0:
-        raise ValueError("step must be positive")
+    space = cake_space(step)
     limit = min(params.xbar4, params.xmin) / 2
     if step > limit:
         raise ValueError(
             f"step {step} too coarse to resolve the cap and floor thresholds "
             f"(needs step <= {limit:g})"
         )
-    claims, recheck = _evaluate_claims(params, step, (CLAIM_TOL, RECHECK_TOL))
+    claims, recheck = _evaluate_claims(params, space, (CLAIM_TOL, RECHECK_TOL))
     agrees = all(a.passed == b.passed for a, b in zip(claims, recheck))
     return CakeVerificationReport(
         step=step,

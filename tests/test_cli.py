@@ -748,8 +748,9 @@ class TestVerifyCake:
 
     @pytest.mark.parametrize("step", ["0", "-0.01"])
     def test_non_positive_step_is_config_error(self, capsys, step):
+        # the cake grid validates the step for both cake commands
         assert main(["verify-cake", "--step", step]) == 2
-        assert "step must be positive" in capsys.readouterr().err
+        assert "step must be finite and positive" in capsys.readouterr().err
 
     def test_lambda_zero_override_fails_and_exits_one(self, tmp_path, capsys):
         params = tmp_path / "params.json"
@@ -866,6 +867,22 @@ class TestCheckNondegeneracy:
         ])
         assert code == 2
         assert reason in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["epsilon", "delta"])
+    def test_overflow_to_nan_is_usage_error(self, tmp_path, capsys, name):
+        # a finite but huge parameter overflows egal to NaN, which emptied
+        # its argmax set and certified the grid "non-degenerate"
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({name: 1e308}))
+        out = tmp_path / "report.json"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main([
+                "check-nondegeneracy", "--step", "0.1", "--params-file", str(params),
+                "--out", str(out),
+            ])
+        assert code == 2
+        assert "no grid maximum for egal: NaN" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("step", ["inf", "nan", "-inf", "0"])
