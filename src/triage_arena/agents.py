@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from importlib import resources as _resources
 from pathlib import Path
 from typing import Callable
 
@@ -30,6 +29,7 @@ logger = logging.getLogger(__name__)
 
 from .arena import render_reply
 from .model import (
+    DATA,
     AgentProfile,
     Allocation,
     Cohort,
@@ -229,8 +229,6 @@ class ChatBackendConfig:
     backoff: float = 0.5
 
     def __post_init__(self):
-        if not (self.endpoint.startswith("http://") or self.endpoint.startswith("https://")):
-            raise ValueError(f"endpoint must be an http(s) URL, got {self.endpoint!r}")
         if self.temperature < 0:
             raise ValueError("temperature must be nonnegative")
 
@@ -307,18 +305,12 @@ _PREAMBLE_FILES = {
 }
 
 
-def _read_data(relpath: str) -> str:
-    return (
-        _resources.files("triage_arena").joinpath(relpath).read_text(encoding="utf-8")
-    )
-
-
 def framework_preamble(framework: Framework) -> str:
-    return _read_data(f"data/preambles/{_PREAMBLE_FILES[framework]}")
+    return (DATA / "preambles" / _PREAMBLE_FILES[framework]).read_text(encoding="utf-8")
 
 
 def baseline_preamble() -> str:
-    return _read_data("data/preambles/baseline.txt")
+    return (DATA / "preambles" / "baseline.txt").read_text(encoding="utf-8")
 
 
 def load_adversarial_prompt(path: str | Path) -> str:

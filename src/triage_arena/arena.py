@@ -457,7 +457,7 @@ def default_joint_allocation(
             factor = supply / total
             for row in mean_rows:
                 row[j] *= factor
-            rescaled.append(RESOURCE_NAMES[j] if a.k == len(RESOURCE_NAMES) else f"r{j}")
+            rescaled.append(RESOURCE_NAMES[j])
     note = "joint = elementwise mean of the two finals"
     if rescaled:
         note += f", rescaled to capacity on {', '.join(rescaled)}"

@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from importlib import resources as _resources
 from pathlib import Path
 
 from . import agents as agents_mod
@@ -30,7 +29,7 @@ from .arena import (
     transcript_from_json,
     transcript_to_json,
 )
-from .cohortgen import SamplerConfig, generate_batch, slots_from_json
+from .cohortgen import SamplerConfig, default_slots, generate_batch, slots_from_json
 from .metrics import (
     METRIC_DIRECTIONS,
     METRIC_NAMES,
@@ -38,6 +37,7 @@ from .metrics import (
     metric_reports,
 )
 from .model import (
+    DATA,
     Cohort,
     Framework,
     ProfileKind,
@@ -112,15 +112,13 @@ def _load_cohorts(directory: Path) -> list[Cohort]:
 def cmd_gen_cohorts(args) -> int:
     if args.batch < 1:
         raise UsageError("--batch must be at least 1")
-    slots = _read_input(args.slots_file, "slots", slots_from_json) if args.slots_file else None
-    kwargs = dict(
+    slots = _read_input(args.slots_file, "slots", slots_from_json) if args.slots_file else default_slots()
+    config = SamplerConfig(
         master_seed=args.seed,
         batch_size=args.batch,
         capacity_variant=args.variant,
+        slots=slots,
     )
-    if slots is not None:
-        kwargs["slots"] = slots
-    config = SamplerConfig(**kwargs)
     cohorts = generate_batch(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -171,11 +169,7 @@ def _make_retriever(args):
     else:
         embedder = HashingEmbedder()
     index = index_corpus(chunks, embedder)
-    queries = json.loads(
-        _resources.files("triage_arena")
-        .joinpath("data/queries.json")
-        .read_text(encoding="utf-8")
-    )
+    queries = json.loads((DATA / "queries.json").read_text(encoding="utf-8"))
     keywords = queries["round_keywords"]
 
     # The query depends only on the framework and the round, so each
@@ -190,16 +184,6 @@ def _make_retriever(args):
         return retrieve_once(f"{framework} {template}")
 
     return retriever
-
-
-def _default_adversarial_path() -> Path:
-    return Path(
-        str(
-            _resources.files("triage_arena").joinpath(
-                "data/adversarial/biased_prompt.txt"
-            )
-        )
-    )
 
 
 def _build_agents(args, framework: Framework, fixtures=None):
@@ -230,17 +214,15 @@ def _build_agents(args, framework: Framework, fixtures=None):
         chat_config = _chat_config_from(args)
         backend_a = agents_mod.ChatBackend(chat_config)
         backend_b = agents_mod.ChatBackend(chat_config)
-    elif args.backend == "replay":
+    else:  # replay
         backend_a = agents_mod.ReplayBackend(fixtures.round_texts["A"], "replay:A")
         backend_b = agents_mod.ReplayBackend(fixtures.round_texts["B"], "replay:B")
-    else:
-        raise UsageError(f"unsupported backend {args.backend!r}")
 
     profile_a, system_a = agents_mod.build_profile(
         ProfileKind.ALIGNED, framework, retrieval_enabled=retrieval_enabled
     )
     if opponent_kind == "biased":
-        adversarial = Path(args.adversarial_file) if args.adversarial_file else _default_adversarial_path()
+        adversarial = args.adversarial_file or DATA / "adversarial" / "biased_prompt.txt"
         profile_b, system_b = agents_mod.build_profile(
             ProfileKind.BIASED, adversarial_path=adversarial
         )
@@ -774,10 +756,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, EnumerationBoundExceeded) as exc:
+    except (ValueError, EnumerationBoundExceeded) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, TransportError) as exc:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from importlib import resources as _resources
 
 import numpy as np
 
 from .model import (
+    DATA,
     Cohort,
     Patient,
     Resource,
@@ -132,12 +132,7 @@ def slots_from_json(obj: dict) -> tuple[ArchetypeSlot, ...]:
 
 
 def default_slots() -> tuple[ArchetypeSlot, ...]:
-    text = (
-        _resources.files("triage_arena")
-        .joinpath("data/slots.json")
-        .read_text(encoding="utf-8")
-    )
-    return slots_from_json(json.loads(text))
+    return slots_from_json(json.loads((DATA / "slots.json").read_text(encoding="utf-8")))
 
 
 @dataclass(frozen=True)

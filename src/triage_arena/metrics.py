@@ -21,9 +21,8 @@ import enum
 import functools
 import json
 from dataclasses import dataclass
-from importlib import resources as _resources
 
-from .model import Allocation, Cohort, Patient, validate_allocation
+from .model import DATA, Allocation, Cohort, Patient, validate_allocation
 
 __all__ = [
     "CnssVector",
@@ -116,18 +115,11 @@ def _scoring_table() -> dict:
     floor + scale * (weighted mean of attribute scores), keeping
     weights strictly positive.
     """
-    text = (
-        _resources.files("triage_arena")
-        .joinpath("data/attribute_scores.json")
-        .read_text(encoding="utf-8")
-    )
-    return json.loads(text)
+    return json.loads((DATA / "attribute_scores.json").read_text(encoding="utf-8"))
 
 
 def cnss(patient: Patient, row) -> float:
     """Fraction of the patient's needed resources with a positive quantity."""
-    if not patient.needs:
-        raise ValueError(f"patient {patient.id} has an empty needs set")
     hits = sum(1 for r in patient.needs if row[r] > 0)
     return hits / len(patient.needs)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from importlib import resources
 from itertools import chain
 from json.encoder import encode_basestring as _encode_str
 
@@ -38,6 +39,9 @@ __all__ = [
 
 # Canonical resource ordering. Serialized matrices always use this column order.
 RESOURCE_NAMES = ("ICU", "Vent", "MedA", "MedB", "Nursing", "Surgery")
+
+# The packaged data directory: preambles, schemas, fixtures and tables.
+DATA = resources.files(__package__) / "data"
 
 # Absolute tolerance on column sums when checking feasibility. Quantities in
 # real transcripts are small integers, so this cannot flip a verdict on them.
@@ -126,26 +130,18 @@ CAPACITY_VARIANTS: dict[str, tuple[float, ...]] = {
 
 @dataclass(frozen=True)
 class ResourceCapacity:
-    """Available supply per resource. Every entry must be strictly positive.
-
-    The hospital problem uses the six canonical resources; other problem
-    sizes (e.g. a single divisible good) are supported by passing a supply
-    vector of the appropriate length with variant "custom".
-    """
+    """Available supply of each of the six resources, in the canonical
+    order of RESOURCE_NAMES. Every entry must be strictly positive."""
 
     supply: tuple[float, ...]
     variant: str = "custom"
 
     def __post_init__(self):
         object.__setattr__(self, "supply", tuple(float(s) for s in self.supply))
-        if not self.supply:
-            raise ValueError("supply vector must be nonempty")
+        if len(self.supply) != len(RESOURCE_NAMES):
+            raise ValueError(f"supply lists {len(self.supply)} entries, not {len(RESOURCE_NAMES)}")
         if any(s <= 0 for s in self.supply):
             raise ValueError("every supply entry must be strictly positive")
-
-    @property
-    def k(self) -> int:
-        return len(self.supply)
 
     def to_json(self) -> dict:
         return {"variant": self.variant, "supply": list(self.supply)}
@@ -379,16 +375,15 @@ def validate_allocation(alloc: Allocation, capacity: ResourceCapacity) -> Feasib
     Feasible iff every column total is at most the supply plus
     FEASIBILITY_TOL. Violations report (resource name, overshoot).
     """
-    if alloc.k != capacity.k:
+    if alloc.k != len(RESOURCE_NAMES):
         raise ValueError(
-            f"allocation has {alloc.k} resource columns, capacity has {capacity.k}"
+            f"allocation has {alloc.k} resource columns, capacity has {len(RESOURCE_NAMES)}"
         )
     totals = column_totals(alloc)
     violations = []
-    for j, (total, supply) in enumerate(zip(totals, capacity.supply)):
+    for name, total, supply in zip(RESOURCE_NAMES, totals, capacity.supply):
         overshoot = total - supply
         if overshoot > FEASIBILITY_TOL:
-            name = RESOURCE_NAMES[j] if capacity.k == len(RESOURCE_NAMES) else f"r{j}"
             violations.append((name, overshoot))
     return FeasibilityResult(
         feasible=not violations, totals=totals, violations=tuple(violations)

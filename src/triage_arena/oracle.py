@@ -162,6 +162,8 @@ class DiscretizedSpace:
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive, not {self.step}")
+        if not math.isfinite(1.0 / self.step):
+            raise ValueError(f"step {self.step} is too small: 1/step is not finite")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not abs(self.units * self.step - 1.0) <= _STEP_TOL:

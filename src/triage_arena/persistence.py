@@ -14,11 +14,10 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
-from importlib import resources as _resources
 from pathlib import Path
 
 from .arena import render_reply
-from .model import Allocation, Cohort, canonical_json
+from .model import DATA, Allocation, Cohort, canonical_json
 from .schemacheck import compile_schema
 
 __all__ = [
@@ -145,11 +144,7 @@ def build_manifest(
 @functools.cache
 def _schema_errors(kind: str):
     """The compiled checker for one packaged schema, built once per process."""
-    text = (
-        _resources.files("triage_arena")
-        .joinpath(f"data/schemas/{kind}.schema.json")
-        .read_text(encoding="utf-8")
-    )
+    text = (DATA / "schemas" / f"{kind}.schema.json").read_text(encoding="utf-8")
     return compile_schema(json.loads(text))
 
 
@@ -223,17 +218,15 @@ class ReferenceFixtures:
 
 def load_reference_fixtures() -> ReferenceFixtures:
     """Load the reference-debate fixtures, verifying recorded checksums."""
-    data_root = _resources.files("triage_arena").joinpath("data/fixtures")
-    checksums = json.loads(
-        data_root.joinpath("checksums.json").read_text(encoding="utf-8")
-    )
+    data_root = DATA / "fixtures"
+    checksums = json.loads((data_root / "checksums.json").read_text(encoding="utf-8"))
     for filename, expected in checksums.items():
-        actual = sha256_bytes(data_root.joinpath(filename).read_bytes())
+        actual = sha256_bytes((data_root / filename).read_bytes())
         if actual != expected:
             raise FixtureChecksumError(
                 f"fixture {filename} checksum {actual} != recorded {expected}"
             )
-    obj = json.loads(data_root.joinpath("cohort32.json").read_text(encoding="utf-8"))
+    obj = json.loads((data_root / "cohort32.json").read_text(encoding="utf-8"))
     cohort = Cohort.from_json(obj["cohort"])
     round_texts: dict[str, list[str]] = {}
     for r in obj["rounds"]:

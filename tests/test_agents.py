@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triage_arena.agents import (
+    ChatBackend,
     ChatBackendConfig,
     ChatTransportError,
     ReplayBackend,
@@ -327,8 +328,9 @@ class TestChatClient:
         assert json.dumps(payload).count(json.dumps(prompt)[1:-1]) == 1
 
     def test_bad_url_rejected_at_config_time(self):
-        with pytest.raises(ValueError):
-            ChatBackendConfig(endpoint="ftp://nope", model="m")
+        config = ChatBackendConfig(endpoint="ftp://nope", model="m")
+        with pytest.raises(ValueError, match=r"endpoint must be an http\(s\) URL, got 'ftp://nope'"):
+            ChatBackend(config)
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):

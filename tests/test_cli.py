@@ -265,6 +265,22 @@ class TestRun:
         assert "cohort_0000.json" in err
         assert reason in err
 
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_capacity_not_six_long_is_config_error(self, small_run, tmp_path, capsys, length):
+        # rejected at load, before any debate could fail on it with exit 3
+        obj = json.loads((small_run / "cohorts" / "cohort_0000.json").read_text())
+        obj["capacity"]["supply"] = [1.0] * length
+        cohorts = tmp_path / "cohorts"
+        cohorts.mkdir()
+        (cohorts / "cohort_0000.json").write_text(json.dumps(obj))
+        out = tmp_path / "t"
+        code = main(["run", "--cohorts", str(cohorts), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cohort_0000.json" in err
+        assert f"supply lists {length} entries" in err
+        assert not list(out.glob("transcript_*.json"))
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_config_error(self, small_run, tmp_path, capsys, jobs):
         code = main(
@@ -752,6 +768,12 @@ class TestVerifyCake:
         assert main(["verify-cake", "--step", step]) == 2
         assert "step must be finite and positive" in capsys.readouterr().err
 
+    def test_step_with_infinite_reciprocal_is_config_error(self, capsys):
+        assert main(["verify-cake", "--step", "1e-320"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: step 1e-320 is too small: 1/step is not finite\n"
+        assert captured.out == ""
+
     def test_lambda_zero_override_fails_and_exits_one(self, tmp_path, capsys):
         params = tmp_path / "params.json"
         params.write_text(json.dumps({"lambda": 0.0, "allow_degenerate": True}))
@@ -891,6 +913,15 @@ class TestCheckNondegeneracy:
         out = tmp_path / "report.json"
         assert main(["check-nondegeneracy", f"--step={step}", "--out", str(out)]) == 2
         assert "step must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_step_with_infinite_reciprocal_is_usage_error(self, tmp_path, capsys):
+        # 1 / step overflows to inf, which no grid unit count can hold
+        out = tmp_path / "report.json"
+        assert main(["check-nondegeneracy", "--step", "1e-320", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: step 1e-320 is too small: 1/step is not finite\n"
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["-1", "nan"])

@@ -97,38 +97,13 @@ class TestReferenceFixtures:
             assert r["note"]
 
     def test_checksum_mismatch_detected(self, tmp_path, monkeypatch):
-        src = resources.files("triage_arena").joinpath("data/fixtures")
-        workdir = tmp_path / "fixtures"
-        workdir.mkdir()
-        for name in ("cohort32.json", "checksums.json"):
-            shutil.copy(str(src.joinpath(name)), workdir / name)
-        corrupted = (workdir / "cohort32.json").read_text().replace('"age": 9', '"age": 10')
-        (workdir / "cohort32.json").write_text(corrupted)
-
         import triage_arena.persistence as persistence
 
-        class FakeFiles:
-            def joinpath(self, rel):
-                if rel.startswith("data/fixtures"):
-                    return _PathShim(workdir)
-                return resources.files("triage_arena").joinpath(rel)
-
-        class _PathShim:
-            def __init__(self, base):
-                self.base = Path(base)
-
-            def joinpath(self, name):
-                return _PathShim(self.base / name)
-
-            def read_text(self, encoding="utf-8"):
-                return self.base.read_text(encoding=encoding)
-
-            def read_bytes(self):
-                return self.base.read_bytes()
-
-        monkeypatch.setattr(
-            persistence, "_resources", type("R", (), {"files": lambda pkg: FakeFiles()})
-        )
+        workdir = tmp_path / "fixtures"
+        shutil.copytree(str(persistence.DATA / "fixtures"), workdir)
+        corrupted = (workdir / "cohort32.json").read_text().replace('"age": 9', '"age": 10')
+        (workdir / "cohort32.json").write_text(corrupted)
+        monkeypatch.setattr(persistence, "DATA", tmp_path)
         with pytest.raises(FixtureChecksumError):
             load_reference_fixtures()
 

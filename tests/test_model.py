@@ -66,8 +66,13 @@ class TestCapacity:
             capacity_for_variant("loose")
 
     def test_positive_supply_required(self):
-        with pytest.raises(ValueError):
-            ResourceCapacity(supply=(1.0, 0.0))
+        with pytest.raises(ValueError, match="strictly positive"):
+            ResourceCapacity(supply=(1.0, 1.0, 1.0, 0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("length", [0, 1, 5, 7])
+    def test_one_supply_per_resource_required(self, length):
+        with pytest.raises(ValueError, match=f"supply lists {length} entries"):
+            ResourceCapacity(supply=(1.0,) * length)
 
 
 class TestDiscretizeSurvival:
@@ -249,23 +254,23 @@ class TestValidateAllocation:
             validate_allocation(Allocation(((1.0,),)), cap)
 
     def test_feasible_iff_max_overshoot_nonpositive(self):
-        cap = ResourceCapacity(supply=(5.0, 5.0))
-        alloc = Allocation(((2.0, 5.0), (3.0, 0.0)))
+        cap = ResourceCapacity(supply=(5.0,) * 6)
+        alloc = Allocation(((2.0, 5.0, 0.0, 1.0, 4.0, 6.0), (3.0, 0.0, 5.0, 4.0, 1.0, 0.0)))
         result = validate_allocation(alloc, cap)
         totals = column_totals(alloc)
         assert result.feasible == (max(t - s for t, s in zip(totals, cap.supply)) <= 1e-9)
 
     @given(
         st.lists(
-            st.lists(st.floats(min_value=0, max_value=10), min_size=4, max_size=4),
+            st.lists(st.floats(min_value=0, max_value=10), min_size=6, max_size=6),
             min_size=3,
             max_size=3,
         ),
-        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=12, max_size=12),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=18, max_size=18),
     )
     def test_feasibility_is_monotone(self, rows, shrink):
         # shrinking any feasible allocation componentwise keeps it feasible
-        cap = ResourceCapacity(supply=(15.0, 15.0, 15.0, 15.0))
+        cap = ResourceCapacity(supply=(15.0,) * 6)
         alloc = Allocation(tuple(tuple(row) for row in rows))
         factors = iter(shrink)
         smaller = Allocation(
