@@ -316,8 +316,9 @@ def baseline_preamble() -> str:
 def load_adversarial_prompt(path: str | Path) -> str:
     """Load the quarantined adversarial preamble, byte for byte.
 
-    The path must be passed explicitly; nothing in the harness loads it
-    by default.
+    The library takes the path from its caller. The CLI loads it only for
+    `run --opponent biased --allow-adversarial`, from --adversarial-file
+    or else the packaged data/adversarial/biased_prompt.txt.
     """
     return Path(path).read_bytes().decode("utf-8")
 

@@ -47,7 +47,6 @@ __all__ = [
     "build_prompt",
     "run_debate",
     "default_joint_allocation",
-    "EmergenceDelta",
     "emergence_deltas",
     "emergence_delta",
     "transcript_to_json",
@@ -438,7 +437,7 @@ def default_joint_allocation(
     If the two finals agree within 1e-9 the joint is that allocation.
     Otherwise it is the elementwise mean, rescaled per resource where the
     mean overshoots capacity. The note describing which rule applied is
-    recorded in every report that uses the joint.
+    recorded in the eval record's joint block.
     """
     if a.n != b.n or a.k != b.k:
         raise ValueError("final allocations have mismatched shapes")
@@ -464,50 +463,29 @@ def default_joint_allocation(
     return Allocation(tuple(tuple(row) for row in mean_rows)), note
 
 
-@dataclass(frozen=True)
-class EmergenceDelta:
-    metric: str
-    value: float
-    joint_feasible: bool
-    note: str = ""
-
-
-def emergence_deltas(
-    transcript: DebateTranscript, joint: Allocation
-) -> dict[str, EmergenceDelta]:
+def emergence_deltas(joint_report: MetricReport, final_reports) -> dict[str, float]:
     """Joint-minus-mean gap for every metric, sign-adjusted by direction.
 
     Positive values always mean the joint allocation improves on the
-    average of the two individual finals. An infeasible joint is still
-    scored, but flagged. Three metric reports serve all six metrics.
+    average of the finals' reports. An infeasible joint is scored all the
+    same; its report says so.
     """
-    if len(transcript.final_allocations) != 2:
-        raise ValueError("transcript does not carry two final allocations")
-    cohort = transcript.cohort
-    joint_report, *final_reports = metric_reports(
-        cohort, [joint, *transcript.final_allocations.values()]
-    )
-    note = "" if joint_report.feasible else "joint allocation is infeasible"
     deltas = {}
     for metric, direction in METRIC_DIRECTIONS.items():
         finals = [report.value(metric) for report in final_reports]
         raw = joint_report.value(metric) - sum(finals) / len(finals)
-        deltas[metric] = EmergenceDelta(
-            metric=metric,
-            value=raw if direction == "higher" else -raw,
-            joint_feasible=joint_report.feasible,
-            note=note,
-        )
+        deltas[metric] = raw if direction == "higher" else -raw
     return deltas
 
 
-def emergence_delta(
-    metric: str, transcript: DebateTranscript, joint: Allocation
-) -> EmergenceDelta:
+def emergence_delta(metric: str, transcript: DebateTranscript, joint: Allocation) -> float:
     """The emergence delta of a single metric; see emergence_deltas."""
     if metric not in METRIC_DIRECTIONS:
         raise ValueError(f"unknown metric {metric!r}")
-    return emergence_deltas(transcript, joint)[metric]
+    joint_report, *final_reports = metric_reports(
+        transcript.cohort, [joint, *transcript.final_allocations.values()]
+    )
+    return emergence_deltas(joint_report, final_reports)[metric]
 
 
 def transcript_to_json(transcript: DebateTranscript) -> dict:

@@ -22,6 +22,7 @@ from . import agents as agents_mod
 from .arena import (
     AgentSpec,
     DebateConfig,
+    DebateTranscript,
     agent_label,
     default_joint_allocation,
     emergence_deltas,
@@ -247,9 +248,6 @@ def cmd_run(args) -> int:
             f"unknown framework {args.framework!r}; expected one of "
             f"{', '.join(f.value for f in Framework)}"
         ) from None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     fixtures = None
     if args.backend == "replay":
         fixtures = load_reference_fixtures()
@@ -265,6 +263,9 @@ def cmd_run(args) -> int:
         opponent_kind=opponent_kind,
     )
     retriever = _make_retriever(args)
+    # made only now, so a usage error above leaves no directory behind
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     done_files = []
     tasks = []
@@ -355,6 +356,53 @@ def cmd_run(args) -> int:
     return EXIT_IO if failures else EXIT_OK
 
 
+def _eval_record(transcript: DebateTranscript, source: str) -> dict:
+    """The eval record of one transcript: the metric report of every
+    proposal, of each final and, for a debate that ended with two finals,
+    of their joint with its emergence deltas. The one place a transcript
+    is scored; eval writes the record and report aggregates it."""
+    cohort = transcript.cohort
+    proposals = transcript.history.proposals
+    finals = list(transcript.final_allocations.values())
+    scored = [p.allocation for p in proposals] + finals
+    joint_note = None
+    if transcript.completed and len(finals) == 2:
+        joint_allocation, joint_note = default_joint_allocation(*finals, cohort.capacity)
+        scored.append(joint_allocation)
+    reports = metric_reports(cohort, scored)
+    final_reports = reports[len(proposals):len(proposals) + len(finals)]
+    joint = None
+    if joint_note is not None:
+        joint = {
+            "note": joint_note,
+            "metrics": reports[-1].to_json(),
+            "deltas": emergence_deltas(reports[-1], final_reports),
+        }
+    return {
+        "schema_version": 2,
+        "kind": "eval",
+        "source_transcript": source,
+        "cohort_id": cohort.cohort_id,
+        "framework": transcript.config.framework,
+        "opponent_kind": transcript.config.opponent_kind,
+        "completed": transcript.completed,
+        "rounds": [
+            {
+                "round": prop.round,
+                "agent": prop.agent,
+                "feasible": report.feasible,
+                "metrics": report.to_json(),
+            }
+            for prop, report in zip(proposals, reports)
+        ],
+        "finals": {
+            label: report.to_json()
+            for label, report in zip(transcript.final_allocations, final_reports)
+        },
+        "joint": joint,
+    }
+
+
 def cmd_eval(args) -> int:
     transcripts_dir = Path(args.transcripts)
     out = Path(args.out)
@@ -367,41 +415,12 @@ def cmd_eval(args) -> int:
     for file in files:
         try:
             obj = json.loads(file.read_text(encoding="utf-8"))
-            transcript = transcript_from_json(obj)
+            record = _eval_record(transcript_from_json(obj), file.name)
         except Exception as exc:
             corrupt.append(f"{file.name}: {exc}")
             continue
-        proposals = transcript.history.proposals
-        reports = metric_reports(
-            transcript.cohort,
-            [p.allocation for p in proposals] + list(transcript.final_allocations.values()),
-        )
-        rounds = [
-            {
-                "round": prop.round,
-                "agent": prop.agent,
-                "feasible": report.feasible,
-                "metrics": report.to_json(),
-            }
-            for prop, report in zip(proposals, reports)
-        ]
-        finals = {
-            label: report.to_json()
-            for label, report in zip(transcript.final_allocations, reports[len(proposals):])
-        }
-        eval_obj = {
-            "schema_version": 1,
-            "kind": "eval",
-            "source_transcript": file.name,
-            "cohort_id": transcript.cohort.cohort_id,
-            "framework": transcript.config.framework,
-            "opponent_kind": transcript.config.opponent_kind,
-            "completed": transcript.completed,
-            "rounds": rounds,
-            "finals": finals,
-        }
         target = out / file.name.replace("transcript_", "eval_")
-        write_json(target, eval_obj)
+        write_json(target, record)
         written.append(target)
     print(f"evaluated {len(written)} transcripts, {len(corrupt)} corrupt")
     for item in corrupt:
@@ -568,16 +587,38 @@ def cmd_report(args) -> int:
     base = manifest_path.parent
     manifest = _read_input(manifest_path, "manifest", RunManifest.from_json)
     missing = manifest.verify(base)
-    transcripts = []
+    # Each listed transcript is scored into its eval record, and only the
+    # values the report prints are kept: metric values in METRIC_NAMES
+    # order, appended in manifest order.
+    variants: dict[int, str] = {}  # cohort id -> capacity variant
+    counts: dict[tuple[str, str, int], int] = {}
+    finals: dict[tuple[str, str], list[list[float]]] = {}  # (framework, agent)
+    joints: dict[str, list[tuple[list[float], bool]]] = {}  # deltas, feasible
     for rel, _hash in manifest.files:
         path = base / rel
-        if path.exists() and rel.startswith("transcript_"):
-            try:
-                transcripts.append(
-                    transcript_from_json(json.loads(path.read_text(encoding="utf-8")))
-                )
-            except Exception as exc:
-                missing.append(f"{rel}: unreadable ({exc})")
+        if not (path.exists() and rel.startswith("transcript_")):
+            continue
+        try:
+            transcript = transcript_from_json(json.loads(path.read_text(encoding="utf-8")))
+            record = _eval_record(transcript, rel)
+        except Exception as exc:
+            missing.append(f"{rel}: unreadable ({exc})")
+            continue
+        framework = record["framework"]
+        variants[record["cohort_id"]] = transcript.cohort.capacity.variant
+        for row in record["rounds"]:
+            if not row["feasible"]:
+                key = (framework, row["agent"], row["round"])
+                counts[key] = counts.get(key, 0) + 1
+        if not record["completed"]:
+            continue
+        for label, report in record["finals"].items():
+            finals.setdefault((framework, label), []).append([report[m] for m in METRIC_NAMES])
+        joint = record["joint"]
+        if joint is not None:
+            joints.setdefault(framework, []).append(
+                ([joint["deltas"][m] for m in METRIC_NAMES], joint["metrics"]["feasible"])
+            )
 
     lines = ["# Run report", ""]
     lines.append("## Configuration")
@@ -589,23 +630,16 @@ def cmd_report(args) -> int:
         lines.append("## Missing or invalid inputs")
         lines.extend(f"- {item}" for item in missing)
         lines.append("")
-    if transcripts:
-        cohorts = {t.cohort.cohort_id: t.cohort for t in transcripts}
-        variants = {c.capacity.variant for c in cohorts.values()}
+    if variants:
         lines.append("## Cohorts")
         lines.append(
-            f"- {len(cohorts)} cohorts, capacity variant(s): {', '.join(sorted(variants))}"
+            f"- {len(variants)} cohorts, capacity variant(s): "
+            f"{', '.join(sorted(set(variants.values())))}"
         )
         lines.append("")
         lines.append("## Infeasibility counts per (framework, agent, round)")
         lines.append("| framework | agent | round | infeasible proposals |")
         lines.append("| --- | --- | --- | --- |")
-        counts: dict[tuple[str, str, int], int] = {}
-        for t in transcripts:
-            for prop in t.history.proposals:
-                if prop.feasibility is not None and not prop.feasibility.feasible:
-                    key = (t.config.framework, prop.agent, prop.round)
-                    counts[key] = counts.get(key, 0) + 1
         for (framework, agent, round_t), count in sorted(counts.items()):
             lines.append(f"| {framework} | {agent} | {round_t} | {count} |")
         if not counts:
@@ -614,24 +648,11 @@ def cmd_report(args) -> int:
         lines.append("## Final metric summary")
         lines.append("| framework | agent | metric | mean over cohorts |")
         lines.append("| --- | --- | --- | --- |")
-        by_fw: dict[str, list] = {}
-        for t in transcripts:
-            if t.completed:
-                by_fw.setdefault(t.config.framework, []).append(t)
-        for framework, members in sorted(by_fw.items()):
-            labels = sorted({l for t in members for l in t.final_reports})
-            for label in labels:
-                for metric in METRIC_NAMES:
-                    vals = [
-                        t.final_reports[label].value(metric)
-                        for t in members
-                        if label in t.final_reports
-                    ]
-                    if vals:
-                        lines.append(
-                            f"| {framework} | {label} | {metric} "
-                            f"| {sum(vals) / len(vals):.4f} |"
-                        )
+        for (framework, label), rows in sorted(finals.items()):
+            for metric, vals in zip(METRIC_NAMES, zip(*rows)):
+                lines.append(
+                    f"| {framework} | {label} | {metric} | {sum(vals) / len(vals):.4f} |"
+                )
         lines.append("")
         lines.append("## Emergence deltas (joint vs mean of finals)")
         lines.append(
@@ -643,24 +664,12 @@ def cmd_report(args) -> int:
         lines.append("")
         lines.append("| framework | metric | mean delta | joints infeasible |")
         lines.append("| --- | --- | --- | --- |")
-        for framework, members in sorted(by_fw.items()):
-            per_transcript = []
-            for t in members:
-                allocs = list(t.final_allocations.values())
-                if len(allocs) != 2:
-                    continue
-                joint, _note = default_joint_allocation(
-                    allocs[0], allocs[1], t.cohort.capacity
+        for framework, members in sorted(joints.items()):
+            infeasible = sum(not feasible for _deltas, feasible in members)
+            for metric, vals in zip(METRIC_NAMES, zip(*(d for d, _feasible in members))):
+                lines.append(
+                    f"| {framework} | {metric} | {sum(vals) / len(vals):+.4f} | {infeasible} |"
                 )
-                per_transcript.append(emergence_deltas(t, joint))
-            for metric in METRIC_NAMES:
-                deltas = [d[metric].value for d in per_transcript]
-                infeasible = sum(1 for d in per_transcript if not d[metric].joint_feasible)
-                if deltas:
-                    lines.append(
-                        f"| {framework} | {metric} "
-                        f"| {sum(deltas) / len(deltas):+.4f} | {infeasible} |"
-                    )
         lines.append("")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

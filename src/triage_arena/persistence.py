@@ -34,7 +34,8 @@ __all__ = [
     "FixtureChecksumError",
 ]
 
-SCHEMA_KINDS = ("cohort", "transcript", "eval", "comparison", "manifest")
+# The one schema_version validate accepts for each kind of file.
+SCHEMA_VERSIONS = {"cohort": 1, "transcript": 1, "eval": 2, "comparison": 1, "manifest": 1}
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -178,10 +179,10 @@ def validate_schemas(directory: str | Path) -> list[SchemaViolation]:
             continue
         kind = obj.get("kind")
         version = obj.get("schema_version")
-        if kind not in SCHEMA_KINDS:
+        if kind not in SCHEMA_VERSIONS:
             violations.append(SchemaViolation(rel, f"unknown kind {kind!r}"))
             continue
-        if version != 1:
+        if version != SCHEMA_VERSIONS[kind]:
             violations.append(
                 SchemaViolation(rel, f"unmigratable schema_version {version!r}")
             )

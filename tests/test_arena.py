@@ -618,6 +618,18 @@ class TestPromptSkip:
 
 
 class TestJointAndEmergence:
+    @staticmethod
+    def hand_deltas(cohort, joint, finals):
+        """The joint-minus-mean gap by the hand formula, over single
+        metric_report calls: negated where lower is better."""
+        deltas = {}
+        for metric in METRIC_NAMES:
+            m_joint = metric_report(cohort, joint).value(metric)
+            m_finals = [metric_report(cohort, alloc).value(metric) for alloc in finals]
+            expected = m_joint - sum(m_finals) / len(m_finals)
+            deltas[metric] = -expected if metric in ("variance", "gini") else expected
+        return deltas
+
     def test_equal_finals_give_zero_delta(self, cohort):
         agent_a, agent_b = scripted_pair()
         shared = "\n".join(
@@ -632,10 +644,11 @@ class TestJointAndEmergence:
             cohort.capacity,
         )
         assert "converged" in note
-        deltas = emergence_deltas(transcript, joint)
+        deltas = emergence_deltas(
+            metric_report(cohort, joint), transcript.final_reports.values()
+        )
         for metric in METRIC_NAMES:
-            delta = deltas[metric]
-            assert delta.value == pytest.approx(0.0, abs=1e-12)
+            assert deltas[metric] == pytest.approx(0.0, abs=1e-12)
 
     def test_mean_joint_rescaled_to_capacity(self):
         cap = capacity_for_variant("tight")
@@ -658,28 +671,26 @@ class TestJointAndEmergence:
         rng = np.random.Generator(np.random.Philox(10))
         agent_a, agent_b = scripted_pair()
         transcript = run_debate(cohort, agent_a, agent_b, DebateConfig(rounds=1))
+        finals = list(transcript.final_allocations.values())
         for _ in range(10):
             joint = random_allocation(rng, n=cohort.n)
-            deltas = emergence_deltas(transcript, joint)
-            for metric in METRIC_NAMES:
-                delta = deltas[metric]
-                m_joint = metric_report(cohort, joint).value(metric)
-                finals = [
-                    metric_report(cohort, alloc).value(metric)
-                    for alloc in transcript.final_allocations.values()
-                ]
-                expected = m_joint - sum(finals) / 2
-                if metric in ("variance", "gini"):
-                    expected = -expected
-                assert delta.value == pytest.approx(expected, abs=1e-12)
+            deltas = emergence_deltas(
+                metric_report(cohort, joint), transcript.final_reports.values()
+            )
+            expected = self.hand_deltas(cohort, joint, finals)
+            assert list(deltas) == list(METRIC_NAMES)
+            assert deltas == pytest.approx(expected, abs=1e-12)
 
     def test_infeasible_joint_flagged(self, cohort):
+        # an infeasible joint is scored all the same; its own report says so
         agent_a, agent_b = scripted_pair()
         transcript = run_debate(cohort, agent_a, agent_b, DebateConfig(rounds=1))
         huge = Allocation(tuple(tuple(99.0 for _ in range(6)) for _ in range(cohort.n)))
-        delta = emergence_deltas(transcript, huge)["esg"]
-        assert not delta.joint_feasible
-        assert delta.note
+        joint_report = metric_report(cohort, huge)
+        assert not joint_report.feasible
+        deltas = emergence_deltas(joint_report, transcript.final_reports.values())
+        expected = self.hand_deltas(cohort, huge, transcript.final_allocations.values())
+        assert deltas == pytest.approx(expected, abs=1e-12)
 
     def test_single_metric_delta_matches_the_full_set(self, cohort):
         agent_a, agent_b = scripted_pair()
@@ -689,9 +700,12 @@ class TestJointAndEmergence:
             transcript.final_allocations["B"],
             cohort.capacity,
         )
-        deltas = emergence_deltas(transcript, joint)
-        assert list(deltas) == list(METRIC_NAMES)
+        deltas = emergence_deltas(
+            metric_report(cohort, joint), transcript.final_reports.values()
+        )
         for metric in METRIC_NAMES:
-            assert emergence_delta(metric, transcript, joint) == deltas[metric]
+            delta = emergence_delta(metric, transcript, joint)
+            assert type(delta) is float
+            assert delta == deltas[metric]
         with pytest.raises(ValueError, match="unknown metric"):
             emergence_delta("nope", transcript, joint)

@@ -18,10 +18,12 @@ import pytest
 
 import triage_arena
 from triage_arena import cli
-from triage_arena.arena import transcript_from_json
+from triage_arena.agents import ReplayBackend, build_profile
+from triage_arena.arena import AgentSpec, DebateConfig, run_debate, transcript_from_json
 from triage_arena.cli import main
 from triage_arena.metrics import METRIC_NAMES
-from triage_arena.model import canonical_json
+from triage_arena.model import Framework, ProfileKind, canonical_json
+from triage_arena.persistence import validate_schemas, write_json
 from triage_arena.stats import cell_seed, compare_cell, pair_reports
 
 # Outputs of the small_run pipeline (seed 7, batch 6, scripted Rawlsian vs
@@ -29,14 +31,15 @@ from triage_arena.stats import cell_seed, compare_cell, pair_reports
 SMALL_RUN_COMBINED_HASH = "aadf4237f788801aacb12762afef7e233585e8f526a1e5b1504b9082a57055a7"
 SMALL_RUN_COMPARISON_SHA256 = "d5540f7da98e5c7699fab6f8a47db95dd191392d40c89fd2e384ce37080562cb"
 SMALL_RUN_REPORT_SHA256 = "37af91ac28b7a4f2cf7ee0b844dda928349d420fc86b21f0318246be5a7c98f5"
-# Its per-round and final metric reports, one eval file per cohort.
+# Its eval records (schema_version 2): the per-round, final and joint metric
+# reports, one eval file per cohort.
 SMALL_RUN_EVAL_SHA256 = {
-    "eval_rawlsian_biased_0000.json": "6311dace59c116f46ff63e0d725e4e7beb79d8177629b34208e7412762861268",
-    "eval_rawlsian_biased_0001.json": "7e44fb60483bca54a622bc438c799bace59cc7fb121b0676702366e7dd69aaa7",
-    "eval_rawlsian_biased_0002.json": "59cf54b83248cfe37b37a70b454537aaff53729cf9d4c7a347fe2d79fe53290a",
-    "eval_rawlsian_biased_0003.json": "fa1467df517bbd17b802a09c7a259df404e2a52ff9e7bf46451bb60e3c7e4971",
-    "eval_rawlsian_biased_0004.json": "126b275aed2817266668d11479cf02dce50575485085e089e1509d54afa7f828",
-    "eval_rawlsian_biased_0005.json": "7af24c59b15208f04b4e1f5bc69dc930693567c0fb8d3b5a0479500452408937",
+    "eval_rawlsian_biased_0000.json": "c23cf8f6b4e5bb304fb43e09410e3d4cd11c565ff66fa9148548df5734d5cc03",
+    "eval_rawlsian_biased_0001.json": "1896db7f73e86c9cd2e322fc0bdd0da629aaef45c3007c2cab148f8f7fddb130",
+    "eval_rawlsian_biased_0002.json": "c0d4e4ba40348ae5b049073c0beead67965cdeb87fac3e982365d4086678a5ec",
+    "eval_rawlsian_biased_0003.json": "cf8640cf4be16898e28939ad00cf975f5ce3b0cdb86ac8b5411e38704a640206",
+    "eval_rawlsian_biased_0004.json": "ce31819c8f366a2e617637f56598f6501f14b0800fb009d5a476acf5c5c2c970",
+    "eval_rawlsian_biased_0005.json": "65223fae59f2abb54d05b00d88bd8f1e31fba97f56e318944e4dde034cf1de4f",
 }
 # Manifest of `run --backend replay --framework Utilitarian`: the reference
 # debate's stored rounds rendered as replies and replayed.
@@ -204,14 +207,16 @@ class TestRun:
         assert "executed 0 debates, skipped 6" in out
 
     @pytest.mark.parametrize(
-        "content", [b"\xff\xfe{}", b"[1]"], ids=["not-utf8", "not-an-object"]
+        "damage",
+        [lambda good: b"\xff\xfe{}", lambda good: b"[1]", lambda good: good[: len(good) // 2]],
+        ids=["not-utf8", "not-an-object", "truncated"],
     )
-    def test_rerun_redoes_bad_existing_transcript(self, small_run, tmp_path, capsys, content):
+    def test_rerun_redoes_bad_existing_transcript(self, small_run, tmp_path, capsys, damage):
         out = tmp_path / "t"
         shutil.copytree(small_run / "transcripts", out)
         target = sorted(out.glob("transcript_*.json"))[2]
         good = target.read_bytes()
-        target.write_bytes(content)
+        target.write_bytes(damage(good))
         code = main(
             [
                 "run",
@@ -279,7 +284,7 @@ class TestRun:
         err = capsys.readouterr().err
         assert "cohort_0000.json" in err
         assert f"supply lists {length} entries" in err
-        assert not list(out.glob("transcript_*.json"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_config_error(self, small_run, tmp_path, capsys, jobs):
@@ -412,6 +417,8 @@ class TestReplayAndEval:
         for f in source:
             (transcripts / f.name).write_text(f.read_text())
         (transcripts / "transcript_bad_0099.json").write_text("{not json")
+        cut = source[1].read_bytes()
+        (transcripts / "transcript_cut_0096.json").write_bytes(cut[: len(cut) // 2])
         # transcripts recorded under another protocol are not relabelled
         for name, field, value in [
             ("transcript_reordered_0098.json", "speaking_order", ["opponent", "A"]),
@@ -423,10 +430,27 @@ class TestReplayAndEval:
         out = tmp_path / "evalc"
         assert main(["eval", "--transcripts", str(transcripts), "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert "3 corrupt" in captured.out
+        assert "evaluated 2 transcripts, 4 corrupt" in captured.out
+        assert "corrupt: transcript_cut_0096.json: " in captured.err
         for name in ("transcript_reordered_0098.json", "transcript_retries_0097.json"):
             assert f"{name}: speaking order and parse retries" in captured.err
         assert len(list(out.glob("eval_*.json"))) == 2
+
+    def test_failed_debate_record_has_no_joint(self, cohort, tmp_path):
+        # A's second reply never parses, so the debate fails in round 2
+        text = "\n".join(f"Patient {i}: [0, 0, 1, 0, 1, 0]" for i in range(1, cohort.n + 1))
+        profile_a, _ = build_profile(ProfileKind.ALIGNED, Framework.RAWLSIAN)
+        profile_b, _ = build_profile(ProfileKind.BASELINE)
+        agent_a = AgentSpec("A", ReplayBackend([text, "junk", "junk"]), profile_a)
+        agent_b = AgentSpec("B", ReplayBackend([text]), profile_b)
+        transcript = run_debate(cohort, agent_a, agent_b, DebateConfig(rounds=2))
+        assert not transcript.completed
+        record = cli._eval_record(transcript, "transcript_failed_0000.json")
+        assert record["schema_version"] == 2
+        assert [(r["agent"], r["round"]) for r in record["rounds"]] == [("A", 1), ("B", 1)]
+        assert record["finals"] == {} and record["joint"] is None
+        write_json(tmp_path / "eval_failed_0000.json", record)
+        assert validate_schemas(tmp_path) == []
 
 
 class TestStats:
@@ -468,6 +492,21 @@ class TestStats:
         assert victim.name in err
         assert reason in err
         assert not (tmp_path / "s").exists()
+
+    def test_v1_eval_files_are_unmigratable_but_still_read(self, small_run, tmp_path, capsys):
+        # a schema_version 1 eval record is a version 2 one without the joint block
+        evals = tmp_path / "evals_v1"
+        evals.mkdir()
+        for f in (small_run / "evals").glob("eval_*.json"):
+            obj = json.loads(f.read_text())
+            del obj["joint"]
+            write_json(evals / f.name, {**obj, "schema_version": 1})
+        assert main(["validate", str(evals)]) == 1
+        assert "unmigratable schema_version 1" in capsys.readouterr().out
+        stats = tmp_path / "stats"
+        assert main(["stats", "--eval-dir", str(evals), "--out", str(stats)]) == 0
+        comparison = (stats / "comparison.json").read_bytes()
+        assert hashlib.sha256(comparison).hexdigest() == SMALL_RUN_COMPARISON_SHA256
 
     @pytest.mark.parametrize("alpha", ["0", "1", "2", "-1", "nan"])
     def test_alpha_outside_unit_interval_is_usage_error(self, small_run, tmp_path, capsys, alpha):
@@ -971,6 +1010,60 @@ class TestReportAndValidate:
         text = report_path.read_text()
         assert "## Missing or invalid inputs" in text
         assert f"- {victim.name}: content hash mismatch" in text
+
+    @staticmethod
+    def drop_a_final_row(data: bytes) -> bytes:
+        obj = json.loads(data)
+        obj["final_allocations"]["C"].pop()
+        return json.dumps(obj).encode()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda data: data[: len(data) // 2], drop_a_final_row],
+        ids=["truncated", "finals-of-two-shapes"],
+    )
+    def test_unreadable_transcript_is_listed_and_the_rest_rendered(self, small_run, tmp_path, damage):
+        run = tmp_path / "run"
+        shutil.copytree(small_run / "transcripts", run)
+        victim = sorted(run.glob("transcript_*.json"))[2]
+        victim.write_bytes(damage(victim.read_bytes()))
+        report_path = tmp_path / "cut.md"
+        assert main(["report", "--run-manifest", str(run / "manifest.json"), "--out", str(report_path)]) == 1
+        text = report_path.read_text()
+        assert f"- {victim.name}: unreadable (" in text
+        assert "- 5 cohorts, capacity variant(s): standard" in text
+        assert "## Final metric summary" in text and "| Rawlsian | C | gini |" in text
+        assert "| Rawlsian | gini |" in text  # an emergence delta row
+
+    @staticmethod
+    def table_rows(text: str, heading: str) -> list[list[str]]:
+        """The body cells of the first table under a Markdown heading."""
+        section = text.split(f"## {heading}", 1)[1].split("\n## ", 1)[0]
+        rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("| ")]
+        return [[cell.strip() for cell in row] for row in rows[2:]]  # below header and rule
+
+    def test_report_numbers_are_the_eval_records_means(self, small_run, tmp_path):
+        report_path = tmp_path / "report.md"
+        manifest = small_run / "transcripts" / "manifest.json"
+        assert main(["report", "--run-manifest", str(manifest), "--out", str(report_path)]) == 0
+        text = report_path.read_text()
+        records = [json.loads(f.read_text()) for f in sorted((small_run / "evals").glob("eval_*.json"))]
+        assert records and all(r["completed"] and r["joint"] is not None for r in records)
+
+        def mean(vals):
+            return sum(vals) / len(vals)
+
+        summary = self.table_rows(text, "Final metric summary")
+        assert len(summary) == 2 * len(METRIC_NAMES)
+        for framework, label, metric, cell in summary:
+            vals = [r["finals"][label][metric] for r in records if r["framework"] == framework]
+            assert cell == f"{mean(vals):.4f}"
+        emergence = self.table_rows(text, "Emergence deltas")
+        assert [row[1] for row in emergence] == list(METRIC_NAMES)
+        for framework, metric, cell, infeasible in emergence:
+            joints = [r["joint"] for r in records if r["framework"] == framework]
+            assert cell == f"{mean([j['deltas'][metric] for j in joints]):+.4f}"
+            assert infeasible == str(sum(not j["metrics"]["feasible"] for j in joints))
 
     def test_validate_fresh_dirs(self, small_run):
         assert main(["validate", str(small_run / "cohorts")]) == 0
