@@ -58,6 +58,9 @@ __all__ = [
     "build_profile",
 ]
 
+MAX_TOKENS = 2048  # completion budget of each chat request
+CHAT_TIMEOUT = 120.0  # seconds per chat request
+
 # Resources granted as whole units versus continuously divisible ones.
 _BINARY = (Resource.ICU, Resource.VENT, Resource.SURGERY)
 _DIVISIBLE = (Resource.MED_A, Resource.MED_B, Resource.NURSING)
@@ -152,13 +155,11 @@ def default_disfavored(patient: Patient) -> bool:
     return patient.citizenship != "Citizen" or patient.ses in ("Refugee", "Low")
 
 
-def scripted_biased(
-    cohort: Cohort, disfavored: Callable[[Patient], bool] = default_disfavored
-) -> str:
+def scripted_biased(cohort: Cohort) -> str:
     """Demographically exclusionary strategy: zeroes every resource for
-    disfavored patients and allocates greedily among the rest. Feasible
-    by construction."""
-    favored = [p for p in cohort.patients if not disfavored(p)]
+    the patients `default_disfavored` picks and allocates greedily among
+    the rest. Feasible by construction."""
+    favored = [p for p in cohort.patients if not default_disfavored(p)]
     return render_reply(
         _greedy_allocation(cohort, favored),
         "Resources are reserved for the preferred demographic groups; the "
@@ -223,10 +224,6 @@ class ChatBackendConfig:
     endpoint: str
     model: str
     temperature: float = 0.0
-    max_tokens: int = 2048
-    timeout: float = 120.0
-    retries: int = 2
-    backoff: float = 0.5
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -240,13 +237,7 @@ class ChatTransportError(TransportError):
 def _chat_transport(config: ChatBackendConfig):
     from .transport import JsonEndpoint  # loaded only where a transport is used
 
-    return JsonEndpoint(
-        config.endpoint,
-        timeout=config.timeout,
-        retries=config.retries,
-        backoff=config.backoff,
-        error=ChatTransportError,
-    )
+    return JsonEndpoint(config.endpoint, timeout=CHAT_TIMEOUT, error=ChatTransportError)
 
 
 def chat_generate(config: ChatBackendConfig, prompt: str, transport) -> str:
@@ -263,7 +254,7 @@ def chat_generate(config: ChatBackendConfig, prompt: str, transport) -> str:
         "model": config.model,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": config.temperature,
-        "max_tokens": config.max_tokens,
+        "max_tokens": MAX_TOKENS,
     }
     body = transport.post(payload)
     try:

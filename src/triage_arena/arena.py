@@ -44,6 +44,7 @@ __all__ = [
     "DebateTranscript",
     "AgentSpec",
     "agent_label",
+    "deterministic_pair",
     "build_prompt",
     "run_debate",
     "default_joint_allocation",
@@ -218,6 +219,12 @@ def agent_label(profile: AgentProfile) -> str:
     if profile.kind is ProfileKind.BASELINE:
         return "B"
     return "C"
+
+
+def deterministic_pair(agent_a: AgentSpec, agent_b: AgentSpec) -> bool:
+    """Whether debates between the two agents repeat exactly: both
+    backends must say they are deterministic."""
+    return all(getattr(spec.backend, "deterministic", False) for spec in (agent_a, agent_b))
 
 
 @dataclass(frozen=True)
@@ -404,10 +411,7 @@ def run_debate(
             final_allocations[spec.label] = final.allocation
         reports = metric_reports(cohort, final_allocations.values())
         final_reports = dict(zip(final_allocations, reports))
-    deterministic = bool(
-        getattr(agent_a.backend, "deterministic", False)
-        and getattr(agent_b.backend, "deterministic", False)
-    )
+    deterministic = deterministic_pair(agent_a, agent_b)
     timestamps = None
     if not deterministic:
         import datetime

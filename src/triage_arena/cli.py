@@ -25,6 +25,7 @@ from .arena import (
     DebateTranscript,
     agent_label,
     default_joint_allocation,
+    deterministic_pair,
     emergence_deltas,
     run_debate,
     transcript_from_json,
@@ -326,7 +327,7 @@ def cmd_run(args) -> int:
     done_files += [out / name for (_, name, _), failure in zip(tasks, outcomes) if failure is None]
     executed = len(tasks) - len(failures)
 
-    deterministic = bool(getattr(agent_a.backend, "deterministic", False))
+    deterministic = deterministic_pair(agent_a, agent_b)
     timestamp = None
     if not deterministic:
         import datetime
@@ -405,21 +406,23 @@ def _eval_record(transcript: DebateTranscript, source: str) -> dict:
 
 def cmd_eval(args) -> int:
     transcripts_dir = Path(args.transcripts)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     files = sorted(transcripts_dir.glob("transcript_*.json"))
     if not files:
         raise UsageError(f"no transcript_*.json files under {transcripts_dir}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     corrupt = []
     written = []
     for file in files:
+        target = out / file.name.replace("transcript_", "eval_")
         try:
             obj = json.loads(file.read_text(encoding="utf-8"))
             record = _eval_record(transcript_from_json(obj), file.name)
         except Exception as exc:
             corrupt.append(f"{file.name}: {exc}")
+            # an earlier eval of this transcript no longer describes it
+            target.unlink(missing_ok=True)
             continue
-        target = out / file.name.replace("transcript_", "eval_")
         write_json(target, record)
         written.append(target)
     print(f"evaluated {len(written)} transcripts, {len(corrupt)} corrupt")

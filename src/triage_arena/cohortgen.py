@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+MAX_RESAMPLE_ATTEMPTS = 100  # draws per cohort before the diversity check gives up
 
 
 def splitmix64(x: int) -> int:
@@ -141,7 +142,6 @@ class SamplerConfig:
     batch_size: int = 50
     capacity_variant: str = "standard"
     slots: tuple[ArchetypeSlot, ...] = field(default_factory=default_slots)
-    max_resample_attempts: int = 100
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -188,12 +188,12 @@ def generate_cohort(seed: int, config: SamplerConfig, cohort_id: int = 0) -> Coh
 
     Cohorts whose patients collide on the full demographic tuple
     (age, gender, race, ses, citizenship) are rejected and resampled, up
-    to max_resample_attempts.
+    to MAX_RESAMPLE_ATTEMPTS times.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     capacity = capacity_for_variant(config.capacity_variant)
     n = config.cohort_size
-    for _ in range(config.max_resample_attempts):
+    for _ in range(MAX_RESAMPLE_ATTEMPTS):
         draws = [_draw_patient(rng, slot) for slot in config.slots]
         order = [int(i) for i in rng.permutation(n)]
         keys = {
@@ -217,7 +217,7 @@ def generate_cohort(seed: int, config: SamplerConfig, cohort_id: int = 0) -> Coh
         )
     raise CohortGenerationError(
         f"diversity constraint unsatisfiable within "
-        f"{config.max_resample_attempts} attempts for seed {seed}"
+        f"{MAX_RESAMPLE_ATTEMPTS} attempts for seed {seed}"
     )
 
 

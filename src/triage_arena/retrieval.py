@@ -4,7 +4,12 @@ Tokens are whitespace-delimited words. The index is an exact cosine
 scan, never an approximate structure; corpora here are small and
 determinism matters more than speed. Two embedder backends exist: a
 deterministic hashing embedder for tests and offline runs, and a client
-for a remote JSON embedding endpoint. Both return a 1-D float array.
+for a remote JSON embedding endpoint. Both return a 1-D float array; the
+index takes its dimension from the first one it is given.
+
+Documents are chunked in windows of CHUNK_SIZE tokens that overlap by
+OVERLAP, and `retrieve` returns the TOP_K best chunks. These are fixed
+settings, read when each function runs.
 """
 
 from __future__ import annotations
@@ -33,9 +38,11 @@ __all__ = [
     "load_corpus_dir",
 ]
 
-DEFAULT_CHUNK_SIZE = 512
-DEFAULT_OVERLAP = 64
-DEFAULT_DIM = 768
+CHUNK_SIZE = 512
+OVERLAP = 64
+TOP_K = 5
+DEFAULT_DIM = 768  # buckets of the hashing embedder
+EMBED_TIMEOUT = 30.0  # seconds per embedding request
 PAGE_TOKEN_ESTIMATE = 350  # used when a document has no form-feed page breaks
 
 
@@ -76,20 +83,14 @@ class RetrievalResult:
         }
 
 
-def chunk_document(
-    text: str,
-    doc_id: str = "doc",
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    overlap: int = DEFAULT_OVERLAP,
-) -> list[DocumentChunk]:
-    """Sliding-window chunks of whitespace tokens with the given overlap.
+def chunk_document(text: str, doc_id: str = "doc") -> list[DocumentChunk]:
+    """Sliding-window chunks of CHUNK_SIZE whitespace tokens.
 
-    Stride is chunk_size - overlap; the final partial chunk is kept.
+    Stride is CHUNK_SIZE - OVERLAP; the final partial chunk is kept.
     Page hints come from form-feed breaks when present, otherwise from a
     fixed tokens-per-page estimate.
     """
-    if not chunk_size > overlap >= 0:
-        raise ValueError("require chunk_size > overlap >= 0")
+    chunk_size = CHUNK_SIZE
     tokens = text.split()
     if not tokens:
         return []
@@ -104,7 +105,7 @@ def chunk_document(
     else:
         page_of_token = [i // PAGE_TOKEN_ESTIMATE for i in range(len(tokens))]
 
-    stride = chunk_size - overlap
+    stride = chunk_size - OVERLAP
     chunks = []
     start = 0
     ordinal = 0
@@ -126,8 +127,6 @@ def chunk_document(
 
 
 class Embedder(Protocol):
-    dim: int
-
     def embed(self, text: str) -> np.ndarray: ...
 
 
@@ -138,10 +137,10 @@ def _stable_bucket(token: str, dim: int) -> int:
 
 class HashingEmbedder:
     """Deterministic test embedder: token unigrams and bigrams hashed into
-    a fixed-dimension count vector, L2-normalized."""
+    a count vector of DEFAULT_DIM buckets, L2-normalized."""
 
-    def __init__(self, dim: int = DEFAULT_DIM):
-        self.dim = dim
+    def __init__(self):
+        self._dim = DEFAULT_DIM
         self.calls = 0
         # Unigram buckets, bounded by the vocabulary. Bigrams are hashed
         # per occurrence: their number grows with the square of it.
@@ -149,7 +148,7 @@ class HashingEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         self.calls += 1
-        dim = self.dim
+        dim = self._dim
         memo = self._unigram_buckets
         tokens = text.lower().split()
         for tok in set(tokens):
@@ -179,27 +178,17 @@ class RemoteEmbedder:
     """Client for a JSON embedding endpoint (model name configurable).
 
     POSTs {"model": ..., "input": [text]} and reads
-    response["data"][0]["embedding"]. Retries transport errors, 429 and
-    5xx responses up to the retry budget.
+    response["data"][0]["embedding"], of whatever length the model gives.
+    Retries transport errors, 429 and 5xx responses up to the transport's
+    retry budget.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        dim: int = DEFAULT_DIM,
-        timeout: float = 30.0,
-        retries: int = 2,
-        backoff: float = 0.5,
-    ):
+    def __init__(self, endpoint: str, model: str):
         from .transport import JsonEndpoint  # loaded only where a transport is used
 
         self.endpoint = endpoint
         self.model = model
-        self.dim = dim
-        self._transport = JsonEndpoint(
-            endpoint, timeout=timeout, retries=retries, backoff=backoff, error=RemoteEmbedderError
-        )
+        self._transport = JsonEndpoint(endpoint, timeout=EMBED_TIMEOUT, error=RemoteEmbedderError)
 
     def embed(self, text: str) -> np.ndarray:
         body = self._transport.post({"model": self.model, "input": [text]})
@@ -207,8 +196,6 @@ class RemoteEmbedder:
             vec = np.array([float(v) for v in body["data"][0]["embedding"]])
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise RemoteEmbedderError(f"malformed embedding response body: {exc!r}") from exc
-        if len(vec) != self.dim:
-            raise RemoteEmbedderError(f"embedding dim {len(vec)} != configured {self.dim}")
         return vec
 
 
@@ -219,11 +206,11 @@ class VectorIndex:
     matrix-vector product against stored arrays.
     """
 
-    def __init__(self, dim: int, chunks: Sequence[DocumentChunk] = (), rows: Sequence = ()):
-        self.dim = dim
+    def __init__(self, chunks: Sequence[DocumentChunk] = (), matrix: np.ndarray | None = None):
         self.chunks: tuple[DocumentChunk, ...] = tuple(chunks)
         # A float array is taken as is, not copied, and frozen below.
-        self.matrix = np.asarray(rows, dtype=float).reshape(len(self.chunks), dim)
+        self.matrix = np.empty((0, 0)) if matrix is None else np.asarray(matrix, dtype=float)
+        self.dim = self.matrix.shape[1]
         self.norms = np.linalg.norm(self.matrix, axis=1)
         self.matrix.flags.writeable = False
         self.norms.flags.writeable = False
@@ -237,30 +224,37 @@ def index_corpus(chunks: list[DocumentChunk], embedder: Embedder) -> VectorIndex
 
     The first chunk whose embedding raises stops the build with a
     TransportError naming that chunk, so a dead endpoint costs one
-    chunk's retries, not every chunk's. Vectors of the wrong dimension
-    are reported together, per chunk with their doc ids.
+    chunk's retries, not every chunk's. The first vector sets the
+    index's dimension and must not be empty; every later vector of
+    another length is reported, together, per chunk with its doc id.
     """
-    matrix = np.empty((len(chunks), embedder.dim))
+    matrix = None
     mismatches = []
     for i, chunk in enumerate(chunks):
         try:
             vec = embedder.embed(chunk.text)
         except Exception as exc:
             raise TransportError(f"embedding {chunk.doc_id}#{chunk.ordinal} failed: {exc}") from exc
-        if len(vec) != embedder.dim:
-            mismatches.append(f"{chunk.doc_id}#{chunk.ordinal}: dim {len(vec)} != {embedder.dim}")
+        if matrix is None:
+            if len(vec) == 0:
+                raise TransportError(f"embedding {chunk.doc_id}#{chunk.ordinal} is empty")
+            # allocated once: one row per chunk, as wide as the first vector
+            matrix = np.empty((len(chunks), len(vec)))
+        dim = matrix.shape[1]
+        if len(vec) != dim:
+            mismatches.append(f"{chunk.doc_id}#{chunk.ordinal}: dim {len(vec)} != {dim}")
             continue
         matrix[i] = vec
     if mismatches:
-        raise RuntimeError("embedding dimension mismatch: " + "; ".join(mismatches))
-    return VectorIndex(embedder.dim, chunks, matrix)
+        raise TransportError("embedding dimension mismatch: " + "; ".join(mismatches))
+    return VectorIndex(chunks, matrix)
 
 
 SCORE_DECIMALS = 12
 
 
-def retrieve(index: VectorIndex, query: str, embedder: Embedder, k: int = 5) -> RetrievalResult:
-    """Exact top-k cosine retrieval with a deterministic tie-break.
+def retrieve(index: VectorIndex, query: str, embedder: Embedder) -> RetrievalResult:
+    """Exact top-TOP_K cosine retrieval with a deterministic tie-break.
 
     Scores every chunk (no approximate shortcuts). Scores are quantized
     to SCORE_DECIMALS places so that mathematically tied chunks stay
@@ -269,9 +263,9 @@ def retrieve(index: VectorIndex, query: str, embedder: Embedder, k: int = 5) -> 
     """
     if len(index) == 0:
         raise ValueError("cannot retrieve from an empty index")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     qvec = np.asarray(embedder.embed(query), dtype=float)
+    if len(qvec) != index.dim:
+        raise ValueError(f"query vector has {len(qvec)} dimensions, the index {index.dim}")
     qnorm = float(np.linalg.norm(qvec))
     dots = index.matrix @ qvec
     denom = index.norms * qnorm
@@ -281,22 +275,17 @@ def retrieve(index: VectorIndex, query: str, embedder: Embedder, k: int = 5) -> 
         range(len(index)),
         key=lambda i: (-scores[i], index.chunks[i].doc_id, index.chunks[i].ordinal),
     )
-    top = order[:k]
+    k = TOP_K
     return RetrievalResult(
-        chunks=tuple((index.chunks[i], scores[i]) for i in top),
+        chunks=tuple((index.chunks[i], scores[i]) for i in order[:k]),
         query_text=query,
         k=k,
     )
 
 
-def load_corpus_dir(
-    path: str | Path,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    overlap: int = DEFAULT_OVERLAP,
-) -> list[DocumentChunk]:
+def load_corpus_dir(path: str | Path) -> list[DocumentChunk]:
     """Chunk every .txt file in a directory, sorted by filename."""
     chunks = []
     for file in sorted(Path(path).glob("*.txt")):
-        text = file.read_text(encoding="utf-8")
-        chunks.extend(chunk_document(text, doc_id=file.stem, chunk_size=chunk_size, overlap=overlap))
+        chunks.extend(chunk_document(file.read_text(encoding="utf-8"), doc_id=file.stem))
     return chunks

@@ -34,30 +34,24 @@ __all__ = ["JsonEndpoint"]
 
 logger = logging.getLogger(__name__)
 
+RETRIES = 2  # retries after the first attempt
+BACKOFF = 0.5  # seconds of sleep before retry n, times n
+
 
 class JsonEndpoint:
     """POSTs JSON payloads to one URL and returns the decoded 200 bodies.
 
     Transport failures (`OSError`, `http.client.HTTPException`), 5xx and
-    429 answers are retried up to `retries` times, sleeping
-    `backoff * attempt` seconds before each retry. Any other status, and
+    429 answers are retried up to RETRIES times, sleeping
+    `BACKOFF * attempt` seconds before each retry. Any other status, and
     a 200 body that is not JSON, raise `error` at once.
     """
 
-    def __init__(
-        self,
-        url: str,
-        timeout: float,
-        retries: int,
-        backoff: float,
-        error: type[TransportError] = TransportError,
-    ):
+    def __init__(self, url: str, timeout: float, error: type[TransportError] = TransportError):
         parts = urllib.parse.urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"endpoint must be an http(s) URL, got {url!r}")
         self.url = url
-        self.retries = retries
-        self.backoff = backoff
         self.error = error
         netloc = parts.netloc.rpartition("@")[2]
         self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
@@ -134,9 +128,9 @@ class JsonEndpoint:
         """
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
         last_error = None
-        for attempt in range(self.retries + 1):
-            if attempt and self.backoff:
-                time.sleep(self.backoff * attempt)
+        for attempt in range(RETRIES + 1):
+            if attempt and BACKOFF:
+                time.sleep(BACKOFF * attempt)
             started = time.monotonic()
             try:
                 status, data = self._exchange(body)

@@ -17,6 +17,16 @@ from triage_arena.model import (
 )
 
 
+@pytest.fixture
+def transport_retries(monkeypatch):
+    """The JSON transport retries without sleeping; call the fixture's
+    value with a budget to replace the fixed two retries."""
+    from triage_arena import transport  # imported here: it loads http.client
+
+    monkeypatch.setattr(transport, "BACKOFF", 0.0)
+    return lambda retries: monkeypatch.setattr(transport, "RETRIES", retries)
+
+
 @pytest.fixture(scope="session")
 def sampler_config() -> SamplerConfig:
     return SamplerConfig(master_seed=42, batch_size=5)

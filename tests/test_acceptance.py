@@ -28,6 +28,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from triage_arena import retrieval
 from triage_arena.agents import ReplayBackend, ScriptedBackend, build_profile
 from triage_arena.arena import (
     AgentSpec,
@@ -483,7 +484,7 @@ def test_criterion_10_end_to_end_scripted_pipeline(tmp_path):
     )
 
 
-def test_criterion_11_retrieval_exactness_and_chunking():
+def test_criterion_11_retrieval_exactness_and_chunking(monkeypatch):
     rng = np.random.Generator(np.random.Philox(11))
     chunks = [
         DocumentChunk(
@@ -508,17 +509,19 @@ def test_criterion_11_retrieval_exactness_and_chunking():
             score = round(float(np.dot(matrix[idx], qvec) / denom), 12) if denom else 0.0
             scored.append((score, index.chunks[idx].doc_id, index.chunks[idx].ordinal))
         scored.sort(key=lambda t: (-t[0], t[1], t[2]))
-        got = retrieve(index, query, embedder, k=5)
+        got = retrieve(index, query, embedder)
         assert [(c.doc_id, c.ordinal) for c, _ in got.chunks] == [
             (d, o) for _, d, o in scored[:5]
         ]
         for (chunk, score), (expected_score, _, _) in zip(got.chunks, scored[:5]):
             assert score == pytest.approx(expected_score, abs=1e-12)
 
+    monkeypatch.setattr(retrieval, "CHUNK_SIZE", 128)
+    monkeypatch.setattr(retrieval, "OVERLAP", 32)
     for trial in range(25):
         n_tokens = int(rng.integers(1, 3000))
         tokens = [f"t{int(rng.integers(0, 999))}" for _ in range(n_tokens)]
-        doc_chunks = chunk_document(" ".join(tokens), chunk_size=128, overlap=32)
+        doc_chunks = chunk_document(" ".join(tokens))
         rebuilt = []
         for i, chunk in enumerate(doc_chunks):
             toks = chunk.text.split()

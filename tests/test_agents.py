@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triage_arena import agents
 from triage_arena.agents import (
     ChatBackend,
     ChatBackendConfig,
@@ -118,14 +119,16 @@ class TestScriptedUtilitarian:
 
 
 class TestScriptedBiased:
-    def test_predicate_matching_nobody_reduces_to_utilitarian(self, cohort):
-        text = scripted_biased(cohort, lambda p: False)
+    def test_predicate_matching_nobody_reduces_to_utilitarian(self, cohort, monkeypatch):
+        monkeypatch.setattr(agents, "default_disfavored", lambda p: False)
+        text = scripted_biased(cohort)
         assert parse_allocation(text, cohort.n)[0] == parse_allocation(
             scripted_utilitarian(cohort), cohort.n
         )[0]
 
-    def test_predicate_matching_everybody_gives_zero_allocation(self, cohort):
-        alloc, _ = parse_strategy_output(scripted_biased(cohort, lambda p: True), cohort)
+    def test_predicate_matching_everybody_gives_zero_allocation(self, cohort, monkeypatch):
+        monkeypatch.setattr(agents, "default_disfavored", lambda p: True)
+        alloc, _ = parse_strategy_output(scripted_biased(cohort), cohort)
         assert all(v == 0 for row in alloc.rows for v in row)
 
     def test_rmg_zero_whenever_someone_is_disfavored(self, sampler_config):
@@ -292,33 +295,36 @@ def chat_server():
 
 class TestChatClient:
     def test_echoes_fixed_body(self, chat_server):
-        config = ChatBackendConfig(endpoint=chat_server, model="test-model", backoff=0)
+        config = ChatBackendConfig(endpoint=chat_server, model="test-model")
         assert chat_reply(config, "hello") == "FIXED BODY"
 
-    def test_500_three_times_with_budget_two_surfaces_error(self, chat_server):
+    def test_500_three_times_with_budget_two_surfaces_error(self, chat_server, transport_retries):
         _ChatHandler.fail_times = 3
-        config = ChatBackendConfig(endpoint=chat_server, model="m", retries=2, backoff=0)
+        transport_retries(2)
+        config = ChatBackendConfig(endpoint=chat_server, model="m")
         with pytest.raises(ChatTransportError):
             chat_reply(config, "hello")
         assert _ChatHandler.calls == 3
 
-    def test_429_is_retried_like_a_server_error(self, chat_server):
+    def test_429_is_retried_like_a_server_error(self, chat_server, transport_retries):
         _ChatHandler.fail_times = 1
         _ChatHandler.fail_status = 429
-        config = ChatBackendConfig(endpoint=chat_server, model="m", retries=2, backoff=0)
+        transport_retries(2)
+        config = ChatBackendConfig(endpoint=chat_server, model="m")
         assert chat_reply(config, "hello") == "FIXED BODY"
         assert _ChatHandler.calls == 2
 
-    def test_other_4xx_is_not_retried(self, chat_server):
+    def test_other_4xx_is_not_retried(self, chat_server, transport_retries):
         _ChatHandler.fail_times = 1
         _ChatHandler.fail_status = 400
-        config = ChatBackendConfig(endpoint=chat_server, model="m", retries=2, backoff=0)
+        transport_retries(2)
+        config = ChatBackendConfig(endpoint=chat_server, model="m")
         with pytest.raises(ChatTransportError, match="HTTP 400"):
             chat_reply(config, "hello")
         assert _ChatHandler.calls == 1
 
     def test_prompt_appears_exactly_once_as_final_user_message(self, chat_server):
-        config = ChatBackendConfig(endpoint=chat_server, model="m", backoff=0)
+        config = ChatBackendConfig(endpoint=chat_server, model="m")
         prompt = "allocate wisely éø"
         chat_reply(config, prompt)
         payload = _ChatHandler.captured[-1]

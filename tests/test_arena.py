@@ -338,7 +338,7 @@ class TestPrompts:
         ]
         embedder = HashingEmbedder()
         index = index_corpus(chunks, embedder)
-        result = retrieve(index, "text number", embedder, k=5)
+        result = retrieve(index, "text number", embedder)
         config = DebateConfig()
         prompt = build_prompt(agent_a, cohort, InteractionHistory(), result, 1, config)
         assert prompt.count("(doc: d") == 5
@@ -505,13 +505,16 @@ class TestRunDebate:
         ]
         assert transcript_to_json(transcript)["config"]["speaking_order"] == ["A", "opponent"]
 
-    def test_retrieval_logs_recorded_per_call(self, cohort):
+    def test_retrieval_logs_recorded_per_call(self, cohort, monkeypatch):
+        from triage_arena import retrieval
         from triage_arena.retrieval import (
             DocumentChunk,
             HashingEmbedder,
             index_corpus,
             retrieve,
         )
+
+        monkeypatch.setattr(retrieval, "TOP_K", 4)
 
         chunks = [
             DocumentChunk(doc_id=f"d{i}", page_hint=i * 3, text=f"fair allocation {i}", ordinal=i)
@@ -521,7 +524,7 @@ class TestRunDebate:
         index = index_corpus(chunks, embedder)
 
         def retriever(framework, round_t):
-            return retrieve(index, f"{framework} round {round_t}", embedder, k=4)
+            return retrieve(index, f"{framework} round {round_t}", embedder)
 
         agent_a, agent_b = scripted_pair()
         retrieval_profile, system_a = build_profile(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,7 +19,7 @@ import pytest
 
 import triage_arena
 from triage_arena import cli
-from triage_arena.agents import ReplayBackend, build_profile
+from triage_arena.agents import ReplayBackend, ScriptedBackend, build_profile
 from triage_arena.arena import AgentSpec, DebateConfig, run_debate, transcript_from_json
 from triage_arena.cli import main
 from triage_arena.metrics import METRIC_NAMES
@@ -234,6 +235,25 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["combined_hash"] == SMALL_RUN_COMBINED_HASH
 
+    def test_manifest_is_deterministic_only_if_both_backends_are(self, small_run, tmp_path, monkeypatch):
+        class Unrepeatable(ScriptedBackend):
+            deterministic = False
+
+        build = cli._build_agents
+
+        def build_with_unrepeatable_b(args, framework, fixtures=None):
+            agent_a, agent_b = build(args, framework, fixtures)
+            return agent_a, dataclasses.replace(agent_b, backend=Unrepeatable("utilitarian"))
+
+        monkeypatch.setattr(cli, "_build_agents", build_with_unrepeatable_b)
+        out = tmp_path / "t"
+        assert main(["run", "--cohorts", str(small_run / "cohorts"), "--framework", "Rawlsian", "--out", str(out)]) == 0
+        transcript = json.loads(sorted(out.glob("transcript_*.json"))[0].read_text())
+        assert transcript["deterministic"] is False
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["deterministic"] is False
+        assert manifest["timestamp"] is not None
+
     def test_unsupported_scripted_framework_is_config_error(self, small_run, tmp_path):
         code = main(
             [
@@ -435,6 +455,29 @@ class TestReplayAndEval:
         for name in ("transcript_reordered_0098.json", "transcript_retries_0097.json"):
             assert f"{name}: speaking order and parse retries" in captured.err
         assert len(list(out.glob("eval_*.json"))) == 2
+
+    def test_re_eval_drops_the_record_of_a_transcript_now_corrupt(self, small_run, tmp_path, capsys):
+        transcripts, evals = tmp_path / "t", tmp_path / "e"
+        shutil.copytree(small_run / "transcripts", transcripts)
+        shutil.copytree(small_run / "evals", evals)
+        target = sorted(transcripts.glob("transcript_*.json"))[3]
+        good = target.read_bytes()
+        target.write_bytes(good[: len(good) // 2])
+        assert main(["eval", "--transcripts", str(transcripts), "--out", str(evals)]) == 1
+        assert "evaluated 5 transcripts, 1 corrupt" in capsys.readouterr().out
+        assert not (evals / target.name.replace("transcript_", "eval_")).exists()
+        assert len(list(evals.glob("eval_*.json"))) == 5
+        assert main(["stats", "--eval-dir", str(evals), "--out", str(tmp_path / "s")]) == 0
+        cells = json.loads((tmp_path / "s" / "comparison.json").read_text())["reports"]
+        assert cells and all(cell["n"] == 5 for cell in cells)
+
+    def test_eval_without_transcripts_makes_no_out_dir(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "e"
+        assert main(["eval", "--transcripts", str(empty), "--out", str(out)]) == 2
+        assert "no transcript_*.json files" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_debate_record_has_no_joint(self, cohort, tmp_path):
         # A's second reply never parses, so the debate fails in round 2
@@ -709,7 +752,7 @@ class TestRetrieverMemo:
         direct_embedder = cli.HashingEmbedder()
         index = cli.index_corpus(cli.load_corpus_dir(corpus), direct_embedder)
         for (f, _), got in zip(asked, results):
-            assert got == cli.retrieve(index, got.query_text, direct_embedder, k=5)
+            assert got == cli.retrieve(index, got.query_text, direct_embedder)
             assert got.query_text.startswith(f)
 
     def test_failures_are_not_cached(self, retriever):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from triage_arena import cohortgen
 from triage_arena.cohortgen import (
     ArchetypeSlot,
     CohortGenerationError,
@@ -65,21 +66,22 @@ class TestGenerateCohort:
             s.slot_id for s in sampler_config.slots
         )
 
-    def test_disjoint_options_satisfy_diversity_immediately(self):
+    def test_disjoint_options_satisfy_diversity_immediately(self, monkeypatch):
+        monkeypatch.setattr(cohortgen, "MAX_RESAMPLE_ATTEMPTS", 1)
         slots = tuple(
             tiny_slot(f"slot_{i}", gender, race)
             for i, (gender, race) in enumerate(
                 [("Male", "White"), ("Female", "Black"), ("Non-binary", "Asian")]
             )
         )
-        config = SamplerConfig(master_seed=0, batch_size=1, slots=slots, max_resample_attempts=1)
+        config = SamplerConfig(master_seed=0, batch_size=1, slots=slots)
         cohort = generate_cohort(5, config)
         assert cohort.n == 3
 
-    def test_unsatisfiable_diversity_reports_seed(self):
+    def test_unsatisfiable_diversity_reports_seed(self, monkeypatch):
+        monkeypatch.setattr(cohortgen, "MAX_RESAMPLE_ATTEMPTS", 3)
         # two slots with a single identical option tuple can never be diverse
         slots = (tiny_slot("slot_a", "Male", "White"), tiny_slot("slot_b", "Male", "White"))
-        config = SamplerConfig(master_seed=0, batch_size=1, slots=slots, max_resample_attempts=3)
         # force age collision by collapsing the range
         slots = tuple(
             ArchetypeSlot(
@@ -96,8 +98,8 @@ class TestGenerateCohort:
             )
             for s in slots
         )
-        config = SamplerConfig(master_seed=0, batch_size=1, slots=slots, max_resample_attempts=3)
-        with pytest.raises(CohortGenerationError, match="seed 5"):
+        config = SamplerConfig(master_seed=0, batch_size=1, slots=slots)
+        with pytest.raises(CohortGenerationError, match="3 attempts for seed 5"):
             generate_cohort(5, config)
 
     def test_labels_consistent_with_probabilities(self, sampler_config):
@@ -136,7 +138,8 @@ class TestGenerateBatch:
         lone = generate_cohort(derive_seed(42, b), config, cohort_id=b)
         assert canonical_json(lone.to_json()) == canonical_json(batch[b].to_json())
 
-    def test_generation_error_names_the_failing_index(self):
+    def test_generation_error_names_the_failing_index(self, monkeypatch):
+        monkeypatch.setattr(cohortgen, "MAX_RESAMPLE_ATTEMPTS", 2)
         colliding = ArchetypeSlot(
             slot_id="s",
             age_range=(35, 35),
@@ -152,9 +155,7 @@ class TestGenerateBatch:
             family_options=("F",),
         )
         twin = ArchetypeSlot(**{**colliding.__dict__, "slot_id": "t"})
-        config = SamplerConfig(
-            master_seed=9, batch_size=4, slots=(colliding, twin), max_resample_attempts=2
-        )
+        config = SamplerConfig(master_seed=9, batch_size=4, slots=(colliding, twin))
         with pytest.raises(CohortGenerationError, match="cohort 0"):
             generate_batch(config)
 

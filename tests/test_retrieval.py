@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triage_arena import retrieval
+from triage_arena.cli import main
 from triage_arena.model import TransportError, canonical_json
 from triage_arena.retrieval import (
     DocumentChunk,
@@ -47,25 +49,26 @@ class TestChunking:
         assert chunk_document("") == []
         assert chunk_document("   \n  ") == []
 
-    def test_bad_parameters(self):
-        with pytest.raises(ValueError):
-            chunk_document("a b c", chunk_size=10, overlap=10)
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=2500), st.integers(min_value=0, max_value=7))
     def test_reconstruction(self, n_tokens, seed):
         rng = np.random.Generator(np.random.Philox(seed))
         tokens = [f"t{int(rng.integers(0, 300))}" for _ in range(n_tokens)]
-        chunks = chunk_document(" ".join(tokens), chunk_size=64, overlap=16)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retrieval, "CHUNK_SIZE", 64)
+            mp.setattr(retrieval, "OVERLAP", 16)
+            chunks = chunk_document(" ".join(tokens))
         rebuilt = []
         for i, chunk in enumerate(chunks):
             chunk_tokens = chunk.text.split()
             rebuilt.extend(chunk_tokens if i == 0 else chunk_tokens[16:])
         assert rebuilt == tokens
 
-    def test_page_hints_from_form_feeds(self):
+    def test_page_hints_from_form_feeds(self, monkeypatch):
+        monkeypatch.setattr(retrieval, "CHUNK_SIZE", 1)
+        monkeypatch.setattr(retrieval, "OVERLAP", 0)
         text = "a b c \f d e \f f"
-        chunks = chunk_document(text, chunk_size=1, overlap=0)
+        chunks = chunk_document(text)
         assert [c.page_hint for c in chunks] == [0, 0, 0, 1, 1, 2]
 
 
@@ -102,7 +105,9 @@ class TestHashingEmbedder:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_TEXTS, min_size=1, max_size=4), st.sampled_from([8, 64, 768]))
     def test_bit_identical_to_reference_loop(self, texts, dim):
-        embedder = HashingEmbedder(dim=dim)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retrieval, "DEFAULT_DIM", dim)
+            embedder = HashingEmbedder()
         # every text twice: the second pass reads the unigram memo
         for n, text in enumerate(texts + texts, start=1):
             got = embedder.embed(text)
@@ -135,8 +140,6 @@ class TestIndex:
 
     def test_embedder_failure_reports_doc_id(self):
         class Broken:
-            dim = 8
-
             def embed(self, text):
                 raise RuntimeError("boom")
 
@@ -146,18 +149,20 @@ class TestIndex:
 
     def test_wrong_dimension_listed_for_every_chunk(self):
         class Short:
-            dim = 8
+            """8 dimensions for the first chunk, 7 for the rest."""
 
             def embed(self, text):
-                return np.ones(7)
+                return np.ones(8 if text == "anchor" else 7)
 
         chunks = [
+            DocumentChunk(doc_id="anchor", page_hint=0, text="anchor", ordinal=0),
             DocumentChunk(doc_id="first", page_hint=0, text="hello", ordinal=0),
             DocumentChunk(doc_id="second", page_hint=0, text="world", ordinal=3),
         ]
-        with pytest.raises(RuntimeError) as excinfo:
+        with pytest.raises(TransportError) as excinfo:
             index_corpus(chunks, Short())
         message = str(excinfo.value)
+        assert "anchor#0" not in message
         assert "first#0: dim 7 != 8" in message
         assert "second#3: dim 7 != 8" in message
 
@@ -171,7 +176,7 @@ class TestIndex:
         embedder = HashingEmbedder()
         index = index_corpus(chunks, embedder)
         for i, text in enumerate(texts):
-            result = retrieve(index, text, embedder, k=1)
+            result = retrieve(index, text, embedder)
             assert result.chunks[0][0].doc_id == f"doc{i}"
 
 
@@ -180,16 +185,18 @@ class TestRetrieve:
         rng = np.random.Generator(np.random.Philox(4))
         chunks = [
             DocumentChunk(doc_id=f"d{i}", page_hint=0, text=words(15, rng), ordinal=0)
-            for i in range(5)
+            for i in range(3)
         ]
         embedder = HashingEmbedder()
         index = index_corpus(chunks, embedder)
-        result = retrieve(index, words(10, rng), embedder, k=50)
-        assert len(result.chunks) == 5
+        result = retrieve(index, words(10, rng), embedder)
+        assert result.k == 5
+        assert len(result.chunks) == 3
         scores = [s for _, s in result.chunks]
         assert scores == sorted(scores, reverse=True)
 
-    def test_identical_query_scores_one(self):
+    def test_identical_query_scores_one(self, monkeypatch):
+        monkeypatch.setattr(retrieval, "TOP_K", 1)
         rng = np.random.Generator(np.random.Philox(5))
         texts = [words(25, rng) for _ in range(10)]
         chunks = [
@@ -198,7 +205,8 @@ class TestRetrieve:
         ]
         embedder = HashingEmbedder()
         index = index_corpus(chunks, embedder)
-        result = retrieve(index, texts[3], embedder, k=1)
+        result = retrieve(index, texts[3], embedder)
+        assert len(result.chunks) == 1 and result.k == 1
         assert result.chunks[0][0].doc_id == "d3"
         assert result.chunks[0][1] == pytest.approx(1.0)
 
@@ -208,12 +216,12 @@ class TestRetrieve:
             for d, o in (("b", 0), ("a", 1), ("a", 0))
         ]
         embedder = HashingEmbedder()
-        result = retrieve(index_corpus(chunks, embedder), "same words", embedder, k=3)
+        result = retrieve(index_corpus(chunks, embedder), "same words", embedder)
         assert [(c.doc_id, c.ordinal) for c, _ in result.chunks] == [("a", 0), ("a", 1), ("b", 0)]
 
     def test_empty_index_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            retrieve(VectorIndex(dim=8), "query", HashingEmbedder(dim=8))
+            retrieve(VectorIndex(), "query", HashingEmbedder())
 
     def test_matches_brute_force_scan(self):
         # module-scale version of the exactness check (200 chunks, 20 queries)
@@ -234,49 +242,56 @@ class TestRetrieve:
                 score = round(float(v @ qvec / denom), 12) if denom else 0.0
                 expected.append((score, chunk.doc_id, chunk.ordinal))
             expected.sort(key=lambda t: (-t[0], t[1], t[2]))
-            got = retrieve(index, query, embedder, k=5)
+            got = retrieve(index, query, embedder)
             assert [c.doc_id for c, _ in got.chunks] == [d for _, d, _ in expected[:5]]
 
-    def test_sample_corpus_loads(self):
+    def test_sample_corpus_loads(self, monkeypatch):
         from importlib import resources
 
+        monkeypatch.setattr(retrieval, "CHUNK_SIZE", 64)
+        monkeypatch.setattr(retrieval, "OVERLAP", 16)
         corpus_dir = resources.files("triage_arena").joinpath("data/sample_corpus")
-        chunks = load_corpus_dir(str(corpus_dir), chunk_size=64, overlap=16)
+        chunks = load_corpus_dir(str(corpus_dir))
         assert len(chunks) >= 6
         assert {c.doc_id for c in chunks} >= {"aggregate_welfare", "worst_off_first"}
 
 
 class TestPinnedOutputs:
-    """sha256 values computed before the index held one embedding matrix:
-    scores reach transcripts and order the excerpts in chat prompts, so
-    results and saved bytes must stay bit-identical."""
+    """sha256 values of the sample corpus at 512/64 chunking and top-5
+    retrieval, computed before the index took its dimension from the
+    embedder: scores reach transcripts and order the excerpts in chat
+    prompts, so results and saved bytes must stay bit-identical."""
 
     @pytest.fixture
     def sample(self):
         from importlib import resources
 
         data = resources.files("triage_arena").joinpath("data")
-        chunks = load_corpus_dir(str(data.joinpath("sample_corpus")), chunk_size=64, overlap=16)
+        chunks = load_corpus_dir(str(data.joinpath("sample_corpus")))
         queries = json.loads(data.joinpath("queries.json").read_text(encoding="utf-8"))
         embedder = HashingEmbedder()
         return index_corpus(chunks, embedder), embedder, queries["round_keywords"]
 
     def test_round_query_results(self, sample):
         index, embedder, queries = sample
-        results = [retrieve(index, q, embedder, k=5).to_json() for q in queries]
+        results = [retrieve(index, q, embedder).to_json() for q in queries]
         digest = hashlib.sha256(canonical_json(results).encode("utf-8")).hexdigest()
-        assert digest == "66200207880559b63ec500f59195e4d96ebd1c36600e13efcf45b7368c504523"
+        assert digest == "613f7bfa3294954c01cc0aac58ada6945733bbb701e0dc9a38ad7a8eaf252d56"
 
     def test_index_matrix_bytes(self, sample):
         index, _, _ = sample
         encoded = json.dumps(index.matrix.tolist()).encode("utf-8")
-        assert hashlib.sha256(encoded).hexdigest() == "22e94881caa40454611e89673be7f9b810cb18fa2200a00f1e2abe4397698357"
+        assert hashlib.sha256(encoded).hexdigest() == "659478d25f5ebe9d8d8ccdafd5ba5fe7ed4e06563ae0b2e98cb77e8e7303a50d"
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):
+    """Answers the length of the input text in the first of `dims[i]`
+    coordinates on its i-th successful answer; the last entry repeats."""
+
     fail_times = 0
     fail_status = 500
     calls = 0
+    dims = [8]
 
     def do_POST(self):
         cls = type(self)
@@ -287,7 +302,9 @@ class _EmbedHandler(BaseHTTPRequestHandler):
             self.send_response(cls.fail_status)
             self.end_headers()
             return
-        vec = [float(len(payload["input"][0]))] + [0.0] * 7
+        answered = cls.calls - cls.fail_times
+        dim = cls.dims[min(answered, len(cls.dims)) - 1]
+        vec = ([float(len(payload["input"][0]))] + [0.0] * dim)[:dim]
         body = json.dumps({"data": [{"embedding": vec}]}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -304,6 +321,7 @@ def embed_server():
     _EmbedHandler.fail_times = 0
     _EmbedHandler.fail_status = 500
     _EmbedHandler.calls = 0
+    _EmbedHandler.dims = [8]
     server = HTTPServer(("127.0.0.1", 0), _EmbedHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -315,34 +333,82 @@ def embed_server():
 
 class TestRemoteEmbedder:
     def test_round_trip(self, embed_server):
-        embedder = RemoteEmbedder(endpoint=embed_server, model="m", dim=8, backoff=0)
+        embedder = RemoteEmbedder(endpoint=embed_server, model="m")
         vec = embedder.embed("hello world")
         assert vec[0] == float(len("hello world"))
 
-    def test_retries_then_succeeds(self, embed_server):
+    def test_retries_then_succeeds(self, embed_server, transport_retries):
         _EmbedHandler.fail_times = 2
-        embedder = RemoteEmbedder(endpoint=embed_server, model="m", dim=8, retries=2, backoff=0)
+        transport_retries(2)
+        embedder = RemoteEmbedder(endpoint=embed_server, model="m")
         assert len(embedder.embed("x")) == 8
 
-    def test_rate_limit_retried(self, embed_server):
+    def test_rate_limit_retried(self, embed_server, transport_retries):
         _EmbedHandler.fail_times = 1
         _EmbedHandler.fail_status = 429
-        embedder = RemoteEmbedder(endpoint=embed_server, model="m", dim=8, retries=1, backoff=0)
+        transport_retries(1)
+        embedder = RemoteEmbedder(endpoint=embed_server, model="m")
         assert len(embedder.embed("x")) == 8
         assert _EmbedHandler.calls == 2
 
-    def test_exhausted_retries_raise(self, embed_server):
+    def test_exhausted_retries_raise(self, embed_server, transport_retries):
         _EmbedHandler.fail_times = 10
-        embedder = RemoteEmbedder(endpoint=embed_server, model="m", dim=8, retries=1, backoff=0)
+        transport_retries(1)
+        embedder = RemoteEmbedder(endpoint=embed_server, model="m")
         with pytest.raises(RemoteEmbedderError):
             embedder.embed("x")
 
-    def test_dead_endpoint_stops_the_index_at_the_first_chunk(self, embed_server):
+    def test_dead_endpoint_stops_the_index_at_the_first_chunk(self, embed_server, transport_retries):
         _EmbedHandler.fail_times = 1000
         _EmbedHandler.fail_status = 503
+        transport_retries(2)
         chunks = load_corpus_dir(resources.files("triage_arena").joinpath("data/sample_corpus"))
         assert len(chunks) == 6
-        embedder = RemoteEmbedder(endpoint=embed_server, model="m", dim=8, retries=2, backoff=0)
+        embedder = RemoteEmbedder(endpoint=embed_server, model="m")
         with pytest.raises(TransportError, match=f"embedding {chunks[0].doc_id}#0 failed"):
             index_corpus(chunks, embedder)
         assert _EmbedHandler.calls == 3
+
+
+class TestEmbeddingDimension:
+    """The index is as wide as the embedding service's vectors."""
+
+    @pytest.fixture
+    def sample_chunks(self):
+        return load_corpus_dir(resources.files("triage_arena").joinpath("data/sample_corpus"))
+
+    def test_run_retrieves_with_16_dimension_vectors(self, embed_server, tmp_path, monkeypatch):
+        _EmbedHandler.dims = [16]
+        monkeypatch.setenv("TRIAGE_ARENA_EMBED_ENDPOINT", embed_server)
+        monkeypatch.setenv("TRIAGE_ARENA_EMBED_MODEL", "m")
+        corpus = str(resources.files("triage_arena").joinpath("data/sample_corpus"))
+        cohorts, out = tmp_path / "cohorts", tmp_path / "run"
+        assert main(["gen-cohorts", "--seed", "3", "--batch", "2", "--out", str(cohorts)]) == 0
+        argv = ["run", "--cohorts", str(cohorts), "--framework", "Rawlsian", "--corpus-dir", corpus, "--out", str(out)]
+        assert main(argv) == 0
+        transcripts = sorted(out.glob("transcript_*.json"))
+        assert len(transcripts) == 2
+        for path in transcripts:
+            logs = json.loads(path.read_text(encoding="utf-8"))["retrieval_logs"]
+            assert len(logs) == 3
+            assert all(log["k"] == 5 and len(log["chunks"]) == 5 for log in logs)
+
+    def test_vector_length_change_at_the_third_chunk_is_listed(self, embed_server, sample_chunks):
+        _EmbedHandler.dims = [16, 16, 12, 16]
+        with pytest.raises(TransportError, match="embedding dimension mismatch") as excinfo:
+            index_corpus(sample_chunks, RemoteEmbedder(endpoint=embed_server, model="m"))
+        third = sample_chunks[2]
+        assert str(excinfo.value).endswith(f"mismatch: {third.doc_id}#{third.ordinal}: dim 12 != 16")
+
+    def test_query_of_another_length_names_both(self, embed_server, sample_chunks):
+        _EmbedHandler.dims = [16] * len(sample_chunks) + [8]
+        embedder = RemoteEmbedder(endpoint=embed_server, model="m")
+        index = index_corpus(sample_chunks, embedder)
+        with pytest.raises(ValueError, match="^query vector has 8 dimensions, the index 16$"):
+            retrieve(index, "worst off", embedder)
+
+    def test_empty_first_vector_is_an_error(self, embed_server, sample_chunks):
+        _EmbedHandler.dims = [0]
+        first = sample_chunks[0]
+        with pytest.raises(TransportError, match=f"^embedding {first.doc_id}#0 is empty$"):
+            index_corpus(sample_chunks, RemoteEmbedder(endpoint=embed_server, model="m"))

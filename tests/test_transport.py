@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from triage_arena import agents
 from triage_arena.agents import ChatBackendConfig, ChatTransportError, chat_generate
 from triage_arena.transport import JsonEndpoint
 
@@ -109,43 +110,46 @@ def no_proxy_env(monkeypatch):
 
 
 def _config(url, **kw):
-    return ChatBackendConfig(endpoint=url, model="m", backoff=0, **kw)
+    return ChatBackendConfig(endpoint=url, model="m", **kw)
 
 
 class TestFaults:
-    def test_idle_connection_closed_by_server_is_sent_again(self, serve, no_proxy_env):
+    def test_idle_connection_closed_by_server_is_sent_again(self, serve, no_proxy_env, transport_retries):
         server, url = serve(["close-after"])
-        config = _config(url, retries=0)
+        config = _config(url)
         # no retry budget: only the stale-connection resend can save call 2
-        transport = JsonEndpoint(url, timeout=5, retries=0, backoff=0, error=ChatTransportError)
+        transport_retries(0)
+        transport = JsonEndpoint(url, timeout=5, error=ChatTransportError)
         assert chat_generate(config, "one", transport) == "FIXED BODY"
         assert chat_generate(config, "two", transport) == "FIXED BODY"
         transport.close()
         assert len(server.requests) == 2
         assert server.connections == 2
 
-    def test_truncated_body_is_retried(self, serve, no_proxy_env):
+    def test_truncated_body_is_retried(self, serve, no_proxy_env, transport_retries):
         server, url = serve(["truncate", "ok"])
-        assert chat_reply(_config(url, retries=1), "hello") == "FIXED BODY"
+        transport_retries(1)
+        assert chat_reply(_config(url), "hello") == "FIXED BODY"
         assert len(server.requests) == 2
 
     @pytest.mark.parametrize("action", ["malformed", "no-choices"])
     def test_malformed_200_raises_after_one_request(self, serve, no_proxy_env, action):
         server, url = serve([action])
         with pytest.raises(ChatTransportError, match="malformed"):
-            chat_reply(_config(url, retries=2), "hello")
+            chat_reply(_config(url), "hello")
         assert len(server.requests) == 1
 
-    def test_read_timeout_raises_after_every_attempt(self, serve, no_proxy_env):
+    def test_read_timeout_raises_after_every_attempt(self, serve, no_proxy_env, monkeypatch, transport_retries):
         server, url = serve(["stall"])
+        monkeypatch.setattr(agents, "CHAT_TIMEOUT", 0.2)
         with pytest.raises(ChatTransportError, match="timed out"):
-            chat_reply(_config(url, retries=2, timeout=0.2), "hello")
+            chat_reply(_config(url), "hello")
         assert len(server.requests) == 3
 
     def test_redirect_is_an_error_not_followed(self, serve, no_proxy_env):
         server, url = serve([302])
         with pytest.raises(ChatTransportError, match="HTTP 302"):
-            chat_reply(_config(url, retries=2), "hello")
+            chat_reply(_config(url), "hello")
         assert len(server.requests) == 1
 
     def test_request_body_is_compact_json_of_the_payload(self, serve, no_proxy_env):
@@ -164,7 +168,7 @@ class TestFaults:
 
     def test_bad_endpoint_url_rejected(self):
         with pytest.raises(ValueError):
-            JsonEndpoint("http:///no-host", timeout=1, retries=0, backoff=0)
+            JsonEndpoint("http:///no-host", timeout=1)
 
 
 class TestProxy:
@@ -195,22 +199,24 @@ class TestProxy:
         assert proxy.requests == []
         assert len(origin.requests) == 1
 
-    def test_https_goes_through_a_connect_tunnel(self, serve, no_proxy_env):
+    def test_https_goes_through_a_connect_tunnel(self, serve, no_proxy_env, transport_retries):
         # the proxy refuses the tunnel, so no TLS handshake is attempted
         proxy, _ = serve([403])
         no_proxy_env.setenv("https_proxy", f"http://127.0.0.1:{proxy.server_port}")
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
+        transport_retries(0)
         with pytest.raises(ChatTransportError, match="403"):
-            chat_reply(_config(f"https://127.0.0.1:{port}/v1/chat", retries=0), "hello")
+            chat_reply(_config(f"https://127.0.0.1:{port}/v1/chat"), "hello")
         (requestline, _, _), = proxy.requests
         assert requestline == f"CONNECT 127.0.0.1:{port} HTTP/1.0"
 
-    def test_proxy_is_read_once_per_backend(self, serve, no_proxy_env):
+    def test_proxy_is_read_once_per_backend(self, serve, no_proxy_env, transport_retries):
         origin, url = serve()
         proxy, _ = serve()
-        transport = JsonEndpoint(url, timeout=5, retries=0, backoff=0)
+        transport_retries(0)
+        transport = JsonEndpoint(url, timeout=5)
         no_proxy_env.setenv("http_proxy", f"http://127.0.0.1:{proxy.server_port}")
         transport.post({"prompt": "hello"})
         transport.close()
@@ -218,11 +224,12 @@ class TestProxy:
         assert len(origin.requests) == 1
 
 
-def test_shared_endpoint_under_thread_contention(serve, no_proxy_env):
+def test_shared_endpoint_under_thread_contention(serve, no_proxy_env, transport_retries):
     """Eight threads on one endpoint each get their own answers, and no
     more connections are opened than requests run at once."""
     server, url = serve(["echo"])
-    endpoint = JsonEndpoint(url, timeout=10, retries=0, backoff=0)
+    transport_retries(0)
+    endpoint = JsonEndpoint(url, timeout=10)
     results = {}
     errors = []
 
