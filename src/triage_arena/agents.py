@@ -15,12 +15,14 @@ scripted and replay backends set ``reads_prompt = False``: their text
 does not depend on the prompt, so the arena passes "" instead of
 rendering one. Backends without the attribute get the rendered prompt.
 A scripted strategy is a function of the cohort alone, so it proposes
-the same allocation in every round.
+the same allocation in every round, and its backend computes that reply
+once per debate.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -188,9 +190,17 @@ class ScriptedBackend:
             )
         self.strategy = strategy
         self.name = f"scripted:{strategy}"
+        # the last cohort and its reply, per thread: a strategy reads only
+        # the cohort, so every round and retry of a debate gets one reply,
+        # and debates on other threads under run --jobs keep their own
+        self._last = threading.local()
 
     def generate(self, prompt: str, cohort: Cohort) -> str:
-        return _SCRIPTED_STRATEGIES[self.strategy](cohort)
+        last = self._last
+        if getattr(last, "cohort", None) is not cohort:
+            last.text = _SCRIPTED_STRATEGIES[self.strategy](cohort)
+            last.cohort = cohort
+        return last.text
 
 
 class ReplayExhaustedError(RuntimeError):

@@ -425,7 +425,21 @@ def cmd_eval(args) -> int:
             continue
         write_json(target, record)
         written.append(target)
-    print(f"evaluated {len(written)} transcripts, {len(corrupt)} corrupt")
+    # the eval of a transcript gone from --transcripts describes nothing;
+    # only the pairings (name up to the cohort number) read here are
+    # pruned, so an --out shared with another pairing keeps its evals
+    names = {file.name for file in files}
+    pairings = {name.rpartition("_")[0] for name in names}
+    stale = 0
+    for record_file in sorted(out.glob("eval_*.json")):
+        source = record_file.name.replace("eval_", "transcript_", 1)
+        if source not in names and source.rpartition("_")[0] in pairings:
+            record_file.unlink()
+            stale += 1
+    print(
+        f"evaluated {len(written)} transcripts, {len(corrupt)} corrupt, "
+        f"{stale} stale removed"
+    )
     for item in corrupt:
         print(f"  corrupt: {item}", file=sys.stderr)
     return EXIT_VERIFICATION if corrupt else EXIT_OK

@@ -10,13 +10,17 @@ check_nondegeneracy evaluates the aggregates in one array pass instead:
 it builds the grid once as an (M, n) integer composition array,
 tabulates each person's utility once per grid share and reduces the
 utility matrix of each fixed-size block of grid rows column by column,
-with the scalar path's float arithmetic. The cake verifier additionally
-exploits that its welfare functions are separable across recipients:
-one max-plus budget DP over the same utility table gives the same grid
-answers and stays tractable at fine steps. It serves claim (a) on the
-table and claim (c) on the table masked below the maximin optimum
-theta. All verdicts are labelled grid-certified at their step; nothing
-here reasons about the continuum.
+with the scalar path's float arithmetic: sums add columns, the minimum
+folds np.minimum over them and egal sorts each row with a network of
+np.minimum and np.maximum, never a numpy reduction along a short row.
+The cake verifier additionally exploits that its welfare functions are
+separable across recipients: one max-plus budget DP over the same
+utility table gives the same grid answers and stays tractable at fine
+steps. It forms the offers of a block of unit counts at once, each the
+one addition a per-count loop makes. It serves claim (a) on the table
+and claim (c) on the table masked below the maximin optimum theta. All
+verdicts are labelled grid-certified at their step; nothing here
+reasons about the continuum.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .metrics import gini
 from .model import Allocation
@@ -55,8 +60,13 @@ _STEP_TOL = 1e-9
 CLAIM_TOL = 1e-9
 RECHECK_TOL = 1e-6
 # grid allocations per block of the nondegeneracy pass; a block's float
-# working memory is about 140 bytes a row, and 4,096 rows ran fastest
+# working memory is about 140 bytes a row, and no size from 1,024 to
+# 16,384 rows ran faster than 4,096 beyond noise or at a lower peak RSS
 _BLOCK_ROWS = 4096
+# offers per block of the cake DP (_suffix_best), 512 KB of float64; of
+# 8,192 to 131,072 this ran fastest at step 0.001, and a fixed count of
+# rows would grow the working memory with the budget instead
+_DP_CANDIDATES = 65_536
 
 
 _AGGREGATE_KINDS = ("util", "egal", "rawls", "prior")
@@ -106,25 +116,36 @@ class UtilityAggregate:
     def over_grid(self, utility: np.ndarray) -> np.ndarray:
         """Values of M allocations from their (M, n) utility matrix.
 
+        Every functional works on the n columns, one whole-column
+        operation at a time, since numpy reduces a short row slowly.
         Sums add the columns left to right from 0, as sum() does on
         CPython up to 3.11 (later versions compensate, which can move a
-        scalar value in its last bits); egal replicates metrics.gini row
-        by row, including its all-zero and equal-vector rules.
+        scalar value in its last bits); rawls folds np.minimum over the
+        columns; egal replicates metrics.gini row by row, including its
+        all-zero and equal-vector rules, and orders the rows with a
+        sorting network of np.minimum and np.maximum. The values have the
+        bytes of the row-wise min(axis=1) and np.sort formulas.
         """
         if self.kind == "util":
             return _left_sum(utility.T)
         if self.kind == "rawls":
-            return utility.min(axis=1)
+            return functools.reduce(np.minimum, utility.T[1:], utility[:, 0].copy())
         if self.kind == "prior":
             return _left_sum(w * column for w, column in zip(self.weights, utility.T))
         n = utility.shape[1]
-        positive = np.maximum(utility, 0.0)
-        total = _left_sum(positive.T)
-        positive.sort(axis=1)
-        weighted = _left_sum((i + 1) * column for i, column in enumerate(positive.T))
+        columns = list(np.maximum(utility, 0.0).T)
+        total = _left_sum(columns)
+        # odd-even transposition sort: after n rounds of compare-exchanges
+        # between neighbours each row is ascending, as np.sort leaves it; a
+        # row holding NaN turns NaN in every column, and its index stays NaN
+        for round_ in range(n):
+            for i in range(round_ % 2, n - 1, 2):
+                low, high = columns[i], columns[i + 1]
+                columns[i], columns[i + 1] = np.minimum(low, high), np.maximum(low, high)
+        weighted = _left_sum((i + 1) * column for i, column in enumerate(columns))
         with np.errstate(divide="ignore", invalid="ignore"):
             index = 2.0 * weighted / (n * total) - (n + 1) / n
-        index[(total == 0) | (positive[:, 0] == positive[:, -1])] = 0.0
+        index[(total == 0) | (columns[0] == columns[-1])] = 0.0
         return -index
 
 
@@ -551,14 +572,33 @@ def cake_space(step: float, enumeration_bound: int = 5_000_000) -> DiscretizedSp
 
 
 def _suffix_best(table: np.ndarray, budget: int) -> np.ndarray:
-    """suffix[i, b]: best total utility from persons i.. with at most b units."""
+    """suffix[i, b]: best total utility from persons i.. with at most b units.
+
+    Person i taking v units offers table[i, v] + suffix[i + 1, b - v] at
+    every b >= v. The offers are formed for a block of v's at once, each
+    v's row read as a window of suffix[i + 1] preceded by -inf padding,
+    and the block's column maxima fold into suffix[i]. Blocks hold about
+    _DP_CANDIDATES offers, so working memory does not grow with the
+    budget. The pairs b < v a block also covers are set to -inf, so a
+    +inf or NaN entry of the table reaches only the b >= v that a loop
+    over v would give it.
+    """
     n, size = len(table), budget + 1
+    rows = min(size, max(1, _DP_CANDIDATES // size))
+    below = np.tri(rows, rows, -1, dtype=bool)
     suffix = np.zeros((n + 1, size))
+    padded = np.full(2 * size - 1, -np.inf)
+    # shifted[v, b] is padded[size - 1 + b - v]: suffix[i + 1, b - v] for b >= v
+    shifted = sliding_window_view(padded, size)[::-1]
     for i in range(n - 1, -1, -1):
-        best, nxt = suffix[i], suffix[i + 1]
+        best = suffix[i]
         best.fill(-np.inf)
-        for v in range(size):
-            np.maximum(best[v:], table[i, v] + nxt[: size - v], out=best[v:])
+        padded[size - 1 :] = suffix[i + 1]
+        for v0 in range(0, size, rows):
+            offers = table[i, v0 : v0 + rows, None] + shifted[v0 : v0 + rows, v0:]
+            r = len(offers)
+            np.copyto(offers[:, :r], -np.inf, where=below[:r, :r])
+            np.maximum(best[v0:], offers.max(axis=0), out=best[v0:])
     return suffix
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import triage_arena
-from triage_arena import cli
+from triage_arena import agents, cli
 from triage_arena.agents import ReplayBackend, ScriptedBackend, build_profile
 from triage_arena.arena import AgentSpec, DebateConfig, run_debate, transcript_from_json
 from triage_arena.cli import main
@@ -342,6 +342,35 @@ class TestRun:
         parallel_files = read_dir_bytes(parallel)
         assert serial_files == parallel_files
 
+    def test_scripted_strategy_called_once_per_debate(self, small_run, tmp_path, monkeypatch):
+        # neither strategy reads the prompt or the history, so the rounds of
+        # a debate share one reply; under --jobs each thread keeps its own
+        calls = []
+
+        def counted(name, strategy):
+            def call(cohort):
+                calls.append((name, cohort.cohort_id))
+                return strategy(cohort)
+
+            return call
+
+        for name, strategy in list(agents._SCRIPTED_STRATEGIES.items()):
+            monkeypatch.setitem(agents._SCRIPTED_STRATEGIES, name, counted(name, strategy))
+        outputs = {}
+        for jobs in ("1", "2"):
+            calls.clear()
+            out = tmp_path / f"jobs{jobs}"
+            assert main([
+                "run", "--cohorts", str(small_run / "cohorts"), "--framework", "Rawlsian",
+                "--opponent", "biased", "--backend", "scripted", "--allow-adversarial",
+                "--jobs", jobs, "--out", str(out),
+            ]) == 0
+            assert sorted(calls) == [
+                (name, cohort) for name in ("biased", "rawlsian") for cohort in range(6)
+            ]
+            outputs[jobs] = read_dir_bytes(out)
+        assert outputs["1"] == outputs["2"] == read_dir_bytes(small_run / "transcripts")
+
     @pytest.fixture
     def dead_endpoint(self, monkeypatch):
         """A chat URL on a local port with nothing listening; retries do not sleep."""
@@ -466,6 +495,24 @@ class TestReplayAndEval:
         assert main(["eval", "--transcripts", str(transcripts), "--out", str(evals)]) == 1
         assert "evaluated 5 transcripts, 1 corrupt" in capsys.readouterr().out
         assert not (evals / target.name.replace("transcript_", "eval_")).exists()
+        assert len(list(evals.glob("eval_*.json"))) == 5
+        assert main(["stats", "--eval-dir", str(evals), "--out", str(tmp_path / "s")]) == 0
+        cells = json.loads((tmp_path / "s" / "comparison.json").read_text())["reports"]
+        assert cells and all(cell["n"] == 5 for cell in cells)
+
+    def test_re_eval_drops_the_record_of_a_deleted_transcript(self, small_run, tmp_path, capsys):
+        transcripts, evals = tmp_path / "t", tmp_path / "e"
+        shutil.copytree(small_run / "transcripts", transcripts)
+        shutil.copytree(small_run / "evals", evals)
+        # another pairing's evals share --out; none of its transcripts is here
+        other = evals / "eval_utilitarian_baseline_0003.json"
+        other.write_bytes((evals / "eval_rawlsian_biased_0003.json").read_bytes())
+        sorted(transcripts.glob("transcript_*.json"))[3].unlink()
+        assert main(["eval", "--transcripts", str(transcripts), "--out", str(evals)]) == 0
+        assert "evaluated 5 transcripts, 0 corrupt, 1 stale removed" in capsys.readouterr().out
+        assert not (evals / "eval_rawlsian_biased_0003.json").exists()
+        assert other.exists()
+        other.unlink()
         assert len(list(evals.glob("eval_*.json"))) == 5
         assert main(["stats", "--eval-dir", str(evals), "--out", str(tmp_path / "s")]) == 0
         cells = json.loads((tmp_path / "s" / "comparison.json").read_text())["reports"]

@@ -379,6 +379,33 @@ def _step_utility():
     ).map(lambda c: lambda x, a=c[0], b=c[1], t=c[2]: a * x**2 + b * x + (x >= t))
 
 
+_utility_value = st.one_of(
+    st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 0.5, 2.0, 1e308]),
+    st.floats(-10.0, 10.0),
+)
+
+
+def _values_bytes(aggregate, matrix):
+    with np.errstate(invalid="ignore", over="ignore"):
+        return aggregate.over_grid(matrix).tobytes()
+
+
+@np.errstate(all="ignore")
+def _parent_values(aggregate, utility):
+    """The bytes of over_grid's rawls and egal as row-wise numpy
+    reductions: the formulas the column kernels replaced."""
+    if aggregate.kind == "rawls":
+        return utility.min(axis=1).tobytes()
+    n = utility.shape[1]
+    positive = np.maximum(utility, 0.0)
+    total = oracle._left_sum(positive.T)
+    positive.sort(axis=1)
+    weighted = oracle._left_sum((i + 1) * column for i, column in enumerate(positive.T))
+    index = 2.0 * weighted / (n * total) - (n + 1) / n
+    index[(total == 0) | (positive[:, 0] == positive[:, -1])] = 0.0
+    return (-index).tobytes()
+
+
 class TestArrayPassParity:
     """check_nondegeneracy's array pass against argmax_set scans."""
 
@@ -425,7 +452,8 @@ class TestArrayPassParity:
     def test_over_grid_replicates_scalar_arithmetic(self, kind):
         # all-zero, equal, mixed-sign and all-negative rows; the equal row
         # leaves float residue in the gini formula, and the third row's sum
-        # depends on its order
+        # depends on its order; then ties, signed zeros and infinities,
+        # whose egal is NaN (inf / inf) unless the row is all inf
         matrix = np.array(
             [
                 [0.0, 0.0, 0.0],
@@ -434,6 +462,13 @@ class TestArrayPassParity:
                 [2.0, -1.0, 0.5],
                 [-1.0, -2.0, -3.0],
                 [0.3, 1e-17, 0.1],
+                [0.5, 0.2, 0.5],
+                [0.2, 0.5, 0.2],
+                [-0.0, 0.0, 0.7],
+                [0.0, -0.0, -0.0],
+                [math.inf, 1.0, 0.0],
+                [math.inf, math.inf, math.inf],
+                [-math.inf, 0.4, 0.4],
             ]
         )
         weights = (0.3, 1.7, 2.9)
@@ -446,9 +481,30 @@ class TestArrayPassParity:
         aggregate = UtilityAggregate(
             kind, (abs,) * 3, weights if kind == "prior" else None
         )
-        assert aggregate.over_grid(matrix).tolist() == [
-            scalar(row) for row in matrix.tolist()
-        ]
+        with np.errstate(invalid="ignore"):
+            values = aggregate.over_grid(matrix)
+        np.testing.assert_array_equal(values, [scalar(row) for row in matrix.tolist()])
+        if kind in ("egal", "rawls"):
+            # a NaN utility has no scalar rule to follow (min and sorted read
+            # it by position); the column kernels keep the row formulas' bytes
+            matrix[[2, 6, 10], [0, 2, 1]] = math.nan
+            assert _values_bytes(aggregate, matrix) == _parent_values(aggregate, matrix)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(_utility_value, min_size=n, max_size=n), min_size=1, max_size=12
+            )
+        ),
+        st.sampled_from(["egal", "rawls"]),
+    )
+    def test_column_kernels_match_row_formulas(self, rows, kind):
+        # the fold of np.minimum and the sorting network against the
+        # min(axis=1) and np.sort formulas they replace, byte for byte
+        matrix = np.array(rows)
+        aggregate = UtilityAggregate(kind, (abs,) * matrix.shape[1])
+        assert _values_bytes(aggregate, matrix) == _parent_values(aggregate, matrix)
 
 
 @pytest.mark.parametrize("rows", [1, 7, 64])
@@ -519,6 +575,69 @@ class TestGridMemory:
         functionals = cake_functionals(CakeParams(), [1.0] * 6)
         space = cake_space(0.04)
         assert _traced_peak(lambda: check_nondegeneracy(functionals, space)) < 12e6
+
+
+def _parent_suffix_best(table, budget):
+    """_suffix_best as one np.maximum per unit count v: the loop the
+    blocked offers replaced."""
+    n, size = len(table), budget + 1
+    suffix = np.zeros((n + 1, size))
+    for i in range(n - 1, -1, -1):
+        best, nxt = suffix[i], suffix[i + 1]
+        best.fill(-np.inf)
+        for v in range(size):
+            np.maximum(best[v:], table[i, v] + nxt[: size - v], out=best[v:])
+    return suffix
+
+
+_table_entry = st.one_of(st.floats(-5.0, 5.0), st.just(-math.inf))
+
+
+class TestSuffixBest:
+    """The blocked DP against the per-v loop, with offer counts that cut
+    the unit counts into blocks of one row up to the whole budget."""
+
+    @pytest.mark.parametrize("offers", [0, 1, 63, 64, 65, 66, 1000])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.integers(0, 40).flatmap(
+                lambda budget: st.lists(
+                    st.lists(_table_entry, min_size=budget + 1, max_size=budget + 1),
+                    min_size=n,
+                    max_size=n,
+                )
+            )
+        )
+    )
+    def test_matches_per_unit_loop(self, offers, rows):
+        # -inf entries are what the theta mask leaves in the table
+        table = np.array(rows)
+        budget = table.shape[1] - 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_DP_CANDIDATES", offers)
+            blocked = _suffix_best(table, budget)
+        assert blocked.tobytes() == _parent_suffix_best(table, budget).tobytes()
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["util", "theta-masked"])
+    def test_cake_tables_match_per_unit_loop(self, masked):
+        table, budget = _cake_table(CakeParams(), 0.001)
+        if masked:
+            theta, _units = _rawls_grid_max(table, budget)
+            table = np.where(table >= theta, table, -np.inf)
+        assert _suffix_best(table, budget).tobytes() == _parent_suffix_best(table, budget).tobytes()
+
+    @pytest.mark.parametrize("offers", [1, 4, 1000])
+    def test_infinite_or_nan_entry_reaches_only_larger_budgets(self, offers):
+        # the offers of a block at b < v are -inf, not table[i, v] + -inf,
+        # which is NaN for a +inf entry
+        table = np.zeros((3, 9))
+        table[0, 8] = math.inf
+        table[1, 5] = math.inf
+        table[2, 3] = math.nan
+        with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
+            patch.setattr(oracle, "_DP_CANDIDATES", offers)
+            assert _suffix_best(table, 8).tobytes() == _parent_suffix_best(table, 8).tobytes()
 
 
 class TestVerifyCakeClaims:
