@@ -67,6 +67,9 @@ _BLOCK_ROWS = 4096
 # 8,192 to 131,072 this ran fastest at step 0.001, and a fixed count of
 # rows would grow the working memory with the budget instead
 _DP_CANDIDATES = 65_536
+# offers per pass of the cake DP that verify_cake_claims accepts; time
+# grows with this count, about 1.2 s a command at 3.0e8 (step 0.0001)
+_DP_OFFER_BOUND = 10**10
 
 
 _AGGREGATE_KINDS = ("util", "egal", "rawls", "prior")
@@ -173,7 +176,8 @@ class DiscretizedSpace:
 
     The step must divide the cake to within 1e-9. enumeration_bound
     guards against accidental combinatorial blow-ups in the enumeration
-    and the grid pass; the cake DP does not enumerate and ignores it.
+    and the grid pass; the cake DP does not enumerate and ignores it
+    (verify_cake_claims bounds the DP's offers instead).
     """
 
     step: float
@@ -794,7 +798,9 @@ def verify_cake_claims(params: CakeParams, step: float) -> CakeVerificationRepor
     Requires step <= min(xbar4, xmin) / 2 so the cap and floor thresholds
     fall on resolvable grid points. The claims are evaluated at
     CLAIM_TOL and re-evaluated at RECHECK_TOL to confirm the verdicts are
-    not knife-edge.
+    not knife-edge. A step whose DP would form more than _DP_OFFER_BOUND
+    offers per pass is refused with a ValueError before any table is
+    built.
     """
     space = cake_space(step)
     limit = min(params.xbar4, params.xmin) / 2
@@ -802,6 +808,13 @@ def verify_cake_claims(params: CakeParams, step: float) -> CakeVerificationRepor
         raise ValueError(
             f"step {step} too coarse to resolve the cap and floor thresholds "
             f"(needs step <= {limit:g})"
+        )
+    size = space.units + 1
+    offers = space.n * size * (size + 1) // 2
+    if offers > _DP_OFFER_BOUND:
+        raise ValueError(
+            f"step {step} needs {offers} offers per pass of the cake DP, above "
+            f"the bound of {_DP_OFFER_BOUND}"
         )
     claims, recheck = _evaluate_claims(params, space, (CLAIM_TOL, RECHECK_TOL))
     agrees = all(a.passed == b.passed for a, b in zip(claims, recheck))

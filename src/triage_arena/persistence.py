@@ -159,8 +159,12 @@ def validate_schemas(directory: str | Path) -> list[SchemaViolation]:
     """Validate every JSON file in a run directory against its schema.
 
     Files identify themselves through their kind and schema_version
-    fields; unknown kinds or versions are flagged as unmigratable. Raises
-    ValueError when directory is missing or is not a directory.
+    fields; unknown kinds or versions are flagged as unmigratable. A
+    cohort file that passes its schema is also read as a Cohort, so what
+    run would refuse in it (a supply of other than six entries, two
+    patients with one demographic tuple) is a violation too; other kinds
+    are checked against their schema alone. Raises ValueError when
+    directory is missing or is not a directory.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -187,9 +191,15 @@ def validate_schemas(directory: str | Path) -> list[SchemaViolation]:
                 SchemaViolation(rel, f"unmigratable schema_version {version!r}")
             )
             continue
-        for error in _schema_errors(kind)(obj):
+        errors = _schema_errors(kind)(obj)
+        for error in errors:
             location = "/".join(str(p) for p in error.location) or "(root)"
             violations.append(SchemaViolation(rel, f"{location}: {error.message}"))
+        if kind == "cohort" and not errors:
+            try:
+                Cohort.from_json(obj)
+            except ValueError as exc:
+                violations.append(SchemaViolation(rel, f"invalid cohort: {exc}"))
     return violations
 
 

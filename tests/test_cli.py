@@ -880,6 +880,8 @@ class TestVerifyCake:
         [
             ("0.001", 1, "7703eb2c2700f72d0b7e7fe7cb2f0ca290455002e32498fa23dfe1f89a86556e"),
             ("0.01", 1, "48dea46fd5b3b4fabb3dcee58ec13638cd77af9d2e17004a8c4583cc5a76f62c"),
+            # 3.0e8 offers per DP pass, under the bound
+            ("0.0001", 1, "cb6a14cc13a6d0c1df68fa495288090aa940ffd3537f0c17e6ec287a0792a4fe"),
         ],
     )
     def test_stdout_is_byte_identical_to_reference(self, capsys, step, code, digest):
@@ -896,6 +898,17 @@ class TestVerifyCake:
         # the cake grid validates the step for both cake commands
         assert main(["verify-cake", "--step", step]) == 2
         assert "step must be finite and positive" in capsys.readouterr().err
+
+    def test_grid_over_the_offer_bound_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        assert main(["verify-cake", "--step", "0.00001"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: step 1e-05 needs 30000900006 offers per pass of the cake DP, "
+            "above the bound of 10000000000\n"
+        )
+        assert captured.out == ""
 
     def test_step_with_infinite_reciprocal_is_config_error(self, capsys):
         assert main(["verify-cake", "--step", "1e-320"]) == 2

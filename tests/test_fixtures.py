@@ -188,6 +188,30 @@ class TestValidateSchemas:
         assert len(violations) == 1
         assert "age" in violations[0].problem
 
+    @pytest.mark.parametrize(
+        "mutate, problem",
+        [
+            (lambda o: o["capacity"].update(supply=o["capacity"]["supply"][:5]),
+             "invalid cohort: supply lists 5 entries, not 6"),
+            (lambda o: o["patients"][1].update(
+                {k: v for k, v in o["patients"][0].items() if k != "id"}),
+             "invalid cohort: cohort 0: duplicate demographic tuple"),
+        ],
+        ids=["five_supplies", "duplicate_demographic_tuple"],
+    )
+    def test_cohort_run_would_refuse_is_flagged(self, tmp_path, capsys, mutate, problem):
+        from triage_arena.cohortgen import SamplerConfig, generate_cohort
+
+        obj = generate_cohort(1, SamplerConfig(master_seed=1, batch_size=1)).to_json()
+        mutate(obj)
+        write_json(tmp_path / "cohort_0000.json", obj)
+        violations = validate_schemas(tmp_path)
+        assert len(violations) == 1
+        assert violations[0].problem.startswith(problem)
+        assert main(["validate", str(tmp_path)]) == 1
+        assert main(["run", "--cohorts", str(tmp_path), "--out", str(tmp_path / "t")]) == 2
+        assert problem.removeprefix("invalid cohort: ") in capsys.readouterr().err
+
     def test_unknown_schema_version_unmigratable(self, tmp_path):
         write_json(tmp_path / "f.json", {"kind": "cohort", "schema_version": 99})
         violations = validate_schemas(tmp_path)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from importlib import resources
 
@@ -137,6 +138,7 @@ class TestIndex:
     def test_empty_corpus_empty_index(self):
         index = index_corpus([], HashingEmbedder())
         assert len(index) == 0
+        assert index.norms.shape == (0,)
 
     def test_embedder_failure_reports_doc_id(self):
         class Broken:
@@ -165,6 +167,28 @@ class TestIndex:
         assert "anchor#0" not in message
         assert "first#0: dim 7 != 8" in message
         assert "second#3: dim 7 != 8" in message
+
+    @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 255, 256, 257, 1000])
+    def test_norms_match_one_norm_call_bit_for_bit(self, rows):
+        rng = np.random.Generator(np.random.Philox(rows))
+        matrix = rng.normal(0, 1, size=(rows, 768))
+        matrix[rows // 2 : rows // 2 + 1] *= 1e200  # overflows to inf either way
+        want = np.linalg.norm(matrix, axis=1)
+        norms = VectorIndex((), matrix).norms
+        assert norms.dtype == want.dtype and norms.shape == want.shape == (rows,)
+        assert norms.tobytes() == want.tobytes()
+
+    def test_building_allocates_under_2mb_beyond_the_matrix(self):
+        # one norm call over 1,000 x 768 allocates about 6 MB here
+        matrix = np.random.Generator(np.random.Philox(1)).normal(0, 1, size=(1000, 768))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            VectorIndex((), matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 2 * 2**20
 
     def test_self_retrieval_ranks_first(self):
         rng = np.random.Generator(np.random.Philox(3))

@@ -4,14 +4,18 @@ import csv
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
+from triage_arena import stats
 from triage_arena.stats import (
+    CI_LEVEL,
     CSV_COLUMNS,
+    DEFAULT_RESAMPLES,
     ComparisonReport,
     PairedSample,
     assign_winner,
@@ -172,6 +176,18 @@ class TestCohensD:
             cohens_d([1], [1, 2])
 
 
+def one_shot_bootstrap_ci(sample, seed):
+    """Reference: the interval from one int64 draw of the whole
+    DEFAULT_RESAMPLES x n index matrix and its float gather."""
+    sample = np.asarray(list(sample), dtype=float)
+    rng = np.random.Generator(np.random.Philox(seed))
+    draws = rng.integers(0, sample.size, size=(DEFAULT_RESAMPLES, sample.size))
+    means = sample[draws].mean(axis=1)
+    lo = float(np.percentile(means, (1 - CI_LEVEL) / 2 * 100))
+    hi = float(np.percentile(means, (1 + CI_LEVEL) / 2 * 100))
+    return lo, hi
+
+
 class TestBootstrap:
     def test_constant_sample_degenerate_interval(self):
         assert bootstrap_ci([5, 5, 5]) == (5.0, 5.0)
@@ -205,6 +221,29 @@ class TestBootstrap:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             bootstrap_ci([])
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, 64, DEFAULT_RESAMPLES, DEFAULT_RESAMPLES + 1])
+    def test_blocks_match_one_int64_draw_bit_for_bit(self, monkeypatch, rows):
+        monkeypatch.setattr(stats, "_BOOTSTRAP_ROWS", rows)
+        rng = np.random.Generator(np.random.Philox(5))
+        for n in (1, 2, 7, 500, 501):
+            sample = list(rng.normal(0, 1, size=n))
+            for seed in (0, 42, cell_seed(42, "Rawlsian", "utility"), 2**64 - 1):
+                got = np.array(bootstrap_ci(sample, seed))
+                want = np.array(one_shot_bootstrap_ci(sample, seed))
+                assert got.tobytes() == want.tobytes(), (n, seed)
+
+    def test_n500_peaks_below_4mb(self):
+        # the one-shot int64 draw peaks at about 15 MB here
+        sample = list(np.random.Generator(np.random.Philox(9)).normal(0, 1, size=500))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            bootstrap_ci(sample, seed=42)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 4 * 2**20
 
 
 class TestWinner:
