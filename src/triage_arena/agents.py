@@ -22,6 +22,7 @@ once per debate.
 from __future__ import annotations
 
 import logging
+import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -245,9 +246,17 @@ class ChatTransportError(TransportError):
 
 
 def _chat_transport(config: ChatBackendConfig):
+    """The chat endpoint's transport. A nonempty TRIAGE_ARENA_CHAT_API_KEY
+    is sent as a bearer token; it is read here, when the backend is built,
+    so no config, transcript or manifest ever holds it."""
     from .transport import JsonEndpoint  # loaded only where a transport is used
 
-    return JsonEndpoint(config.endpoint, timeout=CHAT_TIMEOUT, error=ChatTransportError)
+    return JsonEndpoint(
+        config.endpoint,
+        timeout=CHAT_TIMEOUT,
+        error=ChatTransportError,
+        api_key=os.environ.get("TRIAGE_ARENA_CHAT_API_KEY") or None,
+    )
 
 
 def chat_generate(config: ChatBackendConfig, prompt: str, transport) -> str:

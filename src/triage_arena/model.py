@@ -333,9 +333,6 @@ class Allocation:
     def k(self) -> int:
         return len(self.rows[0])
 
-    def scaled(self, factor: float) -> "Allocation":
-        return Allocation(tuple(tuple(v * factor for v in row) for row in self.rows))
-
     def to_json(self) -> list[list[float]]:
         return [list(row) for row in self.rows]
 

@@ -63,6 +63,10 @@ RECHECK_TOL = 1e-6
 # working memory is about 140 bytes a row, and no size from 1,024 to
 # 16,384 rows ran faster than 4,096 beyond noise or at a lower peak RSS
 _BLOCK_ROWS = 4096
+# narrower rows per block while _composition_array widens the grid; the
+# blocks' temporaries stay small beside the grid (about 1.2x its size at
+# peak, 1.7x without blocks), and 4,096 to 16,384 ran alike
+_COMPOSITION_ROWS = 8192
 # offers per block of the cake DP (_suffix_best), 512 KB of float64; of
 # 8,192 to 131,072 this ran fastest at step 0.001, and a fixed count of
 # rows would grow the working memory with the budget instead
@@ -231,8 +235,8 @@ def argmax_set(
 
     Returned in canonical (row-tuple sorted) order.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, not {tol}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, not {tol}")
     best = None
     kept: list[tuple[float, Allocation]] = []
     for alloc in enumerate_allocations(space):
@@ -297,22 +301,40 @@ class NondegeneracyReport:
 def _composition_array(total: int, parts: int) -> np.ndarray:
     """Every tuple of `parts` nonnegative ints summing to at most total,
     one per row, in lexicographic order, in the smallest unsigned dtype
-    that holds total + parts. Built from the last part forwards: the
-    tuples one part wider are each first part, in increasing order,
-    prefixed to the narrower tuples that fit in the remaining budget."""
+    that holds total + parts.
+
+    Built front to back: each narrower row, in order, is extended by
+    every last part from 0 to the room it leaves, total - sum(row). The
+    prefix columns repeat the narrower rows' columns; the last column is
+    a cumulative sum, in the grid's dtype, of steps of 1 that wrap back
+    to 0 at each run start, exact because every value fits the dtype.
+    Narrower rows are taken _COMPOSITION_ROWS at a time, so no array of
+    grid length is formed besides the grid and its rooms, and no wider
+    integer than the dtype is used for either.
+    """
     dtype = np.min_scalar_type(total + parts)
-    sizes = np.arange(total + 1, dtype=dtype)[:, None]
+    grid = np.arange(total + 1, dtype=dtype)[:, None]
+    room = grid[::-1, 0]
     for width in range(2, parts + 1):
-        sums = sizes.sum(axis=1, dtype=dtype)
         wider = np.empty((math.comb(total + width, width), width), dtype)
-        start = 0
-        for first in range(total + 1):
-            rest = sizes[sums <= total - first]
-            wider[start : start + len(rest), 0] = first
-            wider[start : start + len(rest), 1:] = rest
-            start += len(rest)
-        sizes = wider
-    return sizes
+        rooms = np.empty(len(wider), dtype) if width < parts else None
+        end = 0
+        for lo in range(0, len(grid), _COMPOSITION_ROWS):
+            rows = slice(lo, lo + _COMPOSITION_ROWS)
+            counts = room[rows] + 1
+            start, end = end, end + int(counts.sum(dtype=np.intp))
+            block = wider[start:end]
+            for j in range(width - 1):
+                block[:, j] = np.repeat(grid[rows, j], counts)
+            last = block[:, -1]
+            last.fill(1)
+            last[0] = 0
+            last[np.cumsum(counts[:-1])] = np.subtract(1, counts[:-1], dtype=dtype)
+            np.cumsum(last, dtype=dtype, out=last)
+            if rooms is not None:
+                np.subtract(np.repeat(room[rows], counts), last, out=rooms[start:end])
+        grid, room = wider, rooms
+    return grid
 
 
 def _utility_table(
@@ -339,14 +361,16 @@ def _grid_argmax_indices(
     Each distinct utility tuple is tabulated once (_utility_table), each
     utility called on the float share enumerate_allocations builds. The
     grid is then scanned in blocks of _BLOCK_ROWS allocations: each
-    block's (rows, n) utility matrix, read from the table, goes through
-    over_grid, whose values are row-local and so the floats a whole-grid
-    pass gives. Per functional, a running maximum keeps the candidates
-    within tol of it, pruned whenever it rises; a NaN value anywhere on
-    the grid empties the functional's set, as a NaN grid maximum would.
+    block's (rows, n) utility matrix is gathered from the table in
+    column-major order, one person's contiguous column at a time
+    (_gather), and goes through over_grid. Its column-wise ufuncs give
+    the same bytes in either order, and its values are row-local and so
+    the floats a whole-grid pass gives. Per functional, a running
+    maximum keeps the candidates within tol of it, pruned whenever it
+    rises; a NaN value anywhere on the grid empties the functional's
+    set, as a NaN grid maximum would.
     """
     tables = {u: _utility_table(u, space) for u in {W.utilities for W in functionals}}
-    persons = np.arange(space.n)
     best = {W.kind: -math.inf for W in functionals}
     kept: dict[str, list] = {W.kind: [] for W in functionals}
     for start in range(0, len(grid), _BLOCK_ROWS):
@@ -357,7 +381,7 @@ def _grid_argmax_indices(
             if math.isnan(best[W.kind]):
                 continue
             if W.utilities not in matrices:
-                matrices[W.utilities] = tables[W.utilities][persons, block]
+                matrices[W.utilities] = _gather(tables[W.utilities], block)
             values = W.over_grid(matrices[W.utilities])
             top = values.max()
             if math.isnan(top):
@@ -372,6 +396,16 @@ def _grid_argmax_indices(
         W.kind: np.concatenate([np.empty(0, np.intp)] + [i for _, i in kept[W.kind]])
         for W in functionals
     }
+
+
+def _gather(table: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The (rows, n) utility matrix of a block of grid rows, in column-major
+    order: column i is person i's table row read at the block's column i."""
+    matrix = np.empty(block.shape, order="F")
+    for i, utilities in enumerate(table):
+        # every grid value indexes the table; "raise" would buffer out
+        utilities.take(block[:, i], out=matrix[:, i], mode="clip")
+    return matrix
 
 
 def _within(values: np.ndarray, indices: np.ndarray, floor: float):
@@ -402,8 +436,8 @@ def check_nondegeneracy(
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"repeated functional identifiers: {', '.join(repeated)}")
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, not {tol}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, not {tol}")
     count = candidate_count(space)
     if count > space.enumeration_bound:
         raise EnumerationBoundExceeded(count, space.enumeration_bound)

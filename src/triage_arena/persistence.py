@@ -220,12 +220,6 @@ class ReferenceFixtures:
     round_texts: dict  # agent label -> list of rendered texts, one per round
     expected: dict  # named expected values used by replay checks
 
-    def round_allocation(self, agent: str, round_t: int) -> Allocation:
-        for r in self.rounds:
-            if r["agent"] == agent and r["round"] == round_t:
-                return Allocation.from_json(r["rows"])
-        raise KeyError(f"no fixture for agent {agent} round {round_t}")
-
 
 def load_reference_fixtures() -> ReferenceFixtures:
     """Load the reference-debate fixtures, verifying recorded checksums."""

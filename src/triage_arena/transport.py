@@ -45,9 +45,19 @@ class JsonEndpoint:
     429 answers are retried up to RETRIES times, sleeping
     `BACKOFF * attempt` seconds before each retry. Any other status, and
     a 200 body that is not JSON, raise `error` at once.
+
+    An `api_key` is sent as `Authorization: Bearer <api_key>` on every
+    request. Only the private request headers hold it: no public
+    attribute, repr, log line or error message does.
     """
 
-    def __init__(self, url: str, timeout: float, error: type[TransportError] = TransportError):
+    def __init__(
+        self,
+        url: str,
+        timeout: float,
+        error: type[TransportError] = TransportError,
+        api_key: str | None = None,
+    ):
         parts = urllib.parse.urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"endpoint must be an http(s) URL, got {url!r}")
@@ -56,6 +66,12 @@ class JsonEndpoint:
         netloc = parts.netloc.rpartition("@")[2]
         self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         self._headers = {"Content-Type": "application/json", "User-Agent": "triage-arena"}
+        if api_key is not None:
+            # http.client would reject a bad header value with a message
+            # that quotes it, so the key is checked here without echoing it
+            if not (api_key.isascii() and api_key.isprintable()) or " " in api_key:
+                raise ValueError("API key must be printable ASCII without spaces")
+            self._headers["Authorization"] = f"Bearer {api_key}"
         self._address = (parts.hostname, parts.port)
         self._tunnel = None
         proxy = urllib.request.getproxies().get(parts.scheme)

@@ -80,6 +80,11 @@ def random_allocation(rng: np.random.Generator, n: int = 8, k: int = 6, max_unit
     return Allocation(tuple(tuple(row) for row in rows))
 
 
+def scaled(alloc: Allocation, factor: float) -> Allocation:
+    """alloc with every cell multiplied by factor."""
+    return Allocation(tuple(tuple(v * factor for v in row) for row in alloc.rows))
+
+
 def random_cohort_and_allocation(rng: np.random.Generator, config: SamplerConfig):
     seed = int(rng.integers(0, 2**32))
     cohort = generate_cohort(seed, config, cohort_id=int(rng.integers(0, 10_000)))

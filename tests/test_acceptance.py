@@ -62,7 +62,7 @@ from triage_arena.retrieval import (
 )
 from triage_arena.stats import bootstrap_ci, wilcoxon_signed_rank
 
-from conftest import random_allocation
+from conftest import random_allocation, scaled
 
 
 def _announce(number: int, text: str) -> None:
@@ -541,7 +541,7 @@ def test_criterion_12_scale_invariance_and_monotonicity():
         report = metric_report(cohort, alloc)
 
         factor = float(rng.uniform(0.25, 4.0))
-        scaled_report = metric_report(cohort, alloc.scaled(factor))
+        scaled_report = metric_report(cohort, scaled(alloc, factor))
         for metric in METRIC_NAMES:
             assert scaled_report.value(metric) == report.value(metric), (metric, case)
 

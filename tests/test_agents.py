@@ -254,6 +254,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
     fail_status = 500
     calls = 0
     captured = []
+    headers_seen = []
 
     def do_POST(self):
         cls = type(self)
@@ -261,6 +262,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
         cls.captured.append(payload)
+        cls.headers_seen.append(self.headers.items())
         if cls.calls <= cls.fail_times:
             self.send_response(cls.fail_status)
             self.end_headers()
@@ -284,6 +286,7 @@ def chat_server():
     _ChatHandler.fail_status = 500
     _ChatHandler.calls = 0
     _ChatHandler.captured = []
+    _ChatHandler.headers_seen = []
     server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -332,6 +335,32 @@ class TestChatClient:
         assert len(user_messages) == 1
         assert payload["messages"][-1]["content"] == prompt
         assert json.dumps(payload).count(json.dumps(prompt)[1:-1]) == 1
+
+    def test_api_key_variable_is_sent_as_a_bearer_token(self, chat_server, monkeypatch):
+        monkeypatch.setenv("TRIAGE_ARENA_CHAT_API_KEY", "sk-test-1234")
+        config = ChatBackendConfig(endpoint=chat_server, model="m")
+        assert chat_reply(config, "hello") == "FIXED BODY"
+        assert ("Authorization", "Bearer sk-test-1234") in _ChatHandler.headers_seen[-1]
+        assert "sk-test-1234" not in repr(config)
+
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_no_authorization_header_without_a_key(self, chat_server, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("TRIAGE_ARENA_CHAT_API_KEY", raising=False)
+        else:
+            monkeypatch.setenv("TRIAGE_ARENA_CHAT_API_KEY", value)
+        chat_reply(ChatBackendConfig(endpoint=chat_server, model="m"), "hello")
+        # the request a keyless endpoint always got, header for header
+        names = [name for name, _ in _ChatHandler.headers_seen[-1]]
+        assert names == ["Host", "Accept-Encoding", "Content-Length", "Content-Type", "User-Agent"]
+
+    @pytest.mark.parametrize("key", ["sk bad", "sk-bad\r\nX-Injected: 1", "sk-é"])
+    def test_malformed_api_key_rejected_without_echoing_it(self, chat_server, monkeypatch, key):
+        monkeypatch.setenv("TRIAGE_ARENA_CHAT_API_KEY", key)
+        with pytest.raises(ValueError, match="API key must be printable ASCII") as excinfo:
+            ChatBackend(ChatBackendConfig(endpoint=chat_server, model="m"))
+        assert "sk" not in str(excinfo.value)
+        assert _ChatHandler.calls == 0
 
     def test_bad_url_rejected_at_config_time(self):
         config = ChatBackendConfig(endpoint="ftp://nope", model="m")

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import logging
 import os
 import shutil
 import socket
@@ -658,11 +659,13 @@ class TestChatBackendIntegration:
 
         class Handler(BaseHTTPRequestHandler):
             prompts = []
+            authorizations = []
 
             def do_POST(self):
                 length = int(self.headers["Content-Length"])
                 payload = json.loads(self.rfile.read(length))
                 type(self).prompts.append(payload["messages"][-1]["content"])
+                type(self).authorizations.append(self.headers["Authorization"])
                 text = "\n".join(
                     f"Patient {i}: [0, 0, 1, 1, 2, 0]" for i in range(1, 9)
                 ) + "\nJustification: spread everything thin."
@@ -678,6 +681,7 @@ class TestChatBackendIntegration:
                 pass
 
         Handler.prompts = []
+        Handler.authorizations = []
         server = HTTPServer(("127.0.0.1", 0), Handler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -724,6 +728,27 @@ class TestChatBackendIntegration:
         assert manifest["timestamp"] is not None
         # finals parsed from the mock body: every patient got the same row
         assert first["final_allocations"]["A"][0] == [0, 0, 1, 1, 2, 0]
+
+    def test_api_key_reaches_the_endpoint_but_no_output(
+        self, small_run, tmp_path, allocation_server, monkeypatch, capsys, caplog
+    ):
+        endpoint, handler = allocation_server
+        key = "sk-test-7f3a9c2e41d0"
+        monkeypatch.setenv("TRIAGE_ARENA_CHAT_API_KEY", key)
+        out = tmp_path / "keyed_run"
+        argv = ["run", "--cohorts", str(small_run / "cohorts"), "--framework", "Egalitarian",
+                "--backend", "chat", "--endpoint", endpoint, "--model", "mock-model",
+                "--rounds", "1", "--out", str(out)]
+        with caplog.at_level(logging.DEBUG):
+            assert main(argv) == 0
+        assert handler.authorizations
+        assert set(handler.authorizations) == {f"Bearer {key}"}
+        files = [path for path in out.rglob("*") if path.is_file()]
+        assert any(path.name == "manifest.json" for path in files)
+        for path in files:
+            assert key.encode() not in path.read_bytes(), path.name
+        captured = capsys.readouterr()
+        assert key not in captured.out + captured.err + caplog.text
 
 
 class TestChatTransport:
@@ -1066,10 +1091,11 @@ class TestCheckNondegeneracy:
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_negative_or_nan_tol_is_usage_error(self, tmp_path, capsys, tol):
-        # such a tol would empty every argmax set and certify the grid
-        # non-degenerate
+        # a negative or NaN tol would empty every argmax set and certify the
+        # grid non-degenerate; an infinite one would keep every grid point
+        # and certify it degenerate
         out = tmp_path / "report.json"
         code = main(["check-nondegeneracy", "--step", "0.05", "--tol", tol, "--out", str(out)])
         assert code == 2

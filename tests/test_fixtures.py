@@ -30,6 +30,14 @@ from triage_arena.persistence import (
 from triage_arena.schemacheck import compile_schema
 
 
+def round_allocation(fixtures, agent: str, round_t: int) -> Allocation:
+    """The fixture allocation of one agent in one round."""
+    for r in fixtures.rounds:
+        if r["agent"] == agent and r["round"] == round_t:
+            return Allocation.from_json(r["rows"])
+    raise KeyError(f"no fixture for agent {agent} round {round_t}")
+
+
 class TestReferenceFixtures:
     def test_patient3_profile(self):
         fixtures = load_reference_fixtures()
@@ -54,13 +62,13 @@ class TestReferenceFixtures:
 
     def test_round1_agent_a_totals(self):
         fixtures = load_reference_fixtures()
-        alloc = fixtures.round_allocation("A", 1)
+        alloc = round_allocation(fixtures, "A", 1)
         assert column_totals(alloc) == (2, 1, 45, 35, 60, 2)
         assert validate_allocation(alloc, fixtures.cohort.capacity).feasible
 
     def test_round2_agent_a_overshoots_meda(self):
         fixtures = load_reference_fixtures()
-        alloc = fixtures.round_allocation("A", 2)
+        alloc = round_allocation(fixtures, "A", 2)
         totals = column_totals(alloc)
         assert totals[2] == 50
         result = validate_allocation(alloc, fixtures.cohort.capacity)
@@ -69,8 +77,8 @@ class TestReferenceFixtures:
 
     def test_final_totals(self):
         fixtures = load_reference_fixtures()
-        assert column_totals(fixtures.round_allocation("A", 3)) == (2, 1, 50, 35, 56, 2)
-        assert column_totals(fixtures.round_allocation("B", 3)) == (2, 1, 53, 35, 56, 2)
+        assert column_totals(round_allocation(fixtures, "A", 3)) == (2, 1, 50, 35, 56, 2)
+        assert column_totals(round_allocation(fixtures, "B", 3)) == (2, 1, 53, 35, 56, 2)
 
     def test_reference_metric_values_reproduced(self):
         # The reference log prints, for agent A, a minimum guarantee of
@@ -81,8 +89,8 @@ class TestReferenceFixtures:
 
         fixtures = load_reference_fixtures()
         cohort = fixtures.cohort
-        round1 = fixtures.round_allocation("A", 1)
-        final = fixtures.round_allocation("A", 3)
+        round1 = round_allocation(fixtures, "A", 1)
+        final = round_allocation(fixtures, "A", 3)
         assert rmg(cnss_vector(cohort, round1)) == 0.5
         assert rmg(cnss_vector(cohort, final)) == 0.25
         nursing_round1 = [row[4] for row in round1.rows]
@@ -116,7 +124,7 @@ class TestReferenceFixtures:
                 text = fixtures.round_texts[agent][round_t - 1]
                 alloc, warnings = parse_allocation(text, fixtures.cohort.n)
                 assert warnings == []
-                assert alloc == fixtures.round_allocation(agent, round_t)
+                assert alloc == round_allocation(fixtures, agent, round_t)
 
 
 class TestManifest:

@@ -25,7 +25,7 @@ from triage_arena.metrics import (
 )
 from triage_arena.model import Allocation, Resource
 
-from conftest import make_cohort, make_patient, random_allocation
+from conftest import make_cohort, make_patient, random_allocation, scaled
 
 
 class TestCnss:
@@ -359,7 +359,7 @@ class TestInvariants:
     def test_scale_invariance_spot(self, cohort):
         rng = np.random.Generator(np.random.Philox(37))
         alloc = random_allocation(rng, n=cohort.n)
-        doubled = alloc.scaled(2.0)
+        doubled = scaled(alloc, 2.0)
         r1 = metric_report(cohort, alloc)
         r2 = metric_report(cohort, doubled)
         for metric in METRIC_NAMES:

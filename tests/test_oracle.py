@@ -104,6 +104,35 @@ class TestEnumeration:
         assert actual.dtype == expected.dtype
         assert actual.tolist() == expected.tolist()
 
+    @pytest.mark.parametrize(
+        "total, parts, dtype",
+        [(253, 2, np.uint8), (254, 2, np.uint16), (0, 1, np.uint8), (9, 1, np.uint8),
+         (0, 4, np.uint8), (0, 6, np.uint8)],
+    )
+    def test_composition_array_at_dtype_and_size_edges(self, total, parts, dtype):
+        # (253, 2) is the largest uint8 grid (total + parts = 255), whose
+        # run starts wrap the last column's steps furthest; one more unit
+        # needs uint16
+        actual = _composition_array(total, parts)
+        assert actual.dtype == dtype
+        np.testing.assert_array_equal(actual, _stars_and_bars(total, parts))
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 64])
+    def test_composition_blocks_split_anywhere(self, rows):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_COMPOSITION_ROWS", rows)
+            for total, parts in [(0, 3), (5, 6), (9, 4), (30, 3)]:
+                np.testing.assert_array_equal(
+                    _composition_array(total, parts), _stars_and_bars(total, parts)
+                )
+
+    def test_composition_array_memory_is_bounded(self):
+        # the 736,281-row grid of step 0.04 is 4.4 MB of uint8; whole-grid
+        # temporaries (the narrower grid, intp repeat counts) took 1.7x
+        grid = _composition_array(25, 6)
+        assert grid.nbytes == 736_281 * 6
+        assert _traced_peak(lambda: _composition_array(25, 6)) < 1.5 * grid.nbytes
+
 
 def _stars_and_bars(total, parts):
     """Every composition by bar positions: the sorted positions of `parts`
@@ -148,7 +177,7 @@ class TestArgmaxSet:
         maximizers = argmax_set(w, space, tol=0.0)
         assert {tuple(r[0] for r in a.rows) for a in maximizers} == {(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)}
 
-    @pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan])
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan, math.inf])
     def test_negative_or_nan_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             argmax_set(lambda a: 0.0, small_space(), tol=tol)
@@ -254,10 +283,11 @@ class TestCheckNondegeneracy:
         with pytest.raises(ValueError, match="2 utilities for a grid of 3 persons"):
             check_nondegeneracy(functionals, small_space(step=0.5, n=3))
 
-    @pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan])
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan, math.inf])
     def test_negative_or_nan_tol_rejected(self, tol):
-        # such a tol keeps no candidate, so every argmax set would be
-        # empty and the report would read non-degenerate
+        # a negative or NaN tol keeps no candidate, so every argmax set
+        # would be empty and the report would read non-degenerate; an
+        # infinite one keeps every grid point and would read degenerate
         functionals = cake_functionals(CakeParams(), prior_weights=[1.0] * 6)
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             check_nondegeneracy(functionals, cake_space(0.2), tol=tol)
@@ -505,6 +535,48 @@ class TestArrayPassParity:
         matrix = np.array(rows)
         aggregate = UtilityAggregate(kind, (abs,) * matrix.shape[1])
         assert _values_bytes(aggregate, matrix) == _parent_values(aggregate, matrix)
+
+
+class TestColumnMajorBlocks:
+    """The grid pass gathers each block's utility matrix in column-major
+    order; the over_grid kernels and the argmax sets must not see it."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_over_grid_bytes_do_not_depend_on_order(self, kind):
+        rng = np.random.default_rng(26)
+        matrix = rng.uniform(-1.0, 2.0, size=(97, 6))
+        matrix[::7] = 0.0
+        matrix[3, :] = 0.4
+        matrix[[5, 11, 40], [0, 3, 5]] = math.nan
+        matrix[[8, 9], [2, 4]] = math.inf
+        aggregate = UtilityAggregate(kind, (abs,) * 6, (0.5, 1.0, 2.0, 0.0, 3.0, 1.5))
+        fortran = np.asfortranarray(matrix)
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        assert _values_bytes(aggregate, fortran) == _values_bytes(aggregate, matrix)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64, oracle._BLOCK_ROWS])
+    def test_matches_the_fancy_index_gather(self, rows):
+        # the 2-D fancy index the column-major gather replaced gives a
+        # C-order (rows, n) matrix
+        functionals = cake_functionals(CakeParams(), [3.0, 1.0, 2.0, 1.0, 5.0, 1.0])
+        space = cake_space(0.1)
+        grid = _composition_array(space.units, space.n)
+        persons = np.arange(space.n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_BLOCK_ROWS", rows)
+            columns = _grid_argmax_indices(functionals, space, grid, 1e-9)
+            patch.setattr(oracle, "_gather", lambda table, block: table[persons, block])
+            fancy = _grid_argmax_indices(functionals, space, grid, 1e-9)
+        assert columns.keys() == fancy.keys()
+        for kind in columns:
+            assert columns[kind].tobytes() == fancy[kind].tobytes()
+
+    def test_gather_reads_the_table(self):
+        table = np.arange(18.0).reshape(3, 6)
+        block = np.array([[0, 5, 2], [1, 1, 0], [5, 0, 0]], dtype=np.uint8)
+        matrix = oracle._gather(table, block)
+        assert matrix.flags.f_contiguous
+        np.testing.assert_array_equal(matrix, table[np.arange(3), block])
 
 
 @pytest.mark.parametrize("rows", [1, 7, 64])
