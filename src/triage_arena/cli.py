@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+import threading
 from pathlib import Path
 
 from . import agents as agents_mod
@@ -95,20 +96,15 @@ class UsageError(ValueError):
     pass
 
 
-def _read_input(path, kind: str, parse):
-    """parse(obj) of the JSON object in an input file. A file that does
+def _read_input(path, kind: str, parse, data: bytes | None = None):
+    """parse(obj) of the JSON object in an input file, decoded from data
+    when the caller has read the file's bytes already. A file that does
     not decode, or lacks what parse needs, is a UsageError naming it."""
     try:
-        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+        text = Path(path).read_text(encoding="utf-8") if data is None else data.decode("utf-8")
+        return parse(json.loads(text))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
         raise UsageError(f"invalid {kind} file {path}: {type(exc).__name__}: {exc}") from None
-
-
-def _load_cohorts(directory: Path) -> list[Cohort]:
-    files = sorted(directory.glob("cohort_*.json"))
-    if not files:
-        raise UsageError(f"no cohort_*.json files under {directory}")
-    return [_read_input(f, "cohort", Cohort.from_json) for f in files]
 
 
 def cmd_gen_cohorts(args) -> int:
@@ -126,12 +122,10 @@ def cmd_gen_cohorts(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     files = []
     for cohort in cohorts:
-        path = out / f"cohort_{cohort.cohort_id:04d}.json"
-        write_json(path, cohort.to_json())
-        files.append(path)
+        name = f"cohort_{cohort.cohort_id:04d}.json"
+        files.append((name, write_json(out / name, cohort.to_json())))
     manifest = build_manifest(
         run_id=f"gen_seed{args.seed}_batch{args.batch}",
-        base_dir=out,
         files=files,
         config={
             "command": "gen-cohorts",
@@ -239,7 +233,61 @@ def _transcript_name(framework: str, opponent: str, cohort_id: int) -> str:
     return f"transcript_{framework.lower()}_{opponent.lower()}_{cohort_id:04d}.json"
 
 
+JOURNAL = "journal.jsonl"
+
+
+def _read_bytes(path: Path) -> bytes | None:
+    try:
+        return path.read_bytes()
+    except OSError:
+        return None
+
+
+def _read_journal(path: Path, run_key: str) -> tuple[dict, bool]:
+    """What a run journal records as written under run_key, and whether
+    the file ends with a whole line.
+
+    The first maps (cohort file name, sha256 of its bytes) to (transcript
+    name, sha256 of its bytes), from the last line of each transcript; a
+    failed debate's line, a line that does not decode (one torn by an
+    interrupt) and a transcript name that is not a plain file name record
+    nothing.
+    """
+    data = _read_bytes(path)
+    if data is None:
+        return {}, True
+    last = {}
+    for line in data.splitlines():
+        try:
+            entry = json.loads(line)
+            last[entry["transcript"]] = entry
+        except (ValueError, TypeError, KeyError):
+            continue
+    written = {}
+    for name, entry in last.items():
+        try:
+            plain = isinstance(name, str) and Path(name).name == name
+            if plain and entry["run_key"] == run_key and entry["sha256"] is not None:
+                written[entry["cohort_file"], entry["cohort_sha256"]] = (name, entry["sha256"])
+        except (TypeError, KeyError):
+            continue
+    return written, data.endswith(b"\n") or not data
+
+
 def cmd_run(args) -> int:
+    """Run one debate per cohort file, or the replayed reference debate,
+    and write the transcripts and their manifest under --out.
+
+    A debate whose transcript is already there with this run's
+    config_hash is skipped. Each debate run appends a line to the journal
+    in --out, outside the hashed files. Where the journal's last line for
+    a debate records the bytes of its cohort file and of its transcript,
+    and the same run key (the hash of the config and backends that
+    config_hash covers), the debate is skipped without decoding either
+    file; otherwise the cohort is decoded and the transcript's
+    config_hash compared. Debates skipped by that comparison are added to
+    the journal.
+    """
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
     try:
@@ -252,79 +300,122 @@ def cmd_run(args) -> int:
     fixtures = None
     if args.backend == "replay":
         fixtures = load_reference_fixtures()
-        cohorts = [fixtures.cohort]
+        sources = [fixtures.cohort]
+    elif args.cohorts is None:
+        raise UsageError("--cohorts is required unless --backend replay")
     else:
-        cohorts = _load_cohorts(Path(args.cohorts))
+        directory = Path(args.cohorts)
+        sources = sorted(directory.glob("cohort_*.json"))
+        if not sources:
+            raise UsageError(f"no cohort_*.json files under {directory}")
 
     agent_a, agent_b = _build_agents(args, framework, fixtures)
+    try:
+        return _run_debates(args, framework, sources, agent_a, agent_b)
+    finally:
+        for agent in (agent_a, agent_b):
+            if hasattr(agent.backend, "close"):
+                agent.backend.close()
+
+
+def _run_debates(args, framework: Framework, sources: list, agent_a, agent_b) -> int:
+    """cmd_run's work once its backends are built; sources holds the
+    cohort files, or the replayed cohort itself."""
     opponent_kind = "Biased" if args.opponent == "biased" else "Baseline"
     config = DebateConfig(
         rounds=args.rounds,
         framework=framework.value,
         opponent_kind=opponent_kind,
     )
+    hashed = {
+        "config": config.to_json(),
+        "backends": {"A": agent_a.backend.name, agent_b.label: agent_b.backend.name},
+    }
+    run_key = sha256_bytes(canonical_json(hashed).encode("utf-8"))
+    out = Path(args.out)
+    journal_path = out / JOURNAL
+    journaled, whole_lines = _read_journal(journal_path, run_key)
+
+    done = []  # (transcript name, sha256) of the debates already written
+    lines = []  # journal lines of the debates found done by their config_hash
+    tasks = []
+    for path in sources:
+        if isinstance(path, Cohort):
+            cohort, cohort_file, cohort_sha = path, None, None
+        else:
+            data = path.read_bytes()
+            cohort_file, cohort_sha = path.name, sha256_bytes(data)
+            hit = journaled.get((cohort_file, cohort_sha))
+            if hit is not None:
+                existing = _read_bytes(out / hit[0])
+                if existing is not None and sha256_bytes(existing) == hit[1]:
+                    done.append(hit)
+                    continue
+            cohort = _read_input(path, "cohort", Cohort.from_json, data)
+        name = _transcript_name(framework.value, args.opponent, cohort.cohort_id)
+        config_hash = sha256_bytes(canonical_json({**hashed, "cohort": cohort.to_json()}).encode("utf-8"))
+        entry = {
+            "transcript": name,
+            "config_hash": config_hash,
+            "cohort_file": cohort_file,
+            "cohort_sha256": cohort_sha,
+            "run_key": run_key,
+        }
+        existing = _read_bytes(out / name)
+        if existing is not None:
+            # an undecodable or non-object transcript is not done
+            try:
+                obj = json.loads(existing.decode("utf-8"))
+            except ValueError:
+                obj = None
+            if isinstance(obj, dict) and obj.get("config_hash") == config_hash:
+                done.append((name, sha256_bytes(existing)))
+                lines.append({**entry, "sha256": done[-1][1], "failed": None})
+                continue
+        tasks.append((cohort, entry))
+
+    skipped = len(done)
     retriever = _make_retriever(args)
     # made only now, so a usage error above leaves no directory behind
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    lock = threading.Lock()
+    with open(journal_path, "ab") as journal:
+        if not whole_lines:
+            journal.write(b"\n")  # ends the line an interrupt tore
 
-    done_files = []
-    tasks = []
-    for cohort in cohorts:
-        name = _transcript_name(framework.value, args.opponent, cohort.cohort_id)
-        config_hash = sha256_bytes(
-            canonical_json(
-                {
-                    "config": config.to_json(),
-                    "cohort": cohort.to_json(),
-                    "backends": {
-                        "A": agent_a.backend.name,
-                        agent_b.label: agent_b.backend.name,
-                    },
-                }
-            ).encode("utf-8")
-        )
-        target = out / name
-        if target.exists():
-            # an unreadable, undecodable or non-object transcript is not done
+        def record(entry: dict) -> None:
+            line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
+            with lock:
+                journal.write(line)
+                journal.flush()
+
+        def execute(task):
+            """Run, write and journal one debate; (the failure line or
+            None, the transcript's sha256 or None)."""
+            cohort, entry = task
+            name = entry["transcript"]
             try:
-                existing = json.loads(target.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                existing = None
-            if isinstance(existing, dict) and existing.get("config_hash") == config_hash:
-                done_files.append(target)
-                continue
-        tasks.append((cohort, name, config_hash))
+                transcript = run_debate(cohort, agent_a, agent_b, config, retriever=retriever)
+                obj = transcript_to_json(transcript)
+                obj["config_hash"] = entry["config_hash"]
+                outcome = (None, write_json(out / name, obj))
+            except Exception as exc:
+                outcome = (f"{name}: {exc}", None)
+            record({**entry, "failed": outcome[0], "sha256": outcome[1]})
+            return outcome
 
-    skipped = len(done_files)
-
-    def execute(task):
-        """Run and write one debate; the failure line, or None on success."""
-        cohort, name, config_hash = task
-        try:
-            transcript = run_debate(cohort, agent_a, agent_b, config, retriever=retriever)
-            obj = transcript_to_json(transcript)
-            obj["config_hash"] = config_hash
-            write_json(out / name, obj)
-        except Exception as exc:
-            return f"{name}: {exc}"
-        return None
-
-    # Both mappers yield in task order, so failures are listed in cohort
-    # order; an interrupt cancels the debates still queued. One job runs on
-    # the calling thread, without a pool.
-    try:
+        for entry in lines:
+            record(entry)
+        # Both mappers yield in task order, so failures are listed in cohort
+        # order; an interrupt cancels the debates still queued. One job runs
+        # on the calling thread, without a pool.
         if args.jobs == 1:
             outcomes = [execute(task) for task in tasks]
         else:
             with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 outcomes = list(pool.map(execute, tasks))
-    finally:
-        for agent in (agent_a, agent_b):
-            if hasattr(agent.backend, "close"):
-                agent.backend.close()
-    failures = [failure for failure in outcomes if failure is not None]
-    done_files += [out / name for (_, name, _), failure in zip(tasks, outcomes) if failure is None]
+    failures = [failure for failure, _sha in outcomes if failure is not None]
+    done += [(entry["transcript"], sha) for (_, entry), (failure, sha) in zip(tasks, outcomes) if failure is None]
     executed = len(tasks) - len(failures)
 
     deterministic = deterministic_pair(agent_a, agent_b)
@@ -335,8 +426,7 @@ def cmd_run(args) -> int:
         timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     manifest = build_manifest(
         run_id=f"run_{framework.value.lower()}_{args.opponent}",
-        base_dir=out,
-        files=done_files,
+        files=done,
         config={
             "command": "run",
             "framework": framework.value,

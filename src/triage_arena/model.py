@@ -73,9 +73,12 @@ class Resource(enum.IntEnum):
     @classmethod
     def from_label(cls, label: str) -> "Resource":
         try:
-            return cls(RESOURCE_NAMES.index(label))
-        except ValueError:
+            return _RESOURCE_BY_LABEL[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise ValueError(f"unknown resource label: {label!r}") from None
+
+
+_RESOURCE_BY_LABEL = {resource.label: resource for resource in Resource}
 
 
 class Framework(enum.Enum):
@@ -204,7 +207,9 @@ class Patient:
     slot_id: str
 
     def __post_init__(self):
-        object.__setattr__(self, "needs", frozenset(Resource(r) for r in self.needs))
+        needs = self.needs
+        if type(needs) is not frozenset or any(type(r) is not Resource for r in needs):
+            object.__setattr__(self, "needs", frozenset(Resource(r) for r in needs))
         if not self.needs:
             raise ValueError(f"patient {self.id}: needs set must be nonempty")
         if not 0.0 <= self.survival_prob <= 1.0:
@@ -338,7 +343,7 @@ class Allocation:
 
     @classmethod
     def from_json(cls, rows: list[list[float]]) -> "Allocation":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)  # __post_init__ converts each row to floats
 
     @classmethod
     def zeros(cls, n: int, k: int = 6) -> "Allocation":

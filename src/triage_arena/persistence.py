@@ -52,10 +52,14 @@ _tmp_serial = itertools.count()
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory plus rename.
+    """Write text as UTF-8 via a temp file in the same directory plus rename.
 
     The file gets mode 0o666 less the umask, as open() would give it.
     """
+    _atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     while True:
@@ -66,8 +70,8 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         except FileExistsError:
             continue
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -75,8 +79,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def write_json(path: str | Path, obj) -> None:
-    atomic_write_text(path, canonical_json(obj))
+def write_json(path: str | Path, obj) -> str:
+    """Write obj's canonical JSON atomically; the sha256 of the bytes written."""
+    data = canonical_json(obj).encode("utf-8")
+    _atomic_write_bytes(path, data)
+    return sha256_bytes(data)
 
 
 @dataclass(frozen=True)
@@ -123,15 +130,13 @@ class RunManifest:
 
 def build_manifest(
     run_id: str,
-    base_dir: str | Path,
-    files: list[str | Path],
+    files,
     config: dict,
     timestamp: str | None = None,
 ) -> RunManifest:
-    base = Path(base_dir)
-    entries = []
-    for f in sorted(str(Path(f).relative_to(base)) for f in files):
-        entries.append((f, sha256_file(base / f)))
+    """The manifest of files given as (relative path, sha256) pairs, which
+    the callers know from the bytes they wrote or read."""
+    entries = sorted(files)
     combined = sha256_bytes("".join(h for _, h in entries).encode("ascii"))
     return RunManifest(
         run_id=run_id,

@@ -192,28 +192,44 @@ def cohens_d(a, b) -> float:
     return (mean_a - mean_b) / pooled
 
 
-def bootstrap_ci(sample, seed: int = DEFAULT_BOOTSTRAP_SEED) -> tuple[float, float]:
+def bootstrap_ci(sample, seed: int = DEFAULT_BOOTSTRAP_SEED):
     """Percentile interval at CI_LEVEL of DEFAULT_RESAMPLES resampled
     means, deterministic given seed.
 
+    `sample` is one sample, giving one (lo, hi), or a 2-D stack of
+    equal-length samples, giving a list of one (lo, hi) per row. The rows
+    of a stack are resampled with the same indices, as the two columns
+    of a paired sample are, and each row's interval is the one a call on
+    that row alone gives.
+
     The resample indices are drawn _BOOTSTRAP_ROWS rows at a time, as
-    int32, so working memory is a block's draws and gather, not a
+    int32, so working memory is a block's draws and gathers, not a
     DEFAULT_RESAMPLES x n matrix. Drawn that way, Philox gives the same
     indices as one int64 draw of the whole matrix, and each mean reduces
     only its own row, so the interval is the same to the bit.
     """
-    sample = np.asarray(list(sample), dtype=float)
-    if sample.size == 0:
+    values = np.asarray(list(sample), dtype=float)
+    if values.size == 0:
         raise ValueError("bootstrap_ci requires a nonempty sample")
+    if values.ndim > 2:
+        raise ValueError("bootstrap_ci takes one sample or a 2-D stack of samples")
+    rows = np.atleast_2d(values)
+    n = rows.shape[1]
     rng = np.random.Generator(np.random.Philox(seed))
-    means = np.empty(DEFAULT_RESAMPLES)
+    means = np.empty((len(rows), DEFAULT_RESAMPLES))
     for start in range(0, DEFAULT_RESAMPLES, _BOOTSTRAP_ROWS):
-        rows = min(_BOOTSTRAP_ROWS, DEFAULT_RESAMPLES - start)
-        draws = rng.integers(0, sample.size, size=(rows, sample.size), dtype=np.int32)
-        means[start : start + rows] = sample[draws].mean(axis=1)
-    lo = float(np.percentile(means, (1 - CI_LEVEL) / 2 * 100))
-    hi = float(np.percentile(means, (1 + CI_LEVEL) / 2 * 100))
-    return lo, hi
+        count = min(_BOOTSTRAP_ROWS, DEFAULT_RESAMPLES - start)
+        draws = rng.integers(0, n, size=(count, n), dtype=np.int32)
+        for row, row_means in zip(rows, means):
+            row_means[start : start + count] = row[draws].mean(axis=1)
+    intervals = [
+        (
+            float(np.percentile(row_means, (1 - CI_LEVEL) / 2 * 100)),
+            float(np.percentile(row_means, (1 + CI_LEVEL) / 2 * 100)),
+        )
+        for row_means in means
+    ]
+    return intervals[0] if values.ndim == 1 else intervals
 
 
 def assign_winner(
@@ -293,8 +309,7 @@ def compare_cell(
     wilcoxon = wilcoxon_signed_rank(sample.diffs)
     p = wilcoxon.p_value
     d = cohens_d(sample.a_values, sample.b_values) if sample.n >= 2 else float("nan")
-    ci_a = bootstrap_ci(sample.a_values, bootstrap_seed)
-    ci_b = bootstrap_ci(sample.b_values, bootstrap_seed)
+    ci_a, ci_b = bootstrap_ci((sample.a_values, sample.b_values), bootstrap_seed)
     winner = assign_winner(p, mean_a, mean_b, METRIC_DIRECTIONS[metric], alpha)
     return ComparisonReport(
         framework=framework, metric=metric, n=sample.n,

@@ -9,6 +9,7 @@ import json
 import logging
 import os
 import shutil
+import signal
 import socket
 import subprocess
 import sys
@@ -116,9 +117,11 @@ class TestGenCohorts:
         main(["gen-cohorts", "--seed", "1", "--batch", "2", "--out", str(tmp_path / "d")])
         manifest_same = json.loads((tmp_path / "d" / "manifest.json").read_text())
         assert manifest_same["combined_hash"] == manifest1["combined_hash"]
-        from triage_arena.persistence import build_manifest
+        from triage_arena.persistence import build_manifest, sha256_file
 
-        rebuilt = build_manifest("x", out, [target, out / "cohort_0001.json"], {})
+        rebuilt = build_manifest(
+            "x", [(f.name, sha256_file(f)) for f in (target, out / "cohort_0001.json")], {}
+        )
         assert rebuilt.combined_hash != manifest1["combined_hash"]
 
     def test_variant_choice_respected(self, tmp_path):
@@ -235,6 +238,12 @@ class TestRun:
         assert target.read_bytes() == good
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["combined_hash"] == SMALL_RUN_COMBINED_HASH
+
+    def test_run_without_cohorts_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert main(["run", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --cohorts is required unless --backend replay\n"
+        assert not out.exists()
 
     def test_manifest_is_deterministic_only_if_both_backends_are(self, small_run, tmp_path, monkeypatch):
         class Unrepeatable(ScriptedBackend):
@@ -401,6 +410,20 @@ class TestRun:
         assert manifest["files"] == []
         assert not list(out.glob("transcript_*.json"))
 
+    def test_failed_debate_is_journalled_and_run_again(self, tmp_path, dead_endpoint, capsys):
+        cohorts = tmp_path / "cohorts"
+        assert main(["gen-cohorts", "--seed", "3", "--batch", "1", "--out", str(cohorts)]) == 0
+        out = tmp_path / "run"
+        argv = ["run", "--cohorts", str(cohorts), "--backend", "chat", "--endpoint", dead_endpoint,
+                "--model", "m", "--out", str(out)]
+        for attempt in (1, 2):
+            assert main(argv) == 3
+            assert "executed 0 debates, skipped 0 existing, 1 failures" in capsys.readouterr().out
+            lines = journal_lines(out)
+            assert len(lines) == attempt
+            assert lines[-1]["sha256"] is None
+            assert lines[-1]["failed"].startswith("transcript_utilitarian_baseline_0000.json: ")
+
     def test_parallel_failures_listed_in_cohort_order(self, tmp_path, dead_endpoint, capsys):
         cohorts = tmp_path / "cohorts"
         assert main(["gen-cohorts", "--seed", "3", "--batch", "3", "--out", str(cohorts)]) == 0
@@ -422,6 +445,165 @@ class TestRun:
         for i, line in enumerate(failed):
             assert line.startswith(f"failed: transcript_utilitarian_baseline_{i:04d}.json: ")
         assert json.loads((out / "manifest.json").read_text())["files"] == []
+
+
+def journal_lines(run_dir: Path) -> list[dict]:
+    return [json.loads(line) for line in (run_dir / "journal.jsonl").read_bytes().splitlines()]
+
+
+SMALL_RUN_ARGS = ["--framework", "Rawlsian", "--opponent", "biased", "--backend", "scripted", "--allow-adversarial"]
+
+
+class TestJournal:
+    """`run` journals each debate and resumes from the journal without
+    decoding the files it records; anything it does not vouch for falls
+    back to decoding the cohort and comparing the transcript's
+    config_hash, with the same outputs."""
+
+    @pytest.fixture
+    def resumable(self, small_run, tmp_path):
+        """A copy of the small run's cohorts and run directory."""
+        shutil.copytree(small_run / "cohorts", tmp_path / "cohorts")
+        shutil.copytree(small_run / "transcripts", tmp_path / "t")
+        return tmp_path
+
+    @staticmethod
+    def resume(base: Path, capsys, monkeypatch, *extra) -> tuple[str, int]:
+        """Run again over base/cohorts into base/t; its summary line and
+        how many input files it decoded."""
+        decoded = []
+        read_input = cli._read_input
+
+        def counted(path, kind, parse, data=None):
+            decoded.append(Path(path).name)
+            return read_input(path, kind, parse, data)
+
+        monkeypatch.setattr(cli, "_read_input", counted)
+        code = main(["run", "--cohorts", str(base / "cohorts"), *SMALL_RUN_ARGS, *extra, "--out", str(base / "t")])
+        monkeypatch.setattr(cli, "_read_input", read_input)
+        assert code == 0
+        return capsys.readouterr().out.strip(), len(decoded)
+
+    def test_fresh_run_journals_every_debate(self, small_run):
+        run_dir = small_run / "transcripts"
+        lines = journal_lines(run_dir)
+        assert sorted(line["transcript"] for line in lines) == sorted(
+            f.name for f in run_dir.glob("transcript_*.json")
+        )
+        for line in lines:
+            assert line["failed"] is None
+            assert line["sha256"] == hashlib.sha256((run_dir / line["transcript"]).read_bytes()).hexdigest()
+            cohort_bytes = (small_run / "cohorts" / line["cohort_file"]).read_bytes()
+            assert line["cohort_sha256"] == hashlib.sha256(cohort_bytes).hexdigest()
+            assert line["config_hash"] == json.loads((run_dir / line["transcript"]).read_text())["config_hash"]
+        assert len({line["run_key"] for line in lines}) == 1
+
+    def test_resume_decodes_no_input(self, resumable, capsys, monkeypatch):
+        before = read_dir_bytes(resumable / "t")
+        journal = (resumable / "t" / "journal.jsonl").read_bytes()
+        summary, decoded = self.resume(resumable, capsys, monkeypatch)
+        assert summary == "executed 0 debates, skipped 6 existing, 0 failures"
+        assert decoded == 0
+        assert read_dir_bytes(resumable / "t") == before
+        assert (resumable / "t" / "journal.jsonl").read_bytes() == journal
+
+    @pytest.mark.parametrize("damage", ["deleted", "torn", "foreign-lines"])
+    def test_damaged_journal_gives_the_same_outputs(self, resumable, capsys, monkeypatch, damage):
+        path = resumable / "t" / "journal.jsonl"
+        before = read_dir_bytes(resumable / "t")
+        if damage == "deleted":
+            path.unlink()
+        elif damage == "torn":
+            data = path.read_bytes()
+            path.write_bytes(data[: data.rstrip(b"\n").rfind(b"\n") + 100])
+        else:
+            # lines a run never writes, and one naming a file outside --out
+            # with the hash of that file
+            outside = resumable / "outside.json"
+            shutil.copy(resumable / "t" / "transcript_rawlsian_biased_0000.json", outside)
+            first = json.loads(path.read_bytes().splitlines()[0])
+            foreign = json.dumps({**first, "transcript": "../outside.json"}).encode()
+            path.write_bytes(b'[1]\n{"transcript": []}\n{"transcript": "x"}\n"y"\n' + path.read_bytes() + foreign + b"\n")
+        summary, decoded = self.resume(resumable, capsys, monkeypatch)
+        assert summary == "executed 0 debates, skipped 6 existing, 0 failures"
+        assert decoded == {"deleted": 6, "torn": 1, "foreign-lines": 0}[damage]
+        assert read_dir_bytes(resumable / "t") == before
+        # the debates found done by their config_hash are journalled, so
+        # the next resume decodes nothing
+        assert self.resume(resumable, capsys, monkeypatch) == (summary, 0)
+
+    def test_edited_cohort_reruns_only_its_debate(self, resumable, capsys, monkeypatch, tmp_path):
+        cohort_file = resumable / "cohorts" / "cohort_0003.json"
+        obj = json.loads(cohort_file.read_text())
+        obj["seed"] += 1  # in the config_hash, but not read by a scripted debate
+        write_json(cohort_file, obj)
+        summary, decoded = self.resume(resumable, capsys, monkeypatch)
+        assert summary == "executed 1 debates, skipped 5 existing, 0 failures"
+        assert decoded == 1
+        fresh = tmp_path / "fresh"
+        assert main(["run", "--cohorts", str(resumable / "cohorts"), *SMALL_RUN_ARGS, "--out", str(fresh)]) == 0
+        assert read_dir_bytes(resumable / "t") == read_dir_bytes(fresh)
+
+    def test_reformatted_cohort_is_kept_by_its_config_hash(self, resumable, capsys, monkeypatch):
+        cohort_file = resumable / "cohorts" / "cohort_0002.json"
+        cohort_file.write_text(json.dumps(json.loads(cohort_file.read_text())))
+        before = read_dir_bytes(resumable / "t")
+        summary, decoded = self.resume(resumable, capsys, monkeypatch)
+        assert (summary, decoded) == ("executed 0 debates, skipped 6 existing, 0 failures", 1)
+        assert read_dir_bytes(resumable / "t") == before
+
+    def test_changed_rounds_rerun_every_debate(self, resumable, capsys, monkeypatch, tmp_path):
+        summary, decoded = self.resume(resumable, capsys, monkeypatch, "--rounds", "2")
+        assert (summary, decoded) == ("executed 6 debates, skipped 0 existing, 0 failures", 6)
+        fresh = tmp_path / "fresh"
+        assert main(["run", "--cohorts", str(resumable / "cohorts"), *SMALL_RUN_ARGS, "--rounds", "2",
+                     "--out", str(fresh)]) == 0
+        assert read_dir_bytes(resumable / "t") == read_dir_bytes(fresh)
+        assert len({line["run_key"] for line in journal_lines(resumable / "t")}) == 2
+
+    def test_jobs2_journals_one_whole_line_per_debate(self, small_run, tmp_path):
+        out = tmp_path / "t"
+        argv = ["run", "--cohorts", str(small_run / "cohorts"), *SMALL_RUN_ARGS, "--jobs", "2", "--out", str(out)]
+        assert main(argv) == 0
+        data = (out / "journal.jsonl").read_bytes()
+        assert data.endswith(b"\n")
+        lines = journal_lines(out)
+        assert sorted(lines, key=lambda line: line["transcript"]) == sorted(
+            journal_lines(small_run / "transcripts"), key=lambda line: line["transcript"]
+        )
+
+    def test_killed_run_resumes_with_the_missing_debates(self, small_run, tmp_path, capsys):
+        # each debate sleeps first, so the run is killed between debates
+        script = (
+            "import sys, time\n"
+            "from triage_arena import cli\n"
+            "debate = cli.run_debate\n"
+            "cli.run_debate = lambda *args, **kwargs: (time.sleep(0.25), debate(*args, **kwargs))[1]\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "t"
+        src = str(Path(triage_arena.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["run", "--cohorts", str(small_run / "cohorts"), *SMALL_RUN_ARGS, "--out", str(out)]
+        proc = subprocess.Popen([sys.executable, "-c", script, *argv], env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(out.glob("transcript_*.json"))) < 3 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            proc.kill()
+        finally:
+            proc.wait(timeout=10)
+        assert proc.returncode == -signal.SIGKILL
+        kept = {f.name: f.stat().st_ino for f in out.glob("transcript_*.json")}
+        assert 3 <= len(kept) < 6
+        assert not (out / "manifest.json").exists()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            f"executed {6 - len(kept)} debates, skipped {len(kept)} existing, 0 failures\n"
+        )
+        assert {name: (out / name).stat().st_ino for name in kept} == kept
+        assert json.loads((out / "manifest.json").read_text())["combined_hash"] == SMALL_RUN_COMBINED_HASH
+        assert read_dir_bytes(out) == read_dir_bytes(small_run / "transcripts")
 
 
 class TestReplayAndEval:

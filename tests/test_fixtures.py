@@ -24,6 +24,7 @@ from triage_arena.persistence import (
     atomic_write_text,
     build_manifest,
     load_reference_fixtures,
+    sha256_file,
     validate_schemas,
     write_json,
 )
@@ -129,29 +130,29 @@ class TestReferenceFixtures:
 
 class TestManifest:
     def test_build_and_verify(self, tmp_path):
-        write_json(tmp_path / "a.json", {"kind": "manifest", "schema_version": 1})
-        write_json(tmp_path / "b.json", {"kind": "manifest", "schema_version": 1})
-        manifest = build_manifest(
-            "test", tmp_path, [tmp_path / "a.json", tmp_path / "b.json"], {"c": 1}
-        )
+        files = [
+            (name, write_json(tmp_path / name, {"kind": "manifest", "schema_version": 1}))
+            for name in ("a.json", "b.json")
+        ]
+        manifest = build_manifest("test", files, {"c": 1})
         assert manifest.verify(tmp_path) == []
         (tmp_path / "a.json").write_text("{}")
         assert any("mismatch" in p for p in manifest.verify(tmp_path))
 
     def test_combined_hash_changes_iff_any_file_changes(self, tmp_path):
         path = tmp_path / "cohort_0000.json"
-        write_json(path, {"kind": "cohort", "value": 1})
-        m1 = build_manifest("r", tmp_path, [path], {})
-        m2 = build_manifest("r", tmp_path, [path], {})
+        sha = write_json(path, {"kind": "cohort", "value": 1})
+        m1 = build_manifest("r", [(path.name, sha)], {})
+        m2 = build_manifest("r", [(path.name, sha256_file(path))], {})
         assert m1.combined_hash == m2.combined_hash
         original = path.read_text()
         path.write_text(original.replace("1", "2"))
-        m3 = build_manifest("r", tmp_path, [path], {})
+        m3 = build_manifest("r", [(path.name, sha256_file(path))], {})
         assert m3.combined_hash != m1.combined_hash
 
     def test_json_round_trip(self, tmp_path):
-        write_json(tmp_path / "x.json", {"kind": "cohort"})
-        manifest = build_manifest("rid", tmp_path, [tmp_path / "x.json"], {"k": "v"})
+        sha = write_json(tmp_path / "x.json", {"kind": "cohort"})
+        manifest = build_manifest("rid", [("x.json", sha)], {"k": "v"})
         restored = RunManifest.from_json(manifest.to_json())
         assert restored == manifest
 

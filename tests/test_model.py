@@ -40,6 +40,13 @@ class TestResource:
         with pytest.raises(ValueError):
             Resource.from_label("Beds")
 
+    @pytest.mark.parametrize("label", ["Beds", "icu", "", None, 0, Resource.ICU, ["ICU"], {"ICU": 1}])
+    def test_unknown_label_message(self, label):
+        # unhashable labels get the same error as any other value
+        with pytest.raises(ValueError) as info:
+            Resource.from_label(label)
+        assert str(info.value) == f"unknown resource label: {label!r}"
+
     def test_exactly_six_frameworks(self):
         assert len(Framework) == 6
         assert {f.value for f in Framework} == {
@@ -125,6 +132,21 @@ class TestPatientAndCohort:
         with pytest.raises(ValueError, match="duplicate demographic"):
             make_cohort(patients)
 
+    @pytest.mark.parametrize("needs", [[0, 4], {Resource.ICU, 4}, (True,), frozenset({0})])
+    def test_needs_become_a_frozenset_of_members(self, needs):
+        patient = make_patient(1, needs=needs)
+        assert type(patient.needs) is frozenset
+        assert all(type(r) is Resource for r in patient.needs)
+        assert patient.needs == frozenset(Resource(r) for r in needs)
+
+    def test_needs_of_members_are_kept(self):
+        needs = frozenset({Resource.VENT, Resource.SURGERY})
+        assert make_patient(1, needs=needs).needs is needs
+
+    def test_unknown_need_rejected(self):
+        with pytest.raises(ValueError, match="^6 is not a valid Resource$"):
+            make_patient(1, needs=[0, 6])
+
     def test_serialization_round_trip_is_bit_identical(self, cohort):
         encoded = canonical_json(cohort.to_json())
         decoded = Cohort.from_json(json.loads(encoded))
@@ -197,6 +219,15 @@ class TestAllocation:
         assert math.copysign(1.0, alloc.rows[0][1]) == -1.0
         with pytest.raises(ValueError, match=r"^allocation entry \[1\]\[2\] = -0.5 is negative$"):
             Allocation(((0.0, 0.0, 0.0), (-0.0, float("nan"), -0.5)))
+
+    def test_from_json_converts_rows_to_floats(self):
+        alloc = Allocation.from_json([[1, 2.5], [0, True]])
+        assert repr(alloc.rows) == "((1.0, 2.5), (0.0, 1.0))"
+
+    def test_from_json_names_the_first_negative_entry(self):
+        with pytest.raises(ValueError) as info:
+            Allocation.from_json([[0, 1], [2, -3], [-1, 0]])
+        assert str(info.value) == "allocation entry [1][1] = -3.0 is negative"
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):

@@ -233,6 +233,35 @@ class TestBootstrap:
                 want = np.array(one_shot_bootstrap_ci(sample, seed))
                 assert got.tobytes() == want.tobytes(), (n, seed)
 
+    def test_stack_gives_each_row_its_own_interval_bit_for_bit(self):
+        rng = np.random.Generator(np.random.Philox(11))
+        for n in (1, 2, 7, 500):
+            a, b = list(rng.normal(0, 1, size=n)), list(rng.uniform(0, 1, size=n))
+            for seed in (0, 42, 2**64 - 1):
+                got = bootstrap_ci((a, b), seed)
+                assert got == [bootstrap_ci(a, seed), bootstrap_ci(b, seed)], (n, seed)
+
+    @pytest.mark.parametrize("sample", [[[1.0, 2.0], [3.0]], [[[1.0]]], [[]]], ids=["ragged", "3-d", "empty-row"])
+    def test_stack_must_be_two_dimensional_and_nonempty(self, sample):
+        with pytest.raises(ValueError):
+            bootstrap_ci(sample)
+
+    def test_compare_cell_draws_the_indices_once(self, monkeypatch):
+        calls = []
+        real = stats.bootstrap_ci
+
+        def counted(sample, seed):
+            calls.append(seed)
+            return real(sample, seed)
+
+        monkeypatch.setattr(stats, "bootstrap_ci", counted)
+        sample = PairedSample((1, 2, 3), (0.1, 0.5, 0.9), (0.2, 0.2, 0.7))
+        report = compare_cell(sample, "Rawlsian", "esg", bootstrap_seed=9)
+        assert calls == [9]
+        assert (report.ci_a, report.ci_b) == (
+            real(sample.a_values, 9), real(sample.b_values, 9)
+        )
+
     def test_n500_peaks_below_4mb(self):
         # the one-shot int64 draw peaks at about 15 MB here
         sample = list(np.random.Generator(np.random.Philox(9)).normal(0, 1, size=500))
