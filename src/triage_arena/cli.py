@@ -693,23 +693,35 @@ def cmd_report(args) -> int:
     manifest_path = Path(args.run_manifest)
     base = manifest_path.parent
     manifest = _read_input(manifest_path, "manifest", RunManifest.from_json)
-    missing = manifest.verify(base)
-    # Each listed transcript is scored into its eval record, and only the
-    # values the report prints are kept: metric values in METRIC_NAMES
-    # order, appended in manifest order.
+    # Each listed file is read once, to check its hash and, for a
+    # transcript, to score it into its eval record. Only the values the
+    # report prints are kept: metric values in METRIC_NAMES order, appended
+    # in manifest order. The problems are listed as RunManifest.verify
+    # words them, before the unreadable transcripts.
+    missing: list[str] = []
+    unreadable: list[str] = []
     variants: dict[int, str] = {}  # cohort id -> capacity variant
     counts: dict[tuple[str, str, int], int] = {}
     finals: dict[tuple[str, str], list[list[float]]] = {}  # (framework, agent)
     joints: dict[str, list[tuple[list[float], bool]]] = {}  # deltas, feasible
-    for rel, _hash in manifest.files:
+    for rel, expected in manifest.files:
         path = base / rel
-        if not (path.exists() and rel.startswith("transcript_")):
+        try:
+            data = path.read_bytes()
+        except OSError:
+            if path.exists():
+                raise
+            missing.append(f"{rel}: missing")
+            continue
+        if sha256_bytes(data) != expected:
+            missing.append(f"{rel}: content hash mismatch")
+        if not rel.startswith("transcript_"):
             continue
         try:
-            transcript = transcript_from_json(json.loads(path.read_text(encoding="utf-8")))
+            transcript = transcript_from_json(json.loads(data.decode("utf-8")))
             record = _eval_record(transcript, rel)
         except Exception as exc:
-            missing.append(f"{rel}: unreadable ({exc})")
+            unreadable.append(f"{rel}: unreadable ({exc})")
             continue
         framework = record["framework"]
         variants[record["cohort_id"]] = transcript.cohort.capacity.variant
@@ -726,6 +738,7 @@ def cmd_report(args) -> int:
             joints.setdefault(framework, []).append(
                 ([joint["deltas"][m] for m in METRIC_NAMES], joint["metrics"]["feasible"])
             )
+    missing += unreadable
 
     lines = ["# Run report", ""]
     lines.append("## Configuration")

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import enum
 import json
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from itertools import chain
 from json.encoder import encode_basestring as _encode_str
@@ -188,9 +190,32 @@ def discretize_survival(p: float) -> str:
     return SURVIVAL_BINS[-1][2]  # p == 1.0
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=256)
+def _shared_needs(labels: tuple) -> frozenset[Resource]:
+    return frozenset(Resource.from_label(s) for s in labels)
+
+
+def _needs_from_labels(labels) -> frozenset[Resource]:
+    """The needs set of a JSON label list, one shared set per distinct
+    list. Labels that cannot key the cache are converted as they are."""
+    try:
+        return _shared_needs(tuple(labels))
+    except TypeError:  # not iterable, or an unhashable label
+        return frozenset(Resource.from_label(s) for s in labels)
+
+
+def _interned(value):
+    """The shared copy of a categorical string. Any other value is passed
+    on as it is, for the caller to judge."""
+    return sys.intern(value) if type(value) is str else value
+
+
+@dataclass(frozen=True, slots=True)
 class Patient:
-    """One patient: demographics, clinical condition, and resource needs."""
+    """One patient: demographics, clinical condition, and resource needs.
+
+    Slotted, with no `__dict__`: a run holds every cohort's patients.
+    """
 
     id: int
     age: int
@@ -245,20 +270,22 @@ class Patient:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Patient":
+        """Equal categorical strings and equal `needs` lists decode to
+        shared objects, since a batch repeats a few values many times."""
         return cls(
             id=obj["id"],
             age=obj["age"],
-            gender=obj["gender"],
-            race=obj["race"],
-            ses=obj["ses"],
-            citizenship=obj["citizenship"],
-            condition=obj["condition"],
-            needs=frozenset(Resource.from_label(s) for s in obj["needs"]),
+            gender=_interned(obj["gender"]),
+            race=_interned(obj["race"]),
+            ses=_interned(obj["ses"]),
+            citizenship=_interned(obj["citizenship"]),
+            condition=_interned(obj["condition"]),
+            needs=_needs_from_labels(obj["needs"]),
             survival_prob=obj["survival_prob"],
-            survival_label=obj["survival_label"],
-            occupation=obj["occupation"],
-            family_status=obj["family_status"],
-            slot_id=obj["slot_id"],
+            survival_label=_interned(obj["survival_label"]),
+            occupation=_interned(obj["occupation"]),
+            family_status=_interned(obj["family_status"]),
+            slot_id=_interned(obj["slot_id"]),
         )
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import math
@@ -13,6 +14,7 @@ from triage_arena.model import (
     AgentProfile,
     Cohort,
     Framework,
+    Patient,
     ProfileKind,
     RESOURCE_NAMES,
     Resource,
@@ -154,6 +156,61 @@ class TestPatientAndCohort:
         for original, restored in zip(cohort.patients, decoded.patients):
             assert original.survival_prob == restored.survival_prob
             assert original.needs == restored.needs
+
+    def test_decoded_patients_share_value_objects(self, cohort):
+        encoded = canonical_json(cohort.to_json())
+        first, second = (Cohort.from_json(json.loads(encoded)) for _ in range(2))
+        for a, b in zip(first.patients, second.patients):
+            for field in dataclasses.fields(Patient):
+                value = getattr(a, field.name)
+                if isinstance(value, (str, frozenset)):
+                    assert value is getattr(b, field.name), field.name
+        by_needs = {}
+        for patient in first.patients:
+            assert by_needs.setdefault(patient.needs, patient.needs) is patient.needs
+
+    def test_decoded_patients_behave_as_values(self, cohort):
+        decoded = Cohort.from_json(json.loads(canonical_json(cohort.to_json())))
+        for original, restored in zip(cohort.patients, decoded.patients):
+            assert restored == original
+            assert hash(restored) == hash(original)
+            assert repr(restored) == repr(original)
+            assert repr(restored).startswith(f"Patient(id={original.id}, age={original.age}, ")
+            assert dataclasses.replace(restored) == original
+            older = dataclasses.replace(restored, age=restored.age + 1)
+            assert older.age == original.age + 1 and older != original
+            assert dataclasses.replace(restored, needs=[0]).needs == frozenset({Resource.ICU})
+            assert not hasattr(restored, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                restored.age = 1
+        with pytest.raises(ValueError, match="inconsistent"):
+            dataclasses.replace(decoded.patients[0], survival_prob=0.0, survival_label="High")
+
+    @pytest.mark.parametrize(
+        "needs, error, message",
+        [
+            (["Beds"], ValueError, "unknown resource label: 'Beds'"),
+            (["ICU", ["ICU"]], ValueError, "unknown resource label: ['ICU']"),
+            (["ICU", {"a": 1}], ValueError, "unknown resource label: {'a': 1}"),
+            ("ICU", ValueError, "unknown resource label: 'I'"),
+            (5, TypeError, "'int' object is not iterable"),
+            ([], ValueError, "patient 1: needs set must be nonempty"),
+        ],
+    )
+    def test_decoded_needs_errors(self, needs, error, message):
+        obj = make_patient(1).to_json()
+        obj["needs"] = needs
+        with pytest.raises(error) as info:
+            Patient.from_json(obj)
+        assert str(info.value) == message
+
+    def test_decoded_needs_are_members_in_any_order(self):
+        obj = make_patient(1).to_json()
+        for labels in (["ICU", "Nursing"], ["Nursing", "ICU", "ICU"]):
+            obj["needs"] = labels
+            needs = Patient.from_json(obj).needs
+            assert needs == frozenset({Resource.ICU, Resource.NURSING})
+            assert all(type(r) is Resource for r in needs)
 
 
 class TestAgentProfile:

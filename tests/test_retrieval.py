@@ -73,6 +73,78 @@ class TestChunking:
         assert [c.page_hint for c in chunks] == [0, 0, 0, 1, 1, 2]
 
 
+def reference_chunk_document(text: str, doc_id: str = "doc") -> list[DocumentChunk]:
+    """chunk_document as it was when it built each record inside the
+    window loop, with the token list alive."""
+    chunk_size = retrieval.CHUNK_SIZE
+    tokens = text.split()
+    if not tokens:
+        return []
+    if "\f" in text:
+        page_of_token = []
+        for page, section in enumerate(text.split("\f")):
+            page_of_token.extend([page] * len(section.split()))
+    else:
+        page_of_token = [i // retrieval.PAGE_TOKEN_ESTIMATE for i in range(len(tokens))]
+    stride = chunk_size - retrieval.OVERLAP
+    chunks = []
+    start = 0
+    ordinal = 0
+    while start < len(tokens):
+        window = tokens[start : start + chunk_size]
+        chunks.append(
+            DocumentChunk(
+                doc_id=doc_id,
+                page_hint=page_of_token[start],
+                text=" ".join(window),
+                ordinal=ordinal,
+            )
+        )
+        if start + chunk_size >= len(tokens):
+            break
+        start += stride
+        ordinal += 1
+    return chunks
+
+
+# str.split() whitespace, form feed apart: it also breaks pages
+_SEPARATORS = [" ", "\n", "\r\n", "\t", "\x0b", "\x1c", "\x85", "\u3000"]
+# around the window edges: one window, two, three, and several
+_TOKEN_COUNTS = [0, 1, 447, 448, 449, 511, 512, 513, 959, 960, 961, 1999, 2000, 2001]
+
+
+@st.composite
+def _documents(draw):
+    """A document of a drawn token count whose gaps mix the separators,
+    singly and in runs, and break pages with form feeds when drawn."""
+    n_tokens = draw(st.sampled_from(_TOKEN_COUNTS))
+    form_feeds = draw(st.booleans())
+    runs = st.lists(st.sampled_from(_SEPARATORS + ["\f"] * form_feeds), min_size=1, max_size=3)
+    palette = draw(st.lists(runs.map("".join), min_size=1, max_size=6))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**16))))
+    gaps = [palette[int(i)] for i in rng.integers(0, len(palette), n_tokens + 1)]
+    if form_feeds:  # at least one page break, wherever the palette put them
+        gaps[int(rng.integers(0, n_tokens + 1))] += "\f"
+    words = [f"w{int(i)}" for i in rng.integers(0, 300, n_tokens)]
+    return gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:]))
+
+
+class TestChunkingMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(_documents())
+    def test_same_chunks_as_the_in_loop_build(self, text):
+        def rows(chunks):
+            return [(c.doc_id, c.ordinal, c.page_hint, c.text) for c in chunks]
+
+        assert rows(chunk_document(text, doc_id="d")) == rows(reference_chunk_document(text, doc_id="d"))
+
+    @pytest.mark.parametrize("n_tokens", _TOKEN_COUNTS)
+    @pytest.mark.parametrize("sep", ["\u3000\x85", " \f\r\n"])
+    def test_every_window_edge(self, n_tokens, sep):
+        text = sep.join(f"t{i}" for i in range(n_tokens))
+        assert chunk_document(text) == reference_chunk_document(text)
+
+
 def reference_embed(text: str, dim: int) -> np.ndarray:
     """The hashing embedder as a plain per-token loop over a list."""
 
