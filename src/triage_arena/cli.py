@@ -696,26 +696,18 @@ def cmd_report(args) -> int:
     # Each listed file is read once, to check its hash and, for a
     # transcript, to score it into its eval record. Only the values the
     # report prints are kept: metric values in METRIC_NAMES order, appended
-    # in manifest order. The problems are listed as RunManifest.verify
-    # words them, before the unreadable transcripts.
+    # in manifest order. The manifest's problems come before the
+    # unreadable transcripts.
     missing: list[str] = []
     unreadable: list[str] = []
     variants: dict[int, str] = {}  # cohort id -> capacity variant
     counts: dict[tuple[str, str, int], int] = {}
     finals: dict[tuple[str, str], list[list[float]]] = {}  # (framework, agent)
     joints: dict[str, list[tuple[list[float], bool]]] = {}  # deltas, feasible
-    for rel, expected in manifest.files:
-        path = base / rel
-        try:
-            data = path.read_bytes()
-        except OSError:
-            if path.exists():
-                raise
-            missing.append(f"{rel}: missing")
-            continue
-        if sha256_bytes(data) != expected:
-            missing.append(f"{rel}: content hash mismatch")
-        if not rel.startswith("transcript_"):
+    for rel, data, problem in manifest.check(base):
+        if problem is not None:
+            missing.append(problem)
+        if data is None or not rel.startswith("transcript_"):
             continue
         try:
             transcript = transcript_from_json(json.loads(data.decode("utf-8")))

@@ -12,7 +12,6 @@ import enum
 import json
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from itertools import chain
 from json.encoder import encode_basestring as _encode_str
@@ -190,18 +189,8 @@ def discretize_survival(p: float) -> str:
     return SURVIVAL_BINS[-1][2]  # p == 1.0
 
 
-@lru_cache(maxsize=256)
-def _shared_needs(labels: tuple) -> frozenset[Resource]:
-    return frozenset(Resource.from_label(s) for s in labels)
-
-
-def _needs_from_labels(labels) -> frozenset[Resource]:
-    """The needs set of a JSON label list, one shared set per distinct
-    list. Labels that cannot key the cache are converted as they are."""
-    try:
-        return _shared_needs(tuple(labels))
-    except TypeError:  # not iterable, or an unhashable label
-        return frozenset(Resource.from_label(s) for s in labels)
+# One shared needs set per distinct set of resources: at most 64 entries.
+_NEEDS: dict[frozenset[Resource], frozenset[Resource]] = {}
 
 
 def _interned(value):
@@ -270,8 +259,10 @@ class Patient:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Patient":
-        """Equal categorical strings and equal `needs` lists decode to
+        """Equal categorical strings and equal `needs` sets decode to
         shared objects, since a batch repeats a few values many times."""
+        needs = frozenset(Resource.from_label(s) for s in obj["needs"])
+        needs = _NEEDS.setdefault(needs, needs)
         return cls(
             id=obj["id"],
             age=obj["age"],
@@ -280,7 +271,7 @@ class Patient:
             ses=_interned(obj["ses"]),
             citizenship=_interned(obj["citizenship"]),
             condition=_interned(obj["condition"]),
-            needs=_needs_from_labels(obj["needs"]),
+            needs=needs,
             survival_prob=obj["survival_prob"],
             survival_label=_interned(obj["survival_label"]),
             occupation=_interned(obj["occupation"]),

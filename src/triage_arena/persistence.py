@@ -115,17 +115,30 @@ class RunManifest:
             timestamp=obj.get("timestamp"),
         )
 
-    def verify(self, base_dir: str | Path) -> list[str]:
-        """Return a list of problems; empty when every file matches."""
-        problems = []
+    def check(self, base_dir: str | Path):
+        """Read each listed file once, in manifest order, and yield
+        (relative path, its bytes or None when missing, the problem or None).
+
+        An IO error other than a missing file is raised.
+        """
         base = Path(base_dir)
         for rel, expected in self.files:
             target = base / rel
-            if not target.exists():
-                problems.append(f"{rel}: missing")
-            elif sha256_file(target) != expected:
-                problems.append(f"{rel}: content hash mismatch")
-        return problems
+            try:
+                data = target.read_bytes()
+            except OSError:
+                if target.exists():
+                    raise
+                yield rel, None, f"{rel}: missing"
+                continue
+            if sha256_bytes(data) != expected:
+                yield rel, data, f"{rel}: content hash mismatch"
+            else:
+                yield rel, data, None
+
+    def verify(self, base_dir: str | Path) -> list[str]:
+        """Return a list of problems; empty when every file matches."""
+        return [problem for _rel, _data, problem in self.check(base_dir) if problem]
 
 
 def build_manifest(

@@ -1285,99 +1285,28 @@ class TestCheckNondegeneracy:
         assert not out.exists()
 
 
-def reference_report(manifest_path: Path) -> tuple[str, int]:
-    """cmd_report as it was when RunManifest.verify hashed every listed
-    file and the loop read each transcript again: the report text and
-    the exit code."""
+def reference_problems(manifest_path: Path) -> list[str]:
+    """The "Missing or invalid inputs" lines as report wrote them when it
+    hashed every listed file in one pass and read each transcript again in
+    a second: the missing and mismatched files, then the unreadable ones."""
     base = manifest_path.parent
-    manifest = cli._read_input(manifest_path, "manifest", RunManifest.from_json)
-    missing = manifest.verify(base)
-    # Each listed transcript is scored into its eval record, and only the
-    # values the report prints are kept: metric values in METRIC_NAMES
-    # order, appended in manifest order.
-    variants: dict[int, str] = {}  # cohort id -> capacity variant
-    counts: dict[tuple[str, str, int], int] = {}
-    finals: dict[tuple[str, str], list[list[float]]] = {}  # (framework, agent)
-    joints: dict[str, list[tuple[list[float], bool]]] = {}  # deltas, feasible
+    manifest = RunManifest.from_json(json.loads(manifest_path.read_text(encoding="utf-8")))
+    problems = []
+    for rel, expected in manifest.files:
+        path = base / rel
+        if not path.exists():
+            problems.append(f"{rel}: missing")
+        elif hashlib.sha256(path.read_bytes()).hexdigest() != expected:
+            problems.append(f"{rel}: content hash mismatch")
     for rel, _hash in manifest.files:
         path = base / rel
         if not (path.exists() and rel.startswith("transcript_")):
             continue
         try:
-            transcript = transcript_from_json(json.loads(path.read_text(encoding="utf-8")))
-            record = cli._eval_record(transcript, rel)
+            cli._eval_record(transcript_from_json(json.loads(path.read_text(encoding="utf-8"))), rel)
         except Exception as exc:
-            missing.append(f"{rel}: unreadable ({exc})")
-            continue
-        framework = record["framework"]
-        variants[record["cohort_id"]] = transcript.cohort.capacity.variant
-        for row in record["rounds"]:
-            if not row["feasible"]:
-                key = (framework, row["agent"], row["round"])
-                counts[key] = counts.get(key, 0) + 1
-        if not record["completed"]:
-            continue
-        for label, report in record["finals"].items():
-            finals.setdefault((framework, label), []).append([report[m] for m in METRIC_NAMES])
-        joint = record["joint"]
-        if joint is not None:
-            joints.setdefault(framework, []).append(
-                ([joint["deltas"][m] for m in METRIC_NAMES], joint["metrics"]["feasible"])
-            )
-
-    lines = ["# Run report", ""]
-    lines.append("## Configuration")
-    lines.append("```json")
-    lines.append(canonical_json(manifest.config).rstrip())
-    lines.append("```")
-    lines.append("")
-    if missing:
-        lines.append("## Missing or invalid inputs")
-        lines.extend(f"- {item}" for item in missing)
-        lines.append("")
-    if variants:
-        lines.append("## Cohorts")
-        lines.append(
-            f"- {len(variants)} cohorts, capacity variant(s): "
-            f"{', '.join(sorted(set(variants.values())))}"
-        )
-        lines.append("")
-        lines.append("## Infeasibility counts per (framework, agent, round)")
-        lines.append("| framework | agent | round | infeasible proposals |")
-        lines.append("| --- | --- | --- | --- |")
-        for (framework, agent, round_t), count in sorted(counts.items()):
-            lines.append(f"| {framework} | {agent} | {round_t} | {count} |")
-        if not counts:
-            lines.append("| (none) | - | - | 0 |")
-        lines.append("")
-        lines.append("## Final metric summary")
-        lines.append("| framework | agent | metric | mean over cohorts |")
-        lines.append("| --- | --- | --- | --- |")
-        for (framework, label), rows in sorted(finals.items()):
-            for metric, vals in zip(METRIC_NAMES, zip(*rows)):
-                lines.append(
-                    f"| {framework} | {label} | {metric} | {sum(vals) / len(vals):.4f} |"
-                )
-        lines.append("")
-        lines.append("## Emergence deltas (joint vs mean of finals)")
-        lines.append(
-            "Joint allocations follow the harness rule: the shared final when "
-            "the agents converged, otherwise the elementwise mean rescaled to "
-            "capacity. Positive deltas mean the joint improves on the average "
-            "final under the metric's direction."
-        )
-        lines.append("")
-        lines.append("| framework | metric | mean delta | joints infeasible |")
-        lines.append("| --- | --- | --- | --- |")
-        for framework, members in sorted(joints.items()):
-            infeasible = sum(not feasible for _deltas, feasible in members)
-            for metric, vals in zip(METRIC_NAMES, zip(*(d for d, _feasible in members))):
-                lines.append(
-                    f"| {framework} | {metric} | {sum(vals) / len(vals):+.4f} | {infeasible} |"
-                )
-        lines.append("")
-    return "\n".join(lines) + "\n", 1 if missing else 0
-
+            problems.append(f"{rel}: unreadable ({exc})")
+    return problems
 
 
 class TestReportAndValidate:
@@ -1448,17 +1377,24 @@ class TestReportAndValidate:
         rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("| ")]
         return [[cell.strip() for cell in row] for row in rows[2:]]  # below header and rule
 
-    def test_damaged_run_report_matches_the_two_read_loop(self, small_run, tmp_path, monkeypatch):
+    @staticmethod
+    def split_problems(text: str) -> tuple[list[str], str]:
+        """The "Missing or invalid inputs" items, and the report without them."""
+        head, rest = text.split("## Missing or invalid inputs\n", 1)
+        section, tail = rest.split("\n\n", 1)
+        return [line.removeprefix("- ") for line in section.splitlines()], head + tail
+
+    def test_damaged_run_report_reads_each_file_once(self, small_run, tmp_path, monkeypatch):
         run = tmp_path / "run"
         shutil.copytree(small_run / "transcripts", run)
-        listed = [rel for rel, _ in RunManifest.from_json(json.loads((run / "manifest.json").read_text())).files]
+        manifest = RunManifest.from_json(json.loads((run / "manifest.json").read_text()))
+        listed = [rel for rel, _ in manifest.files]
         names = sorted(rel for rel in listed if rel.startswith("transcript_"))
         # the truncated file comes first, so its unreadable line must wait
         deleted, truncated, edited = run / names[1], run / names[2], run / names[4]
         deleted.unlink()
         edited.write_text(edited.read_text() + " ")
         truncated.write_bytes(truncated.read_bytes()[:-40])
-        expected_text, expected_code = reference_report(run / "manifest.json")
         opened = []
         real_open = io.open
 
@@ -1470,15 +1406,23 @@ class TestReportAndValidate:
         with monkeypatch.context() as patch:
             patch.setattr(io, "open", counting_open)
             code = main(["report", "--run-manifest", str(run / "manifest.json"), "--out", str(report_path)])
-        assert (code, report_path.read_text()) == (expected_code, expected_text) and code == 1
+        assert code == 1
         assert all(opened.count(rel) == 1 for rel in listed)
-        problems = expected_text.split("## Missing or invalid inputs\n", 1)[1].split("\n\n", 1)[0]
-        assert problems.splitlines()[:3] == [
-            f"- {deleted.name}: missing",
-            f"- {truncated.name}: content hash mismatch",
-            f"- {edited.name}: content hash mismatch",
+        problems, rest = self.split_problems(report_path.read_text())
+        assert problems == reference_problems(run / "manifest.json")
+        assert problems[:3] == [
+            f"{deleted.name}: missing",
+            f"{truncated.name}: content hash mismatch",
+            f"{edited.name}: content hash mismatch",
         ]
-        assert problems.splitlines()[3].startswith(f"- {truncated.name}: unreadable (")
+        assert problems[3].startswith(f"{truncated.name}: unreadable (") and len(problems) == 4
+        # the rest of the report is that of the same run with the deleted
+        # and truncated transcripts taken off its manifest
+        kept = [(rel, sha) for rel, sha in manifest.files if rel not in (deleted.name, truncated.name)]
+        write_json(run / "kept.json", dataclasses.replace(manifest, files=tuple(kept)).to_json())
+        kept_path = tmp_path / "kept.md"
+        assert main(["report", "--run-manifest", str(run / "kept.json"), "--out", str(kept_path)]) == 1
+        assert self.split_problems(kept_path.read_text()) == ([f"{edited.name}: content hash mismatch"], rest)
 
     def test_listed_file_that_cannot_be_read_is_io_error(self, small_run, tmp_path):
         run = tmp_path / "run"
