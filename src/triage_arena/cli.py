@@ -57,6 +57,7 @@ from .oracle import (
 )
 from .persistence import (
     RunManifest,
+    atomic_write_text,
     build_manifest,
     load_reference_fixtures,
     sha256_bytes,
@@ -243,35 +244,53 @@ def _read_bytes(path: Path) -> bytes | None:
         return None
 
 
-def _read_journal(path: Path, run_key: str) -> tuple[dict, bool]:
-    """What a run journal records as written under run_key, and whether
-    the file ends with a whole line.
-
-    The first maps (cohort file name, sha256 of its bytes) to (transcript
-    name, sha256 of its bytes), from the last line of each transcript; a
-    failed debate's line, a line that does not decode (one torn by an
-    interrupt) and a transcript name that is not a plain file name record
-    nothing.
-    """
-    data = _read_bytes(path)
-    if data is None:
-        return {}, True
+def _journal_current(data: bytes, run_key: str) -> dict:
+    """The last line of each transcript in journal bytes, where that line
+    is under run_key, by transcript name in the order of those lines. A
+    line that does not decode (one torn by an interrupt) and a transcript
+    name that is not a plain file name are left out."""
     last = {}
     for line in data.splitlines():
         try:
             entry = json.loads(line)
-            last[entry["transcript"]] = entry
+            name = entry["transcript"]
+            last.pop(name, None)
+            last[name] = entry
         except (ValueError, TypeError, KeyError):
             continue
+    return {
+        name: entry
+        for name, entry in last.items()
+        if isinstance(name, str) and Path(name).name == name and entry.get("run_key") == run_key
+    }
+
+
+def _read_journal(path: Path, run_key: str) -> tuple[dict, set, bool]:
+    """What a run journal records as written under run_key, the names of
+    the transcripts whose last line is under run_key, and whether the
+    journal is compact: it holds only those lines and ends with a whole
+    line.
+
+    The first maps (cohort file name, sha256 of its bytes) to (transcript
+    name, sha256 of its bytes); a failed debate's line records nothing.
+    """
+    data = _read_bytes(path)
+    if data is None:
+        return {}, set(), True
+    current = _journal_current(data, run_key)
     written = {}
-    for name, entry in last.items():
+    for name, entry in current.items():
         try:
-            plain = isinstance(name, str) and Path(name).name == name
-            if plain and entry["run_key"] == run_key and entry["sha256"] is not None:
+            if entry["sha256"] is not None:
                 written[entry["cohort_file"], entry["cohort_sha256"]] = (name, entry["sha256"])
         except (TypeError, KeyError):
             continue
-    return written, data.endswith(b"\n") or not data
+    compact = not data or (len(current) == len(data.splitlines()) and data.endswith(b"\n"))
+    return written, set(current), compact
+
+
+def _journal_line(entry: dict) -> str:
+    return json.dumps(entry, sort_keys=True) + "\n"
 
 
 def cmd_run(args) -> int:
@@ -286,7 +305,9 @@ def cmd_run(args) -> int:
     config_hash covers), the debate is skipped without decoding either
     file; otherwise the cohort is decoded and the transcript's
     config_hash compared. Debates skipped by that comparison are added to
-    the journal.
+    the journal. A journal left holding any line other than the last line
+    of each transcript under this run key is then rewritten with only
+    those lines.
     """
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
@@ -334,7 +355,7 @@ def _run_debates(args, framework: Framework, sources: list, agent_a, agent_b) ->
     run_key = sha256_bytes(canonical_json(hashed).encode("utf-8"))
     out = Path(args.out)
     journal_path = out / JOURNAL
-    journaled, whole_lines = _read_journal(journal_path, run_key)
+    journaled, current, compact = _read_journal(journal_path, run_key)
 
     done = []  # (transcript name, sha256) of the debates already written
     lines = []  # journal lines of the debates found done by their config_hash
@@ -380,11 +401,11 @@ def _run_debates(args, framework: Framework, sources: list, agent_a, agent_b) ->
     out.mkdir(parents=True, exist_ok=True)
     lock = threading.Lock()
     with open(journal_path, "ab") as journal:
-        if not whole_lines:
-            journal.write(b"\n")  # ends the line an interrupt tore
+        if not compact:
+            journal.write(b"\n")  # ends any line an interrupt tore
 
         def record(entry: dict) -> None:
-            line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
+            line = _journal_line(entry).encode("utf-8")
             with lock:
                 journal.write(line)
                 journal.flush()
@@ -414,6 +435,13 @@ def _run_debates(args, framework: Framework, sources: list, agent_a, agent_b) ->
         else:
             with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 outcomes = list(pool.map(execute, tasks))
+    # Each debate journalled now supersedes its earlier lines. A journal
+    # left with lines other than the last of each transcript under this
+    # run key is rewritten without them; a compact one is left as it is.
+    journalled = [entry["transcript"] for entry in lines] + [entry["transcript"] for _, entry in tasks]
+    if not compact or len(set(journalled)) < len(journalled) or not current.isdisjoint(journalled):
+        kept = _journal_current(journal_path.read_bytes(), run_key)
+        atomic_write_text(journal_path, "".join(_journal_line(entry) for entry in kept.values()))
     failures = [failure for failure, _sha in outcomes if failure is not None]
     done += [(entry["transcript"], sha) for (_, entry), (failure, sha) in zip(tasks, outcomes) if failure is None]
     executed = len(tasks) - len(failures)
@@ -447,11 +475,12 @@ def _run_debates(args, framework: Framework, sources: list, agent_a, agent_b) ->
     return EXIT_IO if failures else EXIT_OK
 
 
-def _eval_record(transcript: DebateTranscript, source: str) -> dict:
-    """The eval record of one transcript: the metric report of every
-    proposal, of each final and, for a debate that ended with two finals,
-    of their joint with its emergence deltas. The one place a transcript
-    is scored; eval writes the record and report aggregates it."""
+def _eval_record(transcript: DebateTranscript, source: str, source_sha256: str) -> dict:
+    """The eval record of one transcript, whose file source held bytes
+    with sha256 source_sha256: the metric report of every proposal, of
+    each final and, for a debate that ended with two finals, of their
+    joint with its emergence deltas. The one place a transcript is
+    scored; eval writes the record and report aggregates it."""
     cohort = transcript.cohort
     proposals = transcript.history.proposals
     finals = list(transcript.final_allocations.values())
@@ -470,10 +499,12 @@ def _eval_record(transcript: DebateTranscript, source: str) -> dict:
             "deltas": emergence_deltas(reports[-1], final_reports),
         }
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "kind": "eval",
         "source_transcript": source,
+        "source_sha256": source_sha256,
         "cohort_id": cohort.cohort_id,
+        "capacity_variant": cohort.capacity.variant,
         "framework": transcript.config.framework,
         "opponent_kind": transcript.config.opponent_kind,
         "completed": transcript.completed,
@@ -494,6 +525,11 @@ def _eval_record(transcript: DebateTranscript, source: str) -> dict:
     }
 
 
+def _eval_name(transcript_name: str) -> str:
+    """The name of the eval record of a transcript file."""
+    return transcript_name.replace("transcript_", "eval_")
+
+
 def cmd_eval(args) -> int:
     transcripts_dir = Path(args.transcripts)
     files = sorted(transcripts_dir.glob("transcript_*.json"))
@@ -504,10 +540,11 @@ def cmd_eval(args) -> int:
     corrupt = []
     written = []
     for file in files:
-        target = out / file.name.replace("transcript_", "eval_")
+        target = out / _eval_name(file.name)
         try:
-            obj = json.loads(file.read_text(encoding="utf-8"))
-            record = _eval_record(transcript_from_json(obj), file.name)
+            data = file.read_bytes()
+            obj = json.loads(data.decode("utf-8"))
+            record = _eval_record(transcript_from_json(obj), file.name, sha256_bytes(data))
         except Exception as exc:
             corrupt.append(f"{file.name}: {exc}")
             # an earlier eval of this transcript no longer describes it
@@ -634,16 +671,14 @@ def cmd_stats(args) -> int:
             "reports": [r.to_json() for r in reports],
         },
     )
-    (out / "results.csv").write_text(results_to_csv(reports), encoding="utf-8")
-    (out / "results.md").write_text(results_to_markdown(reports), encoding="utf-8")
+    atomic_write_text(out / "results.csv", results_to_csv(reports))
+    atomic_write_text(out / "results.md", results_to_markdown(reports))
     charts = out / "charts"
     charts.mkdir(exist_ok=True)
     for metric in METRIC_NAMES:
         rows = [r for r in reports if r.metric == metric and r.n > 0]
         if rows:
-            (charts / f"{metric}.svg").write_text(
-                _svg_bar_chart(metric, rows), encoding="utf-8"
-            )
+            atomic_write_text(charts / f"{metric}.svg", _svg_bar_chart(metric, rows))
     print(f"wrote {len(reports)} comparison cells under {out}")
     return EXIT_OK
 
@@ -690,39 +725,47 @@ def cmd_check_nondegeneracy(args) -> int:
 
 
 def cmd_report(args) -> int:
+    """Render the Markdown report of a run from the eval records of its
+    transcripts.
+
+    Each file the manifest lists is read once, to check its hash. A
+    transcript whose bytes match adds the numbers of the eval record in
+    --eval-dir (by default the eval directory beside the run directory)
+    of exactly those bytes, read once; no transcript is decoded. A
+    missing or mismatched file, or an intact transcript with no such
+    record, is listed as a problem, in manifest order, and gives exit 1.
+    """
     manifest_path = Path(args.run_manifest)
     base = manifest_path.parent
     manifest = _read_input(manifest_path, "manifest", RunManifest.from_json)
-    # Each listed file is read once, to check its hash and, for a
-    # transcript, to score it into its eval record. Only the values the
-    # report prints are kept: metric values in METRIC_NAMES order, appended
-    # in manifest order. The manifest's problems come before the
-    # unreadable transcripts.
-    missing: list[str] = []
-    unreadable: list[str] = []
+    if args.eval_dir is None:
+        eval_dir = Path(os.path.abspath(base)).parent / "eval"
+    else:
+        eval_dir = Path(args.eval_dir)
+    if not eval_dir.is_dir():
+        reason = "not a directory" if eval_dir.exists() else "no such directory"
+        raise UsageError(f"eval directory {eval_dir}: {reason}; run eval into it or pass --eval-dir")
+    # Only the values the report prints are kept: metric values in
+    # METRIC_NAMES order, appended in manifest order.
+    problems: list[str] = []
     variants: dict[int, str] = {}  # cohort id -> capacity variant
     counts: dict[tuple[str, str, int], int] = {}
     finals: dict[tuple[str, str], list[list[float]]] = {}  # (framework, agent)
     joints: dict[str, list[tuple[list[float], bool]]] = {}  # deltas, feasible
-    for rel, data, problem in manifest.check(base):
-        if problem is not None:
-            missing.append(problem)
-        if data is None or not rel.startswith("transcript_"):
-            continue
-        try:
-            transcript = transcript_from_json(json.loads(data.decode("utf-8")))
-            record = _eval_record(transcript, rel)
-        except Exception as exc:
-            unreadable.append(f"{rel}: unreadable ({exc})")
-            continue
+
+    def add(record: dict, sha: str) -> bool:
+        """Aggregate an eval record; False when it is not a record of the
+        transcript bytes with this sha256 in the current schema."""
+        if (record.get("kind"), record.get("schema_version"), record.get("source_sha256")) != ("eval", 3, sha):
+            return False
         framework = record["framework"]
-        variants[record["cohort_id"]] = transcript.cohort.capacity.variant
+        variants[record["cohort_id"]] = record["capacity_variant"]
         for row in record["rounds"]:
             if not row["feasible"]:
                 key = (framework, row["agent"], row["round"])
                 counts[key] = counts.get(key, 0) + 1
         if not record["completed"]:
-            continue
+            return True
         for label, report in record["finals"].items():
             finals.setdefault((framework, label), []).append([report[m] for m in METRIC_NAMES])
         joint = record["joint"]
@@ -730,7 +773,19 @@ def cmd_report(args) -> int:
             joints.setdefault(framework, []).append(
                 ([joint["deltas"][m] for m in METRIC_NAMES], joint["metrics"]["feasible"])
             )
-    missing += unreadable
+        return True
+
+    listed = dict(manifest.files)
+    for rel, problem in manifest.check(base):
+        if problem is not None:
+            problems.append(problem)
+            continue
+        if not rel.startswith("transcript_"):
+            continue
+        path = eval_dir / _eval_name(rel)
+        data = _read_bytes(path)
+        if data is None or not _read_input(path, "eval", functools.partial(add, sha=listed[rel]), data):
+            problems.append(f"{rel}: no eval record of these bytes in {eval_dir}")
 
     lines = ["# Run report", ""]
     lines.append("## Configuration")
@@ -738,9 +793,9 @@ def cmd_report(args) -> int:
     lines.append(canonical_json(manifest.config).rstrip())
     lines.append("```")
     lines.append("")
-    if missing:
+    if problems:
         lines.append("## Missing or invalid inputs")
-        lines.extend(f"- {item}" for item in missing)
+        lines.extend(f"- {item}" for item in problems)
         lines.append("")
     if variants:
         lines.append("## Cohorts")
@@ -784,10 +839,9 @@ def cmd_report(args) -> int:
                 )
         lines.append("")
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write_text(out, "\n".join(lines) + "\n")
     print(f"wrote report to {out}")
-    return EXIT_VERIFICATION if missing else EXIT_OK
+    return EXIT_VERIFICATION if problems else EXIT_OK
 
 
 def cmd_validate(args) -> int:
@@ -862,6 +916,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render a Markdown run report")
     p.add_argument("--run-manifest", required=True)
+    p.add_argument(
+        "--eval-dir", default=None,
+        help="eval records of the run's transcripts (default: eval beside the run directory)",
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
 

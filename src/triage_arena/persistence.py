@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 # The one schema_version validate accepts for each kind of file.
-SCHEMA_VERSIONS = {"cohort": 1, "transcript": 1, "eval": 2, "comparison": 1, "manifest": 1}
+SCHEMA_VERSIONS = {"cohort": 1, "transcript": 1, "eval": 3, "comparison": 1, "manifest": 1}
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -117,7 +117,7 @@ class RunManifest:
 
     def check(self, base_dir: str | Path):
         """Read each listed file once, in manifest order, and yield
-        (relative path, its bytes or None when missing, the problem or None).
+        (relative path, its problem or None when its bytes match).
 
         An IO error other than a missing file is raised.
         """
@@ -129,16 +129,13 @@ class RunManifest:
             except OSError:
                 if target.exists():
                     raise
-                yield rel, None, f"{rel}: missing"
+                yield rel, f"{rel}: missing"
                 continue
-            if sha256_bytes(data) != expected:
-                yield rel, data, f"{rel}: content hash mismatch"
-            else:
-                yield rel, data, None
+            yield rel, None if sha256_bytes(data) == expected else f"{rel}: content hash mismatch"
 
     def verify(self, base_dir: str | Path) -> list[str]:
         """Return a list of problems; empty when every file matches."""
-        return [problem for _rel, _data, problem in self.check(base_dir) if problem]
+        return [problem for _rel, problem in self.check(base_dir) if problem]
 
 
 def build_manifest(

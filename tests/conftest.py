@@ -1,10 +1,13 @@
 from __future__ import annotations
 
-from contextlib import closing
+import os
+from contextlib import closing, contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from triage_arena import persistence
 from triage_arena.agents import ChatBackend
 from triage_arena.cohortgen import SamplerConfig, generate_cohort
 from triage_arena.model import (
@@ -96,3 +99,30 @@ def chat_reply(config, prompt: str) -> str:
     """One reply from a chat backend closed after it."""
     with closing(ChatBackend(config)) as backend:
         return backend.generate(prompt, None)
+
+
+@contextmanager
+def failing_atomic_write(point: str):
+    """Make persistence's atomic write raise an OSError at one point:
+    "open" (creating the temp file), "write" (once half of the bytes are
+    in the temp file) or "replace" (renaming it over the target)."""
+    real_fdopen = os.fdopen
+
+    def fail(*args, **kwargs):
+        raise OSError(f"injected failure at {point}")
+
+    def torn_fdopen(fd, *args, **kwargs):
+        handle = real_fdopen(fd, *args, **kwargs)
+        write = handle.write
+
+        def half(data):
+            write(data[: len(data) // 2])
+            handle.flush()
+            fail()
+
+        handle.write = half
+        return handle
+
+    name, fake = {"open": ("open", fail), "write": ("fdopen", torn_fdopen), "replace": ("replace", fail)}[point]
+    with mock.patch.object(persistence.os, name, fake):
+        yield

@@ -29,20 +29,23 @@ from triage_arena.model import Framework, ProfileKind, canonical_json
 from triage_arena.persistence import RunManifest, validate_schemas, write_json
 from triage_arena.stats import cell_seed, compare_cell, pair_reports
 
+from conftest import failing_atomic_write
+
 # Outputs of the small_run pipeline (seed 7, batch 6, scripted Rawlsian vs
 # biased) and of `stats` and `report` over it with default options.
 SMALL_RUN_COMBINED_HASH = "aadf4237f788801aacb12762afef7e233585e8f526a1e5b1504b9082a57055a7"
 SMALL_RUN_COMPARISON_SHA256 = "d5540f7da98e5c7699fab6f8a47db95dd191392d40c89fd2e384ce37080562cb"
 SMALL_RUN_REPORT_SHA256 = "37af91ac28b7a4f2cf7ee0b844dda928349d420fc86b21f0318246be5a7c98f5"
-# Its eval records (schema_version 2): the per-round, final and joint metric
-# reports, one eval file per cohort.
+# Its eval records (schema_version 3): the per-round, final and joint metric
+# reports, the sha256 of the transcript scored and the capacity variant,
+# one eval file per cohort.
 SMALL_RUN_EVAL_SHA256 = {
-    "eval_rawlsian_biased_0000.json": "c23cf8f6b4e5bb304fb43e09410e3d4cd11c565ff66fa9148548df5734d5cc03",
-    "eval_rawlsian_biased_0001.json": "1896db7f73e86c9cd2e322fc0bdd0da629aaef45c3007c2cab148f8f7fddb130",
-    "eval_rawlsian_biased_0002.json": "c0d4e4ba40348ae5b049073c0beead67965cdeb87fac3e982365d4086678a5ec",
-    "eval_rawlsian_biased_0003.json": "cf8640cf4be16898e28939ad00cf975f5ce3b0cdb86ac8b5411e38704a640206",
-    "eval_rawlsian_biased_0004.json": "ce31819c8f366a2e617637f56598f6501f14b0800fb009d5a476acf5c5c2c970",
-    "eval_rawlsian_biased_0005.json": "65223fae59f2abb54d05b00d88bd8f1e31fba97f56e318944e4dde034cf1de4f",
+    "eval_rawlsian_biased_0000.json": "1c585b945852525acef9d4be4fcd32889616e6c4ed7cffbbf921dd10afffd431",
+    "eval_rawlsian_biased_0001.json": "566a89ef9ce0cc6b0d5688be8e34bc411dbccae4a82781054a3f0966a638de88",
+    "eval_rawlsian_biased_0002.json": "5a328b943f851d9184464c57b1d79855f2680920e437670723bb3e7e3d870eec",
+    "eval_rawlsian_biased_0003.json": "c7849b9ec87ebdfa8778b7bd0828752462faf5a53d421173ba8f845d04ae1405",
+    "eval_rawlsian_biased_0004.json": "c76061f241148d0fe486f3ae3fd95668d849a6c505e50777cf1310ec5c474dd8",
+    "eval_rawlsian_biased_0005.json": "60d0587bed01c945546a5faffcfbae5e2feec4bcb39576744dd2b92d0a0bcc33",
 }
 # Manifest of `run --backend replay --framework Utilitarian`: the reference
 # debate's stored rounds rendered as replies and replayed.
@@ -416,11 +419,12 @@ class TestRun:
         out = tmp_path / "run"
         argv = ["run", "--cohorts", str(cohorts), "--backend", "chat", "--endpoint", dead_endpoint,
                 "--model", "m", "--out", str(out)]
-        for attempt in (1, 2):
+        for _attempt in (1, 2):
             assert main(argv) == 3
             assert "executed 0 debates, skipped 0 existing, 1 failures" in capsys.readouterr().out
+            # the second failure replaces the line of the first
             lines = journal_lines(out)
-            assert len(lines) == attempt
+            assert len(lines) == 1
             assert lines[-1]["sha256"] is None
             assert lines[-1]["failed"].startswith("transcript_utilitarian_baseline_0000.json: ")
 
@@ -511,6 +515,7 @@ class TestJournal:
     def test_damaged_journal_gives_the_same_outputs(self, resumable, capsys, monkeypatch, damage):
         path = resumable / "t" / "journal.jsonl"
         before = read_dir_bytes(resumable / "t")
+        journal = path.read_bytes()
         if damage == "deleted":
             path.unlink()
         elif damage == "torn":
@@ -528,6 +533,8 @@ class TestJournal:
         assert summary == "executed 0 debates, skipped 6 existing, 0 failures"
         assert decoded == {"deleted": 6, "torn": 1, "foreign-lines": 0}[damage]
         assert read_dir_bytes(resumable / "t") == before
+        # the journal is rewritten with one line per debate
+        assert path.read_bytes() == journal
         # the debates found done by their config_hash are journalled, so
         # the next resume decodes nothing
         assert self.resume(resumable, capsys, monkeypatch) == (summary, 0)
@@ -559,7 +566,18 @@ class TestJournal:
         assert main(["run", "--cohorts", str(resumable / "cohorts"), *SMALL_RUN_ARGS, "--rounds", "2",
                      "--out", str(fresh)]) == 0
         assert read_dir_bytes(resumable / "t") == read_dir_bytes(fresh)
-        assert len({line["run_key"] for line in journal_lines(resumable / "t")}) == 2
+        # the lines of the earlier run key are compacted away
+        assert journal_lines(resumable / "t") == journal_lines(fresh)
+        assert len(journal_lines(fresh)) == 6
+
+    def test_compacted_journal_resumes_without_decoding(self, resumable, capsys, monkeypatch):
+        self.resume(resumable, capsys, monkeypatch, "--rounds", "2")
+        journal = (resumable / "t" / "journal.jsonl").read_bytes()
+        before = read_dir_bytes(resumable / "t")
+        summary, decoded = self.resume(resumable, capsys, monkeypatch, "--rounds", "2")
+        assert (summary, decoded) == ("executed 0 debates, skipped 6 existing, 0 failures", 0)
+        assert read_dir_bytes(resumable / "t") == before
+        assert (resumable / "t" / "journal.jsonl").read_bytes() == journal
 
     def test_jobs2_journals_one_whole_line_per_debate(self, small_run, tmp_path):
         out = tmp_path / "t"
@@ -718,8 +736,8 @@ class TestReplayAndEval:
         agent_b = AgentSpec("B", ReplayBackend([text]), profile_b)
         transcript = run_debate(cohort, agent_a, agent_b, DebateConfig(rounds=2))
         assert not transcript.completed
-        record = cli._eval_record(transcript, "transcript_failed_0000.json")
-        assert record["schema_version"] == 2
+        record = cli._eval_record(transcript, "transcript_failed_0000.json", "0" * 64)
+        assert record["schema_version"] == 3
         assert [(r["agent"], r["round"]) for r in record["rounds"]] == [("A", 1), ("B", 1)]
         assert record["finals"] == {} and record["joint"] is None
         write_json(tmp_path / "eval_failed_0000.json", record)
@@ -767,7 +785,7 @@ class TestStats:
         assert not (tmp_path / "s").exists()
 
     def test_v1_eval_files_are_unmigratable_but_still_read(self, small_run, tmp_path, capsys):
-        # a schema_version 1 eval record is a version 2 one without the joint block
+        # a schema_version 1 eval record had no joint block
         evals = tmp_path / "evals_v1"
         evals.mkdir()
         for f in (small_run / "evals").glob("eval_*.json"):
@@ -1285,52 +1303,131 @@ class TestCheckNondegeneracy:
         assert not out.exists()
 
 
-def reference_problems(manifest_path: Path) -> list[str]:
-    """The "Missing or invalid inputs" lines as report wrote them when it
-    hashed every listed file in one pass and read each transcript again in
-    a second: the missing and mismatched files, then the unreadable ones."""
+def transcript_scoring_report(manifest_path: Path) -> tuple[str, int]:
+    """The report text and exit code of `report` as it was when it decoded
+    and scored every listed transcript itself, in place of reading eval
+    records: an in-file copy of that command."""
     base = manifest_path.parent
     manifest = RunManifest.from_json(json.loads(manifest_path.read_text(encoding="utf-8")))
-    problems = []
-    for rel, expected in manifest.files:
-        path = base / rel
-        if not path.exists():
-            problems.append(f"{rel}: missing")
-        elif hashlib.sha256(path.read_bytes()).hexdigest() != expected:
-            problems.append(f"{rel}: content hash mismatch")
-    for rel, _hash in manifest.files:
-        path = base / rel
-        if not (path.exists() and rel.startswith("transcript_")):
+    missing: list[str] = []
+    unreadable: list[str] = []
+    variants: dict[int, str] = {}
+    counts: dict[tuple[str, str, int], int] = {}
+    finals: dict[tuple[str, str], list[list[float]]] = {}
+    joints: dict[str, list[tuple[list[float], bool]]] = {}
+    for rel, problem in manifest.check(base):
+        if problem is not None:
+            missing.append(problem)
+        if not (rel.startswith("transcript_") and (base / rel).exists()):
             continue
+        data = (base / rel).read_bytes()
         try:
-            cli._eval_record(transcript_from_json(json.loads(path.read_text(encoding="utf-8"))), rel)
+            transcript = transcript_from_json(json.loads(data.decode("utf-8")))
+            record = cli._eval_record(transcript, rel, hashlib.sha256(data).hexdigest())
         except Exception as exc:
-            problems.append(f"{rel}: unreadable ({exc})")
-    return problems
+            unreadable.append(f"{rel}: unreadable ({exc})")
+            continue
+        framework = record["framework"]
+        variants[record["cohort_id"]] = transcript.cohort.capacity.variant
+        for row in record["rounds"]:
+            if not row["feasible"]:
+                key = (framework, row["agent"], row["round"])
+                counts[key] = counts.get(key, 0) + 1
+        if not record["completed"]:
+            continue
+        for label, report in record["finals"].items():
+            finals.setdefault((framework, label), []).append([report[m] for m in METRIC_NAMES])
+        joint = record["joint"]
+        if joint is not None:
+            joints.setdefault(framework, []).append(
+                ([joint["deltas"][m] for m in METRIC_NAMES], joint["metrics"]["feasible"])
+            )
+    missing += unreadable
+
+    lines = ["# Run report", "", "## Configuration", "```json"]
+    lines.append(canonical_json(manifest.config).rstrip())
+    lines += ["```", ""]
+    if missing:
+        lines.append("## Missing or invalid inputs")
+        lines.extend(f"- {item}" for item in missing)
+        lines.append("")
+    if variants:
+        lines.append("## Cohorts")
+        lines.append(
+            f"- {len(variants)} cohorts, capacity variant(s): "
+            f"{', '.join(sorted(set(variants.values())))}"
+        )
+        lines.append("")
+        lines.append("## Infeasibility counts per (framework, agent, round)")
+        lines.append("| framework | agent | round | infeasible proposals |")
+        lines.append("| --- | --- | --- | --- |")
+        for (framework, agent, round_t), count in sorted(counts.items()):
+            lines.append(f"| {framework} | {agent} | {round_t} | {count} |")
+        if not counts:
+            lines.append("| (none) | - | - | 0 |")
+        lines.append("")
+        lines.append("## Final metric summary")
+        lines.append("| framework | agent | metric | mean over cohorts |")
+        lines.append("| --- | --- | --- | --- |")
+        for (framework, label), rows in sorted(finals.items()):
+            for metric, vals in zip(METRIC_NAMES, zip(*rows)):
+                lines.append(f"| {framework} | {label} | {metric} | {sum(vals) / len(vals):.4f} |")
+        lines.append("")
+        lines.append("## Emergence deltas (joint vs mean of finals)")
+        lines.append(
+            "Joint allocations follow the harness rule: the shared final when "
+            "the agents converged, otherwise the elementwise mean rescaled to "
+            "capacity. Positive deltas mean the joint improves on the average "
+            "final under the metric's direction."
+        )
+        lines.append("")
+        lines.append("| framework | metric | mean delta | joints infeasible |")
+        lines.append("| --- | --- | --- | --- |")
+        for framework, members in sorted(joints.items()):
+            infeasible = sum(not feasible for _deltas, feasible in members)
+            for metric, vals in zip(METRIC_NAMES, zip(*(d for d, _feasible in members))):
+                lines.append(f"| {framework} | {metric} | {sum(vals) / len(vals):+.4f} | {infeasible} |")
+        lines.append("")
+    return "\n".join(lines) + "\n", 1 if missing else 0
+
+
+def report(manifest: Path, out: Path, eval_dir: Path | None = None) -> int:
+    """Exit code of `report` over a run manifest, with --eval-dir when given."""
+    flags = [] if eval_dir is None else ["--eval-dir", str(eval_dir)]
+    return main(["report", "--run-manifest", str(manifest), *flags, "--out", str(out)])
 
 
 class TestReportAndValidate:
     def test_report_from_replay_shows_infeasible_rounds(self, tmp_path, capsys):
-        out = tmp_path / "replay"
+        # eval writes into the eval directory beside the run, where report
+        # looks by default
+        out = tmp_path / "run"
         main(["run", "--backend", "replay", "--framework", "Utilitarian", "--out", str(out)])
+        assert main(["eval", "--transcripts", str(out), "--out", str(tmp_path / "eval")]) == 0
         report_path = tmp_path / "report.md"
-        assert main(["report", "--run-manifest", str(out / "manifest.json"), "--out", str(report_path)]) == 0
+        assert report(out / "manifest.json", report_path) == 0
         text = report_path.read_text()
         assert "| Utilitarian | A | 2 | 1 |" in text
         assert "| Utilitarian | A | 3 | 1 |" in text
         assert "Emergence deltas" in text
+        assert (text, 0) == transcript_scoring_report(out / "manifest.json")
+
+    def test_report_equals_the_transcript_scoring_report(self, small_run, tmp_path):
+        manifest = small_run / "transcripts" / "manifest.json"
+        report_path = tmp_path / "report.md"
+        assert report(manifest, report_path, small_run / "evals") == 0
+        assert (report_path.read_text(), 0) == transcript_scoring_report(manifest)
 
     def test_report_regeneration_deterministic(self, small_run, tmp_path):
         r1, r2 = tmp_path / "r1.md", tmp_path / "r2.md"
         manifest = small_run / "transcripts" / "manifest.json"
-        assert main(["report", "--run-manifest", str(manifest), "--out", str(r1)]) == 0
-        assert main(["report", "--run-manifest", str(manifest), "--out", str(r2)]) == 0
+        assert report(manifest, r1, small_run / "evals") == 0
+        assert report(manifest, r2, small_run / "evals") == 0
         assert r1.read_bytes() == r2.read_bytes()
 
     def test_complete_run_has_no_missing_markers(self, small_run, tmp_path):
         report_path = tmp_path / "full.md"
-        manifest = small_run / "transcripts" / "manifest.json"
-        main(["report", "--run-manifest", str(manifest), "--out", str(report_path)])
+        report(small_run / "transcripts" / "manifest.json", report_path, small_run / "evals")
         assert "Missing or invalid" not in report_path.read_text()
 
     def test_tampered_transcript_is_reported_and_exits_one(self, small_run, tmp_path):
@@ -1341,7 +1438,7 @@ class TestReportAndValidate:
         victim = sorted(run.glob("transcript_*.json"))[2]
         victim.write_text(victim.read_text() + "\n")
         report_path = tmp_path / "tampered.md"
-        assert main(["report", "--run-manifest", str(run / "manifest.json"), "--out", str(report_path)]) == 1
+        assert report(run / "manifest.json", report_path, small_run / "evals") == 1
         text = report_path.read_text()
         assert "## Missing or invalid inputs" in text
         assert f"- {victim.name}: content hash mismatch" in text
@@ -1363,9 +1460,10 @@ class TestReportAndValidate:
         victim = sorted(run.glob("transcript_*.json"))[2]
         victim.write_bytes(damage(victim.read_bytes()))
         report_path = tmp_path / "cut.md"
-        assert main(["report", "--run-manifest", str(run / "manifest.json"), "--out", str(report_path)]) == 1
+        assert report(run / "manifest.json", report_path, small_run / "evals") == 1
+        problems, _rest = self.split_problems(report_path.read_text())
+        assert problems == [f"{victim.name}: content hash mismatch"]
         text = report_path.read_text()
-        assert f"- {victim.name}: unreadable (" in text
         assert "- 5 cohorts, capacity variant(s): standard" in text
         assert "## Final metric summary" in text and "| Rawlsian | C | gini |" in text
         assert "| Rawlsian | gini |" in text  # an emergence delta row
@@ -1384,13 +1482,21 @@ class TestReportAndValidate:
         section, tail = rest.split("\n\n", 1)
         return [line.removeprefix("- ") for line in section.splitlines()], head + tail
 
+    @staticmethod
+    def report_without(run: Path, names, out: Path, eval_dir: Path) -> str:
+        """The report over the run's manifest with the named files taken off it."""
+        manifest = RunManifest.from_json(json.loads((run / "manifest.json").read_text()))
+        kept = tuple((rel, sha) for rel, sha in manifest.files if rel not in names)
+        write_json(run / "kept.json", dataclasses.replace(manifest, files=kept).to_json())
+        assert report(run / "kept.json", out, eval_dir) == 0
+        return out.read_text()
+
     def test_damaged_run_report_reads_each_file_once(self, small_run, tmp_path, monkeypatch):
         run = tmp_path / "run"
         shutil.copytree(small_run / "transcripts", run)
         manifest = RunManifest.from_json(json.loads((run / "manifest.json").read_text()))
         listed = [rel for rel, _ in manifest.files]
         names = sorted(rel for rel in listed if rel.startswith("transcript_"))
-        # the truncated file comes first, so its unreadable line must wait
         deleted, truncated, edited = run / names[1], run / names[2], run / names[4]
         deleted.unlink()
         edited.write_text(edited.read_text() + " ")
@@ -1399,30 +1505,87 @@ class TestReportAndValidate:
         real_open = io.open
 
         def counting_open(file, *args, **kwargs):
-            opened.append(Path(file).name)
+            if not isinstance(file, int):  # the atomic write opens a descriptor
+                opened.append(Path(file).name)
             return real_open(file, *args, **kwargs)
 
         report_path = tmp_path / "report.md"
         with monkeypatch.context() as patch:
             patch.setattr(io, "open", counting_open)
-            code = main(["report", "--run-manifest", str(run / "manifest.json"), "--out", str(report_path)])
+            code = report(run / "manifest.json", report_path, small_run / "evals")
         assert code == 1
         assert all(opened.count(rel) == 1 for rel in listed)
+        # only the records of the intact transcripts are read, each once
+        damaged = (deleted.name, truncated.name, edited.name)
+        records = [f.name for f in (small_run / "evals").glob("eval_*.json")]
+        assert sorted(name for name in opened if name in records) == sorted(
+            cli._eval_name(rel) for rel in names if rel not in damaged
+        )
         problems, rest = self.split_problems(report_path.read_text())
-        assert problems == reference_problems(run / "manifest.json")
-        assert problems[:3] == [
+        assert problems == [
             f"{deleted.name}: missing",
             f"{truncated.name}: content hash mismatch",
             f"{edited.name}: content hash mismatch",
         ]
-        assert problems[3].startswith(f"{truncated.name}: unreadable (") and len(problems) == 4
-        # the rest of the report is that of the same run with the deleted
-        # and truncated transcripts taken off its manifest
-        kept = [(rel, sha) for rel, sha in manifest.files if rel not in (deleted.name, truncated.name)]
-        write_json(run / "kept.json", dataclasses.replace(manifest, files=tuple(kept)).to_json())
-        kept_path = tmp_path / "kept.md"
-        assert main(["report", "--run-manifest", str(run / "kept.json"), "--out", str(kept_path)]) == 1
-        assert self.split_problems(kept_path.read_text()) == ([f"{edited.name}: content hash mismatch"], rest)
+        # the rest of the report is that of the same run with the three
+        # damaged transcripts taken off its manifest
+        assert rest == self.report_without(run, damaged, tmp_path / "kept.md", small_run / "evals")
+
+    @pytest.mark.parametrize("damage", ["deleted", "stale", "v2"])
+    def test_intact_transcript_without_its_eval_record_is_listed(self, small_run, tmp_path, damage):
+        evals = tmp_path / "evals"
+        shutil.copytree(small_run / "evals", evals)
+        victim = sorted((small_run / "transcripts").glob("transcript_*.json"))[3].name
+        record = evals / cli._eval_name(victim)
+        obj = json.loads(record.read_text())
+        if damage == "deleted":
+            record.unlink()
+        elif damage == "stale":
+            write_json(record, {**obj, "source_sha256": hashlib.sha256(b"other bytes").hexdigest()})
+        else:
+            del obj["source_sha256"], obj["capacity_variant"]
+            write_json(record, {**obj, "schema_version": 2})
+        manifest = small_run / "transcripts" / "manifest.json"
+        report_path = tmp_path / "report.md"
+        assert report(manifest, report_path, evals) == 1
+        problems, rest = self.split_problems(report_path.read_text())
+        assert problems == [f"{victim}: no eval record of these bytes in {evals}"]
+        run = tmp_path / "run"
+        shutil.copytree(small_run / "transcripts", run)
+        assert rest == self.report_without(run, (victim,), tmp_path / "kept.md", evals)
+
+    def test_eval_record_that_is_not_json_is_usage_error(self, small_run, tmp_path, capsys):
+        evals = tmp_path / "evals"
+        shutil.copytree(small_run / "evals", evals)
+        victim = sorted(evals.glob("eval_*.json"))[3]
+        victim.write_text("{not json")
+        out = tmp_path / "r.md"
+        assert report(small_run / "transcripts" / "manifest.json", out, evals) == 2
+        assert f"invalid eval file {victim}: JSONDecodeError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_eval_dir_is_usage_error(self, small_run, tmp_path, capsys):
+        manifest = small_run / "transcripts" / "manifest.json"
+        out = tmp_path / "r.md"
+        # the default is the eval directory beside the run, which small_run lacks
+        assert report(manifest, out) == 2
+        assert f"eval directory {small_run / 'eval'}: no such directory" in capsys.readouterr().err
+        assert report(manifest, out, tmp_path / "nowhere") == 2
+        assert report(manifest, out, manifest) == 2
+        assert f"eval directory {manifest}: not a directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("point", ["open", "write", "replace"])
+    def test_failed_report_write_keeps_the_previous_report(self, small_run, tmp_path, point):
+        manifest = small_run / "transcripts" / "manifest.json"
+        report_path = tmp_path / "report.md"
+        assert report(manifest, report_path, small_run / "evals") == 0
+        previous = report_path.read_bytes()
+        with failing_atomic_write(point):
+            # with no records in tmp_path, the new report would differ
+            assert report(manifest, report_path, tmp_path) == 3
+        assert report_path.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["report.md"]
 
     def test_listed_file_that_cannot_be_read_is_io_error(self, small_run, tmp_path):
         run = tmp_path / "run"
@@ -1431,13 +1594,13 @@ class TestReportAndValidate:
         victim.unlink()
         victim.mkdir()
         out = tmp_path / "r.md"
-        assert main(["report", "--run-manifest", str(run / "manifest.json"), "--out", str(out)]) == 3
+        assert report(run / "manifest.json", out, small_run / "evals") == 3
         assert not out.exists()
 
     def test_report_numbers_are_the_eval_records_means(self, small_run, tmp_path):
         report_path = tmp_path / "report.md"
         manifest = small_run / "transcripts" / "manifest.json"
-        assert main(["report", "--run-manifest", str(manifest), "--out", str(report_path)]) == 0
+        assert report(manifest, report_path, small_run / "evals") == 0
         text = report_path.read_text()
         records = [json.loads(f.read_text()) for f in sorted((small_run / "evals").glob("eval_*.json"))]
         assert records and all(r["completed"] and r["joint"] is not None for r in records)
@@ -1507,9 +1670,9 @@ class TestPinnedOutputs:
         assert main(["stats", "--eval-dir", str(small_run / "evals"), "--out", str(stats)]) == 0
         comparison = (stats / "comparison.json").read_bytes()
         assert hashlib.sha256(comparison).hexdigest() == SMALL_RUN_COMPARISON_SHA256
-        report = tmp_path / "report.md"
-        assert main(["report", "--run-manifest", str(manifest), "--out", str(report)]) == 0
-        assert hashlib.sha256(report.read_bytes()).hexdigest() == SMALL_RUN_REPORT_SHA256
+        report_path = tmp_path / "report.md"
+        assert report(manifest, report_path, small_run / "evals") == 0
+        assert hashlib.sha256(report_path.read_bytes()).hexdigest() == SMALL_RUN_REPORT_SHA256
 
     def test_small_run_eval_files_are_pinned(self, small_run):
         written = {

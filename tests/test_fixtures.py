@@ -8,11 +8,13 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from conftest import failing_atomic_write
 from hypothesis import given, settings, strategies as st
 
 import triage_arena
@@ -21,6 +23,7 @@ from triage_arena.model import Allocation, column_totals, validate_allocation
 from triage_arena.persistence import (
     FixtureChecksumError,
     RunManifest,
+    _atomic_write_bytes,
     atomic_write_text,
     build_manifest,
     load_reference_fixtures,
@@ -176,6 +179,26 @@ class TestAtomicWrite:
         atomic_write_text(target, "second")
         assert target.read_text(encoding="utf-8") == "second"
         assert [p.name for p in target.parent.iterdir()] == ["x.json"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        old=st.none() | st.binary(max_size=64),
+        new=st.binary(max_size=4096),
+        fault=st.sampled_from([None, "open", "write", "replace"]),
+    )
+    def test_target_holds_old_or_new_bytes_and_no_temp_file(self, old, new, fault):
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp) / "x.json"
+            if old is not None:
+                target.write_bytes(old)
+            if fault is None:
+                _atomic_write_bytes(target, new)
+            else:
+                with failing_atomic_write(fault), pytest.raises(OSError, match="injected"):
+                    _atomic_write_bytes(target, new)
+            held = target.read_bytes() if target.exists() else None
+            assert held == (new if fault is None else old)
+            assert [p.name for p in Path(tmp).iterdir()] == ([] if held is None else ["x.json"])
 
 
 class TestValidateSchemas:
