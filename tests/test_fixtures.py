@@ -14,7 +14,6 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from conftest import failing_atomic_write
 from hypothesis import given, settings, strategies as st
 
 import triage_arena
@@ -32,6 +31,8 @@ from triage_arena.persistence import (
     write_json,
 )
 from triage_arena.schemacheck import compile_schema
+
+from conftest import failing_atomic_write
 
 
 def round_allocation(fixtures, agent: str, round_t: int) -> Allocation:
