@@ -158,7 +158,13 @@ def _make_retriever(args):
     """Build the per-round retrieval hook from a corpus directory."""
     if not args.corpus_dir:
         return None
-    chunks = load_corpus_dir(args.corpus_dir)
+    corpus = Path(args.corpus_dir)
+    if not corpus.is_dir():
+        reason = "is not a directory" if corpus.exists() else "does not exist"
+        raise UsageError(f"--corpus-dir {corpus} {reason}")
+    chunks = load_corpus_dir(corpus)
+    if not chunks:
+        raise UsageError(f"--corpus-dir {corpus} holds no .txt file with a word to retrieve")
     embed_endpoint = os.environ.get("TRIAGE_ARENA_EMBED_ENDPOINT")
     embed_model = os.environ.get("TRIAGE_ARENA_EMBED_MODEL")
     if embed_endpoint and embed_model:

@@ -14,8 +14,11 @@ settings, read when each function runs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -47,6 +50,9 @@ PAGE_TOKEN_ESTIMATE = 350  # used when a document has no form-feed page breaks
 # rows per block of VectorIndex's norms, 768 KB of temporary product at
 # DEFAULT_DIM; at 1,000 rows the blocks take about 0.2 ms more than one call
 _NORM_ROWS = 128
+# fewest chunks per process of the index build: with fewer, starting and
+# reaping a process takes a larger share of the work
+_MIN_CHUNKS_PER_WORKER = 64
 
 
 @dataclass(frozen=True)
@@ -157,16 +163,18 @@ class HashingEmbedder:
         for tok in set(tokens):
             if tok not in memo:
                 memo[tok] = _stable_bucket(tok, dim)
-        buckets = [memo[tok] for tok in tokens]
-        blake2b, from_bytes = hashlib.blake2b, int.from_bytes
-        buckets += [
-            from_bytes(blake2b(f"{a} {b}".encode("utf-8"), digest_size=8).digest(), "big") % dim
-            for a, b in zip(tokens, tokens[1:])
-        ]
+        unigrams = np.fromiter(map(memo.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+        # Each bigram is hashed by a chain of C callables, with no Python
+        # bytecode per bigram; the 8-byte digests, read big-endian, are
+        # the integers _stable_bucket reduces.
+        blake2b_8 = functools.partial(hashlib.blake2b, digest_size=8)
+        pairs = map(" ".join, zip(tokens, tokens[1:]))
+        digests = b"".join(map(hashlib.blake2b.digest, map(blake2b_8, map(str.encode, pairs))))
+        bigrams = (np.frombuffer(digests, dtype=">u8") % dim).astype(np.intp)
         # Integer counts: the sum of squares is exact in any order, and
         # sqrt and / round correctly, so the vector is the same however
         # it is summed.
-        vec = np.bincount(np.array(buckets, dtype=np.intp), minlength=dim).astype(float)
+        vec = np.bincount(np.concatenate((unigrams, bigrams)), minlength=dim).astype(float)
         norm = math.sqrt(vec @ vec)
         if norm > 0:
             vec /= norm
@@ -235,27 +243,105 @@ def index_corpus(chunks: list[DocumentChunk], embedder: Embedder) -> VectorIndex
     chunk's retries, not every chunk's. The first vector sets the
     index's dimension and must not be empty; every later vector of
     another length is reported, together, per chunk with its doc id.
+
+    The rows after the first are split into one contiguous share per
+    worker (see _workers). The caller embeds the first share, and each
+    other share is embedded by a forked child that writes its rows into
+    the shared matrix and reports only whether it succeeded. The caller
+    re-embeds the share of any child that failed, in row order, so the
+    index, and any error and its message, are the one-worker build's.
+    No child outlives this call.
     """
-    matrix = None
+    # loaded here, where an index is built, not by every command at start-up
+    import mmap
+    import signal
+
+    if not chunks:
+        return VectorIndex()
+    first = _embed(chunks[0], embedder)
+    if len(first) == 0:
+        raise TransportError(f"embedding {chunks[0].doc_id}#{chunks[0].ordinal} is empty")
+    n, dim = len(chunks), len(first)
+    # one row per chunk, as wide as the first vector, in memory that
+    # forked workers share
+    matrix = np.frombuffer(mmap.mmap(-1, n * dim * 8), dtype=float).reshape(n, dim)
+    matrix[0] = first
+    workers = _workers(embedder, n)
+    bounds = [1 + (n - 1) * w // workers for w in range(workers + 1)]
+    shares = [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
+    children: dict[int, range] = {}
+    done = []
+    try:
+        for rows in shares[1:]:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the caller embeds the share
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    if not _embed_rows(chunks, embedder, matrix, rows):
+                        status = 0
+                finally:
+                    os._exit(status)
+            children[pid] = rows
+        mismatches = _embed_rows(chunks, embedder, matrix, shares[0])
+        for pid in list(children):
+            _, status = os.waitpid(pid, 0)
+            rows = children.pop(pid)
+            if status == 0:
+                embedder.calls += len(rows)  # made in the child's copy
+                done.append(rows)
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for rows in shares[1:]:
+        if rows not in done:
+            mismatches += _embed_rows(chunks, embedder, matrix, rows)
+    if mismatches:
+        raise TransportError("embedding dimension mismatch: " + "; ".join(mismatches))
+    return VectorIndex(chunks, matrix)
+
+
+def _embed(chunk: DocumentChunk, embedder: Embedder) -> np.ndarray:
+    try:
+        return embedder.embed(chunk.text)
+    except Exception as exc:
+        raise TransportError(f"embedding {chunk.doc_id}#{chunk.ordinal} failed: {exc}") from exc
+
+
+def _embed_rows(
+    chunks: Sequence[DocumentChunk], embedder: Embedder, matrix: np.ndarray, rows: range
+) -> list[str]:
+    """Embed chunks[rows] into matrix[rows]; the lines naming each chunk
+    whose vector is not as wide as the matrix, whose row is left as is."""
+    dim = matrix.shape[1]
     mismatches = []
-    for i, chunk in enumerate(chunks):
-        try:
-            vec = embedder.embed(chunk.text)
-        except Exception as exc:
-            raise TransportError(f"embedding {chunk.doc_id}#{chunk.ordinal} failed: {exc}") from exc
-        if matrix is None:
-            if len(vec) == 0:
-                raise TransportError(f"embedding {chunk.doc_id}#{chunk.ordinal} is empty")
-            # allocated once: one row per chunk, as wide as the first vector
-            matrix = np.empty((len(chunks), len(vec)))
-        dim = matrix.shape[1]
+    for i in rows:
+        chunk = chunks[i]
+        vec = _embed(chunk, embedder)
         if len(vec) != dim:
             mismatches.append(f"{chunk.doc_id}#{chunk.ordinal}: dim {len(vec)} != {dim}")
             continue
         matrix[i] = vec
-    if mismatches:
-        raise TransportError("embedding dimension mismatch: " + "; ".join(mismatches))
-    return VectorIndex(chunks, matrix)
+    return mismatches
+
+
+def _workers(embedder: Embedder, n: int) -> int:
+    """How many processes embed n chunks: one per CPU this process may run
+    on, each with at least _MIN_CHUNKS_PER_WORKER chunks. Only a
+    HashingEmbedder is forked, as it only computes; another embedder may
+    hold connections that a child must not share. A fork copies no
+    thread but the caller's, so a process running other threads embeds
+    alone."""
+    if type(embedder) is not HashingEmbedder or threading.active_count() != 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return 1
+    return max(1, min(cpus, n // _MIN_CHUNKS_PER_WORKER))
 
 
 SCORE_DECIMALS = 12

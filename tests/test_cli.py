@@ -248,6 +248,35 @@ class TestRun:
         assert capsys.readouterr().err == "error: --cohorts is required unless --backend replay\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "make, reason",
+        [
+            (lambda corpus: None, "does not exist"),
+            (lambda corpus: corpus.write_text("a corpus file, not a directory\n"), "is not a directory"),
+            # an empty and a blank .txt file, and words only outside .txt
+            (
+                lambda corpus: (
+                    corpus.mkdir(),
+                    (corpus / "empty.txt").write_text(""),
+                    (corpus / "blank.txt").write_text(" \n\f\n"),
+                    (corpus / "notes.md").write_text("equal concern\n"),
+                ),
+                "holds no .txt file with a word to retrieve",
+            ),
+        ],
+        ids=["missing", "file", "no-chunk"],
+    )
+    def test_unusable_corpus_dir_is_usage_error(self, small_run, tmp_path, capsys, make, reason):
+        corpus, out = tmp_path / "corpus", tmp_path / "t"
+        make(corpus)
+        argv = ["run", "--cohorts", str(small_run / "cohorts"), "--framework", "Rawlsian",
+                "--corpus-dir", str(corpus), "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --corpus-dir {corpus} {reason}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_manifest_is_deterministic_only_if_both_backends_are(self, small_run, tmp_path, monkeypatch):
         class Unrepeatable(ScriptedBackend):
             deterministic = False

@@ -3,7 +3,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import threading
+import time
 import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from importlib import resources
@@ -274,6 +276,181 @@ class TestIndex:
         for i, text in enumerate(texts):
             result = retrieve(index, text, embedder)
             assert result.chunks[0][0].doc_id == f"doc{i}"
+
+
+class TestWorkers:
+    """index_corpus over forked workers gives the one-worker build's
+    bytes and errors, and leaves no child behind."""
+
+    N_CHUNKS = 41  # 40 rows after the width-setting first, in shares of 4+
+
+    @pytest.fixture
+    def chunks(self):
+        rng = np.random.Generator(np.random.Philox(8))
+        return [
+            DocumentChunk(doc_id=f"d{i // 7}", page_hint=i, text=words(30 + i, rng), ordinal=i % 7)
+            for i in range(self.N_CHUNKS)
+        ]
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the CPUs this process may run on to the first n, and lets
+        4 chunks fill a worker; records the pid of every fork."""
+        monkeypatch.setattr(retrieval, "_MIN_CHUNKS_PER_WORKER", 4)
+        forked = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+
+        def set_cpus(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+            return forked
+
+        return set_cpus
+
+    @staticmethod
+    def no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return True
+
+    @staticmethod
+    def serial(chunks):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retrieval, "_workers", lambda embedder, n: 1)
+            return index_corpus(chunks, HashingEmbedder())
+
+    @staticmethod
+    def error_of(chunks, embedder):
+        with pytest.raises(TransportError) as excinfo:
+            index_corpus(chunks, embedder)
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_same_bytes_as_the_serial_build(self, chunks, cpus, n_cpus):
+        want = self.serial(chunks)
+        forked = cpus(n_cpus)
+        embedder = HashingEmbedder()
+        index = index_corpus(chunks, embedder)
+        assert len(forked) == n_cpus - 1
+        assert index.matrix.tobytes() == want.matrix.tobytes()
+        assert index.norms.tobytes() == want.norms.tobytes()
+        assert index.chunks == tuple(chunks) == want.chunks
+        assert embedder.calls == len(chunks)
+        assert self.no_child_left()
+
+    def test_failed_children_are_redone_by_the_caller(self, chunks, cpus, monkeypatch):
+        want = self.serial(chunks)
+        forked = cpus(3)
+        me, embed = os.getpid(), HashingEmbedder.embed
+
+        def embed_in_caller_only(self, text):
+            if os.getpid() != me:
+                raise RuntimeError("child down")
+            return embed(self, text)
+
+        monkeypatch.setattr(HashingEmbedder, "embed", embed_in_caller_only)
+        embedder = HashingEmbedder()
+        index = index_corpus(chunks, embedder)
+        assert len(forked) == 2
+        assert index.matrix.tobytes() == want.matrix.tobytes()
+        assert index.norms.tobytes() == want.norms.tobytes()
+        assert embedder.calls == len(chunks)
+        assert self.no_child_left()
+
+    def test_failed_fork_is_embedded_by_the_caller(self, chunks, cpus, monkeypatch):
+        want = self.serial(chunks)
+        cpus(3)
+
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        index = index_corpus(chunks, HashingEmbedder())
+        assert index.matrix.tobytes() == want.matrix.tobytes()
+
+    @pytest.mark.parametrize("bad", [3, 17, 40])  # in the caller's share, a child's, the last
+    def test_an_error_is_the_serial_builds(self, chunks, cpus, monkeypatch, bad):
+        embed = HashingEmbedder.embed
+
+        def embed_failing_on_bad(self, text):
+            if text == chunks[bad].text:
+                raise RuntimeError("boom")
+            return embed(self, text)
+
+        monkeypatch.setattr(HashingEmbedder, "embed", embed_failing_on_bad)
+        cpus(1)
+        want = self.error_of(chunks, HashingEmbedder())
+        assert want == f"embedding {chunks[bad].doc_id}#{chunks[bad].ordinal} failed: boom"
+        forked = cpus(3)
+        assert self.error_of(chunks, HashingEmbedder()) == want
+        assert len(forked) == 2
+        assert self.no_child_left()
+
+    def test_interrupt_in_the_caller_kills_and_reaps_every_child(self, chunks, cpus, monkeypatch):
+        forked = cpus(3)
+        me, embed = os.getpid(), HashingEmbedder.embed
+
+        def embed_hanging_children(self, text):
+            if os.getpid() != me:
+                time.sleep(20)  # then the child fails
+                raise RuntimeError("child hung")
+            if text == chunks[5].text:
+                raise KeyboardInterrupt
+            return embed(self, text)
+
+        monkeypatch.setattr(HashingEmbedder, "embed", embed_hanging_children)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            index_corpus(chunks, HashingEmbedder())
+        assert time.monotonic() - start < 10  # the children were killed, not awaited
+        assert len(forked) == 2
+        assert self.no_child_left()
+
+    class Remote(RemoteEmbedder):
+        def embed(self, text):
+            return HashingEmbedder().embed(text)
+
+    class Hashing(HashingEmbedder):
+        pass
+
+    @pytest.mark.parametrize(
+        "n_cpus, n_chunks, make",
+        [
+            (1, N_CHUNKS, HashingEmbedder),
+            (3, 7, HashingEmbedder),  # under 2 workers x 4 chunks
+            (3, N_CHUNKS, lambda: TestWorkers.Remote(endpoint="http://127.0.0.1:9/embed", model="m")),
+            (3, N_CHUNKS, lambda: TestWorkers.Hashing()),
+        ],
+        ids=["one-cpu", "few-chunks", "remote-embedder", "hashing-subclass"],
+    )
+    def test_never_forks(self, chunks, cpus, monkeypatch, n_cpus, n_chunks, make):
+        want = self.serial(chunks[:n_chunks])
+        cpus(n_cpus)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        index = index_corpus(chunks[:n_chunks], make())
+        assert index.matrix.tobytes() == want.matrix.tobytes()
+
+    def test_never_forks_beside_another_thread(self, chunks, cpus, monkeypatch):
+        want = self.serial(chunks)
+        cpus(3)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            index = index_corpus(chunks, HashingEmbedder())
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert index.matrix.tobytes() == want.matrix.tobytes()
 
 
 class TestRetrieve:
