@@ -56,7 +56,9 @@ from .oracle import (
     verify_cake_claims,
 )
 from .persistence import (
+    SCHEMA_VERSIONS,
     RunManifest,
+    _atomic_write_bytes,
     atomic_write_text,
     build_manifest,
     load_reference_fixtures,
@@ -250,53 +252,27 @@ def _read_bytes(path: Path) -> bytes | None:
         return None
 
 
-def _journal_current(data: bytes, run_key: str) -> dict:
-    """The last line of each transcript in journal bytes, where that line
-    is under run_key, by transcript name in the order of those lines. A
-    line that does not decode (one torn by an interrupt) and a transcript
-    name that is not a plain file name are left out."""
-    last = {}
+def _journal_hits(data: bytes, run_key: str) -> dict:
+    """What journal bytes record as written under run_key: (cohort file
+    name, sha256 of its bytes) -> (transcript name, sha256 of its bytes,
+    the journal line as read, newline-ended), a later line superseding an
+    earlier one. A line that does not decode (one torn by an interrupt)
+    or lacks a field, a failed debate's line, a transcript name that is
+    not a plain file name and an unhashable cohort file record nothing."""
+    hits = {}
     for line in data.splitlines():
         try:
             entry = json.loads(line)
-            name = entry["transcript"]
-            last.pop(name, None)
-            last[name] = entry
+            name, sha = entry["transcript"], entry["sha256"]
+            if entry["run_key"] == run_key and sha is not None and Path(name).name == name:
+                hits[entry["cohort_file"], entry["cohort_sha256"]] = (name, sha, line + b"\n")
         except (ValueError, TypeError, KeyError):
             continue
-    return {
-        name: entry
-        for name, entry in last.items()
-        if isinstance(name, str) and Path(name).name == name and entry.get("run_key") == run_key
-    }
+    return hits
 
 
-def _read_journal(path: Path, run_key: str) -> tuple[dict, set, bool]:
-    """What a run journal records as written under run_key, the names of
-    the transcripts whose last line is under run_key, and whether the
-    journal is compact: it holds only those lines and ends with a whole
-    line.
-
-    The first maps (cohort file name, sha256 of its bytes) to (transcript
-    name, sha256 of its bytes); a failed debate's line records nothing.
-    """
-    data = _read_bytes(path)
-    if data is None:
-        return {}, set(), True
-    current = _journal_current(data, run_key)
-    written = {}
-    for name, entry in current.items():
-        try:
-            if entry["sha256"] is not None:
-                written[entry["cohort_file"], entry["cohort_sha256"]] = (name, entry["sha256"])
-        except (TypeError, KeyError):
-            continue
-    compact = not data or (len(current) == len(data.splitlines()) and data.endswith(b"\n"))
-    return written, set(current), compact
-
-
-def _journal_line(entry: dict) -> str:
-    return json.dumps(entry, sort_keys=True) + "\n"
+def _journal_line(entry: dict) -> bytes:
+    return (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
 
 
 def cmd_run(args) -> int:
@@ -305,15 +281,14 @@ def cmd_run(args) -> int:
 
     A debate whose transcript is already there with this run's
     config_hash is skipped. Each debate run appends a line to the journal
-    in --out, outside the hashed files. Where the journal's last line for
-    a debate records the bytes of its cohort file and of its transcript,
-    and the same run key (the hash of the config and backends that
+    in --out, outside the hashed files. Where the last journal line for
+    a cohort file's bytes records its transcript's bytes under the same
+    run key (the hash of the config and backends that
     config_hash covers), the debate is skipped without decoding either
     file; otherwise the cohort is decoded and the transcript's
     config_hash compared. Debates skipped by that comparison are added to
-    the journal. A journal left holding any line other than the last line
-    of each transcript under this run key is then rewritten with only
-    those lines.
+    the journal. At the end the journal holds one line per debate of this
+    run, in cohort order; it is rewritten only when it holds anything else.
     """
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
@@ -361,10 +336,13 @@ def _run_debates(args, framework: Framework, sources: list, agent_a, agent_b) ->
     run_key = sha256_bytes(canonical_json(hashed).encode("utf-8"))
     out = Path(args.out)
     journal_path = out / JOURNAL
-    journaled, current, compact = _read_journal(journal_path, run_key)
+    journal_data = _read_bytes(journal_path) or b""
+    hits = _journal_hits(journal_data, run_key)
 
-    done = []  # (transcript name, sha256) of the debates already written
-    lines = []  # journal lines of the debates found done by their config_hash
+    # transcript name -> (sha256 of its bytes, None for a failed debate, and
+    # its journal line), in cohort order; a debate to run holds None
+    record = {}
+    appended = []  # lines of the debates found done by their config_hash
     tasks = []
     for path in sources:
         if isinstance(path, Cohort):
@@ -372,11 +350,12 @@ def _run_debates(args, framework: Framework, sources: list, agent_a, agent_b) ->
         else:
             data = path.read_bytes()
             cohort_file, cohort_sha = path.name, sha256_bytes(data)
-            hit = journaled.get((cohort_file, cohort_sha))
+            hit = hits.get((cohort_file, cohort_sha))
             if hit is not None:
-                existing = _read_bytes(out / hit[0])
-                if existing is not None and sha256_bytes(existing) == hit[1]:
-                    done.append(hit)
+                name, sha, line = hit
+                existing = _read_bytes(out / name)
+                if existing is not None and sha256_bytes(existing) == sha:
+                    record[name] = (sha, line)
                     continue
             cohort = _read_input(path, "cohort", Cohort.from_json, data)
         name = _transcript_name(framework.value, args.opponent, cohort.cohort_id)
@@ -396,60 +375,54 @@ def _run_debates(args, framework: Framework, sources: list, agent_a, agent_b) ->
             except ValueError:
                 obj = None
             if isinstance(obj, dict) and obj.get("config_hash") == config_hash:
-                done.append((name, sha256_bytes(existing)))
-                lines.append({**entry, "sha256": done[-1][1], "failed": None})
+                sha = sha256_bytes(existing)
+                line = _journal_line({**entry, "sha256": sha, "failed": None})
+                record[name] = (sha, line)
+                appended.append(line)
                 continue
+        record[name] = None
         tasks.append((cohort, entry))
 
-    skipped = len(done)
+    skipped = len(sources) - len(tasks)
     retriever = _make_retriever(args)
     # made only now, so a usage error above leaves no directory behind
     out.mkdir(parents=True, exist_ok=True)
     lock = threading.Lock()
     with open(journal_path, "ab") as journal:
-        if not compact:
+        if journal_data and not journal_data.endswith(b"\n"):
             journal.write(b"\n")  # ends any line an interrupt tore
+        journal.writelines(appended)
+        journal.flush()
 
-        def record(entry: dict) -> None:
-            line = _journal_line(entry).encode("utf-8")
-            with lock:
-                journal.write(line)
-                journal.flush()
-
-        def execute(task):
-            """Run, write and journal one debate; (the failure line or
-            None, the transcript's sha256 or None)."""
+        def execute(task) -> None:
+            """Run, write, journal and record one debate."""
             cohort, entry = task
             name = entry["transcript"]
             try:
                 transcript = run_debate(cohort, agent_a, agent_b, config, retriever=retriever)
                 obj = transcript_to_json(transcript)
                 obj["config_hash"] = entry["config_hash"]
-                outcome = (None, write_json(out / name, obj))
+                sha, failed = write_json(out / name, obj), None
             except Exception as exc:
-                outcome = (f"{name}: {exc}", None)
-            record({**entry, "failed": outcome[0], "sha256": outcome[1]})
-            return outcome
+                sha, failed = None, f"{name}: {exc}"
+            line = _journal_line({**entry, "failed": failed, "sha256": sha})
+            with lock:
+                journal.write(line)
+                journal.flush()
+                record[name] = (sha, line)
 
-        for entry in lines:
-            record(entry)
-        # Both mappers yield in task order, so failures are listed in cohort
-        # order; an interrupt cancels the debates still queued. One job runs
-        # on the calling thread, without a pool.
+        # An interrupt cancels the debates still queued. One job runs on
+        # the calling thread, without a pool.
         if args.jobs == 1:
-            outcomes = [execute(task) for task in tasks]
+            for task in tasks:
+                execute(task)
         else:
             with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                outcomes = list(pool.map(execute, tasks))
-    # Each debate journalled now supersedes its earlier lines. A journal
-    # left with lines other than the last of each transcript under this
-    # run key is rewritten without them; a compact one is left as it is.
-    journalled = [entry["transcript"] for entry in lines] + [entry["transcript"] for _, entry in tasks]
-    if not compact or len(set(journalled)) < len(journalled) or not current.isdisjoint(journalled):
-        kept = _journal_current(journal_path.read_bytes(), run_key)
-        atomic_write_text(journal_path, "".join(_journal_line(entry) for entry in kept.values()))
-    failures = [failure for failure, _sha in outcomes if failure is not None]
-    done += [(entry["transcript"], sha) for (_, entry), (failure, sha) in zip(tasks, outcomes) if failure is None]
+                list(pool.map(execute, tasks))
+    lines = b"".join(line for _sha, line in record.values())
+    if journal_path.read_bytes() != lines:
+        _atomic_write_bytes(journal_path, lines)
+    failures = [json.loads(line)["failed"] for sha, line in record.values() if sha is None]
     executed = len(tasks) - len(failures)
 
     deterministic = deterministic_pair(agent_a, agent_b)
@@ -460,7 +433,7 @@ def _run_debates(args, framework: Framework, sources: list, agent_a, agent_b) ->
         timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     manifest = build_manifest(
         run_id=f"run_{framework.value.lower()}_{args.opponent}",
-        files=done,
+        files=[(name, sha) for name, (sha, _line) in record.items() if sha is not None],
         config={
             "command": "run",
             "framework": framework.value,
@@ -505,7 +478,7 @@ def _eval_record(transcript: DebateTranscript, source: str, source_sha256: str) 
             "deltas": emergence_deltas(reports[-1], final_reports),
         }
     return {
-        "schema_version": 3,
+        "schema_version": SCHEMA_VERSIONS["eval"],
         "kind": "eval",
         "source_transcript": source,
         "source_sha256": source_sha256,
@@ -628,9 +601,17 @@ def _svg_bar_chart(metric: str, rows: list[ComparisonReport]) -> str:
     return "\n".join(parts)
 
 
+def _is_current_eval(record: dict) -> bool:
+    """Whether an eval file holds an eval record of the schema_version
+    validate accepts, the only records stats and report read."""
+    return record.get("kind") == "eval" and record.get("schema_version") == SCHEMA_VERSIONS["eval"]
+
+
 def _eval_entry(e: dict):
     """An eval file's (framework, opponent) group and its pairing entry,
     None when the debate did not complete."""
+    if not _is_current_eval(e):
+        raise ValueError(f"not an eval record of schema_version {SCHEMA_VERSIONS['eval']}")
     group = (e["framework"], e["opponent_kind"])
     if not e.get("completed", True):
         return group, None
@@ -762,7 +743,7 @@ def cmd_report(args) -> int:
     def add(record: dict, sha: str) -> bool:
         """Aggregate an eval record; False when it is not a record of the
         transcript bytes with this sha256 in the current schema."""
-        if (record.get("kind"), record.get("schema_version"), record.get("source_sha256")) != ("eval", 3, sha):
+        if not _is_current_eval(record) or record.get("source_sha256") != sha:
             return False
         framework = record["framework"]
         variants[record["cohort_id"]] = record["capacity_variant"]

@@ -540,7 +540,7 @@ class TestJournal:
         assert read_dir_bytes(resumable / "t") == before
         assert (resumable / "t" / "journal.jsonl").read_bytes() == journal
 
-    @pytest.mark.parametrize("damage", ["deleted", "torn", "foreign-lines"])
+    @pytest.mark.parametrize("damage", ["deleted", "torn", "unterminated", "foreign-lines", "bad-cohort-file"])
     def test_damaged_journal_gives_the_same_outputs(self, resumable, capsys, monkeypatch, damage):
         path = resumable / "t" / "journal.jsonl"
         before = read_dir_bytes(resumable / "t")
@@ -550,6 +550,17 @@ class TestJournal:
         elif damage == "torn":
             data = path.read_bytes()
             path.write_bytes(data[: data.rstrip(b"\n").rfind(b"\n") + 100])
+        elif damage == "unterminated":
+            # a whole last line whose newline was never written
+            path.write_bytes(journal.rstrip(b"\n"))
+        elif damage == "bad-cohort-file":
+            # lines under the run key whose cohort_file is a list, or
+            # missing, in place of the first two debates' lines
+            first, second, *rest = journal.splitlines(keepends=True)
+            first, second = json.loads(first), json.loads(second)
+            del second["cohort_file"]
+            bad = [{**first, "cohort_file": [first["cohort_file"]]}, second]
+            path.write_bytes(b"".join([*(json.dumps(entry).encode() + b"\n" for entry in bad), *rest]))
         else:
             # lines a run never writes, and one naming a file outside --out
             # with the hash of that file
@@ -560,7 +571,7 @@ class TestJournal:
             path.write_bytes(b'[1]\n{"transcript": []}\n{"transcript": "x"}\n"y"\n' + path.read_bytes() + foreign + b"\n")
         summary, decoded = self.resume(resumable, capsys, monkeypatch)
         assert summary == "executed 0 debates, skipped 6 existing, 0 failures"
-        assert decoded == {"deleted": 6, "torn": 1, "foreign-lines": 0}[damage]
+        assert decoded == {"deleted": 6, "torn": 1, "unterminated": 0, "foreign-lines": 0, "bad-cohort-file": 2}[damage]
         assert read_dir_bytes(resumable / "t") == before
         # the journal is rewritten with one line per debate
         assert path.read_bytes() == journal
@@ -612,12 +623,17 @@ class TestJournal:
         out = tmp_path / "t"
         argv = ["run", "--cohorts", str(small_run / "cohorts"), *SMALL_RUN_ARGS, "--jobs", "2", "--out", str(out)]
         assert main(argv) == 0
-        data = (out / "journal.jsonl").read_bytes()
-        assert data.endswith(b"\n")
-        lines = journal_lines(out)
-        assert sorted(lines, key=lambda line: line["transcript"]) == sorted(
-            journal_lines(small_run / "transcripts"), key=lambda line: line["transcript"]
-        )
+        # the --jobs 1 journal: one line per debate, in cohort order
+        assert (out / "journal.jsonl").read_bytes() == (small_run / "transcripts" / "journal.jsonl").read_bytes()
+
+    def test_deleted_cohort_drops_its_journal_line(self, resumable, capsys, monkeypatch, tmp_path):
+        (resumable / "cohorts" / "cohort_0002.json").unlink()
+        summary, decoded = self.resume(resumable, capsys, monkeypatch)
+        assert (summary, decoded) == ("executed 0 debates, skipped 5 existing, 0 failures", 0)
+        fresh = tmp_path / "fresh"
+        assert main(["run", "--cohorts", str(resumable / "cohorts"), *SMALL_RUN_ARGS, "--out", str(fresh)]) == 0
+        assert (resumable / "t" / "journal.jsonl").read_bytes() == (fresh / "journal.jsonl").read_bytes()
+        assert (resumable / "t" / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
 
     def test_killed_run_resumes_with_the_missing_debates(self, small_run, tmp_path, capsys):
         # each debate sleeps first, so the run is killed between debates
@@ -813,20 +829,29 @@ class TestStats:
         assert reason in err
         assert not (tmp_path / "s").exists()
 
-    def test_v1_eval_files_are_unmigratable_but_still_read(self, small_run, tmp_path, capsys):
-        # a schema_version 1 eval record had no joint block
-        evals = tmp_path / "evals_v1"
-        evals.mkdir()
-        for f in (small_run / "evals").glob("eval_*.json"):
-            obj = json.loads(f.read_text())
-            del obj["joint"]
-            write_json(evals / f.name, {**obj, "schema_version": 1})
+    @pytest.mark.parametrize("edit", ["v1", "v2", "not-an-eval"])
+    def test_old_or_foreign_eval_record_is_refused_by_stats_and_validate(self, small_run, tmp_path, capsys, edit):
+        # stats, report and validate read only eval records of schema_version 3
+        evals = tmp_path / "evals"
+        shutil.copytree(small_run / "evals", evals)
+        victim = evals / "eval_rawlsian_biased_0001.json"
+        obj = json.loads(victim.read_text())
+        if edit == "v1":
+            del obj["joint"]  # a schema_version 1 eval record had no joint block
+            obj["schema_version"] = 1
+        elif edit == "v2":
+            obj["schema_version"] = 2
+        else:
+            obj["kind"] = "not-an-eval"
+        write_json(victim, obj)
         assert main(["validate", str(evals)]) == 1
-        assert "unmigratable schema_version 1" in capsys.readouterr().out
-        stats = tmp_path / "stats"
-        assert main(["stats", "--eval-dir", str(evals), "--out", str(stats)]) == 0
-        comparison = (stats / "comparison.json").read_bytes()
-        assert hashlib.sha256(comparison).hexdigest() == SMALL_RUN_COMPARISON_SHA256
+        assert victim.name in capsys.readouterr().out
+        code = main(["stats", "--eval-dir", str(evals), "--out", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert victim.name in err
+        assert "not an eval record of schema_version 3" in err
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("alpha", ["0", "1", "2", "-1", "nan"])
     def test_alpha_outside_unit_interval_is_usage_error(self, small_run, tmp_path, capsys, alpha):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import itertools
+import json
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from triage_arena.cohortgen import generate_cohort
 from triage_arena.metrics import (
@@ -19,11 +23,20 @@ from triage_arena.metrics import (
     esg,
     gini,
     metric_report,
+    metric_reports,
     rmg,
     variance,
     vwci,
 )
-from triage_arena.model import Allocation, Resource
+from triage_arena.model import (
+    DATA,
+    FEASIBILITY_TOL,
+    Allocation,
+    Cohort,
+    Resource,
+    ResourceCapacity,
+    validate_allocation,
+)
 
 from conftest import make_cohort, make_patient, random_allocation, scaled
 
@@ -376,3 +389,81 @@ class TestInvariants:
         after = metric_report(cohort, improved)
         for metric in ("esg", "rmg", "dw_esg", "vwci"):
             assert after.value(metric) >= before.value(metric)
+
+
+_SCORED = json.loads((DATA / "attribute_scores.json").read_text(encoding="utf-8"))["attribute_scores"]
+
+
+@st.composite
+def cohorts(draw) -> Cohort:
+    """1-3 patients with random non-empty need sets, survival and scored
+    demographics, and positive supplies up to 10^4. Supplies are normal
+    floats: a subnormal supply's share can round to 0."""
+    ages = draw(st.lists(st.integers(min_value=0, max_value=110), min_size=1, max_size=3, unique=True))
+    patients = [
+        make_patient(
+            i,
+            age=age,
+            gender=draw(st.sampled_from(sorted(_SCORED["gender"]))),
+            race=draw(st.sampled_from(sorted(_SCORED["race"]))),
+            ses=draw(st.sampled_from(sorted(_SCORED["ses"]))),
+            citizenship=draw(st.sampled_from(sorted(_SCORED["citizenship"]))),
+            needs=draw(st.frozensets(st.sampled_from(list(Resource)), min_size=1)),
+            survival=draw(st.floats(min_value=0, max_value=1)),
+        )
+        for i, age in enumerate(ages, start=1)
+    ]
+    supply = draw(st.tuples(*[st.floats(min_value=sys.float_info.min, max_value=1e4)] * 6))
+    return Cohort(cohort_id=0, seed=0, patients=tuple(patients), capacity=ResourceCapacity(supply))
+
+
+def spread(cohort: Cohort) -> Allocation:
+    """Each needer of resource j gets supply_j / #needers_j."""
+    needers = [sum(r in p.needs for p in cohort.patients) for r in Resource]
+    return Allocation(tuple(
+        tuple(s / k if r in p.needs else 0.0 for r, s, k in zip(Resource, cohort.capacity.supply, needers))
+        for p in cohort.patients
+    ))
+
+
+def grid_maxima(cohort: Cohort) -> dict:
+    """The largest esg, dw_esg and vwci over a coarse grid: each needed
+    cell holds 0, a third, a half or all of its column's supply, every
+    other cell 0, and every column total is within supply. Metrics are
+    functions of each patient's count of served needs, so the grid is
+    built column by column keeping one allocation per count vector."""
+    kept = {(0,) * cohort.n: ()}  # served-need counts -> columns so far
+    for r, supply in zip(Resource, cohort.capacity.supply):
+        needers = [i for i, p in enumerate(cohort.patients) if r in p.needs]
+        grown = {}
+        for counts, columns in kept.items():
+            for cells in itertools.product((0.0, supply / 3, supply / 2, supply), repeat=len(needers)):
+                if sum(cells) > supply + FEASIBILITY_TOL:
+                    continue
+                column = [0.0] * cohort.n
+                for i, q in zip(needers, cells):
+                    column[i] = q
+                served = tuple(c + (q > 0) for c, q in zip(counts, column))
+                grown.setdefault(served, columns + (tuple(column),))
+        kept = grown
+    allocs = [Allocation(tuple(zip(*columns))) for columns in kept.values()]
+    assert all(validate_allocation(a, cohort.capacity).feasible for a in allocs)
+    reports = metric_reports(cohort, allocs)
+    return {metric: max(r.value(metric) for r in reports) for metric in ("esg", "dw_esg", "vwci")}
+
+
+class TestSpreadIsOptimalOnAllSix:
+    """Under the default feasibility rule one allocation is optimal on all
+    six metrics in every cohort: CNSS counts any positive quantity, and
+    feasibility bounds only the column totals, so giving each needer an
+    equal share of every supply serves every need."""
+
+    @settings(deadline=None)
+    @given(cohorts())
+    def test_spread_allocation_is_feasible_and_optimal(self, cohort):
+        alloc = spread(cohort)
+        assert validate_allocation(alloc, cohort.capacity).feasible
+        (report,) = metric_reports(cohort, [alloc])
+        assert (report.rmg, report.variance, report.gini) == (1.0, 0.0, 0.0)
+        best = grid_maxima(cohort)
+        assert {metric: report.value(metric) for metric in best} == best
