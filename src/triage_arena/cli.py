@@ -32,7 +32,14 @@ from .arena import (
     transcript_from_json,
     transcript_to_json,
 )
-from .cohortgen import SamplerConfig, default_slots, generate_batch, slots_from_json
+from .cohortgen import (
+    CohortGenerationError,
+    SamplerConfig,
+    default_slots,
+    generate_batch,
+    slots_from_json,
+)
+from .fanout import fan_out
 from .metrics import (
     METRIC_DIRECTIONS,
     METRIC_NAMES,
@@ -120,7 +127,10 @@ def cmd_gen_cohorts(args) -> int:
         capacity_variant=args.variant,
         slots=slots,
     )
-    cohorts = generate_batch(config)
+    try:
+        cohorts = generate_batch(config)
+    except CohortGenerationError as exc:  # slots that cannot make a diverse cohort
+        raise UsageError(str(exc)) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -516,21 +526,27 @@ def cmd_eval(args) -> int:
         raise UsageError(f"no transcript_*.json files under {transcripts_dir}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    corrupt = []
-    written = []
-    for file in files:
-        target = out / _eval_name(file.name)
-        try:
-            data = file.read_bytes()
-            obj = json.loads(data.decode("utf-8"))
-            record = _eval_record(transcript_from_json(obj), file.name, sha256_bytes(data))
-        except Exception as exc:
-            corrupt.append(f"{file.name}: {exc}")
-            # an earlier eval of this transcript no longer describes it
-            target.unlink(missing_ok=True)
-            continue
-        write_json(target, record)
-        written.append(target)
+
+    def evaluate(share: list[Path]) -> list[str]:
+        """Write the eval record of each transcript of share; the line of
+        each one that is corrupt."""
+        corrupt = []
+        for file in share:
+            target = out / _eval_name(file.name)
+            try:
+                data = file.read_bytes()
+                obj = json.loads(data.decode("utf-8"))
+                record = _eval_record(transcript_from_json(obj), file.name, sha256_bytes(data))
+            except Exception as exc:
+                corrupt.append(f"{file.name}: {exc}")
+                # an earlier eval of this transcript no longer describes it
+                target.unlink(missing_ok=True)
+                continue
+            write_json(target, record)
+        return corrupt
+
+    # the records are files, so a child's share needs nothing sent back
+    corrupt, _ = fan_out(evaluate, files)
     # the eval of a transcript gone from --transcripts describes nothing;
     # only the pairings (name up to the cohort number) read here are
     # pruned, so an --out shared with another pairing keeps its evals
@@ -543,7 +559,7 @@ def cmd_eval(args) -> int:
             record_file.unlink()
             stale += 1
     print(
-        f"evaluated {len(written)} transcripts, {len(corrupt)} corrupt, "
+        f"evaluated {len(files) - len(corrupt)} transcripts, {len(corrupt)} corrupt, "
         f"{stale} stale removed"
     )
     for item in corrupt:

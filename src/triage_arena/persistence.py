@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .arena import render_reply
+from .fanout import fan_out
 from .model import DATA, Allocation, Cohort, canonical_json
 from .schemacheck import compile_schema
 
@@ -178,15 +179,24 @@ def validate_schemas(directory: str | Path) -> list[SchemaViolation]:
     cohort file that passes its schema is also read as a Cohort, so what
     run would refuse in it (a supply of other than six entries, two
     patients with one demographic tuple) is a violation too; other kinds
-    are checked against their schema alone. Raises ValueError when
+    are checked against their schema alone. The files are checked in
+    one process per usable CPU (see fanout.fan_out), and the violations
+    are the one-process check's, in file order. Raises ValueError when
     directory is missing or is not a directory.
     """
     root = Path(directory)
     if not root.is_dir():
         reason = "not a directory" if root.exists() else "no such directory"
         raise ValueError(f"{reason}: {directory}")
+    # a share's violations are its child's report, and a clean share has none
+    violations, _ = fan_out(_violations, sorted(root.rglob("*.json")))
+    return violations
+
+
+def _violations(files: list[Path]) -> list[SchemaViolation]:
+    """The violations of files, in order."""
     violations = []
-    for file in sorted(root.rglob("*.json")):
+    for file in files:
         rel = str(file)
         try:
             obj = json.loads(file.read_text(encoding="utf-8"))

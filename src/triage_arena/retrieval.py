@@ -17,14 +17,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
 
+from .fanout import fan_out
 from .model import TransportError
 
 __all__ = [
@@ -50,9 +49,6 @@ PAGE_TOKEN_ESTIMATE = 350  # used when a document has no form-feed page breaks
 # rows per block of VectorIndex's norms, 768 KB of temporary product at
 # DEFAULT_DIM; at 1,000 rows the blocks take about 0.2 ms more than one call
 _NORM_ROWS = 128
-# fewest chunks per process of the index build: with fewer, starting and
-# reaping a process takes a larger share of the work
-_MIN_CHUNKS_PER_WORKER = 64
 
 
 @dataclass(frozen=True)
@@ -244,17 +240,13 @@ def index_corpus(chunks: list[DocumentChunk], embedder: Embedder) -> VectorIndex
     index's dimension and must not be empty; every later vector of
     another length is reported, together, per chunk with its doc id.
 
-    The rows after the first are split into one contiguous share per
-    worker (see _workers). The caller embeds the first share, and each
-    other share is embedded by a forked child that writes its rows into
-    the shared matrix and reports only whether it succeeded. The caller
-    re-embeds the share of any child that failed, in row order, so the
-    index, and any error and its message, are the one-worker build's.
-    No child outlives this call.
+    A HashingEmbedder, which only computes, embeds the rows after the
+    first through fanout.fan_out: forked children write their shares of
+    the rows into the shared matrix, so the index, and any error and its
+    message, are the one-process build's. Another embedder may hold
+    connections that a child must not share, and embeds every row here.
     """
-    # loaded here, where an index is built, not by every command at start-up
-    import mmap
-    import signal
+    import mmap  # loaded here, where an index is built, not by every command at start-up
 
     if not chunks:
         return VectorIndex()
@@ -266,39 +258,12 @@ def index_corpus(chunks: list[DocumentChunk], embedder: Embedder) -> VectorIndex
     # forked workers share
     matrix = np.frombuffer(mmap.mmap(-1, n * dim * 8), dtype=float).reshape(n, dim)
     matrix[0] = first
-    workers = _workers(embedder, n)
-    bounds = [1 + (n - 1) * w // workers for w in range(workers + 1)]
-    shares = [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
-    children: dict[int, range] = {}
-    done = []
-    try:
-        for rows in shares[1:]:
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the caller embeds the share
-                continue
-            if pid == 0:
-                status = 1
-                try:
-                    if not _embed_rows(chunks, embedder, matrix, rows):
-                        status = 0
-                finally:
-                    os._exit(status)
-            children[pid] = rows
-        mismatches = _embed_rows(chunks, embedder, matrix, shares[0])
-        for pid in list(children):
-            _, status = os.waitpid(pid, 0)
-            rows = children.pop(pid)
-            if status == 0:
-                embedder.calls += len(rows)  # made in the child's copy
-                done.append(rows)
-    finally:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for rows in shares[1:]:
-        if rows not in done:
-            mismatches += _embed_rows(chunks, embedder, matrix, rows)
+    embed_rows = functools.partial(_embed_rows, chunks, embedder, matrix)
+    if type(embedder) is HashingEmbedder:
+        mismatches, done = fan_out(embed_rows, range(1, n))
+        embedder.calls += sum(map(len, done))  # made in the children's copies
+    else:
+        mismatches = embed_rows(range(1, n))
     if mismatches:
         raise TransportError("embedding dimension mismatch: " + "; ".join(mismatches))
     return VectorIndex(chunks, matrix)
@@ -326,22 +291,6 @@ def _embed_rows(
             continue
         matrix[i] = vec
     return mismatches
-
-
-def _workers(embedder: Embedder, n: int) -> int:
-    """How many processes embed n chunks: one per CPU this process may run
-    on, each with at least _MIN_CHUNKS_PER_WORKER chunks. Only a
-    HashingEmbedder is forked, as it only computes; another embedder may
-    hold connections that a child must not share. A fork copies no
-    thread but the caller's, so a process running other threads embeds
-    alone."""
-    if type(embedder) is not HashingEmbedder or threading.active_count() != 1:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return 1
-    return max(1, min(cpus, n // _MIN_CHUNKS_PER_WORKER))
 
 
 SCORE_DECIMALS = 12

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from triage_arena import persistence
+from triage_arena import fanout, persistence
 from triage_arena.agents import ChatBackend
 from triage_arena.cohortgen import SamplerConfig, generate_cohort
 from triage_arena.model import (
@@ -28,6 +28,36 @@ def transport_retries(monkeypatch):
 
     monkeypatch.setattr(transport, "BACKOFF", 0.0)
     return lambda retries: monkeypatch.setattr(transport, "RETRIES", retries)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPUs this process may run on to the first n, and lets 4
+    items fill a worker of fanout.fan_out; records the pid of every fork."""
+    monkeypatch.setattr(fanout, "_MIN_ITEMS_PER_WORKER", 4)
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        return forked
+
+    return set_cpus
+
+
+def no_child_left() -> bool:
+    """True when this process has no child, reaped or not; fails otherwise."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
 
 
 @pytest.fixture(scope="session")

@@ -179,6 +179,24 @@ class TestGenCohorts:
         assert f"invalid slots file {slots_file}: KeyError: 'age_range'" in err
         assert not out.exists()
 
+    def test_unsatisfiable_slots_are_usage_error(self, tmp_path, capsys):
+        # two slots that can each draw only one demographic tuple
+        slots = self._slots(2)
+        for slot in slots["slots"]:
+            slot.update(
+                age_range=[30, 30], gender_options={"Male": 1.0}, race_options=["White"],
+                ses_options=["Low"], citizenship_options=["Citizen"],
+            )
+        slots_file = tmp_path / "slots.json"
+        slots_file.write_text(json.dumps(slots))
+        out = tmp_path / "custom"
+        code = main(["gen-cohorts", "--batch", "2", "--slots-file", str(slots_file), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: cohort 0: diversity constraint unsatisfiable within ")
+        assert not out.exists()
+
 
 class TestRun:
     def test_transcript_count_matches_cohorts(self, small_run):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triage_arena import retrieval
+from triage_arena import fanout, retrieval
 from triage_arena.cli import main
 from triage_arena.model import TransportError, canonical_json
 from triage_arena.retrieval import (
@@ -28,6 +28,8 @@ from triage_arena.retrieval import (
     load_corpus_dir,
     retrieve,
 )
+
+from conftest import no_child_left
 
 
 def words(n: int, rng: np.random.Generator, vocab_prefix: str = "w") -> str:
@@ -292,38 +294,10 @@ class TestWorkers:
             for i in range(self.N_CHUNKS)
         ]
 
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        """Sets the CPUs this process may run on to the first n, and lets
-        4 chunks fill a worker; records the pid of every fork."""
-        monkeypatch.setattr(retrieval, "_MIN_CHUNKS_PER_WORKER", 4)
-        forked = []
-        fork = os.fork
-
-        def recording_fork():
-            pid = fork()
-            if pid:
-                forked.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", recording_fork)
-
-        def set_cpus(n):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-            return forked
-
-        return set_cpus
-
-    @staticmethod
-    def no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        return True
-
     @staticmethod
     def serial(chunks):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(retrieval, "_workers", lambda embedder, n: 1)
+            mp.setattr(fanout, "_workers", lambda n: 1)
             return index_corpus(chunks, HashingEmbedder())
 
     @staticmethod
@@ -343,7 +317,7 @@ class TestWorkers:
         assert index.norms.tobytes() == want.norms.tobytes()
         assert index.chunks == tuple(chunks) == want.chunks
         assert embedder.calls == len(chunks)
-        assert self.no_child_left()
+        assert no_child_left()
 
     def test_failed_children_are_redone_by_the_caller(self, chunks, cpus, monkeypatch):
         want = self.serial(chunks)
@@ -362,7 +336,7 @@ class TestWorkers:
         assert index.matrix.tobytes() == want.matrix.tobytes()
         assert index.norms.tobytes() == want.norms.tobytes()
         assert embedder.calls == len(chunks)
-        assert self.no_child_left()
+        assert no_child_left()
 
     def test_failed_fork_is_embedded_by_the_caller(self, chunks, cpus, monkeypatch):
         want = self.serial(chunks)
@@ -391,7 +365,7 @@ class TestWorkers:
         forked = cpus(3)
         assert self.error_of(chunks, HashingEmbedder()) == want
         assert len(forked) == 2
-        assert self.no_child_left()
+        assert no_child_left()
 
     def test_interrupt_in_the_caller_kills_and_reaps_every_child(self, chunks, cpus, monkeypatch):
         forked = cpus(3)
@@ -411,7 +385,7 @@ class TestWorkers:
             index_corpus(chunks, HashingEmbedder())
         assert time.monotonic() - start < 10  # the children were killed, not awaited
         assert len(forked) == 2
-        assert self.no_child_left()
+        assert no_child_left()
 
     class Remote(RemoteEmbedder):
         def embed(self, text):
