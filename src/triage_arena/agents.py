@@ -336,7 +336,6 @@ def load_adversarial_prompt(path: str | Path) -> str:
 def build_profile(
     kind: ProfileKind,
     framework: Framework | None = None,
-    retrieval_enabled: bool = False,
     adversarial_path: str | Path | None = None,
 ) -> tuple[AgentProfile, str]:
     """Assemble a profile and its system preamble text.
@@ -345,9 +344,7 @@ def build_profile(
     neutral text, and adversarially biased profiles the quarantined prompt
     loaded verbatim from the explicitly supplied path.
     """
-    profile = AgentProfile(
-        kind=kind, framework=framework, retrieval_enabled=retrieval_enabled
-    )
+    profile = AgentProfile(kind=kind, framework=framework)
     if kind is ProfileKind.ALIGNED:
         return profile, framework_preamble(framework)
     if kind is ProfileKind.BASELINE:

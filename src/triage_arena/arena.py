@@ -25,6 +25,7 @@ from .model import (
     ProfileKind,
     RESOURCE_NAMES,
     ResourceCapacity,
+    SCHEMA_VERSIONS,
     _IS_NEGATIVE,
     column_totals,
     validate_allocation,
@@ -331,12 +332,12 @@ def run_debate(
     """Run a full debate and return its transcript.
 
     retriever, when given, is called as retriever(framework, round) and
-    must return a RetrievalResult; it is only consulted for profiles with
-    retrieval enabled. A speaks first in every round. Parse failures are
-    retried with a format reminder up to MAX_PARSE_RETRIES times, then
-    recorded as a failed transcript with the raw text preserved. A reply
-    text seen before in the debate reuses its parse and feasibility
-    verdict.
+    must return a RetrievalResult; it is consulted in every round for
+    each agent whose profile names a framework. A speaks first in every
+    round. Parse failures are retried with a format reminder up to
+    MAX_PARSE_RETRIES times, then recorded as a failed transcript with
+    the raw text preserved. A reply text seen before in the debate reuses
+    its parse and feasibility verdict.
     """
     history = InteractionHistory()
     failed = None
@@ -348,11 +349,8 @@ def run_debate(
     for round_t in range(1, config.rounds + 1):
         for spec in order:
             retrieved = None
-            if spec.profile.retrieval_enabled and retriever is not None:
-                framework = (
-                    spec.profile.framework.value if spec.profile.framework else ""
-                )
-                retrieved = retriever(framework, round_t)
+            if retriever is not None and spec.profile.framework is not None:
+                retrieved = retriever(spec.profile.framework.value, round_t)
                 history = history.with_retrieval(
                     {"agent": spec.label, "round": round_t, **retrieved.to_json()}
                 )
@@ -412,11 +410,7 @@ def run_debate(
         reports = metric_reports(cohort, final_allocations.values())
         final_reports = dict(zip(final_allocations, reports))
     deterministic = deterministic_pair(agent_a, agent_b)
-    timestamps = None
-    if not deterministic:
-        import datetime
-
-        timestamps = {"completed_at": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+    timestamps = None if deterministic else {"completed_at": _utc_stamp()}
     return DebateTranscript(
         cohort=cohort,
         config=config,
@@ -431,6 +425,14 @@ def run_debate(
         timestamps=timestamps,
         failed=failed,
     )
+
+
+def _utc_stamp() -> str:
+    """The current UTC time in ISO 8601: what a nondeterministic debate or
+    run records of when it ended."""
+    import datetime  # loaded only by a nondeterministic run
+
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def default_joint_allocation(
@@ -494,7 +496,7 @@ def emergence_delta(metric: str, transcript: DebateTranscript, joint: Allocation
 
 def transcript_to_json(transcript: DebateTranscript) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSIONS["transcript"],
         "kind": "transcript",
         "cohort": transcript.cohort.to_json(),
         "config": transcript.config.to_json(),

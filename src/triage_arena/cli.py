@@ -24,6 +24,7 @@ from .arena import (
     AgentSpec,
     DebateConfig,
     DebateTranscript,
+    _utc_stamp,
     agent_label,
     default_joint_allocation,
     deterministic_pair,
@@ -48,6 +49,7 @@ from .metrics import (
 )
 from .model import (
     DATA,
+    SCHEMA_VERSIONS,
     Cohort,
     Framework,
     ProfileKind,
@@ -63,7 +65,6 @@ from .oracle import (
     verify_cake_claims,
 )
 from .persistence import (
-    SCHEMA_VERSIONS,
     RunManifest,
     _atomic_write_bytes,
     atomic_write_text,
@@ -211,7 +212,6 @@ def _build_agents(args, framework: Framework, fixtures=None):
             "allocations for moderation experiments; pass --allow-adversarial "
             "to acknowledge this"
         )
-    retrieval_enabled = bool(args.corpus_dir)
     if args.backend == "scripted":
         strategy = _SCRIPTED_ALIGNED.get(framework)
         if strategy is None:
@@ -233,9 +233,7 @@ def _build_agents(args, framework: Framework, fixtures=None):
         backend_a = agents_mod.ReplayBackend(fixtures.round_texts["A"], "replay:A")
         backend_b = agents_mod.ReplayBackend(fixtures.round_texts["B"], "replay:B")
 
-    profile_a, system_a = agents_mod.build_profile(
-        ProfileKind.ALIGNED, framework, retrieval_enabled=retrieval_enabled
-    )
+    profile_a, system_a = agents_mod.build_profile(ProfileKind.ALIGNED, framework)
     if opponent_kind == "biased":
         adversarial = args.adversarial_file or DATA / "adversarial" / "biased_prompt.txt"
         profile_b, system_b = agents_mod.build_profile(
@@ -333,11 +331,10 @@ def cmd_run(args) -> int:
 def _run_debates(args, framework: Framework, sources: list, agent_a, agent_b) -> int:
     """cmd_run's work once its backends are built; sources holds the
     cohort files, or the replayed cohort itself."""
-    opponent_kind = "Biased" if args.opponent == "biased" else "Baseline"
     config = DebateConfig(
         rounds=args.rounds,
         framework=framework.value,
-        opponent_kind=opponent_kind,
+        opponent_kind=agent_b.profile.kind.value,
     )
     hashed = {
         "config": config.to_json(),
@@ -436,11 +433,6 @@ def _run_debates(args, framework: Framework, sources: list, agent_a, agent_b) ->
     executed = len(tasks) - len(failures)
 
     deterministic = deterministic_pair(agent_a, agent_b)
-    timestamp = None
-    if not deterministic:
-        import datetime
-
-        timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     manifest = build_manifest(
         run_id=f"run_{framework.value.lower()}_{args.opponent}",
         files=[(name, sha) for name, (sha, _line) in record.items() if sha is not None],
@@ -452,7 +444,7 @@ def _run_debates(args, framework: Framework, sources: list, agent_a, agent_b) ->
             "rounds": args.rounds,
             "deterministic": deterministic,
         },
-        timestamp=timestamp,
+        timestamp=None if deterministic else _utc_stamp(),
     )
     write_json(out / "manifest.json", manifest.to_json())
     print(
@@ -546,7 +538,7 @@ def cmd_eval(args) -> int:
         return corrupt
 
     # the records are files, so a child's share needs nothing sent back
-    corrupt, _ = fan_out(evaluate, files)
+    corrupt = fan_out(evaluate, files)
     # the eval of a transcript gone from --transcripts describes nothing;
     # only the pairings (name up to the cohort number) read here are
     # pruned, so an --out shared with another pairing keeps its evals
@@ -624,15 +616,14 @@ def _is_current_eval(record: dict) -> bool:
 
 
 def _eval_entry(e: dict):
-    """An eval file's (framework, opponent) group and its pairing entry,
+    """An eval file's framework, its opponent kind and its pairing entry,
     None when the debate did not complete."""
     if not _is_current_eval(e):
         raise ValueError(f"not an eval record of schema_version {SCHEMA_VERSIONS['eval']}")
-    group = (e["framework"], e["opponent_kind"])
-    if not e.get("completed", True):
-        return group, None
+    if not e["completed"]:
+        return e["framework"], e["opponent_kind"], None
     finals = {label: MetricReport.from_json(r) for label, r in e["finals"].items()}
-    return group, (e["cohort_id"], finals)
+    return e["framework"], e["opponent_kind"], (e["cohort_id"], finals)
 
 
 def cmd_stats(args) -> int:
@@ -642,10 +633,17 @@ def cmd_stats(args) -> int:
     files = sorted(eval_dir.glob("eval_*.json"))
     if not files:
         raise UsageError(f"no eval_*.json files under {eval_dir}")
-    groups: dict[tuple[str, str], list] = {}
+    # framework -> (its opponent kind, its pairing entries): a cell is
+    # named by its framework, so each framework has one opponent
+    groups: dict[str, tuple[str, list]] = {}
     for f in files:
-        group, entry = _read_input(f, "eval", _eval_entry)
-        members = groups.setdefault(group, [])
+        framework, opponent, entry = _read_input(f, "eval", _eval_entry)
+        kind, members = groups.setdefault(framework, (opponent, []))
+        if opponent != kind:
+            raise UsageError(
+                f"{eval_dir} holds {framework} records against both {kind} "
+                f"and {opponent} opponents; stats compares one opponent per framework"
+            )
         if entry is not None:
             members.append(entry)
     out = Path(args.out)
@@ -659,14 +657,14 @@ def cmd_stats(args) -> int:
             alpha=args.alpha,
             bootstrap_seed=cell_seed(args.seed, framework, metric),
         )
-        for (framework, _opponent), members in sorted(groups.items())
+        for framework, (_opponent, members) in sorted(groups.items())
         for metric in METRIC_NAMES
     ]
 
     write_json(
         out / "comparison.json",
         {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSIONS["comparison"],
             "kind": "comparison",
             "alpha": args.alpha,
             "bootstrap_seed": args.seed,

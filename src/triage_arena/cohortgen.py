@@ -85,7 +85,6 @@ class ArchetypeSlot:
     survival_range: tuple[float, float]
     occupation_options: tuple[str, ...]
     family_options: tuple[str, ...]
-    tension_tag: str = ""
 
     def __post_init__(self):
         if self.age_range[0] > self.age_range[1]:
@@ -123,7 +122,6 @@ class ArchetypeSlot:
             survival_range=tuple(obj["survival_range"]),
             occupation_options=tuple(obj["occupation_options"]),
             family_options=tuple(obj["family_options"]),
-            tension_tag=obj.get("tension_tag", ""),
         )
 
 

@@ -21,11 +21,8 @@ T = TypeVar("T")
 _MIN_ITEMS_PER_WORKER = 64
 
 
-def fan_out(
-    work: Callable[[Sequence[T]], list], items: Sequence[T]
-) -> tuple[list, list[Sequence[T]]]:
-    """work's reports over every item, in item order, and the shares that
-    forked children completed.
+def fan_out(work: Callable[[Sequence[T]], list], items: Sequence[T]) -> list:
+    """work's reports over every item, in item order.
 
     The items are split into one contiguous share per worker (see
     _workers). The caller runs the first share itself, and each other
@@ -67,7 +64,7 @@ def fan_out(
     for number in range(1, workers):
         if number not in done:
             reports += work(shares[number])
-    return reports, [shares[number] for number in sorted(done)]
+    return reports
 
 
 def _workers(n: int) -> int:

@@ -44,6 +44,10 @@ RESOURCE_NAMES = ("ICU", "Vent", "MedA", "MedB", "Nursing", "Surgery")
 # The packaged data directory: preambles, schemas, fixtures and tables.
 DATA = resources.files(__package__) / "data"
 
+# The schema_version of each kind of file: what its writer stamps and the
+# one version validate accepts.
+SCHEMA_VERSIONS = {"cohort": 1, "transcript": 1, "eval": 3, "comparison": 1, "manifest": 1}
+
 # Absolute tolerance on column sums when checking feasibility. Quantities in
 # real transcripts are small integers, so this cannot flip a verdict on them.
 FEASIBILITY_TOL = 1e-9
@@ -110,7 +114,6 @@ class AgentProfile:
 
     kind: ProfileKind
     framework: Framework | None = None
-    retrieval_enabled: bool = False
 
     def __post_init__(self):
         if self.kind is ProfileKind.ALIGNED:
@@ -309,7 +312,7 @@ class Cohort:
 
     def to_json(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSIONS["cohort"],
             "kind": "cohort",
             "cohort_id": self.cohort_id,
             "seed": self.seed,

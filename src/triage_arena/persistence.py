@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .arena import render_reply
 from .fanout import fan_out
-from .model import DATA, Allocation, Cohort, canonical_json
+from .model import DATA, SCHEMA_VERSIONS, Allocation, Cohort, canonical_json
 from .schemacheck import compile_schema
 
 __all__ = [
@@ -34,10 +34,6 @@ __all__ = [
     "load_reference_fixtures",
     "FixtureChecksumError",
 ]
-
-# The one schema_version validate accepts for each kind of file.
-SCHEMA_VERSIONS = {"cohort": 1, "transcript": 1, "eval": 3, "comparison": 1, "manifest": 1}
-
 
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -97,7 +93,7 @@ class RunManifest:
 
     def to_json(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSIONS["manifest"],
             "kind": "manifest",
             "run_id": self.run_id,
             "config": self.config,
@@ -189,8 +185,7 @@ def validate_schemas(directory: str | Path) -> list[SchemaViolation]:
         reason = "not a directory" if root.exists() else "no such directory"
         raise ValueError(f"{reason}: {directory}")
     # a share's violations are its child's report, and a clean share has none
-    violations, _ = fan_out(_violations, sorted(root.rglob("*.json")))
-    return violations
+    return fan_out(_violations, sorted(root.rglob("*.json")))
 
 
 def _violations(files: list[Path]) -> list[SchemaViolation]:

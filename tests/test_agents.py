@@ -390,10 +390,9 @@ class TestProfiles:
             build_profile(ProfileKind.BIASED)
 
     def test_aligned_with_retrieval_sets_flag(self):
-        profile, system = build_profile(
-            ProfileKind.ALIGNED, Framework.RAWLSIAN, retrieval_enabled=True
-        )
-        assert profile.retrieval_enabled
+        # an aligned profile retrieves through the framework it names
+        profile, system = build_profile(ProfileKind.ALIGNED, Framework.RAWLSIAN)
+        assert profile.framework is Framework.RAWLSIAN
         assert system == framework_preamble(Framework.RAWLSIAN)
 
     def test_every_framework_has_a_preamble(self):

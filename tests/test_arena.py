@@ -526,21 +526,18 @@ class TestRunDebate:
         def retriever(framework, round_t):
             return retrieve(index, f"{framework} round {round_t}", embedder)
 
-        agent_a, agent_b = scripted_pair()
-        retrieval_profile, system_a = build_profile(
-            ProfileKind.ALIGNED, Framework.RAWLSIAN, retrieval_enabled=True
-        )
-        spec_a = AgentSpec("A", agent_a.backend, retrieval_profile, system_a)
-        transcript = run_debate(
-            cohort, spec_a, agent_b, DebateConfig(rounds=2), retriever=retriever
-        )
-        logs = transcript.history.retrieval_logs
-        assert len(logs) == 2  # one per round for the retrieval-enabled agent
-        for log in logs:
-            assert log["agent"] == "A"
-            assert log["k"] == 4
-            assert len(log["pages"]) == 4
-            assert "Rawlsian" in log["query"]
+        for opponent in ("baseline", "biased"):
+            agent_a, agent_b = scripted_pair(opponent=opponent)
+            transcript = run_debate(
+                cohort, agent_a, agent_b, DebateConfig(rounds=2), retriever=retriever
+            )
+            logs = transcript.history.retrieval_logs
+            # one per round for the aligned agent; an opponent names no framework
+            assert [(log["agent"], log["round"]) for log in logs] == [("A", 1), ("A", 2)]
+            for log in logs:
+                assert log["k"] == 4
+                assert len(log["pages"]) == 4
+                assert "Rawlsian" in log["query"]
 
     def test_transcript_json_round_trip(self, cohort):
         agent_a, agent_b = scripted_pair()

@@ -20,12 +20,12 @@ from pathlib import Path
 import pytest
 
 import triage_arena
-from triage_arena import agents, cli
+from triage_arena import agents, arena, cli
 from triage_arena.agents import ReplayBackend, ScriptedBackend, build_profile
 from triage_arena.arena import AgentSpec, DebateConfig, run_debate, transcript_from_json
 from triage_arena.cli import main
 from triage_arena.metrics import METRIC_NAMES
-from triage_arena.model import Framework, ProfileKind, canonical_json
+from triage_arena.model import SCHEMA_VERSIONS, Framework, ProfileKind, canonical_json
 from triage_arena.persistence import RunManifest, validate_schemas, write_json
 from triage_arena.stats import cell_seed, compare_cell, pair_reports
 
@@ -294,6 +294,18 @@ class TestRun:
         assert captured.err == f"error: --corpus-dir {corpus} {reason}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    def test_corpus_dir_gives_only_the_aligned_agent_a_log_per_round(self, small_run, tmp_path):
+        corpus = resources.files("triage_arena").joinpath("data/sample_corpus")
+        out = tmp_path / "t"
+        argv = ["run", "--cohorts", str(small_run / "cohorts"), "--framework", "Rawlsian",
+                "--opponent", "biased", "--allow-adversarial", "--corpus-dir", str(corpus), "--out", str(out)]
+        assert main(argv) == 0
+        transcripts = sorted(out.glob("transcript_*.json"))
+        assert len(transcripts) == 6
+        for path in transcripts:
+            logs = json.loads(path.read_text())["retrieval_logs"]
+            assert [(log["agent"], log["round"]) for log in logs] == [("A", 1), ("A", 2), ("A", 3)]
 
     def test_manifest_is_deterministic_only_if_both_backends_are(self, small_run, tmp_path, monkeypatch):
         class Unrepeatable(ScriptedBackend):
@@ -922,6 +934,29 @@ class TestStats:
             assert row["winner"] == "tie"
             assert float(row["p"]) == 1.0
 
+    def test_two_opponents_of_one_framework_are_usage_error(self, small_run, tmp_path, capsys):
+        # eval may share --out between pairings, but a cell is named by its
+        # framework alone
+        def evals_with(framework):
+            evals, transcripts = tmp_path / f"e_{framework}", tmp_path / f"t_{framework}"
+            shutil.copytree(small_run / "evals", evals)
+            argv = ["run", "--cohorts", str(small_run / "cohorts"), "--framework", framework, "--out", str(transcripts)]
+            assert main(argv) == 0
+            assert main(["eval", "--transcripts", str(transcripts), "--out", str(evals)]) == 0
+            capsys.readouterr()
+            return evals
+
+        evals, out = evals_with("Rawlsian"), tmp_path / "s"
+        assert main(["stats", "--eval-dir", str(evals), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{evals} holds Rawlsian records against both Baseline and Biased opponents" in err
+        assert not out.exists()
+        # two frameworks, each against one opponent, make one cell per metric each
+        evals = evals_with("Utilitarian")
+        assert main(["stats", "--eval-dir", str(evals), "--out", str(out)]) == 0
+        cells = json.loads((out / "comparison.json").read_text())["reports"]
+        assert [cell["framework"] for cell in cells] == ["Rawlsian"] * 6 + ["Utilitarian"] * 6
+
 
 class TestChatBackendIntegration:
     @pytest.fixture
@@ -1039,6 +1074,21 @@ class TestChatTransport:
         assert len(proposals["3"]) == 6
         assert proposals["3"] == proposals["1"]
 
+    def test_nondeterministic_run_is_stamped_by_one_helper(self, tmp_path, mock_chat, monkeypatch):
+        stamp = "2000-01-02T03:04:05+00:00"
+        for module in (arena, cli):
+            monkeypatch.setattr(module, "_utc_stamp", lambda: stamp)
+        cohorts, out = tmp_path / "cohorts", tmp_path / "t"
+        assert main(["gen-cohorts", "--seed", "5", "--batch", "2", "--out", str(cohorts)]) == 0
+        argv = ["run", "--cohorts", str(cohorts), "--backend", "chat", "--endpoint", mock_chat,
+                "--model", "m", "--framework", "CareEthics", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads((out / "manifest.json").read_text())["timestamp"] == stamp
+        transcripts = sorted(out.glob("transcript_*.json"))
+        assert len(transcripts) == 2
+        for path in transcripts:
+            assert json.loads(path.read_text())["timestamps"] == {"completed_at": stamp}
+
     def test_dead_embedding_endpoint_exits_io_without_traceback(self, tmp_path, monkeypatch, capsys):
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))
@@ -1060,18 +1110,20 @@ class TestChatTransport:
 
 class TestRetrieverMemo:
     class CountingEmbedder(cli.HashingEmbedder):
-        """The default embedder, failing on demand; keeps its instances."""
+        """The default embedder, failing on demand and counting its calls;
+        keeps its instances."""
 
         made = []
 
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.fail = False
+            self.calls = 0
             type(self).made.append(self)
 
         def embed(self, text):
+            self.calls += 1
             if self.fail:
-                self.calls += 1
                 raise RuntimeError("embedder down")
             return super().embed(text)
 
@@ -1724,6 +1776,23 @@ class TestReportAndValidate:
         (bad_dir / source.name).write_text(json.dumps(obj))
         assert main(["validate", str(bad_dir)]) == 1
         assert "survival_prob" in capsys.readouterr().out
+
+
+def test_every_writer_stamps_the_schema_versions_table(tmp_path, monkeypatch):
+    assert triage_arena.persistence.SCHEMA_VERSIONS is SCHEMA_VERSIONS
+    patched = {kind: 100 + i for i, kind in enumerate(sorted(SCHEMA_VERSIONS))}
+    for kind, version in patched.items():
+        monkeypatch.setitem(SCHEMA_VERSIONS, kind, version)
+    cohorts, transcripts, evals, stats = (tmp_path / name for name in "ctes")
+    assert main(["gen-cohorts", "--seed", "1", "--batch", "2", "--out", str(cohorts)]) == 0
+    assert main(["run", "--cohorts", str(cohorts), "--out", str(transcripts)]) == 0
+    assert main(["eval", "--transcripts", str(transcripts), "--out", str(evals)]) == 0
+    assert main(["stats", "--eval-dir", str(evals), "--out", str(stats)]) == 0
+    stamped = set()
+    for path in tmp_path.rglob("*.json"):
+        obj = json.loads(path.read_text())
+        stamped.add((obj["kind"], obj["schema_version"]))
+    assert stamped == set(patched.items())
 
 
 class TestPinnedOutputs:
