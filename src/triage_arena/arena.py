@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import isfinite
 from typing import TYPE_CHECKING
 
@@ -162,6 +163,14 @@ class Proposal:
             "raw_text": self.raw_text,
         }
 
+    @cached_property
+    def prompt_block(self) -> str:
+        """How the proposal reads in the history of a later prompt,
+        rendered the first time a prompt shows it."""
+        return f"Round {self.round}, Agent {self.agent} proposed:\n" + render_reply(
+            self.allocation, self.justification
+        )
+
 
 @dataclass(frozen=True)
 class InteractionHistory:
@@ -264,6 +273,18 @@ _FORMAT_INSTRUCTION = (
 )
 
 
+def _render_cohort(cohort: Cohort) -> str:
+    """The prompt's capacity and patient lines (survival shown only as its
+    label), the same in every prompt of a debate."""
+    cap = cohort.capacity
+    cap_line = ", ".join(
+        f"{name}: {_format_quantity(supply)}"
+        for name, supply in zip(RESOURCE_NAMES, cap.supply)
+    )
+    patients = "\n".join(_render_patient(p) for p in cohort.patients)
+    return f"Available capacity ({cap.variant}): {cap_line}\n\nPatients:\n{patients}"
+
+
 def build_prompt(
     spec: AgentSpec,
     cohort: Cohort,
@@ -271,25 +292,21 @@ def build_prompt(
     retrieved: RetrievalResult | None,
     round_t: int,
     config: DebateConfig,
+    *,
+    cohort_text: str | None = None,
 ) -> str:
-    """Deterministic prompt: profile conditioning, cohort (survival shown
-    only as its label), retrieved excerpts when enabled, and the full
-    history so far."""
+    """Deterministic prompt: profile conditioning, cohort, retrieved
+    excerpts when enabled, and the full history so far. cohort_text is
+    _render_cohort(cohort) when the caller has rendered it already."""
     parts = []
     if spec.system_text:
         parts.append(spec.system_text.strip())
-    cap = cohort.capacity
-    cap_line = ", ".join(
-        f"{name}: {_format_quantity(supply)}"
-        for name, supply in zip(RESOURCE_NAMES, cap.supply)
-    )
     parts.append(
         f"You are Agent {spec.label} in round {round_t} of {config.rounds} of a "
         f"structured negotiation over scarce hospital resources. Propose a "
         f"complete allocation for all {cohort.n} patients."
     )
-    parts.append(f"Available capacity ({cap.variant}): {cap_line}")
-    parts.append("Patients:\n" + "\n".join(_render_patient(p) for p in cohort.patients))
+    parts.append(_render_cohort(cohort) if cohort_text is None else cohort_text)
     if retrieved is not None:
         excerpts = "\n\n".join(
             f"[{i + 1}] (doc: {chunk.doc_id}, page {chunk.page_hint}) {chunk.text}"
@@ -297,11 +314,7 @@ def build_prompt(
         )
         parts.append("Reference excerpts:\n" + excerpts)
     if history.proposals:
-        blocks = [
-            f"Round {prop.round}, Agent {prop.agent} proposed:\n"
-            + render_reply(prop.allocation, prop.justification)
-            for prop in history.proposals
-        ]
+        blocks = [prop.prompt_block for prop in history.proposals]
         parts.append("Debate so far:\n" + "\n\n".join(blocks))
     parts.append(_FORMAT_INSTRUCTION)
     return "\n\n".join(parts)
@@ -346,6 +359,7 @@ def run_debate(
     # agents repeat is parsed and checked once; one that fails to parse
     # is never stored, so it is retried every time
     parsed: dict[str, tuple[Allocation, tuple[str, ...], FeasibilityResult]] = {}
+    cohort_text = None  # rendered for the first prompt, shown in every one
     for round_t in range(1, config.rounds + 1):
         for spec in order:
             retrieved = None
@@ -356,7 +370,11 @@ def run_debate(
                 )
             prompt = ""
             if getattr(spec.backend, "reads_prompt", True):
-                prompt = build_prompt(spec, cohort, history, retrieved, round_t, config)
+                if cohort_text is None:
+                    cohort_text = _render_cohort(cohort)
+                prompt = build_prompt(
+                    spec, cohort, history, retrieved, round_t, config, cohort_text=cohort_text
+                )
             text = spec.backend.generate(prompt, cohort)
             checked = None
             for attempt in range(MAX_PARSE_RETRIES + 1):

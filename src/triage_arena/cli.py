@@ -620,6 +620,9 @@ def _eval_entry(e: dict):
     None when the debate did not complete."""
     if not _is_current_eval(e):
         raise ValueError(f"not an eval record of schema_version {SCHEMA_VERSIONS['eval']}")
+    for key in ("framework", "opponent_kind"):  # they name and group the cells
+        if not isinstance(e[key], str):
+            raise TypeError(f"{key} is a {type(e[key]).__name__}, not a string")
     if not e["completed"]:
         return e["framework"], e["opponent_kind"], None
     finals = {label: MetricReport.from_json(r) for label, r in e["finals"].items()}

@@ -617,6 +617,113 @@ class TestPromptSkip:
         assert getattr(ChatBackend, "reads_prompt", True) is True
 
 
+def reference_build_prompt(spec, cohort, history, retrieved, round_t, config):
+    """build_prompt as it was when each prompt rendered the cohort and
+    every earlier proposal again."""
+
+    def quantity(v):
+        return str(int(v)) if v.is_integer() else repr(v)
+
+    parts = [spec.system_text.strip()] if spec.system_text else []
+    parts.append(
+        f"You are Agent {spec.label} in round {round_t} of {config.rounds} of a "
+        f"structured negotiation over scarce hospital resources. Propose a "
+        f"complete allocation for all {cohort.n} patients."
+    )
+    cap = cohort.capacity
+    cap_line = ", ".join(f"{name}: {quantity(s)}" for name, s in zip(RESOURCE_NAMES, cap.supply))
+    parts.append(f"Available capacity ({cap.variant}): {cap_line}")
+    patients = []
+    for p in cohort.patients:
+        needs = ", ".join(r.label for r in sorted(p.needs))
+        patients.append(
+            f"Patient {p.id}: age {p.age}; gender {p.gender}; race {p.race}; "
+            f"SES {p.ses}; citizenship {p.citizenship}; condition {p.condition}; "
+            f"needs {needs}; survival outlook: {p.survival_label}; "
+            f"occupation {p.occupation}; family {p.family_status}"
+        )
+    parts.append("Patients:\n" + "\n".join(patients))
+    if retrieved is not None:
+        parts.append("Reference excerpts:\n" + "\n\n".join(
+            f"[{i + 1}] (doc: {chunk.doc_id}, page {chunk.page_hint}) {chunk.text}"
+            for i, (chunk, _score) in enumerate(retrieved.chunks)
+        ))
+    if history.proposals:
+        parts.append("Debate so far:\n" + "\n\n".join(
+            f"Round {prop.round}, Agent {prop.agent} proposed:\n"
+            + render_reply(prop.allocation, prop.justification)
+            for prop in history.proposals
+        ))
+    parts.append(arena_mod._FORMAT_INSTRUCTION)
+    return "\n\n".join(parts)
+
+
+class TestPromptParts:
+    def test_prompts_match_the_full_rendering_of_every_part(self, cohort, monkeypatch):
+        from triage_arena.retrieval import DocumentChunk, HashingEmbedder, index_corpus, retrieve
+
+        embedder = HashingEmbedder()
+        index = index_corpus(
+            [DocumentChunk(doc_id=f"d{i}", page_hint=i, text=f"equal concern {i} " * (i + 1), ordinal=0) for i in range(8)],
+            embedder,
+        )
+
+        def retriever(framework, round_t):
+            return retrieve(index, f"{framework} round {round_t}", embedder)
+
+        seen = []
+
+        class Recording:
+            """Scripted replies to recorded prompts; agent A's second reply
+            is prose, which the arena asks again for."""
+
+            deterministic = True
+            reads_prompt = True
+
+            def __init__(self, strategy, prose_at=None):
+                self.inner, self.prose_at, self.calls = ScriptedBackend(strategy), prose_at, 0
+                self.name = self.inner.name
+
+            def generate(self, prompt, cohort):
+                seen.append(prompt)
+                self.calls += 1
+                if self.calls == self.prose_at:
+                    return "I need more time to weigh these patients."
+                return self.inner.generate(prompt, cohort)
+
+        renders = {"reply": 0, "patient": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                renders[name] += 1
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(arena_mod, "render_reply", counted("reply", arena_mod.render_reply))
+        monkeypatch.setattr(arena_mod, "_render_patient", counted("patient", arena_mod._render_patient))
+        agent_a, agent_b = scripted_pair()
+        agent_a = replace(agent_a, backend=Recording("rawlsian", prose_at=2))
+        agent_b = replace(agent_b, backend=Recording("utilitarian"))
+        config = DebateConfig(rounds=3, framework="Rawlsian")
+        transcript = run_debate(cohort, agent_a, agent_b, config, retriever=retriever)
+        assert transcript.completed
+        proposals = transcript.history.proposals
+        want = []
+        for turn, spec in enumerate([agent_a, agent_b] * config.rounds):
+            round_t = turn // 2 + 1
+            retrieved = retriever("Rawlsian", round_t) if spec is agent_a else None
+            history = InteractionHistory(proposals=proposals[:turn])
+            want.append(reference_build_prompt(spec, cohort, history, retrieved, round_t, config))
+            if turn == 2:  # agent A in round 2: the parse-retry prompt follows
+                want.append(want[-1] + "\n\nYour previous reply could not be parsed. " + arena_mod._FORMAT_INSTRUCTION)
+        assert seen == want
+        # 0 + 1 + ... + 5 blocks over the six turns' prompts, and 2 in the
+        # retry prompt, but each of the five shown rendered once
+        assert sum(prompt.count(" proposed:\n") for prompt in seen) == 15 + 2
+        assert renders == {"reply": len(proposals) - 1, "patient": cohort.n}
+
+
 class TestJointAndEmergence:
     @staticmethod
     def hand_deltas(cohort, joint, finals):

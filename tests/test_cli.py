@@ -859,6 +859,21 @@ class TestStats:
         assert reason in err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("key, value", [("framework", ["Rawlsian"]), ("opponent_kind", {"kind": "Biased"}), ("framework", None)])
+    def test_eval_record_naming_its_cell_with_a_non_string_is_usage_error(self, small_run, tmp_path, capsys, key, value):
+        # a list or dict would not hash as a cell's name, and None would not sort with the rest
+        evals = tmp_path / "evals"
+        shutil.copytree(small_run / "evals", evals)
+        victim = sorted(evals.glob("eval_*.json"))[1]
+        obj = json.loads(victim.read_text())
+        obj[key] = value
+        write_json(victim, obj)
+        code = main(["stats", "--eval-dir", str(evals), "--out", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"invalid eval file {victim}: TypeError: {key} is a {type(value).__name__}, not a string" in err
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("edit", ["v1", "v2", "not-an-eval"])
     def test_old_or_foreign_eval_record_is_refused_by_stats_and_validate(self, small_run, tmp_path, capsys, edit):
         # stats, report and validate read only eval records of schema_version 3

@@ -12,8 +12,9 @@ import time
 
 import pytest
 
-from triage_arena import cli, persistence
+from triage_arena import cli, fanout, persistence
 from triage_arena.cli import main
+from triage_arena.fanout import _MIN_ITEMS_PER_WORKER as MIN_ITEMS_PER_WORKER  # before any fixture patches it
 
 from conftest import no_child_left
 
@@ -160,4 +161,41 @@ def test_interrupt_in_the_caller_kills_and_reaps_every_child(damaged, tmp_path, 
         COMMANDS[command](damaged, tmp_path, capsys)
     assert time.monotonic() - start < 10  # the children were killed, not awaited
     assert len(forked) == 2
+    assert no_child_left()
+
+
+CHAT_RAG_BATCH = 100  # perfbench's chat-rag run: 100 transcripts to evaluate
+
+
+@pytest.fixture(scope="module")
+def hundred(tmp_path_factory):
+    """A run of CHAT_RAG_BATCH debates, one transcript truncated in the
+    second half, which a child reads on 2 CPUs."""
+    base = tmp_path_factory.mktemp("hundred")
+    assert main(["gen-cohorts", "--seed", "5", "--batch", str(CHAT_RAG_BATCH), "--out", str(base / "c")]) == 0
+    assert main(["run", "--cohorts", str(base / "c"), "--out", str(base / "run")]) == 0
+    victim = sorted((base / "run").glob("transcript_*.json"))[75]
+    victim.write_bytes(victim.read_bytes()[:200])
+    return base / "run"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_chat_rag_sized_batch_forks_one_child_on_two_cpus(hundred, tmp_path, capsys, cpus, monkeypatch, command):
+    forked = cpus(1)
+    # the fixed smallest share, not the cpus fixture's 4 items
+    monkeypatch.setattr(fanout, "_MIN_ITEMS_PER_WORKER", MIN_ITEMS_PER_WORKER)
+    outputs = []
+    for n_cpus in (1, 2):
+        cpus(n_cpus)
+        out = tmp_path / f"e{n_cpus}"
+        code = main(["eval", "--transcripts", str(hundred), "--out", str(out)] if command == "eval" else ["validate", str(hundred)])
+        captured = capsys.readouterr()
+        records = {f.name: f.read_bytes() for f in sorted(out.iterdir())} if command == "eval" else None
+        outputs.append((code, captured.out, captured.err, records))
+        assert len(forked) == n_cpus - 1
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 1
+    if command == "eval":
+        assert outputs[0][1] == f"evaluated {CHAT_RAG_BATCH - 1} transcripts, 1 corrupt, 0 stale removed\n"
+        assert len(outputs[0][3]) == CHAT_RAG_BATCH - 1
     assert no_child_left()

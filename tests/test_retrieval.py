@@ -142,6 +142,26 @@ class TestChunkingMatchesReference:
 
         assert rows(chunk_document(text, doc_id="d")) == rows(reference_chunk_document(text, doc_id="d"))
 
+    # (PAGE_TOKEN_ESTIMATE, CHUNK_SIZE, OVERLAP): the fixed settings, and
+    # small ones under which a document crosses many page and window edges
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(350, 512, 64), (3, 8, 2), (5, 7, 0), (4, 12, 5), (1, 2, 1)]), st.data())
+    def test_page_hints_around_page_and_stride_multiples(self, sizes, data):
+        page, size, overlap = sizes
+        multiple = data.draw(st.sampled_from([page, size - overlap]))
+        n_tokens = max(1, data.draw(st.integers(1, 7)) * multiple + data.draw(st.sampled_from([-1, 0, 1])))
+        gaps = [" "] * (n_tokens + 1)
+        # form feeds before, between and after tokens, several in a row
+        # making empty pages, or none
+        for i in data.draw(st.lists(st.integers(0, n_tokens), max_size=2 * n_tokens // page + 3)):
+            gaps[i] += "\f"
+        text = gaps[0] + "".join(f"w{i}{gap}" for i, gap in enumerate(gaps[1:]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retrieval, "PAGE_TOKEN_ESTIMATE", page)
+            mp.setattr(retrieval, "CHUNK_SIZE", size)
+            mp.setattr(retrieval, "OVERLAP", overlap)
+            assert chunk_document(text) == reference_chunk_document(text)
+
     @pytest.mark.parametrize("n_tokens", _TOKEN_COUNTS)
     @pytest.mark.parametrize("sep", ["\u3000\x85", " \f\r\n"])
     def test_every_window_edge(self, n_tokens, sep):
