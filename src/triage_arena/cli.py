@@ -70,6 +70,7 @@ from .persistence import (
     atomic_write_text,
     build_manifest,
     load_reference_fixtures,
+    read_eval_record,
     sha256_bytes,
     validate_schemas,
     write_json,
@@ -609,26 +610,6 @@ def _svg_bar_chart(metric: str, rows: list[ComparisonReport]) -> str:
     return "\n".join(parts)
 
 
-def _is_current_eval(record: dict) -> bool:
-    """Whether an eval file holds an eval record of the schema_version
-    validate accepts, the only records stats and report read."""
-    return record.get("kind") == "eval" and record.get("schema_version") == SCHEMA_VERSIONS["eval"]
-
-
-def _eval_entry(e: dict):
-    """An eval file's framework, its opponent kind and its pairing entry,
-    None when the debate did not complete."""
-    if not _is_current_eval(e):
-        raise ValueError(f"not an eval record of schema_version {SCHEMA_VERSIONS['eval']}")
-    for key in ("framework", "opponent_kind"):  # they name and group the cells
-        if not isinstance(e[key], str):
-            raise TypeError(f"{key} is a {type(e[key]).__name__}, not a string")
-    if not e["completed"]:
-        return e["framework"], e["opponent_kind"], None
-    finals = {label: MetricReport.from_json(r) for label, r in e["finals"].items()}
-    return e["framework"], e["opponent_kind"], (e["cohort_id"], finals)
-
-
 def cmd_stats(args) -> int:
     if not 0 < args.alpha < 1:
         raise UsageError(f"--alpha must lie in (0, 1), not {args.alpha}")
@@ -640,15 +621,17 @@ def cmd_stats(args) -> int:
     # named by its framework, so each framework has one opponent
     groups: dict[str, tuple[str, list]] = {}
     for f in files:
-        framework, opponent, entry = _read_input(f, "eval", _eval_entry)
+        record = _read_input(f, "eval", read_eval_record)
+        framework, opponent = record["framework"], record["opponent_kind"]
         kind, members = groups.setdefault(framework, (opponent, []))
         if opponent != kind:
             raise UsageError(
                 f"{eval_dir} holds {framework} records against both {kind} "
                 f"and {opponent} opponents; stats compares one opponent per framework"
             )
-        if entry is not None:
-            members.append(entry)
+        if record["completed"]:
+            finals = {label: MetricReport.from_json(r) for label, r in record["finals"].items()}
+            members.append((record["cohort_id"], finals))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -733,11 +716,12 @@ def cmd_report(args) -> int:
     transcripts.
 
     Each file the manifest lists is read once, to check its hash. A
-    transcript whose bytes match adds the numbers of the eval record in
-    --eval-dir (by default the eval directory beside the run directory)
-    of exactly those bytes, read once; no transcript is decoded. A
-    missing or mismatched file, or an intact transcript with no such
-    record, is listed as a problem, in manifest order, and gives exit 1.
+    transcript whose bytes match adds the numbers of its eval record in
+    --eval-dir (by default the eval directory beside the run directory),
+    read once by persistence.read_eval_record, if it is of those bytes;
+    no transcript is decoded. A missing or mismatched file, and an intact
+    transcript whose record is missing, of other bytes or refused by the
+    reader, is listed as a problem, in manifest order, and gives exit 1.
     """
     manifest_path = Path(args.run_manifest)
     base = manifest_path.parent
@@ -757,28 +741,6 @@ def cmd_report(args) -> int:
     finals: dict[tuple[str, str], list[list[float]]] = {}  # (framework, agent)
     joints: dict[str, list[tuple[list[float], bool]]] = {}  # deltas, feasible
 
-    def add(record: dict, sha: str) -> bool:
-        """Aggregate an eval record; False when it is not a record of the
-        transcript bytes with this sha256 in the current schema."""
-        if not _is_current_eval(record) or record.get("source_sha256") != sha:
-            return False
-        framework = record["framework"]
-        variants[record["cohort_id"]] = record["capacity_variant"]
-        for row in record["rounds"]:
-            if not row["feasible"]:
-                key = (framework, row["agent"], row["round"])
-                counts[key] = counts.get(key, 0) + 1
-        if not record["completed"]:
-            return True
-        for label, report in record["finals"].items():
-            finals.setdefault((framework, label), []).append([report[m] for m in METRIC_NAMES])
-        joint = record["joint"]
-        if joint is not None:
-            joints.setdefault(framework, []).append(
-                ([joint["deltas"][m] for m in METRIC_NAMES], joint["metrics"]["feasible"])
-            )
-        return True
-
     listed = dict(manifest.files)
     for rel, problem in manifest.check(base):
         if problem is not None:
@@ -788,8 +750,29 @@ def cmd_report(args) -> int:
             continue
         path = eval_dir / _eval_name(rel)
         data = _read_bytes(path)
-        if data is None or not _read_input(path, "eval", functools.partial(add, sha=listed[rel]), data):
+        try:
+            record = None if data is None else _read_input(path, "eval", read_eval_record, data)
+        except UsageError as exc:
+            problems.append(f"{rel}: {exc}")
+            continue
+        if record is None or record["source_sha256"] != listed[rel]:
             problems.append(f"{rel}: no eval record of these bytes in {eval_dir}")
+            continue
+        framework = record["framework"]
+        variants[record["cohort_id"]] = record["capacity_variant"]
+        for row in record["rounds"]:
+            if not row["feasible"]:
+                key = (framework, row["agent"], row["round"])
+                counts[key] = counts.get(key, 0) + 1
+        if not record["completed"]:
+            continue
+        for label, report in record["finals"].items():
+            finals.setdefault((framework, label), []).append([report[m] for m in METRIC_NAMES])
+        joint = record["joint"]
+        if joint is not None:
+            joints.setdefault(framework, []).append(
+                ([joint["deltas"][m] for m in METRIC_NAMES], joint["metrics"]["feasible"])
+            )
 
     lines = ["# Run report", ""]
     lines.append("## Configuration")

@@ -16,9 +16,9 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .arena import render_reply
+from .arena import agent_label, render_reply
 from .fanout import fan_out
-from .model import DATA, SCHEMA_VERSIONS, Allocation, Cohort, canonical_json
+from .model import DATA, SCHEMA_VERSIONS, AgentProfile, Allocation, Cohort, ProfileKind, canonical_json
 from .schemacheck import compile_schema
 
 __all__ = [
@@ -161,6 +161,27 @@ def _schema_errors(kind: str):
     return compile_schema(json.loads(text))
 
 
+def read_eval_record(obj):
+    """obj, unchanged, if stats, report and validate read it as an eval
+    record: of kind eval and the current schema_version, valid under the
+    eval schema, and, if its debate completed, with the finals of A and
+    of the opponent its opponent_kind names. Else a ValueError saying why."""
+    version = SCHEMA_VERSIONS["eval"]
+    if not isinstance(obj, dict) or (obj.get("kind"), obj.get("schema_version")) != ("eval", version):
+        raise ValueError(f"not an eval record of schema_version {version}")
+    if errors := _schema_errors("eval")(obj):
+        raise ValueError(str(errors[0]))
+    # the one rule a schema cannot state, labelled as run labels its agents
+    opponent = agent_label(AgentProfile(ProfileKind(obj["opponent_kind"])))
+    if obj["completed"] and set(obj["finals"]) != {"A", opponent}:
+        raise ValueError(f"finals: {sorted(obj['finals'])} are not those of A and {opponent}")
+    return obj
+
+
+# what the commands read a file of each kind with, after its schema
+_READERS = {"cohort": Cohort.from_json, "eval": read_eval_record}
+
+
 @dataclass(frozen=True)
 class SchemaViolation:
     path: str
@@ -172,13 +193,13 @@ def validate_schemas(directory: str | Path) -> list[SchemaViolation]:
 
     Files identify themselves through their kind and schema_version
     fields; unknown kinds or versions are flagged as unmigratable. A
-    cohort file that passes its schema is also read as a Cohort, so what
-    run would refuse in it (a supply of other than six entries, two
-    patients with one demographic tuple) is a violation too; other kinds
-    are checked against their schema alone. The files are checked in
-    one process per usable CPU (see fanout.fan_out), and the violations
-    are the one-process check's, in file order. Raises ValueError when
-    directory is missing or is not a directory.
+    cohort or eval file that passes its schema is also read as its
+    commands read it (_READERS), so a supply of other than six entries,
+    or the finals of other agents, is a violation too; transcripts and
+    manifests are checked against their schema alone. The files are
+    checked in one process per usable CPU (see fanout.fan_out), and the
+    violations are the one-process check's, in file order. Raises
+    ValueError when directory is missing or is not a directory.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -212,14 +233,12 @@ def _violations(files: list[Path]) -> list[SchemaViolation]:
             )
             continue
         errors = _schema_errors(kind)(obj)
-        for error in errors:
-            location = "/".join(str(p) for p in error.location) or "(root)"
-            violations.append(SchemaViolation(rel, f"{location}: {error.message}"))
-        if kind == "cohort" and not errors:
+        violations.extend(SchemaViolation(rel, str(error)) for error in errors)
+        if kind in _READERS and not errors:
             try:
-                Cohort.from_json(obj)
+                _READERS[kind](obj)
             except ValueError as exc:
-                violations.append(SchemaViolation(rel, f"invalid cohort: {exc}"))
+                violations.append(SchemaViolation(rel, f"invalid {kind}: {exc}"))
     return violations
 
 

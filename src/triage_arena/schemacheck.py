@@ -76,6 +76,9 @@ class SchemaError:
     message: str
     schema_location: tuple  # keys from the schema root to the failing subschema
 
+    def __str__(self) -> str:  # the location, then the message, as validate prints it
+        return f"{'/'.join(map(str, self.location)) or '(root)'}: {self.message}"
+
     def sort_key(self) -> tuple[str, str, str]:
         # jsonschema's str(error) starts with the message, then the schema
         # path, then the instance path, each written as name[...][...]

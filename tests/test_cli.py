@@ -18,6 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import triage_arena
 from triage_arena import agents, arena, cli
@@ -26,7 +27,7 @@ from triage_arena.arena import AgentSpec, DebateConfig, run_debate, transcript_f
 from triage_arena.cli import main
 from triage_arena.metrics import METRIC_NAMES
 from triage_arena.model import SCHEMA_VERSIONS, Framework, ProfileKind, canonical_json
-from triage_arena.persistence import RunManifest, validate_schemas, write_json
+from triage_arena.persistence import RunManifest, read_eval_record, validate_schemas, write_json
 from triage_arena.stats import cell_seed, compare_cell, pair_reports
 
 from conftest import failing_atomic_write
@@ -839,7 +840,11 @@ class TestStats:
         assert excinfo.value.code == 2
         assert not (tmp_path / "s").exists()
 
-    @pytest.mark.parametrize("breakage, reason", [("drop-framework", "KeyError"), ("not-json", "JSONDecodeError")])
+    @pytest.mark.parametrize(
+        "breakage, reason",
+        [("drop-framework", "ValueError: (root): 'framework' is a required property"), ("not-json", "JSONDecodeError")],
+        ids=["drop-framework-schema", "not-json-JSONDecodeError"],
+    )
     def test_invalid_eval_file_is_config_error(self, small_run, tmp_path, capsys, breakage, reason):
         evals = tmp_path / "evals"
         evals.mkdir()
@@ -871,7 +876,9 @@ class TestStats:
         code = main(["stats", "--eval-dir", str(evals), "--out", str(tmp_path / "s")])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"invalid eval file {victim}: TypeError: {key} is a {type(value).__name__}, not a string" in err
+        # the eval schema's message, as validate prints it
+        reason = f"{value!r} is not one of ['Baseline', 'Biased']" if key == "opponent_kind" else f"{value!r} is not of type 'string'"
+        assert f"invalid eval file {victim}: ValueError: {key}: {reason}" in err
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("edit", ["v1", "v2", "not-an-eval"])
@@ -1688,20 +1695,28 @@ class TestReportAndValidate:
         report_path = tmp_path / "report.md"
         assert report(manifest, report_path, evals) == 1
         problems, rest = self.split_problems(report_path.read_text())
-        assert problems == [f"{victim}: no eval record of these bytes in {evals}"]
+        if damage == "v2":  # refused by the reader, which names the record and its reason
+            reason = f"invalid eval file {record}: ValueError: not an eval record of schema_version 3"
+        else:
+            reason = f"no eval record of these bytes in {evals}"
+        assert problems == [f"{victim}: {reason}"]
         run = tmp_path / "run"
         shutil.copytree(small_run / "transcripts", run)
         assert rest == self.report_without(run, (victim,), tmp_path / "kept.md", evals)
 
-    def test_eval_record_that_is_not_json_is_usage_error(self, small_run, tmp_path, capsys):
+    def test_eval_record_that_is_not_json_is_listed(self, small_run, tmp_path):
         evals = tmp_path / "evals"
         shutil.copytree(small_run / "evals", evals)
         victim = sorted(evals.glob("eval_*.json"))[3]
         victim.write_text("{not json")
         out = tmp_path / "r.md"
-        assert report(small_run / "transcripts" / "manifest.json", out, evals) == 2
-        assert f"invalid eval file {victim}: JSONDecodeError" in capsys.readouterr().err
-        assert not out.exists()
+        assert report(small_run / "transcripts" / "manifest.json", out, evals) == 1
+        problems, _rest = self.split_problems(out.read_text())
+        transcript = victim.name.replace("eval_", "transcript_")
+        assert problems == [
+            f"{transcript}: invalid eval file {victim}: JSONDecodeError: Expecting property name "
+            "enclosed in double quotes: line 1 column 2 (char 1)"
+        ]
 
     def test_missing_eval_dir_is_usage_error(self, small_run, tmp_path, capsys):
         manifest = small_run / "transcripts" / "manifest.json"
@@ -1793,11 +1808,150 @@ class TestReportAndValidate:
         assert "survival_prob" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def rawlsian_run(tmp_path_factory):
+    """gen -> run -> eval over 4 seed-42 cohorts, scripted Rawlsian
+    against the baseline, into run/ and eval/."""
+    base = tmp_path_factory.mktemp("rawlsian")
+    assert main(["gen-cohorts", "--seed", "42", "--batch", "4", "--out", str(base / "cohorts")]) == 0
+    assert main(["run", "--cohorts", str(base / "cohorts"), "--framework", "Rawlsian", "--out", str(base / "run")]) == 0
+    assert main(["eval", "--transcripts", str(base / "run"), "--out", str(base / "eval")]) == 0
+    return base
+
+
+# Edits of one eval record that stats, report and validate answered
+# differently before they shared one reader (a crash, a misreading, or an
+# acceptance the others refused); None writes a file that is not JSON.
+EVAL_RECORD_FAULTS = {
+    "string-metric": lambda obj: obj["finals"]["A"].update(esg="x"),
+    "string-feasible": lambda obj: obj["finals"]["A"].update(feasible="no"),
+    "string-completed": lambda obj: obj.update(completed="no"),
+    "no-completed": lambda obj: obj.pop("completed"),
+    "string-delta": lambda obj: obj["joint"]["deltas"].update(esg="x"),
+    "finals-without-B": lambda obj: obj["finals"].pop("B"),
+    "no-finals": lambda obj: obj.update(finals={}),
+    "list-framework": lambda obj: obj.update(framework=["Rawlsian"]),
+    "not-json": None,
+}
+
+# One value of each JSON type, and of some types a few, to put where a
+# value of another type was.
+_JSON_TYPE_VALUES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "number": st.integers(min_value=-2, max_value=5) | st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.sampled_from(["", "x", "A", "B", "Biased", "eval"]),
+    "array": st.lists(st.integers(min_value=0, max_value=3), max_size=2),
+    "object": st.dictionaries(st.sampled_from(["A", "B", "esg"]), st.integers(min_value=0, max_value=3), max_size=2),
+}
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}[type(value)]
+
+
+def _paths(obj, path=()):
+    """The path of every value in obj, obj's own () included."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+class TestOneEvalReader:
+    """stats, report and validate accept and refuse the same eval records."""
+
+    @staticmethod
+    def damaged_copy(run: Path, out: Path, name: str, edit) -> Path:
+        """A copy of run's eval directory at out with the record name
+        edited in place, or made not JSON when edit is None; that record."""
+        shutil.copytree(run / "eval", out)
+        victim = out / name
+        if edit is None:
+            victim.write_text("{not json")
+        else:
+            obj = json.loads(victim.read_text())
+            edit(obj)
+            victim.write_text(json.dumps(obj))
+        return victim
+
+    @pytest.mark.parametrize("fault", list(EVAL_RECORD_FAULTS))
+    def test_every_command_refuses_the_record_and_names_it(self, rawlsian_run, tmp_path, capsys, fault):
+        name = "eval_rawlsian_baseline_0001.json"
+        evals = tmp_path / "eval"
+        victim = self.damaged_copy(rawlsian_run, evals, name, EVAL_RECORD_FAULTS[fault])
+        stats_out = tmp_path / "s"
+        assert main(["stats", "--eval-dir", str(evals), "--out", str(stats_out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: invalid eval file {victim}: ")
+        assert not stats_out.exists()
+        report_path = tmp_path / "r.md"
+        assert report(rawlsian_run / "run" / "manifest.json", report_path, evals) == 1
+        problems, _rest = TestReportAndValidate.split_problems(report_path.read_text())
+        # the one reader's reason, word for word
+        assert problems == [f"{name.replace('eval_', 'transcript_')}: {line.removeprefix('error: ')}"]
+        capsys.readouterr()
+        assert main(["validate", str(evals)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith(f"{victim}: ") for line in lines)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_validate_and_stats_refuse_exactly_what_the_reader_refuses(self, rawlsian_run, tmp_path_factory, capsys, data):
+        names = sorted(p.name for p in (rawlsian_run / "eval").glob("eval_*.json"))
+        name = data.draw(st.sampled_from(names))
+        how = data.draw(st.sampled_from(["delete", "retype", "drop-final"]))
+        obj = json.loads((rawlsian_run / "eval" / name).read_text())
+        if how == "drop-final":
+            label = data.draw(st.sampled_from(sorted(obj["finals"])))
+            edit = lambda o: o["finals"].pop(label)  # noqa: E731
+        else:
+            deletable = [p for p in _paths(obj) if p and isinstance(p[-1], str)]
+            path = data.draw(st.sampled_from(deletable if how == "delete" else list(_paths(obj))[1:]))
+            current = obj
+            for key in path:
+                current = current[key]
+            kind = data.draw(st.sampled_from(sorted(set(_JSON_TYPE_VALUES) - {_json_type(current)})))
+            value = data.draw(_JSON_TYPE_VALUES[kind])
+
+            def edit(o):
+                parent = o
+                for key in path[:-1]:
+                    parent = parent[key]
+                if how == "delete":
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+
+        base = tmp_path_factory.mktemp("property")
+        victim = self.damaged_copy(rawlsian_run, base / "eval", name, edit)
+        try:
+            read_eval_record(json.loads(victim.read_text()))
+            refused = False
+        except ValueError:
+            refused = True
+        violations = validate_schemas(base / "eval")
+        assert bool(violations) == refused
+        assert all(v.path == str(victim) for v in violations)
+        assert main(["stats", "--eval-dir", str(base / "eval"), "--out", str(base / "s")]) == (2 if refused else 0)
+        assert (base / "s").exists() != refused
+        capsys.readouterr()
+
+
 def test_every_writer_stamps_the_schema_versions_table(tmp_path, monkeypatch):
     assert triage_arena.persistence.SCHEMA_VERSIONS is SCHEMA_VERSIONS
     patched = {kind: 100 + i for i, kind in enumerate(sorted(SCHEMA_VERSIONS))}
     for kind, version in patched.items():
         monkeypatch.setitem(SCHEMA_VERSIONS, kind, version)
+    # the packaged schemas' schema_version const would refuse the patched
+    # versions; test_packaged_schema_versions_match_the_table guards it
+    monkeypatch.setattr(triage_arena.persistence, "_schema_errors", lambda kind: lambda obj: [])
     cohorts, transcripts, evals, stats = (tmp_path / name for name in "ctes")
     assert main(["gen-cohorts", "--seed", "1", "--batch", "2", "--out", str(cohorts)]) == 0
     assert main(["run", "--cohorts", str(cohorts), "--out", str(transcripts)]) == 0

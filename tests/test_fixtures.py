@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import triage_arena
 from triage_arena.cli import main
-from triage_arena.model import Allocation, column_totals, validate_allocation
+from triage_arena.model import SCHEMA_VERSIONS, Allocation, column_totals, validate_allocation
 from triage_arena.persistence import (
     FixtureChecksumError,
     RunManifest,
@@ -451,6 +451,14 @@ def _mutate(obj, data):
         else:
             parent[path[-1]] = value
     return obj
+
+
+def test_packaged_schema_versions_match_the_table():
+    # validate and the eval reader check a file's version against both, so
+    # bumping one alone would refuse every file the writers stamp
+    for kind, version in SCHEMA_VERSIONS.items():
+        text = resources.files("triage_arena").joinpath(f"data/schemas/{kind}.schema.json").read_text(encoding="utf-8")
+        assert json.loads(text)["properties"]["schema_version"] == {"const": version}, kind
 
 
 class TestSchemaParity:
