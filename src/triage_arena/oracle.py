@@ -11,13 +11,16 @@ it builds the grid once as an (M, n) integer composition array,
 tabulates each person's utility once per grid share and reduces the
 utility matrix of each fixed-size block of grid rows column by column,
 with the scalar path's float arithmetic: sums add columns, the minimum
-folds np.minimum over them and egal sorts each row with a network of
-np.minimum and np.maximum, never a numpy reduction along a short row.
+folds np.minimum over them and egal sorts each row with Batcher's
+merge-exchange network of np.minimum and np.maximum, never a numpy
+reduction along a short row.
 The cake verifier additionally exploits that its welfare functions are
 separable across recipients: one max-plus budget DP over the same
 utility table gives the same grid answers and stays tractable at fine
 steps. It forms the offers of a block of unit counts at once, each the
-one addition a per-count loop makes. It serves claim (a) on the table
+one addition a per-count loop makes, and only the offers its claims
+read: person 0's at the whole budget, and on the masked table none
+below a person's least unit count. It serves claim (a) on the table
 and claim (c) on the table masked below the maximin optimum theta. All
 verdicts are labelled grid-certified at their step; nothing here
 reasons about the continuum.
@@ -71,9 +74,16 @@ _COMPOSITION_ROWS = 8192
 # 8,192 to 131,072 this ran fastest at step 0.001, and a fixed count of
 # rows would grow the working memory with the budget instead
 _DP_CANDIDATES = 65_536
-# offers per pass of the cake DP that verify_cake_claims accepts; time
-# grows with this count, about 1.2 s a command at 3.0e8 (step 0.0001)
+# offers per pass of the cake DP that verify_cake_claims accepts, counted
+# on the full table, an upper bound on what the DP forms since it reads
+# person 0 at the budget only and starts the masked pass at each row's
+# least unit count; time grows with this count, about 0.5 s a command at
+# 3.0e8 (step 0.0001)
 _DP_OFFER_BOUND = 10**10
+# the masked cake DP skips entries only while the absolute row maxima sum
+# below this, far enough from the float range that no sum of one entry a
+# row, however rounded, is infinite
+_FINITE_SUMS = 2.0**1000
 
 
 _AGGREGATE_KINDS = ("util", "egal", "rawls", "prior")
@@ -130,8 +140,9 @@ class UtilityAggregate:
         scalar value in its last bits); rawls folds np.minimum over the
         columns; egal replicates metrics.gini row by row, including its
         all-zero and equal-vector rules, and orders the rows with a
-        sorting network of np.minimum and np.maximum. The values have the
-        bytes of the row-wise min(axis=1) and np.sort formulas.
+        sorting network of np.minimum and np.maximum (_merge_exchange).
+        The values have the bytes of the row-wise min(axis=1) and np.sort
+        formulas.
         """
         if self.kind == "util":
             return _left_sum(utility.T)
@@ -142,18 +153,36 @@ class UtilityAggregate:
         n = utility.shape[1]
         columns = list(np.maximum(utility, 0.0).T)
         total = _left_sum(columns)
-        # odd-even transposition sort: after n rounds of compare-exchanges
-        # between neighbours each row is ascending, as np.sort leaves it; a
-        # row holding NaN turns NaN in every column, and its index stays NaN
-        for round_ in range(n):
-            for i in range(round_ % 2, n - 1, 2):
-                low, high = columns[i], columns[i + 1]
-                columns[i], columns[i + 1] = np.minimum(low, high), np.maximum(low, high)
+        # after the merge-exchange network each row is ascending, as np.sort
+        # leaves it; a row holding NaN turns NaN in every column (every input
+        # of a sorting network reaches every output), and its index stays NaN
+        for i, j in _merge_exchange(n):
+            low, high = columns[i], columns[j]
+            columns[i], columns[j] = np.minimum(low, high), np.maximum(low, high)
         weighted = _left_sum((i + 1) * column for i, column in enumerate(columns))
         with np.errstate(divide="ignore", invalid="ignore"):
             index = 2.0 * weighted / (n * total) - (n + 1) / n
         index[(total == 0) | (columns[0] == columns[-1])] = 0.0
         return -index
+
+
+@functools.cache
+def _merge_exchange(n: int) -> tuple[tuple[int, int], ...]:
+    """The compare-exchanges (i, j), i < j, of Batcher's merge-exchange
+    sort of n items, in order (Knuth, TAOCP vol. 3, 5.2.2, Algorithm M):
+    12 for n = 6, against 15 for odd-even transposition."""
+    pairs = []
+    t = max(n - 1, 0).bit_length()
+    p = 1 << t >> 1
+    while p > 0:
+        q, r, d = 1 << t >> 1, 0, p
+        while True:
+            pairs.extend((i, i + d) for i in range(n - d) if i & p == r)
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return tuple(pairs)
 
 
 def _left_sum(columns) -> np.ndarray:
@@ -367,8 +396,9 @@ def _grid_argmax_indices(
     the same bytes in either order, and its values are row-local and so
     the floats a whole-grid pass gives. Per functional, a running
     maximum keeps the candidates within tol of it, pruned whenever it
-    rises; a NaN value anywhere on the grid empties the functional's
-    set, as a NaN grid maximum would.
+    rises, and a block whose top lies below that floor adds none; a NaN
+    value anywhere on the grid empties the functional's set, as a NaN
+    grid maximum would.
     """
     tables = {u: _utility_table(u, space) for u in {W.utilities for W in functionals}}
     best = {W.kind: -math.inf for W in functionals}
@@ -391,7 +421,8 @@ def _grid_argmax_indices(
             if top > best[W.kind]:
                 best[W.kind] = top
                 kept[W.kind] = [_within(v, i, top - tol) for v, i in kept[W.kind]]
-            kept[W.kind].append(_within(values, indices, best[W.kind] - tol))
+            if top >= best[W.kind] - tol:
+                kept[W.kind].append(_within(values, indices, best[W.kind] - tol))
     return {
         W.kind: np.concatenate([np.empty(0, np.intp)] + [i for _, i in kept[W.kind]])
         for W in functionals
@@ -615,15 +646,16 @@ def _suffix_best(table: np.ndarray, budget: int) -> np.ndarray:
     Person i taking v units offers table[i, v] + suffix[i + 1, b - v] at
     every b >= v. The offers are formed for a block of v's at once, each
     v's row read as a window of suffix[i + 1] preceded by -inf padding,
-    and the block's column maxima fold into suffix[i]. Blocks hold about
-    _DP_CANDIDATES offers, so working memory does not grow with the
-    budget. The pairs b < v a block also covers are set to -inf, so a
-    +inf or NaN entry of the table reaches only the b >= v that a loop
-    over v would give it.
+    into one reused buffer, and the block's column maxima fold into
+    suffix[i]. Blocks hold about _DP_CANDIDATES offers, so working memory
+    does not grow with the budget. The pairs b < v a block also covers
+    are set to -inf, so a +inf or NaN entry of the table reaches only the
+    b >= v that a loop over v would give it.
     """
     n, size = len(table), budget + 1
     rows = min(size, max(1, _DP_CANDIDATES // size))
     below = np.tri(rows, rows, -1, dtype=bool)
+    buffer = np.empty(rows * size)
     suffix = np.zeros((n + 1, size))
     padded = np.full(2 * size - 1, -np.inf)
     # shifted[v, b] is padded[size - 1 + b - v]: suffix[i + 1, b - v] for b >= v
@@ -633,7 +665,9 @@ def _suffix_best(table: np.ndarray, budget: int) -> np.ndarray:
         best.fill(-np.inf)
         padded[size - 1 :] = suffix[i + 1]
         for v0 in range(0, size, rows):
-            offers = table[i, v0 : v0 + rows, None] + shifted[v0 : v0 + rows, v0:]
+            window = shifted[v0 : v0 + rows, v0:]
+            offers = buffer[: window.size].reshape(window.shape)
+            np.add(table[i, v0 : v0 + rows, None], window, out=offers)
             r = len(offers)
             np.copyto(offers[:, :r], -np.inf, where=below[:r, :r])
             np.maximum(best[v0:], offers.max(axis=0), out=best[v0:])
@@ -653,14 +687,26 @@ def _backtrack(table: np.ndarray, suffix: np.ndarray, budget: int) -> tuple[int,
     return tuple(units)
 
 
+def _optimum(table: np.ndarray, budget: int) -> tuple[np.ndarray, float, tuple[int, ...]]:
+    """Person 0's offers at the whole budget, their maximum and its units
+    per person: the offers table[0, v] + suffix[1, budget - v] for every
+    v, suffix[0, budget] and its _backtrack. The callers read person 0 at
+    the budget only, so the DP runs on persons 1.. (its rows are the whole
+    table's suffix[1:]) and the rest of row suffix[0] is never formed."""
+    tail = _suffix_best(table[1:], budget)
+    offers = table[0] + tail[0, ::-1]
+    best = offers.max()
+    first = int(np.argmax(offers == best))
+    return offers, float(best), (first,) + _backtrack(table[1:], tail, budget - first)
+
+
 def _util_grid_analysis(table: np.ndarray, budget: int):
     """Grid max of the utility sum, the corner value, and the best value
     attainable by any allocation other than the all-to-first corner."""
-    suffix = _suffix_best(table, budget)
+    offers, grid_max, witness = _optimum(table, budget)
     # v0 == budget is exactly the corner
-    best_non_corner = np.max(table[0, :budget] + suffix[1, budget:0:-1])
-    witness = _backtrack(table, suffix, budget)
-    return float(suffix[0, budget]), float(table[0, budget]), float(best_non_corner), witness
+    best_non_corner = np.max(offers[:budget])
+    return grid_max, float(table[0, budget]), float(best_non_corner), witness
 
 
 def _rawls_grid_max(table: np.ndarray, budget: int):
@@ -687,13 +733,31 @@ def _best_util_at_rawls_optimum(
     table: np.ndarray, budget: int, theta: float
 ) -> tuple[float, tuple[int, ...] | None]:
     """Max utility sum over allocations whose minimum utility is theta,
-    i.e. over the rawls argmax set (theta is the rawls grid max)."""
+    i.e. over the rawls argmax set (theta is the rawls grid max).
+
+    The DP runs on the table masked to -inf below theta. Every entry of a
+    row before its least unit count that reaches theta is -inf, so each
+    row starts there and the DP runs on the budget the least counts
+    leave, which gives the whole masked table's value and witness: the
+    allocations it skips are -inf. That holds while no sum can be
+    infinite, since the whole table's DP turns +inf beside a skipped
+    -inf into NaN; a table holding +inf, or entries whose sums could
+    pass the float range, runs whole.
+    """
     allowed = np.where(table >= theta, table, -np.inf)
-    suffix = _suffix_best(allowed, budget)
-    best = float(suffix[0, budget])
-    if best == -math.inf:
-        return best, None
-    return best, _backtrack(allowed, suffix, budget)
+    reached = allowed > -np.inf
+    with np.errstate(over="ignore"):
+        bound = np.abs(np.where(reached, allowed, 0.0)).max(axis=1).sum()
+    if bound >= _FINITE_SUMS:
+        _offers, best, units = _optimum(allowed, budget)
+        return (best, None) if best == -math.inf else (best, units)
+    least = reached.argmax(axis=1)
+    room = budget - int(least.sum())
+    if not reached.any(axis=1).all() or room < 0:
+        return -math.inf, None
+    narrowed = np.take_along_axis(allowed, least[:, None] + np.arange(room + 1), axis=1)
+    _offers, best, units = _optimum(narrowed, room)
+    return best, tuple(int(v + w) for v, w in zip(least, units))
 
 
 @dataclass(frozen=True)
@@ -833,8 +897,8 @@ def verify_cake_claims(params: CakeParams, step: float) -> CakeVerificationRepor
     fall on resolvable grid points. The claims are evaluated at
     CLAIM_TOL and re-evaluated at RECHECK_TOL to confirm the verdicts are
     not knife-edge. A step whose DP would form more than _DP_OFFER_BOUND
-    offers per pass is refused with a ValueError before any table is
-    built.
+    offers per pass on the full table is refused with a ValueError before
+    any table is built.
     """
     space = cake_space(step)
     limit = min(params.xbar4, params.xmin) / 2

@@ -171,15 +171,22 @@ def read_eval_record(obj):
         raise ValueError(f"not an eval record of schema_version {version}")
     if errors := _schema_errors("eval")(obj):
         raise ValueError(str(errors[0]))
-    # the one rule a schema cannot state, labelled as run labels its agents
+    return _check_finals(obj)
+
+
+def _check_finals(obj):
+    """obj, an eval record valid under the eval schema, if a completed
+    debate's finals are those of A and of its opponent; the one rule a
+    schema cannot state, labelled as run labels its agents."""
     opponent = agent_label(AgentProfile(ProfileKind(obj["opponent_kind"])))
     if obj["completed"] and set(obj["finals"]) != {"A", opponent}:
         raise ValueError(f"finals: {sorted(obj['finals'])} are not those of A and {opponent}")
     return obj
 
 
-# what the commands read a file of each kind with, after its schema
-_READERS = {"cohort": Cohort.from_json, "eval": read_eval_record}
+# what the commands read a file of each kind with, after its schema: for eval
+# records the rule read_eval_record applies once the schema has passed
+_READERS = {"cohort": Cohort.from_json, "eval": _check_finals}
 
 
 @dataclass(frozen=True)

@@ -1901,6 +1901,27 @@ class TestOneEvalReader:
         lines = capsys.readouterr().out.splitlines()
         assert lines and all(line.startswith(f"{victim}: ") for line in lines)
 
+    def test_validate_runs_the_eval_schema_once_per_record(self, rawlsian_run, monkeypatch):
+        # validate checks the schema itself and then only the finals rule,
+        # not the whole reader, which would run the schema a second time
+        schema_errors = triage_arena.persistence._schema_errors
+        calls = []
+
+        def counting(kind):
+            check = schema_errors(kind)
+
+            def counted(obj):
+                calls.append(kind)
+                return check(obj)
+
+            return counted
+
+        monkeypatch.setattr(triage_arena.persistence, "_schema_errors", counting)
+        evals = sorted((rawlsian_run / "eval").glob("*.json"))
+        assert validate_schemas(rawlsian_run / "eval") == []
+        assert len(calls) == len(evals) == 4
+        assert set(calls) == {"eval"}
+
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_validate_and_stats_refuse_exactly_what_the_reader_refuses(self, rawlsian_run, tmp_path_factory, capsys, data):

@@ -29,9 +29,12 @@ from triage_arena.oracle import (
     verify_cake_claims,
 )
 from triage_arena.oracle import (
+    _backtrack,
     _best_util_at_rawls_optimum,
     _composition_array,
     _grid_argmax_indices,
+    _merge_exchange,
+    _optimum,
     _rawls_grid_max,
     _suffix_best,
     _util_grid_analysis,
@@ -537,6 +540,41 @@ class TestArrayPassParity:
         assert _values_bytes(aggregate, matrix) == _parent_values(aggregate, matrix)
 
 
+def _network_sort(matrix):
+    """matrix's rows through the merge-exchange network, as over_grid's
+    egal runs it: np.minimum and np.maximum on whole columns."""
+    columns = list(matrix.T)
+    for i, j in _merge_exchange(len(columns)):
+        low, high = columns[i], columns[j]
+        columns[i], columns[j] = np.minimum(low, high), np.maximum(low, high)
+    return np.column_stack(columns)
+
+
+class TestMergeExchange:
+    def test_comparator_counts_are_batchers(self):
+        # Knuth, TAOCP vol. 3, 5.2.2: 12 compare-exchanges for n = 6, where
+        # odd-even transposition takes 15
+        counts = [len(_merge_exchange(n)) for n in range(1, 13)]
+        assert counts == [0, 1, 3, 5, 9, 12, 16, 19, 26, 31, 37, 41]
+        assert all(i < j for n in range(1, 13) for i, j in _merge_exchange(n))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sorts_every_zero_one_vector(self, n):
+        # by the 0-1 principle a comparator network that sorts every 0-1
+        # input sorts every input
+        vectors = (np.arange(2**n)[:, None] >> np.arange(n) & 1).astype(float)
+        np.testing.assert_array_equal(_network_sort(vectors), np.sort(vectors, axis=1))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_nan_in_any_column_reaches_every_column(self, n):
+        # row j holds its NaN in column j; every other value is finite
+        matrix = np.random.default_rng(n).uniform(-1.0, 1.0, (n + 1, n))
+        matrix[np.arange(n), np.arange(n)] = math.nan
+        ordered = _network_sort(matrix)
+        assert np.isnan(ordered[:n]).all()
+        np.testing.assert_array_equal(ordered[n], np.sort(matrix[n]))
+
+
 class TestColumnMajorBlocks:
     """The grid pass gathers each block's utility matrix in column-major
     order; the over_grid kernels and the argmax sets must not see it."""
@@ -710,6 +748,114 @@ class TestSuffixBest:
         with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
             patch.setattr(oracle, "_DP_CANDIDATES", offers)
             assert _suffix_best(table, 8).tobytes() == _parent_suffix_best(table, 8).tobytes()
+
+
+def _full_table_best_at_theta(table, budget, theta):
+    """_best_util_at_rawls_optimum as the DP over the whole masked table:
+    the pass the narrowed one replaced."""
+    allowed = np.where(table >= theta, table, -np.inf)
+    suffix = _suffix_best(allowed, budget)
+    best = float(suffix[0, budget])
+    if best == -math.inf:
+        return best, None
+    return best, _backtrack(allowed, suffix, budget)
+
+
+def _same_value(a, b):
+    return (math.isnan(a) and math.isnan(b)) or a == b
+
+
+_dp_entry = st.one_of(
+    st.floats(-5.0, 5.0),
+    st.sampled_from([-math.inf, math.inf, math.nan, 0.0, 1.0]),
+)
+
+
+@st.composite
+def _dp_table(draw, entries=_dp_entry):
+    n = draw(st.integers(1, 6))
+    budget = draw(st.integers(0, 30))
+    rows = draw(st.lists(st.lists(entries, min_size=budget + 1, max_size=budget + 1), min_size=n, max_size=n))
+    return np.array(rows), budget
+
+
+class TestFirstPersonAtBudget:
+    @settings(max_examples=200, deadline=None)
+    @given(_dp_table())
+    def test_top_is_the_full_dp_entry(self, drawn):
+        table, budget = drawn
+        with np.errstate(invalid="ignore"):
+            offers, top, units = _optimum(table, budget)
+            suffix = _suffix_best(table, budget)
+            assert units == _backtrack(table, suffix, budget)
+        assert _same_value(top, suffix[0, budget])
+        assert len(offers) == budget + 1
+
+    @pytest.mark.parametrize("step", [0.01, 0.001])
+    def test_cake_table_analysis_matches_the_full_dp(self, step):
+        table, budget = _cake_table(CakeParams(), step)
+        suffix = _suffix_best(table, budget)
+        grid_max, corner, runner_up, witness = _util_grid_analysis(table, budget)
+        assert np.float64(grid_max).tobytes() == suffix[0, budget].tobytes()
+        assert runner_up == np.max(table[0, :budget] + suffix[1, budget:0:-1])
+        assert corner == table[0, budget]
+        assert witness == _backtrack(table, suffix, budget)
+
+
+class TestNarrowedMaskedPass:
+    """The masked DP started at each person's least unit count reaching
+    theta, on the budget they leave, against the DP over the whole
+    masked table."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _dp_table(st.one_of(_dp_entry, st.just(1e308))),
+        st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1.0, -math.inf, math.inf])),
+        st.data(),
+    )
+    def test_matches_the_whole_masked_table(self, drawn, theta, data):
+        table, budget = drawn
+        # holes above a least count come from entries below theta; one row
+        # may be made to hold no entry that reaches theta
+        if data.draw(st.booleans()):
+            empty = data.draw(st.integers(0, len(table) - 1))
+            table[empty] = data.draw(st.sampled_from([math.nan, -math.inf, theta - 1.0]))
+        with np.errstate(invalid="ignore", over="ignore"):
+            best, units = _best_util_at_rawls_optimum(table, budget, theta)
+            ref_best, ref_units = _full_table_best_at_theta(table, budget, theta)
+        assert _same_value(best, ref_best)
+        assert units == ref_units
+
+    def test_row_with_no_entry_reaching_theta_has_no_witness(self):
+        table = np.array([[0.0, 2.0, 3.0], [0.5, 0.5, 0.5]])
+        assert _best_util_at_rawls_optimum(table, 2, 1.0) == (-math.inf, None)
+        assert _full_table_best_at_theta(table, 2, 1.0) == (-math.inf, None)
+
+    def test_least_counts_past_the_budget_have_no_witness(self):
+        table = np.array([[0.0, 2.0, 3.0], [0.0, 0.0, 4.0]])
+        assert _best_util_at_rawls_optimum(table, 2, 1.0) == (-math.inf, None)
+        assert _full_table_best_at_theta(table, 2, 1.0) == (-math.inf, None)
+
+    def test_sum_past_the_float_range_runs_whole(self):
+        # persons 1 and 2 overflow to +inf at two units, which meets person
+        # 0's skipped -inf at no units: NaN, as the whole table gives it
+        table = np.array([[-1.0, 1.0, 1.0], [0.0, 1e308, 1e308], [0.0, 1e308, 1e308]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            best, units = _best_util_at_rawls_optimum(table, 2, 0.0)
+            assert math.isnan(_full_table_best_at_theta(table, 2, 0.0)[0])
+        assert math.isnan(best)
+
+    @pytest.mark.parametrize(
+        "params", [CakeParams(), CakeParams(lam=0.0, allow_degenerate=True)], ids=["default", "lam0"]
+    )
+    @pytest.mark.parametrize("step", [0.01, 0.001])
+    def test_cake_tables_match_the_whole_masked_table(self, params, step):
+        table, budget = _cake_table(params, step)
+        theta, _units = _rawls_grid_max(table, budget)
+        best, units = _best_util_at_rawls_optimum(table, budget, theta)
+        ref_best, ref_units = _full_table_best_at_theta(table, budget, theta)
+        assert np.float64(best).tobytes() == np.float64(ref_best).tobytes()
+        assert units == ref_units
 
 
 class TestVerifyCakeClaims:
