@@ -140,7 +140,7 @@ class UtilityAggregate:
         scalar value in its last bits); rawls folds np.minimum over the
         columns; egal replicates metrics.gini row by row, including its
         all-zero and equal-vector rules, and orders the rows with a
-        sorting network of np.minimum and np.maximum (_merge_exchange).
+        sorting network of np.minimum and np.maximum (_sort_columns).
         The values have the bytes of the row-wise min(axis=1) and np.sort
         formulas.
         """
@@ -153,12 +153,7 @@ class UtilityAggregate:
         n = utility.shape[1]
         columns = list(np.maximum(utility, 0.0).T)
         total = _left_sum(columns)
-        # after the merge-exchange network each row is ascending, as np.sort
-        # leaves it; a row holding NaN turns NaN in every column (every input
-        # of a sorting network reaches every output), and its index stays NaN
-        for i, j in _merge_exchange(n):
-            low, high = columns[i], columns[j]
-            columns[i], columns[j] = np.minimum(low, high), np.maximum(low, high)
+        _sort_columns(columns)
         weighted = _left_sum((i + 1) * column for i, column in enumerate(columns))
         with np.errstate(divide="ignore", invalid="ignore"):
             index = 2.0 * weighted / (n * total) - (n + 1) / n
@@ -183,6 +178,16 @@ def _merge_exchange(n: int) -> tuple[tuple[int, int], ...]:
             d, q, r = q - p, q >> 1, p
         p >>= 1
     return tuple(pairs)
+
+
+def _sort_columns(columns: list) -> None:
+    """Order the rows of columns ascending, as np.sort leaves them, by
+    replacing the columns in place through the merge-exchange network of
+    np.minimum and np.maximum. A row holding NaN turns NaN in every column,
+    since every input of a sorting network reaches every output."""
+    for i, j in _merge_exchange(len(columns)):
+        low, high = columns[i], columns[j]
+        columns[i], columns[j] = np.minimum(low, high), np.maximum(low, high)
 
 
 def _left_sum(columns) -> np.ndarray:

@@ -231,7 +231,8 @@ def _violations(files: list[Path]) -> list[SchemaViolation]:
             continue
         kind = obj.get("kind")
         version = obj.get("schema_version")
-        if kind not in SCHEMA_VERSIONS:
+        # a kind that is a list or an object is unhashable, and no kind either
+        if not isinstance(kind, str) or kind not in SCHEMA_VERSIONS:
             violations.append(SchemaViolation(rel, f"unknown kind {kind!r}"))
             continue
         if version != SCHEMA_VERSIONS[kind]:

@@ -1901,6 +1901,14 @@ class TestOneEvalReader:
         lines = capsys.readouterr().out.splitlines()
         assert lines and all(line.startswith(f"{victim}: ") for line in lines)
 
+    @pytest.mark.parametrize("kind", [[], {}, ["eval"]], ids=["empty-list", "empty-object", "list"])
+    def test_validate_lists_an_unhashable_kind(self, rawlsian_run, tmp_path, capsys, kind):
+        # validate crashed with "unhashable type" on such a kind; stats refuses it
+        victim = self.damaged_copy(rawlsian_run, tmp_path / "eval", "eval_rawlsian_baseline_0000.json", lambda o: o.update(kind=kind))
+        assert main(["validate", str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().out.splitlines() == [f"{victim}: unknown kind {kind!r}"]
+        assert main(["stats", "--eval-dir", str(tmp_path / "eval"), "--out", str(tmp_path / "s")]) == 2
+
     def test_validate_runs_the_eval_schema_once_per_record(self, rawlsian_run, monkeypatch):
         # validate checks the schema itself and then only the finals rule,
         # not the whole reader, which would run the schema a second time

@@ -36,6 +36,7 @@ from triage_arena.oracle import (
     _merge_exchange,
     _optimum,
     _rawls_grid_max,
+    _sort_columns,
     _suffix_best,
     _util_grid_analysis,
     _utility_table,
@@ -541,12 +542,9 @@ class TestArrayPassParity:
 
 
 def _network_sort(matrix):
-    """matrix's rows through the merge-exchange network, as over_grid's
-    egal runs it: np.minimum and np.maximum on whole columns."""
+    """matrix's rows as over_grid's egal orders them."""
     columns = list(matrix.T)
-    for i, j in _merge_exchange(len(columns)):
-        low, high = columns[i], columns[j]
-        columns[i], columns[j] = np.minimum(low, high), np.maximum(low, high)
+    _sort_columns(columns)
     return np.column_stack(columns)
 
 
