@@ -58,7 +58,6 @@ from .model import (
 )
 from .oracle import (
     CakeParams,
-    EnumerationBoundExceeded,
     cake_functionals,
     cake_space,
     check_nondegeneracy,
@@ -922,7 +921,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, EnumerationBoundExceeded) as exc:  # UsageError is a ValueError
+    except ValueError as exc:  # so are UsageError and EnumerationBoundExceeded
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, TransportError) as exc:

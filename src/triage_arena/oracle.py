@@ -80,10 +80,9 @@ _DP_CANDIDATES = 65_536
 # least unit count; time grows with this count, about 0.5 s a command at
 # 3.0e8 (step 0.0001)
 _DP_OFFER_BOUND = 10**10
-# the masked cake DP skips entries only while the absolute row maxima sum
-# below this, far enough from the float range that no sum of one entry a
-# row, however rounded, is infinite
-_FINITE_SUMS = 2.0**1000
+# the bound _utility_table puts on a table's sums, so far below the float
+# range that no sum, weighted sum or egal term of the grid or DP overflows
+_UTILITY_RANGE = 2.0**1000
 
 
 _AGGREGATE_KINDS = ("util", "egal", "rawls", "prior")
@@ -197,7 +196,7 @@ def _left_sum(columns) -> np.ndarray:
     return total
 
 
-class EnumerationBoundExceeded(RuntimeError):
+class EnumerationBoundExceeded(ValueError):
     def __init__(self, count: int, bound: int):
         super().__init__(
             f"grid has {count} candidate allocations, above the enumeration "
@@ -249,10 +248,7 @@ def enumerate_allocations(space: DiscretizedSpace) -> Iterator[Allocation]:
     Raises EnumerationBoundExceeded (with the computed count) before
     yielding anything if the grid is too large.
     """
-    count = candidate_count(space)
-    if count > space.enumeration_bound:
-        raise EnumerationBoundExceeded(count, space.enumeration_bound)
-    for member in _composition_array(space.units, space.n):
+    for member in _grid(space)[0]:
         yield _allocation(member, space.step)
 
 
@@ -371,41 +367,66 @@ def _composition_array(total: int, parts: int) -> np.ndarray:
     return grid
 
 
+def _grid(space: DiscretizedSpace, functionals: Sequence[UtilityAggregate] = ()):
+    """The grid, _composition_array(space.units, space.n), and the table of
+    each utility tuple of functionals. A grid above space.enumeration_bound
+    is refused before any table, a table before the grid is built."""
+    count = candidate_count(space)
+    if count > space.enumeration_bound:
+        raise EnumerationBoundExceeded(count, space.enumeration_bound)
+    weights: dict[tuple, list] = {}
+    for W in functionals:
+        weights.setdefault(W.utilities, []).append(W.weights if W.kind == "prior" else None)
+    tables = {u: _utility_table(u, space, w) for u, w in weights.items()}
+    return _composition_array(space.units, space.n), tables
+
+
 def _utility_table(
-    utilities: Sequence[Callable[[float], float]], space: DiscretizedSpace
+    utilities: Sequence[Callable[[float], float]], space: DiscretizedSpace, weights: Sequence = (None,)
 ) -> np.ndarray:
     """The (n, units + 1) utility table: entry [i, v] is person i's
-    utility of v steps of cake."""
+    utility of v steps of cake. A ValueError refuses a non-finite entry,
+    and a table whose row maxima of |entry|, each times |w_i| for some
+    prior weights w in weights (1 for None), sum to _UTILITY_RANGE or more."""
     if len(utilities) != space.n:
         raise ValueError(f"{len(utilities)} utilities for a grid of {space.n} persons")
     shares = [v * space.step for v in range(space.units + 1)]
-    return np.array([[u(x) for x in shares] for u in utilities], dtype=float)
+    table = np.array([[u(x) for x in shares] for u in utilities], dtype=float)
+    finite = np.isfinite(table)
+    if not finite.all():
+        raise ValueError(f"utilities must be finite on the grid, not {table[~finite][0]}")
+    peaks = np.abs(table).max(axis=1).tolist()  # Python floats overflow without a warning
+    for w in weights:
+        total = sum(p * (1.0 if w is None else abs(w[i])) for i, p in enumerate(peaks))
+        if total >= _UTILITY_RANGE:
+            weighted = "" if w is None else "prior-weighted "
+            raise ValueError(
+                f"utilities out of range: their {weighted}largest magnitudes sum to "
+                f"{total:.3g}, not below 2**1000"
+            )
+    return table
 
 
 def _grid_argmax_indices(
     functionals: Sequence[UtilityAggregate],
-    space: DiscretizedSpace,
     grid: np.ndarray,
+    tables: dict[tuple, np.ndarray],
     tol: float,
 ) -> dict[str, np.ndarray]:
     """The argmax set of each functional, by kind, as the sorted indices
-    of its members in grid, which is _composition_array(space.units,
-    space.n). Gives the members argmax_set returns.
+    of its members in grid. grid and tables are what _grid(space,
+    functionals) returns. Gives the members argmax_set returns.
 
-    Each distinct utility tuple is tabulated once (_utility_table), each
-    utility called on the float share enumerate_allocations builds. The
-    grid is then scanned in blocks of _BLOCK_ROWS allocations: each
-    block's (rows, n) utility matrix is gathered from the table in
+    Each utility is called once per float share enumerate_allocations
+    builds (_utility_table). The grid is scanned in blocks of _BLOCK_ROWS
+    allocations: each block's (rows, n) utility matrix is gathered from the table in
     column-major order, one person's contiguous column at a time
     (_gather), and goes through over_grid. Its column-wise ufuncs give
     the same bytes in either order, and its values are row-local and so
     the floats a whole-grid pass gives. Per functional, a running
     maximum keeps the candidates within tol of it, pruned whenever it
-    rises, and a block whose top lies below that floor adds none; a NaN
-    value anywhere on the grid empties the functional's set, as a NaN
-    grid maximum would.
+    rises, and a block whose top lies below that floor adds none.
     """
-    tables = {u: _utility_table(u, space) for u in {W.utilities for W in functionals}}
     best = {W.kind: -math.inf for W in functionals}
     kept: dict[str, list] = {W.kind: [] for W in functionals}
     for start in range(0, len(grid), _BLOCK_ROWS):
@@ -413,16 +434,10 @@ def _grid_argmax_indices(
         indices = np.arange(start, start + len(block))
         matrices: dict[tuple, np.ndarray] = {}
         for W in functionals:
-            if math.isnan(best[W.kind]):
-                continue
             if W.utilities not in matrices:
                 matrices[W.utilities] = _gather(tables[W.utilities], block)
             values = W.over_grid(matrices[W.utilities])
             top = values.max()
-            if math.isnan(top):
-                best[W.kind] = math.nan
-                kept[W.kind] = []
-                continue
             if top > best[W.kind]:
                 best[W.kind] = top
                 kept[W.kind] = [_within(v, i, top - tol) for v, i in kept[W.kind]]
@@ -459,9 +474,8 @@ def check_nondegeneracy(
     Degenerate means some allocation maximizes every functional at once.
     No social optimum is ever selected; the report only describes how
     the optima relate. The functionals are UtilityAggregates of distinct
-    kinds, evaluated together in one array pass over the grid; it gives
-    the argmax sets argmax_set would. A set can only be empty if NaN
-    reached its functional's values, which is a ValueError naming it.
+    kinds, evaluated together in one array pass over the grid (_grid); it
+    gives the argmax sets argmax_set would.
     """
     if len(functionals) < 2:
         raise ValueError("need at least two functionals")
@@ -474,14 +488,8 @@ def check_nondegeneracy(
         raise ValueError(f"repeated functional identifiers: {', '.join(repeated)}")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be nonnegative and finite, not {tol}")
-    count = candidate_count(space)
-    if count > space.enumeration_bound:
-        raise EnumerationBoundExceeded(count, space.enumeration_bound)
-    grid = _composition_array(space.units, space.n)
-    sets = _grid_argmax_indices(functionals, space, grid, tol)
-    empty = [name for name in names if not len(sets[name])]
-    if empty:
-        raise ValueError(f"no grid maximum for {', '.join(empty)}: NaN reached its values")
+    grid, tables = _grid(space, functionals)
+    sets = _grid_argmax_indices(functionals, grid, tables, tol)
 
     def first(indices: np.ndarray) -> Allocation | None:
         # the grid's compositions are in lexicographic order and v -> v * step
@@ -523,7 +531,7 @@ class CakeParams:
 
     Finiteness, the orderings 0 < gamma < beta < 1 < alpha and positivity
     are hard invariants. The magnitude guards (lam >= 50, xbar4 and
-    xmin <= 0.2) can be relaxed with allow_degenerate=True for
+    xmin <= 0.2) can be relaxed with allow_degenerate=True, a bool, for
     negative-control runs.
     """
 
@@ -538,6 +546,8 @@ class CakeParams:
     allow_degenerate: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.allow_degenerate, bool):
+            raise ValueError(f"allow_degenerate must be a bool, not {self.allow_degenerate!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name != "allow_degenerate" and not math.isfinite(value):
@@ -653,13 +663,12 @@ def _suffix_best(table: np.ndarray, budget: int) -> np.ndarray:
     v's row read as a window of suffix[i + 1] preceded by -inf padding,
     into one reused buffer, and the block's column maxima fold into
     suffix[i]. Blocks hold about _DP_CANDIDATES offers, so working memory
-    does not grow with the budget. The pairs b < v a block also covers
-    are set to -inf, so a +inf or NaN entry of the table reaches only the
-    b >= v that a loop over v would give it.
+    does not grow with the budget. Every table entry is finite or -inf,
+    so the pairs b < v a block also covers read the -inf padding and
+    offer -inf, as a loop over v that never forms them would leave it.
     """
     n, size = len(table), budget + 1
     rows = min(size, max(1, _DP_CANDIDATES // size))
-    below = np.tri(rows, rows, -1, dtype=bool)
     buffer = np.empty(rows * size)
     suffix = np.zeros((n + 1, size))
     padded = np.full(2 * size - 1, -np.inf)
@@ -673,8 +682,6 @@ def _suffix_best(table: np.ndarray, budget: int) -> np.ndarray:
             window = shifted[v0 : v0 + rows, v0:]
             offers = buffer[: window.size].reshape(window.shape)
             np.add(table[i, v0 : v0 + rows, None], window, out=offers)
-            r = len(offers)
-            np.copyto(offers[:, :r], -np.inf, where=below[:r, :r])
             np.maximum(best[v0:], offers.max(axis=0), out=best[v0:])
     return suffix
 
@@ -744,18 +751,10 @@ def _best_util_at_rawls_optimum(
     row before its least unit count that reaches theta is -inf, so each
     row starts there and the DP runs on the budget the least counts
     leave, which gives the whole masked table's value and witness: the
-    allocations it skips are -inf. That holds while no sum can be
-    infinite, since the whole table's DP turns +inf beside a skipped
-    -inf into NaN; a table holding +inf, or entries whose sums could
-    pass the float range, runs whole.
+    allocations it skips are -inf.
     """
     allowed = np.where(table >= theta, table, -np.inf)
     reached = allowed > -np.inf
-    with np.errstate(over="ignore"):
-        bound = np.abs(np.where(reached, allowed, 0.0)).max(axis=1).sum()
-    if bound >= _FINITE_SUMS:
-        _offers, best, units = _optimum(allowed, budget)
-        return (best, None) if best == -math.inf else (best, units)
     least = reached.argmax(axis=1)
     room = budget - int(least.sum())
     if not reached.any(axis=1).all() or room < 0:
@@ -903,7 +902,7 @@ def verify_cake_claims(params: CakeParams, step: float) -> CakeVerificationRepor
     CLAIM_TOL and re-evaluated at RECHECK_TOL to confirm the verdicts are
     not knife-edge. A step whose DP would form more than _DP_OFFER_BOUND
     offers per pass on the full table is refused with a ValueError before
-    any table is built.
+    any table is built; _utility_table refuses a table out of range.
     """
     space = cake_space(step)
     limit = min(params.xbar4, params.xmin) / 2

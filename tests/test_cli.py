@@ -14,6 +14,7 @@ import socket
 import subprocess
 import sys
 import time
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -1406,18 +1407,21 @@ class TestCheckNondegeneracy:
 
     @pytest.mark.parametrize("name", ["epsilon", "delta"])
     def test_overflow_to_nan_is_usage_error(self, tmp_path, capsys, name):
-        # a finite but huge parameter overflows egal to NaN, which emptied
-        # its argmax set and certified the grid "non-degenerate"
+        # a finite but huge parameter overflowed egal to NaN, which emptied
+        # its argmax set and certified the grid "non-degenerate"; its table
+        # is now refused before any sum is formed
         params = tmp_path / "params.json"
         params.write_text(json.dumps({name: 1e308}))
         out = tmp_path / "report.json"
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([
                 "check-nondegeneracy", "--step", "0.1", "--params-file", str(params),
                 "--out", str(out),
             ])
         assert code == 2
-        assert "no grid maximum for egal: NaN" in capsys.readouterr().err
+        assert "utilities out of range" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
     @pytest.mark.parametrize("step", ["inf", "nan", "-inf", "0"])
@@ -1541,6 +1545,50 @@ def report(manifest: Path, out: Path, eval_dir: Path | None = None) -> int:
     """Exit code of `report` over a run manifest, with --eval-dir when given."""
     flags = [] if eval_dir is None else ["--eval-dir", str(eval_dir)]
     return main(["report", "--run-manifest", str(manifest), *flags, "--out", str(out)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestRefusedCakeInputs:
+    """Cake inputs both oracle commands refuse: exit 2, one error line, no
+    --out and no numpy warning."""
+
+    def _assert_refused(self, capsys, args, out, reason):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert reason in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify-cake", "check-nondegeneracy"])
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            # verify-cake printed "PASS argmax_intersection_empty: ... below
+            # the utility grid max inf" on this one
+            ({"delta": 1e308, "epsilon": 1e308}, "largest magnitudes sum to inf,"),
+            ({"epsilon": 1e308}, "largest magnitudes sum to 1e+308,"),
+            # a truthy string relaxed the lam >= 50 guard
+            ({"lam": 1, "allow_degenerate": "false"}, "allow_degenerate must be a bool"),
+        ],
+        ids=["huge-delta-and-epsilon", "huge-epsilon", "string-flag"],
+    )
+    def test_params_file(self, tmp_path, capsys, command, content, reason):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(content))
+        out = tmp_path / "report.json"
+        args = [command, "--params-file", str(params)]
+        if command == "check-nondegeneracy":
+            args += ["--step", "0.1", "--out", str(out)]
+        self._assert_refused(capsys, args, out, reason)
+
+    def test_overflowing_prior_weights(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        args = [
+            "check-nondegeneracy", "--step", "0.1", "--prior-weights", "1e308,-1e308,1,1,1,1",
+            "--out", str(out),
+        ]
+        self._assert_refused(capsys, args, out, "prior-weighted largest magnitudes sum to inf,")
 
 
 class TestReportAndValidate:

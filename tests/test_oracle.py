@@ -32,6 +32,7 @@ from triage_arena.oracle import (
     _backtrack,
     _best_util_at_rawls_optimum,
     _composition_array,
+    _grid,
     _grid_argmax_indices,
     _merge_exchange,
     _optimum,
@@ -82,6 +83,9 @@ class TestEnumeration:
             seen.add(alloc.rows)
             assert sum(row[0] for row in alloc.rows) <= 1.0 + FEASIBILITY_TOL
         assert len(seen) == candidate_count(space)
+
+    def test_bound_exceeded_is_a_value_error(self):
+        assert issubclass(EnumerationBoundExceeded, ValueError)
 
     def test_bound_exceeded_reports_count(self):
         space = small_space(step=0.01, n=6, bound=1000)
@@ -208,6 +212,12 @@ class TestCakeUtilities:
         assert u6(params.xmin / 2) == 0.0
         assert u6(params.xmin + 0.1) == pytest.approx(params.gamma * 0.1)
 
+    @pytest.mark.parametrize("flag", ["false", "true", 1, 0, None])
+    def test_allow_degenerate_must_be_a_bool(self, flag):
+        # a truthy string such as "false" relaxed the lam >= 50 guard
+        with pytest.raises(ValueError, match=f"allow_degenerate must be a bool, not {flag!r}"):
+            CakeParams(lam=1.0, allow_degenerate=flag)
+
     def test_ordering_invariants_enforced(self):
         with pytest.raises(ValueError, match="gamma < beta"):
             CakeParams(gamma=0.7, beta=0.5)
@@ -308,6 +318,15 @@ class TestCheckNondegeneracy:
         assert excinfo.value.count == math.comb(10_006, 6)
         assert excinfo.value.bound == 1000
 
+    def test_bound_checked_before_any_table(self):
+        # a table grows with the step count, so the bound comes first
+        space = cake_space(0.0001, enumeration_bound=1000)
+        functionals = cake_functionals(CakeParams(), prior_weights=[1.0] * 6)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_utility_table", _never_called)
+            with pytest.raises(ValueError, match="above the enumeration bound of 1000"):
+                check_nondegeneracy(functionals, space)
+
 
 class TestPriorWeights:
     def test_wrong_length_rejected_naming_both_lengths(self):
@@ -360,8 +379,8 @@ def _scan_report(functionals, space, tol=1e-9):
 def _argmax_rows(functionals, space, tol):
     """The array pass's argmax sets, each mapped from grid indices to the
     set of allocation rows enumerate_allocations gives those members."""
-    grid = _composition_array(space.units, space.n)
-    indices = _grid_argmax_indices(functionals, space, grid, tol)
+    grid, tables = _grid(space, functionals)
+    indices = _grid_argmax_indices(functionals, grid, tables, tol)
     rows = {}
     for kind, members in indices.items():
         assert members.tolist() == sorted(set(members.tolist()))
@@ -596,13 +615,13 @@ class TestColumnMajorBlocks:
         # C-order (rows, n) matrix
         functionals = cake_functionals(CakeParams(), [3.0, 1.0, 2.0, 1.0, 5.0, 1.0])
         space = cake_space(0.1)
-        grid = _composition_array(space.units, space.n)
+        grid, tables = _grid(space, functionals)
         persons = np.arange(space.n)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_BLOCK_ROWS", rows)
-            columns = _grid_argmax_indices(functionals, space, grid, 1e-9)
+            columns = _grid_argmax_indices(functionals, grid, tables, 1e-9)
             patch.setattr(oracle, "_gather", lambda table, block: table[persons, block])
-            fancy = _grid_argmax_indices(functionals, space, grid, 1e-9)
+            fancy = _grid_argmax_indices(functionals, grid, tables, 1e-9)
         assert columns.keys() == fancy.keys()
         for kind in columns:
             assert columns[kind].tobytes() == fancy[kind].tobytes()
@@ -628,12 +647,10 @@ class TestBlockBoundaries:
             patch.setattr(oracle, "_BLOCK_ROWS", rows)
             _assert_matches_scan(functionals, cake_space(0.2), tol)
 
-    def test_nan_at_one_grid_point_empties_its_sets(self, rows):
+    def test_nan_at_one_grid_point_is_refused(self, rows):
         # person 1's utility is NaN on the whole cake, which only the last
-        # grid point gives, so the NaN arrives after candidates were kept;
-        # as a NaN maximum over the whole grid did, it empties the sets of
-        # the functionals built on it, and only those, and the report
-        # refuses to read empty sets as evidence
+        # grid point gives, so a scan would meet it after candidates were
+        # kept; the table is refused before the grid is built
         space = cake_space(0.2)
         assert _composition_array(space.units, space.n)[-1].tolist() == [5, 0, 0, 0, 0, 0]
         clean = cake_utilities(CakeParams())
@@ -646,11 +663,13 @@ class TestBlockBoundaries:
         ]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_BLOCK_ROWS", rows)
-            sets = _argmax_rows(functionals, space, 1e-9)
-            with pytest.raises(ValueError, match="no grid maximum for util, egal: NaN"):
+            patch.setattr(oracle, "_composition_array", _never_called)
+            with pytest.raises(ValueError, match="utilities must be finite on the grid, not nan"):
                 check_nondegeneracy(functionals, space)
-        rawls = {a.rows for a in argmax_set(functionals[2], space)}
-        assert sets == {"util": set(), "egal": set(), "rawls": rawls}
+
+
+def _never_called(*args):
+    raise AssertionError("called past a refusal")
 
 
 def _traced_peak(call):
@@ -673,8 +692,8 @@ class TestGridMemory:
         # egal's sorted copy at once: about 32 MB here
         functionals = cake_functionals(CakeParams(), [1.0] * 6)
         space = cake_space(0.05)
-        grid = _composition_array(space.units, space.n)
-        assert _traced_peak(lambda: _grid_argmax_indices(functionals, space, grid, 1e-9)) < 12e6
+        grid, tables = _grid(space, functionals)
+        assert _traced_peak(lambda: _grid_argmax_indices(functionals, grid, tables, 1e-9)) < 12e6
 
     def test_step_004_report_memory_is_bounded(self):
         # the 736,281-point grid is 4.4 MB of uint8 and the maximin set
@@ -735,18 +754,6 @@ class TestSuffixBest:
             table = np.where(table >= theta, table, -np.inf)
         assert _suffix_best(table, budget).tobytes() == _parent_suffix_best(table, budget).tobytes()
 
-    @pytest.mark.parametrize("offers", [1, 4, 1000])
-    def test_infinite_or_nan_entry_reaches_only_larger_budgets(self, offers):
-        # the offers of a block at b < v are -inf, not table[i, v] + -inf,
-        # which is NaN for a +inf entry
-        table = np.zeros((3, 9))
-        table[0, 8] = math.inf
-        table[1, 5] = math.inf
-        table[2, 3] = math.nan
-        with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
-            patch.setattr(oracle, "_DP_CANDIDATES", offers)
-            assert _suffix_best(table, 8).tobytes() == _parent_suffix_best(table, 8).tobytes()
-
 
 def _full_table_best_at_theta(table, budget, theta):
     """_best_util_at_rawls_optimum as the DP over the whole masked table:
@@ -759,21 +766,16 @@ def _full_table_best_at_theta(table, budget, theta):
     return best, _backtrack(allowed, suffix, budget)
 
 
-def _same_value(a, b):
-    return (math.isnan(a) and math.isnan(b)) or a == b
-
-
-_dp_entry = st.one_of(
-    st.floats(-5.0, 5.0),
-    st.sampled_from([-math.inf, math.inf, math.nan, 0.0, 1.0]),
-)
+# finite entries and the -inf of the theta mask, all _utility_table lets
+# the DP see
+_dp_entry = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([-math.inf, 0.0, 1.0]))
 
 
 @st.composite
-def _dp_table(draw, entries=_dp_entry):
+def _dp_table(draw):
     n = draw(st.integers(1, 6))
     budget = draw(st.integers(0, 30))
-    rows = draw(st.lists(st.lists(entries, min_size=budget + 1, max_size=budget + 1), min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(_dp_entry, min_size=budget + 1, max_size=budget + 1), min_size=n, max_size=n))
     return np.array(rows), budget
 
 
@@ -782,11 +784,10 @@ class TestFirstPersonAtBudget:
     @given(_dp_table())
     def test_top_is_the_full_dp_entry(self, drawn):
         table, budget = drawn
-        with np.errstate(invalid="ignore"):
-            offers, top, units = _optimum(table, budget)
-            suffix = _suffix_best(table, budget)
-            assert units == _backtrack(table, suffix, budget)
-        assert _same_value(top, suffix[0, budget])
+        offers, top, units = _optimum(table, budget)
+        suffix = _suffix_best(table, budget)
+        assert units == _backtrack(table, suffix, budget)
+        assert top == suffix[0, budget]
         assert len(offers) == budget + 1
 
     @pytest.mark.parametrize("step", [0.01, 0.001])
@@ -807,7 +808,7 @@ class TestNarrowedMaskedPass:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        _dp_table(st.one_of(_dp_entry, st.just(1e308))),
+        _dp_table(),
         st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1.0, -math.inf, math.inf])),
         st.data(),
     )
@@ -817,11 +818,10 @@ class TestNarrowedMaskedPass:
         # may be made to hold no entry that reaches theta
         if data.draw(st.booleans()):
             empty = data.draw(st.integers(0, len(table) - 1))
-            table[empty] = data.draw(st.sampled_from([math.nan, -math.inf, theta - 1.0]))
-        with np.errstate(invalid="ignore", over="ignore"):
-            best, units = _best_util_at_rawls_optimum(table, budget, theta)
-            ref_best, ref_units = _full_table_best_at_theta(table, budget, theta)
-        assert _same_value(best, ref_best)
+            table[empty] = data.draw(st.sampled_from([-math.inf, min(theta - 1.0, 0.0)]))
+        best, units = _best_util_at_rawls_optimum(table, budget, theta)
+        ref_best, ref_units = _full_table_best_at_theta(table, budget, theta)
+        assert best == ref_best
         assert units == ref_units
 
     def test_row_with_no_entry_reaching_theta_has_no_witness(self):
@@ -834,15 +834,6 @@ class TestNarrowedMaskedPass:
         assert _best_util_at_rawls_optimum(table, 2, 1.0) == (-math.inf, None)
         assert _full_table_best_at_theta(table, 2, 1.0) == (-math.inf, None)
 
-    def test_sum_past_the_float_range_runs_whole(self):
-        # persons 1 and 2 overflow to +inf at two units, which meets person
-        # 0's skipped -inf at no units: NaN, as the whole table gives it
-        table = np.array([[-1.0, 1.0, 1.0], [0.0, 1e308, 1e308], [0.0, 1e308, 1e308]])
-        with np.errstate(invalid="ignore", over="ignore"):
-            best, units = _best_util_at_rawls_optimum(table, 2, 0.0)
-            assert math.isnan(_full_table_best_at_theta(table, 2, 0.0)[0])
-        assert math.isnan(best)
-
     @pytest.mark.parametrize(
         "params", [CakeParams(), CakeParams(lam=0.0, allow_degenerate=True)], ids=["default", "lam0"]
     )
@@ -854,6 +845,77 @@ class TestNarrowedMaskedPass:
         ref_best, ref_units = _full_table_best_at_theta(table, budget, theta)
         assert np.float64(best).tobytes() == np.float64(ref_best).tobytes()
         assert units == ref_units
+
+
+_HUGE_PARAMS = pytest.mark.parametrize(
+    "fields, total",
+    [({"delta": 1e308, "epsilon": 1e308}, "inf"), ({"epsilon": 1e308}, r"1e\+308")],
+    ids=["delta-and-epsilon", "epsilon"],
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestUtilityRange:
+    """_utility_table refuses a table whose sums could leave the float
+    range, for both commands, before any sum is formed."""
+
+    @_HUGE_PARAMS
+    def test_verify_cake_claims_refuses(self, fields, total):
+        match = f"utilities out of range: their largest magnitudes sum to {total},"
+        with pytest.raises(ValueError, match=match):
+            verify_cake_claims(CakeParams(**fields), step=0.01)
+
+    @_HUGE_PARAMS
+    def test_check_nondegeneracy_refuses_before_the_grid(self, fields, total):
+        functionals = cake_functionals(CakeParams(**fields), prior_weights=[1.0] * 6)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_composition_array", _never_called)
+            with pytest.raises(ValueError, match=f"largest magnitudes sum to {total},"):
+                check_nondegeneracy(functionals, cake_space(0.1))
+
+    @pytest.mark.parametrize("weight", [1e308, -1e308, 1e300])
+    def test_overflowing_prior_weights_are_refused(self, weight):
+        # the cake's largest magnitude is person 3's harm penalty, about 90,
+        # so 1e300 times it passes 2**1000 without overflowing
+        functionals = cake_functionals(CakeParams(), prior_weights=[1.0] * 3 + [weight] + [1.0] * 2)
+        with pytest.raises(ValueError, match="prior-weighted largest magnitudes"):
+            check_nondegeneracy(functionals, cake_space(0.1))
+
+    def test_prior_weights_count_only_for_prior(self):
+        # the table is checked at weight 1 for util and at the prior
+        # weights for prior; zero weights leave a huge utility unweighted
+        utilities = (lambda x: 2.0**999,) * 2
+        table = _utility_table(utilities, small_space(), [(0.0, 0.0)])
+        assert table.tolist() == [[2.0**999] * 3] * 2
+        with pytest.raises(ValueError, match="their largest magnitudes sum to 1.07e\\+301,"):
+            _utility_table(utilities, small_space(), [(0.0, 0.0), None])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_is_refused(self, value):
+        utilities = (lambda x: value if x == 0.5 else x, abs)
+        with pytest.raises(ValueError, match=f"utilities must be finite on the grid, not {value}"):
+            _utility_table(utilities, small_space())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_parameters_up_to_1e6_pass(self, data):
+        magnitude = st.floats(0.0, 1e6, exclude_min=True)
+        gamma = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        beta = data.draw(st.floats(gamma, 1.0, exclude_min=True, exclude_max=True))
+        params = CakeParams(
+            alpha=data.draw(st.floats(1.0, 1e6, exclude_min=True)),
+            beta=beta,
+            gamma=gamma,
+            lam=data.draw(st.floats(0.0, 1e6)),
+            xbar4=data.draw(magnitude),
+            xmin=data.draw(magnitude),
+            epsilon=data.draw(magnitude),
+            delta=data.draw(magnitude),
+            allow_degenerate=True,
+        )
+        weights = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6))
+        table = _utility_table(cake_utilities(params), cake_space(0.01), [None, weights])
+        assert np.isfinite(table).all()
 
 
 class TestVerifyCakeClaims:
