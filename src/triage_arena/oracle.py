@@ -263,10 +263,14 @@ def argmax_set(
 ) -> list[Allocation]:
     """All grid allocations within tol of the grid maximum of W, full scan.
 
-    Returned in canonical (row-tuple sorted) order.
+    Returned in canonical (row-tuple sorted) order. A UtilityAggregate's
+    utility table is checked first, so the scan refuses what the array
+    pass refuses (_utility_table).
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be nonnegative and finite, not {tol}")
+    if isinstance(W, UtilityAggregate):
+        _utility_table(W.utilities, space, [W.weights if W.kind == "prior" else None])
     best = None
     kept: list[tuple[float, Allocation]] = []
     for alloc in enumerate_allocations(space):

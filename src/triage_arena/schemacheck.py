@@ -1,4 +1,4 @@
-"""A JSON Schema checker compiled once into plain Python closures.
+"""A JSON Schema checker generated once per schema as one Python function.
 
 It covers the draft 2020-12 keywords the packaged schemas use: ``type``
 (a name or a list of names), ``required``, ``properties``, ``items``,
@@ -13,9 +13,15 @@ them: booleans are neither integers nor numbers, ``1.0`` is an integer,
 ``re.search``. Each message is the one jsonschema gives for the keyword,
 and errors come in the order of jsonschema's ``sorted(errors, key=str)``.
 
-Every schema node compiles to a ``valid`` predicate and an error ``walk``.
-Valid documents only run the predicates; the walk, which builds locations
-and messages, runs only under a node that failed.
+Like fastjsonschema, ``compile_schema`` writes each schema out as the
+source of one Python function, nested as the schema nests, with one
+statement per keyword: ``if <value fails>: out.append(SchemaError(...))``.
+It compiles that source once. A valid document runs only the tests; the
+location and the message are built only for a value that failed one.
+Schema strings enter the source as ``repr()`` literals and every other
+schema value as a named constant. Python's block limits bound the
+nesting: more than 20 nested ``items`` raise ``SyntaxError`` at compile
+time.
 """
 
 from __future__ import annotations
@@ -26,27 +32,27 @@ from dataclasses import dataclass
 __all__ = ["SchemaError", "compile_schema"]
 
 _IGNORED = frozenset({"$schema", "$id"})
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and x is not True and x is not False
-
-
-def _is_integer(x) -> bool:
-    if isinstance(x, float):
-        return x.is_integer()
-    return isinstance(x, int) and x is not True and x is not False
-
-
+# the Python test that a value, named {0}, is of each type
 _TYPES = {
-    "array": lambda x: isinstance(x, list),
-    "boolean": lambda x: isinstance(x, bool),
-    "integer": _is_integer,
-    "null": lambda x: x is None,
-    "number": _is_number,
-    "object": lambda x: isinstance(x, dict),
-    "string": lambda x: isinstance(x, str),
+    "array": "isinstance({0}, list)",
+    "boolean": "isinstance({0}, bool)",
+    "integer": "(isinstance({0}, int) and not isinstance({0}, bool)"
+    " or isinstance({0}, float) and {0}.is_integer())",
+    "null": "{0} is None",
+    "number": "(isinstance({0}, float) or isinstance({0}, int) and not isinstance({0}, bool))",
+    "object": "isinstance({0}, dict)",
+    "string": "isinstance({0}, str)",
 }
+_BOUNDS = {
+    "minimum": ("<", "is less than the minimum of"),
+    "maximum": (">", "is greater than the maximum of"),
+    "exclusiveMinimum": ("<=", "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (">=", "is greater than or equal to the maximum of"),
+}
+_KEYWORDS = frozenset(_BOUNDS) | {
+    "type", "required", "minItems", "const", "enum", "pattern", "properties", "items"
+}
+_DESCENTS = ("properties", "items")
 
 
 def _equal(one, two) -> bool:
@@ -89,92 +95,14 @@ class SchemaError:
         )
 
 
-# Each leaf keyword compiles to (ok, messages): ok(x) is the fast check,
-# messages(x) lists what is wrong with an x that failed it.
-
-def _type(names):
-    names = [names] if isinstance(names, str) else list(names)
-    unknown = [n for n in names if n not in _TYPES]
-    if unknown:
-        raise ValueError(f"unsupported type {unknown[0]!r}")
-    checks = [_TYPES[n] for n in names]
-    ok = checks[0] if len(checks) == 1 else (lambda x: any(c(x) for c in checks))
-    listed = ", ".join(repr(n) for n in names)
-    return ok, lambda x: [f"{x!r} is not of type {listed}"]
+def _block(head: str, body: list[str]) -> list[str]:
+    return [head] + ["    " + line for line in body]
 
 
-def _required(names):
-    def ok(x):
-        return not isinstance(x, dict) or all(n in x for n in names)
-
-    return ok, lambda x: [f"{n!r} is a required property" for n in names if n not in x]
-
-
-def _min_items(n):
-    word = "should be non-empty" if n == 1 else "is too short"
-    return (
-        lambda x: not isinstance(x, list) or len(x) >= n,
-        lambda x: [f"{x!r} {word}"],
-    )
-
-
-def _bound(fails, text):
-    def build(limit):
-        return (
-            lambda x: not (_is_number(x) and fails(x, limit)),
-            lambda x: [f"{x!r} {text} {limit!r}"],
-        )
-
-    return build
-
-
-def _const(value):
-    return lambda x: _equal(x, value), lambda x: [f"{value!r} was expected"]
-
-
-def _enum(values):
-    return (
-        lambda x: any(_equal(v, x) for v in values),
-        lambda x: [f"{x!r} is not one of {values!r}"],
-    )
-
-
-def _pattern(source):
-    search = re.compile(source).search
-    return (
-        lambda x: not isinstance(x, str) or search(x) is not None,
-        lambda x: [f"{x!r} does not match {source!r}"],
-    )
-
-
-_LEAVES = {
-    "type": _type,
-    "required": _required,
-    "minItems": _min_items,
-    "minimum": _bound(lambda x, m: x < m, "is less than the minimum of"),
-    "maximum": _bound(lambda x, m: x > m, "is greater than the maximum of"),
-    "exclusiveMinimum": _bound(
-        lambda x, m: x <= m, "is less than or equal to the minimum of"
-    ),
-    "exclusiveMaximum": _bound(
-        lambda x, m: x >= m, "is greater than or equal to the maximum of"
-    ),
-    "const": _const,
-    "enum": _enum,
-    "pattern": _pattern,
-}
-_KEYWORDS = frozenset(_LEAVES) | {"properties", "items"}
-
-
-def _all(checks):
-    if len(checks) == 1:
-        return checks[0]
-    first, rest = checks[0], _all(checks[1:])
-    return lambda x: first(x) and rest(x)
-
-
-def _compile(schema: dict, spath: tuple):
-    """Return (valid, walk) for one subschema at schema path spath."""
+def _emit(schema, spath: tuple, depth: int, loc: tuple, consts: list) -> list[str]:
+    """Source lines that append to out the errors of schema, found at spath
+    in the schema, on the value named v<depth>. loc holds the source of the
+    value's location parts; only a failing check builds the tuple."""
     if not isinstance(schema, dict):
         raise ValueError(f"unsupported schema {schema!r} in {_index('schema', spath)}")
     unknown = sorted(set(schema) - _KEYWORDS - _IGNORED)
@@ -182,70 +110,84 @@ def _compile(schema: dict, spath: tuple):
         raise ValueError(
             f"unsupported schema keyword {unknown[0]!r} in {_index('schema', spath)}"
         )
-    leaves = [
-        _LEAVES[keyword](value)
-        for keyword, value in schema.items()
-        if keyword in _LEAVES
-    ]
-    checks = [ok for ok, _ in leaves]
-    descents = []
+    v, child, i = f"v{depth}", f"v{depth + 1}", f"i{depth + 1}"
+    location = f"({''.join(part + ', ' for part in loc)})"
+    # statements by the type their value must have, or None; "type" holds
+    # the type check itself
+    blocks: dict = {}
 
-    if "properties" in schema:
-        children = [
-            (name, *_compile(sub, spath + ("properties", name)))
-            for name, sub in schema["properties"].items()
-        ]
+    def literal(value) -> str:  # a string as a literal, anything else as a constant
+        if isinstance(value, str):
+            return repr(value)
+        consts.append(value)
+        return f"k{len(consts) - 1}"
 
-        def properties_ok(x):
-            if isinstance(x, dict):
-                for name, valid, _ in children:
-                    if name in x and not valid(x[name]):
-                        return False
-            return True
+    def add(guard, head: str, body: list[str]):
+        blocks.setdefault(guard, []).extend(_block(head, body))
 
-        def properties_walk(x, path, out):
-            if isinstance(x, dict):
-                for name, valid, walk in children:
-                    if name in x and not valid(x[name]):
-                        walk(x[name], path + (name,), out)
+    def fail(test: str, message: str, guard=None):
+        add(guard, f"if {test}:", [f"out.append(SchemaError({location}, {message}, {spath!r}))"])
 
-        checks.append(properties_ok)
-        descents.append(properties_walk)
+    def after(text: str) -> str:  # the message: the value's repr, then text
+        return f"repr({v}) + {text!r}"
 
-    if "items" in schema:
-        item_valid, item_walk = _compile(schema["items"], spath + ("items",))
-
-        def items_ok(x):
-            return not isinstance(x, list) or all(map(item_valid, x))
-
-        def items_walk(x, path, out):
-            if isinstance(x, list):
-                for i, item in enumerate(x):
-                    if not item_valid(item):
-                        item_walk(item, path + (i,), out)
-
-        checks.append(items_ok)
-        descents.append(items_walk)
-
-    def walk(x, path, out):
-        for ok, messages in leaves:
-            if not ok(x):
-                out.extend(SchemaError(path, m, spath) for m in messages(x))
-        for descend in descents:
-            descend(x, path, out)
-
-    return _all(checks) if checks else (lambda x: True), walk
+    # a node's own keywords compile before its properties, and those before
+    # its items, so an unsupported keyword raises in that order
+    own = [keyword for keyword in schema if keyword not in _DESCENTS]
+    for keyword in own + [keyword for keyword in _DESCENTS if keyword in schema]:
+        value = schema[keyword]
+        if keyword == "type":
+            names = [value] if isinstance(value, str) else list(value)
+            unknown = [n for n in names if n not in _TYPES]
+            if unknown:
+                raise ValueError(f"unsupported type {unknown[0]!r}")
+            accepted = " or ".join(_TYPES[n].format(v) for n in names)
+            listed = ", ".join(map(repr, names))
+            fail(f"not ({accepted})", after(f" is not of type {listed}"), "type")
+        elif keyword == "required":
+            for name in value:
+                message = repr(f"{name!r} is a required property")
+                fail(f"{literal(name)} not in {v}", message, "object")
+        elif keyword == "minItems":
+            word = "should be non-empty" if value == 1 else "is too short"
+            fail(f"len({v}) < {literal(value)}", after(f" {word}"), "array")
+        elif keyword in _BOUNDS:
+            operator, text = _BOUNDS[keyword]
+            fail(f"{v} {operator} {literal(value)}", after(f" {text} {value!r}"), "number")
+        elif keyword == "const":
+            fail(f"not _equal({v}, {literal(value)})", repr(f"{value!r} was expected"))
+        elif keyword == "enum":
+            values = literal(value)
+            # _equal(e, x) on a string x is e == x, which `in` tests
+            equal = f"any(_equal(e, {v}) for e in {values})"
+            test = f"not ({v} in {values} if isinstance({v}, str) else {equal})"
+            fail(test, after(f" is not one of {value!r}"))
+        elif keyword == "pattern":
+            search = literal(re.compile(value).search)
+            fail(f"{search}({v}) is None", after(f" does not match {value!r}"), "string")
+        elif keyword == "properties":
+            for name, sub in value.items():
+                key = literal(name)
+                if lines := _emit(sub, spath + (keyword, name), depth + 1, loc + (key,), consts):
+                    add("object", f"if {key} in {v}:", [f"{child} = {v}[{key}]"] + lines)
+        elif keyword == "items":
+            if lines := _emit(value, spath + (keyword,), depth + 1, loc + (i,), consts):
+                add("array", f"for {i}, {child} in enumerate({v}):", lines)
+    # what needs the one type the node names runs in the else of its check
+    source = blocks.pop(None, []) + blocks.pop("type", [])
+    if isinstance(schema.get("type"), str) and schema["type"] in blocks:
+        source += _block("else:", blocks.pop(schema["type"]))
+    for guard, lines in blocks.items():
+        source += _block(f"if {_TYPES[guard].format(v)}:", lines)
+    return source
 
 
 def compile_schema(schema: dict):
     """Compile a schema into errors(instance) -> sorted list of SchemaError."""
-    valid, walk = _compile(schema, ())
-
-    def errors(instance) -> list[SchemaError]:
-        if valid(instance):
-            return []
-        out: list[SchemaError] = []
-        walk(instance, (), out)
-        return sorted(out, key=SchemaError.sort_key)
-
-    return errors
+    consts: list = []
+    body = _emit(schema, (), 0, (), consts) + ["return sorted(out, key=SchemaError.sort_key)"]
+    source = "\n".join(_block("def errors(v0):", ["out = []"] + body))
+    namespace = {f"k{n}": value for n, value in enumerate(consts)}
+    namespace.update(SchemaError=SchemaError, _equal=_equal)
+    exec(compile(source, "<schemacheck>", "exec"), namespace)
+    return namespace["errors"]

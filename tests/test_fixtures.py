@@ -4,11 +4,13 @@ import copy
 import hashlib
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -505,3 +507,80 @@ class TestSchemaParity:
     def test_mutated_docs_match(self, valid_docs, data):
         kind = data.draw(st.sampled_from(sorted(valid_docs)))
         self.assert_parity(kind, _mutate(copy.deepcopy(valid_docs[kind]), data))
+
+
+# characters that end or escape a literal, an f-string field or a line
+_AWKWARD = st.text(alphabet="'\"\\{}\n\r\t x0", max_size=5)
+
+
+def _reference_errors(schema, instance):
+    """jsonschema's errors as (location, message, location of the subschema)."""
+    found = jsonschema.Draft202012Validator(schema).iter_errors(instance)
+    return [
+        (tuple(e.absolute_path), e.message, tuple(e.absolute_schema_path)[:-1])
+        for e in sorted(found, key=str)
+    ]
+
+
+class TestGeneratedChecker:
+    """compile_schema writes each schema as Python source. Every string of
+    the schema must reach the checker as itself, and every empty subschema
+    must check nothing."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(names=st.lists(_AWKWARD, min_size=1, max_size=3, unique=True), data=st.data())
+    def test_awkward_strings_give_jsonschema_errors(self, names, data):
+        schema = {
+            "type": "object",
+            "required": names,
+            "properties": {
+                name: {
+                    "type": "array",
+                    "items": {"pattern": "^" + re.escape(name) + "$", "enum": [name, name + "}"]},
+                }
+                for name in names
+            },
+        }
+        values = st.sampled_from([name + "}" for name in names] + names + ["{0}", "\\", 1, None])
+        present = data.draw(st.lists(st.sampled_from(names), unique=True))
+        instance = {name: data.draw(st.lists(values, max_size=3)) for name in present}
+        found = [(e.location, e.message, e.schema_location) for e in compile_schema(schema)(instance)]
+        assert found == _reference_errors(schema, instance)
+
+    @pytest.mark.parametrize(
+        "schema",
+        [{}, {"properties": {}}, {"items": {}}, {"properties": {"a": {}}}, {"items": {"properties": {}}}],
+        ids=["empty", "no-properties", "empty-items", "empty-property", "items-without-properties"],
+    )
+    @settings(max_examples=50, deadline=None)
+    @given(instance=_JSON_VALUES | st.dictionaries(st.just("a"), _JSON_VALUES))
+    def test_empty_subschemas_accept_every_value(self, schema, instance):
+        assert compile_schema(schema)(instance) == []
+        assert _reference_errors(schema, instance) == []
+
+    def test_packaged_schemas_compile_without_warnings(self):
+        # an escape the generated source wrote wrongly would warn here
+        escapes = {"properties": {"\\d": {"pattern": "\\d\\{", "enum": ["\\d", "\\N", "\\x"]}}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for schema in [*TestSchemaParity.SCHEMAS.values(), escapes]:
+                compile_schema(schema)
+
+    @pytest.mark.parametrize(
+        "schema, message",
+        [
+            ({"type": "string", "maxLength": 3}, "unsupported schema keyword 'maxLength' in schema"),
+            (
+                {"properties": {"a": {"additionalProperties": False}}},
+                "unsupported schema keyword 'additionalProperties' in schema['properties']['a']",
+            ),
+            ({"type": ["string", "decimal"]}, "unsupported type 'decimal'"),
+            ({"items": False}, "unsupported schema False in schema['items']"),
+            # the node's own keywords are refused before its subschemas
+            ({"items": {"type": "bogus"}, "properties": {"a": 1}, "type": "nope"}, "unsupported type 'nope'"),
+        ],
+    )
+    def test_compile_time_errors_are_whole_messages(self, schema, message):
+        with pytest.raises(ValueError) as caught:
+            compile_schema(schema)
+        assert str(caught.value) == message

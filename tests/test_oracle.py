@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from triage_arena import oracle
 from triage_arena.metrics import gini
@@ -852,6 +852,8 @@ _HUGE_PARAMS = pytest.mark.parametrize(
     [({"delta": 1e308, "epsilon": 1e308}, "inf"), ({"epsilon": 1e308}, r"1e\+308")],
     ids=["delta-and-epsilon", "epsilon"],
 )
+_MAGNITUDE = st.floats(0.0, 1e6, exclude_min=True)
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -872,6 +874,19 @@ class TestUtilityRange:
             patch.setattr(oracle, "_composition_array", _never_called)
             with pytest.raises(ValueError, match=f"largest magnitudes sum to {total},"):
                 check_nondegeneracy(functionals, cake_space(0.1))
+
+    @_HUGE_PARAMS
+    def test_argmax_set_refuses(self, fields, total):
+        # the reference scan refuses the table the array pass refuses,
+        # instead of certifying members of value inf or -0.0
+        for W in cake_functionals(CakeParams(**fields), include=("util", "egal")):
+            with pytest.raises(ValueError, match=f"largest magnitudes sum to {total},"):
+                argmax_set(W, cake_space(0.2))
+
+    def test_argmax_set_refuses_overflowing_prior_weights(self):
+        functionals = cake_functionals(CakeParams(), prior_weights=[1e308] * 6, include=("prior",))
+        with pytest.raises(ValueError, match="prior-weighted largest magnitudes"):
+            argmax_set(functionals[0], cake_space(0.2))
 
     @pytest.mark.parametrize("weight", [1e308, -1e308, 1e300])
     def test_overflowing_prior_weights_are_refused(self, weight):
@@ -897,23 +912,28 @@ class TestUtilityRange:
             _utility_table(utilities, small_space())
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_parameters_up_to_1e6_pass(self, data):
-        magnitude = st.floats(0.0, 1e6, exclude_min=True)
-        gamma = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-        beta = data.draw(st.floats(gamma, 1.0, exclude_min=True, exclude_max=True))
-        params = CakeParams(
-            alpha=data.draw(st.floats(1.0, 1e6, exclude_min=True)),
-            beta=beta,
-            gamma=gamma,
-            lam=data.draw(st.floats(0.0, 1e6)),
-            xbar4=data.draw(magnitude),
-            xmin=data.draw(magnitude),
-            epsilon=data.draw(magnitude),
-            delta=data.draw(magnitude),
-            allow_degenerate=True,
-        )
-        weights = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6))
+    @given(
+        # gamma < beta: two distinct floats of (0, 1), sorted, so no draw
+        # asks for a float strictly between gamma and its neighbour 1.0
+        slopes=st.lists(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=2, max_size=2, unique=True
+        ).map(sorted),
+        alpha=st.floats(1.0, 1e6, exclude_min=True),
+        lam=st.floats(0.0, 1e6),
+        xbar4=_MAGNITUDE,
+        xmin=_MAGNITUDE,
+        epsilon=_MAGNITUDE,
+        delta=_MAGNITUDE,
+        weights=st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6),
+    )
+    # the float just below 1.0, which as gamma left beta no value
+    @example(
+        slopes=[math.nextafter(_BELOW_ONE, 0.0), _BELOW_ONE],
+        alpha=1e6, lam=1e6, xbar4=1e6, xmin=1e6, epsilon=1e6, delta=1e6, weights=[-1e6] * 6,
+    )
+    def test_parameters_up_to_1e6_pass(self, slopes, weights, **fields):
+        gamma, beta = slopes
+        params = CakeParams(beta=beta, gamma=gamma, allow_degenerate=True, **fields)
         table = _utility_table(cake_utilities(params), cake_space(0.01), [None, weights])
         assert np.isfinite(table).all()
 

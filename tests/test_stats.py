@@ -289,6 +289,41 @@ class TestWinner:
         assert assign_winner(0.001, 0.5, 0.5, "higher") == "tie"
 
 
+# every CNSS is k/m for a patient with m of the six resources needed, so
+# rmg takes these values, and paired samples of them tie often
+_RMG_LATTICE = sorted({k / m for m in range(1, 7) for k in range(m + 1)})
+# cohens_d squares deviations in Python floats, which overflow above about 1e154
+_FLOATS = st.floats(-1e100, 1e100)
+_SWAPPED_WINNER = {"A": "B", "B": "A", "tie": "tie"}
+
+
+def _bits(values) -> tuple[str, ...]:
+    return tuple(float(x).hex() for x in values)
+
+
+class TestSwapRelation:
+    """Metamorphic relation MR2: comparing B against A is comparing A
+    against B with the roles exchanged, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), metric=st.sampled_from(stats.METRIC_NAMES), seed=st.integers(0, 2**64 - 1))
+    def test_swapping_the_samples_swaps_the_report(self, data, metric, seed):
+        n = data.draw(st.integers(5, 500), label="n")
+        values = data.draw(st.sampled_from([st.sampled_from(_RMG_LATTICE), _FLOATS]), label="values")
+        a, b = (tuple(data.draw(st.lists(values, min_size=n, max_size=n))) for _ in "ab")
+        shift = data.draw(st.sampled_from([0.0, 0.5]), label="shift")  # so that A or B can win
+        b = tuple(x + shift for x in b)
+        ids = tuple(range(n))
+        one = compare_cell(PairedSample(ids, a, b), "Rawlsian", metric, bootstrap_seed=seed)
+        two = compare_cell(PairedSample(ids, b, a), "Rawlsian", metric, bootstrap_seed=seed)
+        assert _bits([two.mean_a, *two.ci_a]) == _bits([one.mean_b, *one.ci_b])
+        assert _bits([two.mean_b, *two.ci_b]) == _bits([one.mean_a, *one.ci_a])
+        assert _bits([two.p_value]) == _bits([one.p_value])
+        assert two.effect_size == -one.effect_size or math.isnan(one.effect_size) and math.isnan(two.effect_size)
+        assert two.winner == _SWAPPED_WINNER[one.winner]
+        assert (two.n, two.significant, two.degenerate) == (one.n, one.significant, one.degenerate)
+
+
 class TestPairedSample:
     def test_lengths_must_match(self):
         with pytest.raises(ValueError):
