@@ -119,6 +119,11 @@ class UtilityAggregate:
             if not all(map(math.isfinite, self.weights)):
                 raise ValueError(f"prior_weights must be finite, not {list(self.weights)}")
 
+    @property
+    def table_weights(self) -> tuple[float, ...] | None:
+        """The weights _utility_table's range check applies: prior's, else none."""
+        return self.weights if self.kind == "prior" else None
+
     def __call__(self, alloc: Allocation) -> float:
         values = [u(row[0]) for u, row in zip(self.utilities, alloc.rows)]
         if self.kind == "util":
@@ -270,7 +275,7 @@ def argmax_set(
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be nonnegative and finite, not {tol}")
     if isinstance(W, UtilityAggregate):
-        _utility_table(W.utilities, space, [W.weights if W.kind == "prior" else None])
+        _utility_table(W.utilities, space, [W.table_weights])
     best = None
     kept: list[tuple[float, Allocation]] = []
     for alloc in enumerate_allocations(space):
@@ -380,7 +385,7 @@ def _grid(space: DiscretizedSpace, functionals: Sequence[UtilityAggregate] = ())
         raise EnumerationBoundExceeded(count, space.enumeration_bound)
     weights: dict[tuple, list] = {}
     for W in functionals:
-        weights.setdefault(W.utilities, []).append(W.weights if W.kind == "prior" else None)
+        weights.setdefault(W.utilities, []).append(W.table_weights)
     tables = {u: _utility_table(u, space, w) for u, w in weights.items()}
     return _composition_array(space.units, space.n), tables
 

@@ -157,10 +157,7 @@ def _emit(schema, spath: tuple, depth: int, loc: tuple, consts: list) -> list[st
         elif keyword == "const":
             fail(f"not _equal({v}, {literal(value)})", repr(f"{value!r} was expected"))
         elif keyword == "enum":
-            values = literal(value)
-            # _equal(e, x) on a string x is e == x, which `in` tests
-            equal = f"any(_equal(e, {v}) for e in {values})"
-            test = f"not ({v} in {values} if isinstance({v}, str) else {equal})"
+            test = f"not any(_equal(e, {v}) for e in {literal(value)})"
             fail(test, after(f" is not one of {value!r}"))
         elif keyword == "pattern":
             search = literal(re.compile(value).search)
