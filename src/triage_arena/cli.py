@@ -57,6 +57,7 @@ from .model import (
     canonical_json,
 )
 from .oracle import (
+    RECHECK_TOL,
     CakeParams,
     cake_functionals,
     cake_space,
@@ -167,8 +168,8 @@ def _chat_config_from(args) -> agents_mod.ChatBackendConfig:
     )
 
 
-def _make_retriever(args):
-    """Build the per-round retrieval hook from a corpus directory."""
+def _corpus_chunks(args):
+    """The chunks of --corpus-dir, None without one; a UsageError if it has none."""
     if not args.corpus_dir:
         return None
     corpus = Path(args.corpus_dir)
@@ -178,6 +179,11 @@ def _make_retriever(args):
     chunks = load_corpus_dir(corpus)
     if not chunks:
         raise UsageError(f"--corpus-dir {corpus} holds no .txt file with a word to retrieve")
+    return chunks
+
+
+def _make_retriever(chunks):
+    """Build the per-round retrieval hook over corpus chunks."""
     embed_endpoint = os.environ.get("TRIAGE_ARENA_EMBED_ENDPOINT")
     embed_model = os.environ.get("TRIAGE_ARENA_EMBED_MODEL")
     if embed_endpoint and embed_model:
@@ -391,7 +397,9 @@ def _run_debates(args, framework: Framework, sources: list, agent_a, agent_b) ->
         tasks.append((cohort, entry))
 
     skipped = len(sources) - len(tasks)
-    retriever = _make_retriever(args)
+    chunks = _corpus_chunks(args)
+    # the index is embedded only for a debate that will read it
+    retriever = _make_retriever(chunks) if chunks and tasks else None
     # made only now, so a usage error above leaves no directory behind
     out.mkdir(parents=True, exist_ok=True)
     lock = threading.Lock()
@@ -631,9 +639,6 @@ def cmd_stats(args) -> int:
         if record["completed"]:
             finals = {label: MetricReport.from_json(r) for label, r in record["finals"].items()}
             members.append((record["cohort_id"], finals))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     reports = [
         compare_cell(
             pair_reports(members, metric),
@@ -645,6 +650,9 @@ def cmd_stats(args) -> int:
         for framework, (_opponent, members) in sorted(groups.items())
         for metric in METRIC_NAMES
     ]
+    # made only now, so a refused cell leaves no directory behind
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     write_json(
         out / "comparison.json",
@@ -684,7 +692,7 @@ def cmd_verify_cake(args) -> int:
         if claim.witness is not None:
             print(f"     witness: {tuple(round(x, 6) for x in claim.witness)}")
     if not report.recheck_agrees:
-        print(f"warning: verdicts differ at tolerance {report.recheck_tol}")
+        print(f"warning: verdicts differ at tolerance {RECHECK_TOL}")
     return EXIT_OK if report.all_passed else EXIT_VERIFICATION
 
 
@@ -921,7 +929,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # so are UsageError and EnumerationBoundExceeded
+    except ValueError as exc:  # so is UsageError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, TransportError) as exc:

@@ -43,7 +43,6 @@ from .model import Allocation
 __all__ = [
     "UtilityAggregate",
     "DiscretizedSpace",
-    "EnumerationBoundExceeded",
     "candidate_count",
     "enumerate_allocations",
     "argmax_set",
@@ -201,16 +200,6 @@ def _left_sum(columns) -> np.ndarray:
     return total
 
 
-class EnumerationBoundExceeded(ValueError):
-    def __init__(self, count: int, bound: int):
-        super().__init__(
-            f"grid has {count} candidate allocations, above the enumeration "
-            f"bound of {bound}"
-        )
-        self.count = count
-        self.bound = bound
-
-
 @dataclass(frozen=True)
 class DiscretizedSpace:
     """The cake grid: n persons' shares of one unit good, each a multiple
@@ -250,8 +239,8 @@ def candidate_count(space: DiscretizedSpace) -> int:
 def enumerate_allocations(space: DiscretizedSpace) -> Iterator[Allocation]:
     """Yield every grid allocation exactly once, in lexicographic order.
 
-    Raises EnumerationBoundExceeded (with the computed count) before
-    yielding anything if the grid is too large.
+    Raises ValueError (naming the computed count) before yielding
+    anything if the grid is too large.
     """
     for member in _grid(space)[0]:
         yield _allocation(member, space.step)
@@ -285,8 +274,6 @@ def argmax_set(
             kept = [(v, a) for v, a in kept if v >= best - tol]
         if value >= best - tol:
             kept.append((value, alloc))
-    if best is None:
-        raise ValueError("empty allocation space")
     result = [a for v, a in kept if v >= best - tol]
     return sorted(result, key=lambda a: a.rows)
 
@@ -382,7 +369,10 @@ def _grid(space: DiscretizedSpace, functionals: Sequence[UtilityAggregate] = ())
     is refused before any table, a table before the grid is built."""
     count = candidate_count(space)
     if count > space.enumeration_bound:
-        raise EnumerationBoundExceeded(count, space.enumeration_bound)
+        raise ValueError(
+            f"grid has {count} candidate allocations, above the enumeration "
+            f"bound of {space.enumeration_bound}"
+        )
     weights: dict[tuple, list] = {}
     for W in functionals:
         weights.setdefault(W.utilities, []).append(W.table_weights)
@@ -780,21 +770,11 @@ class ClaimResult:
     detail: str
     witness: tuple[float, ...] | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
-
 
 @dataclass(frozen=True)
 class CakeVerificationReport:
     step: float
-    tol: float
     claims: tuple[ClaimResult, ...]
-    recheck_tol: float
     recheck_agrees: bool
 
     @property
@@ -804,19 +784,6 @@ class CakeVerificationReport:
     @property
     def label(self) -> str:
         return f"grid-certified at step {self.step:g}"
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "cake_verification_report",
-            "schema_version": 1,
-            "step": self.step,
-            "tol": self.tol,
-            "recheck_tol": self.recheck_tol,
-            "recheck_agrees": self.recheck_agrees,
-            "label": self.label,
-            "all_passed": self.all_passed,
-            "claims": [c.to_json() for c in self.claims],
-        }
 
 
 def _evaluate_claims(
@@ -929,10 +896,4 @@ def verify_cake_claims(params: CakeParams, step: float) -> CakeVerificationRepor
         )
     claims, recheck = _evaluate_claims(params, space, (CLAIM_TOL, RECHECK_TOL))
     agrees = all(a.passed == b.passed for a, b in zip(claims, recheck))
-    return CakeVerificationReport(
-        step=step,
-        tol=CLAIM_TOL,
-        claims=claims,
-        recheck_tol=RECHECK_TOL,
-        recheck_agrees=agrees,
-    )
+    return CakeVerificationReport(step=step, claims=claims, recheck_agrees=agrees)

@@ -130,10 +130,6 @@ class RunManifest:
                 continue
             yield rel, None if sha256_bytes(data) == expected else f"{rel}: content hash mismatch"
 
-    def verify(self, base_dir: str | Path) -> list[str]:
-        """Return a list of problems; empty when every file matches."""
-        return [problem for _rel, problem in self.check(base_dir) if problem]
-
 
 def build_manifest(
     run_id: str,
@@ -263,9 +259,7 @@ class ReferenceFixtures:
     # reconstructed to match published totals or computed by a recorded
     # procedure.
     rounds: tuple[dict, ...]
-    capacity_variants: dict
     round_texts: dict  # agent label -> list of rendered texts, one per round
-    expected: dict  # named expected values used by replay checks
 
 
 def load_reference_fixtures() -> ReferenceFixtures:
@@ -287,7 +281,5 @@ def load_reference_fixtures() -> ReferenceFixtures:
     return ReferenceFixtures(
         cohort=cohort,
         rounds=tuple(obj["rounds"]),
-        capacity_variants=obj["capacity_variants"],
         round_texts=round_texts,
-        expected=obj["expected"],
     )

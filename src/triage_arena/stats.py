@@ -43,7 +43,6 @@ __all__ = [
     "bootstrap_ci",
     "assign_winner",
     "compare_cell",
-    "aggregate_results",
     "results_to_csv",
     "results_to_markdown",
     "cell_seed",
@@ -295,7 +294,9 @@ def compare_cell(
     bootstrap_seed: int = DEFAULT_BOOTSTRAP_SEED,
 ) -> ComparisonReport:
     """Full comparison for one (framework, metric) cell; the p-value is
-    the signed-rank test's."""
+    the signed-rank test's. A ValueError refuses a nonempty cell unless
+    4 n sum(x^2) over both samples is finite, which bounds every sum of
+    values (n max|x|) and of squared deviations (4 n max|x|^2) it forms."""
     if sample.n == 0:
         return ComparisonReport(
             framework=framework, metric=metric, n=0,
@@ -303,6 +304,11 @@ def compare_cell(
             ci_a=(float("nan"), float("nan")), ci_b=(float("nan"), float("nan")),
             p_value=1.0, effect_size=float("nan"),
             significant=False, winner="tie", degenerate=True,
+        )
+    if not math.isfinite(4 * sample.n * sum(x * x for x in sample.a_values + sample.b_values)):
+        raise ValueError(
+            f"{framework} {metric}: the values are too large to compare in floats "
+            f"(4 n sum(x^2) over both samples is not finite)"
         )
     mean_a = sum(sample.a_values) / sample.n
     mean_b = sum(sample.b_values) / sample.n
@@ -326,23 +332,11 @@ CSV_COLUMNS = (
 )
 
 
-def aggregate_results(reports) -> list[ComparisonReport]:
-    """Order reports into the framework-by-metric grid used for rendering.
-
-    Missing cells simply stay absent; nothing is fabricated for them.
-    """
-    def key(r: ComparisonReport):
-        metric_rank = METRIC_NAMES.index(r.metric)
-        return (r.framework, metric_rank)
-
-    return sorted(reports, key=key)
-
-
 def results_to_csv(reports) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in aggregate_results(reports):
+    for r in reports:
         writer.writerow(
             [
                 r.framework, r.metric, r.n,
@@ -360,7 +354,7 @@ def results_to_markdown(reports) -> str:
         "| framework | metric | direction | n | mean A | mean opp. | p | d | winner |",
         "| --- | --- | --- | --- | --- | --- | --- | --- | --- |",
     ]
-    for r in aggregate_results(reports):
+    for r in reports:
         arrow = "higher" if METRIC_DIRECTIONS[r.metric] == "higher" else "lower"
         lines.append(
             f"| {r.framework} | {r.metric} | {arrow} | {r.n} "

@@ -916,6 +916,29 @@ class TestStats:
         assert "--alpha must lie in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, every", [(1e200, False), (1e308, True)], ids=["one-record-1e200", "every-record-1e308"])
+    def test_cell_too_large_for_floats_is_usage_error(self, small_run, tmp_path, capsys, value, every):
+        evals = tmp_path / "evals"
+        shutil.copytree(small_run / "evals", evals)
+        files = sorted(evals.glob("eval_*.json"))
+        for path in files if every else files[1:2]:
+            obj = json.loads(path.read_text())
+            for label in obj["finals"] if every else ["A"]:
+                obj["finals"][label]["esg"] = value
+            write_json(path, obj)
+        out = tmp_path / "s"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["stats", "--eval-dir", str(evals), "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: Rawlsian esg: the values are too large to compare in floats "
+            "(4 n sum(x^2) over both samples is not finite)\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_cli_stats_matches_library_pairing_cell_by_cell(self, small_run, tmp_path):
         out = tmp_path / "stats"
         assert main(["stats", "--eval-dir", str(small_run / "evals"), "--out", str(out)]) == 0
@@ -1131,6 +1154,69 @@ class TestChatTransport:
         assert "Traceback" not in err
 
 
+class TestResumeWithCorpus:
+    """A resume that runs no debate reads --corpus-dir for its usage
+    errors but embeds nothing; one that runs a debate builds the index."""
+
+    @pytest.fixture
+    def done(self, tmp_path, monkeypatch):
+        """Three seed-42 debates run with the sample corpus and the
+        default embedder; the cohorts, run directory, corpus and the
+        index builds counted from here on."""
+        monkeypatch.delenv("TRIAGE_ARENA_EMBED_ENDPOINT", raising=False)
+        monkeypatch.delenv("TRIAGE_ARENA_EMBED_MODEL", raising=False)
+        cohorts, out = tmp_path / "cohorts", tmp_path / "run"
+        corpus = str(resources.files("triage_arena").joinpath("data/sample_corpus"))
+        assert main(["gen-cohorts", "--seed", "42", "--batch", "3", "--out", str(cohorts)]) == 0
+        assert main(["run", "--cohorts", str(cohorts), "--corpus-dir", corpus, "--out", str(out)]) == 0
+        builds = []
+        index_corpus = cli.index_corpus
+
+        def counted(chunks, embedder):
+            builds.append(len(chunks))
+            return index_corpus(chunks, embedder)
+
+        monkeypatch.setattr(cli, "index_corpus", counted)
+        return cohorts, out, corpus, builds
+
+    def test_no_op_resume_embeds_nothing(self, done, monkeypatch, capsys):
+        cohorts, out, corpus, builds = done
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        monkeypatch.setenv("TRIAGE_ARENA_EMBED_ENDPOINT", f"http://127.0.0.1:{port}/embed")
+        monkeypatch.setenv("TRIAGE_ARENA_EMBED_MODEL", "m")
+        capsys.readouterr()
+        assert main(["run", "--cohorts", str(cohorts), "--corpus-dir", corpus, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "executed 0 debates, skipped 3 existing, 0 failures\n"
+        assert captured.err == ""
+        assert builds == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_no_op_resume_still_refuses_an_unusable_corpus_dir(self, done, tmp_path, capsys):
+        cohorts, out, _corpus, builds = done
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        missing = tmp_path / "missing"
+        capsys.readouterr()
+        assert main(["run", "--cohorts", str(cohorts), "--corpus-dir", str(missing), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --corpus-dir {missing} does not exist\n"
+        assert builds == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_resume_with_a_debate_to_run_builds_the_index(self, done, capsys):
+        cohorts, out, corpus, builds = done
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        victim = sorted(out.glob("transcript_*.json"))[1]
+        victim.unlink()
+        capsys.readouterr()
+        assert main(["run", "--cohorts", str(cohorts), "--corpus-dir", corpus, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "executed 1 debates, skipped 2 existing, 0 failures\n"
+        assert len(builds) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 class TestRetrieverMemo:
     class CountingEmbedder(cli.HashingEmbedder):
         """The default embedder, failing on demand and counting its calls;
@@ -1157,7 +1243,7 @@ class TestRetrieverMemo:
         self.CountingEmbedder.made = []
         monkeypatch.setattr(cli, "HashingEmbedder", self.CountingEmbedder)
         corpus = str(resources.files("triage_arena").joinpath("data/sample_corpus"))
-        hook = cli._make_retriever(argparse.Namespace(corpus_dir=corpus))
+        hook = cli._make_retriever(cli._corpus_chunks(argparse.Namespace(corpus_dir=corpus)))
         (embedder,) = self.CountingEmbedder.made
         return hook, embedder, corpus
 

@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +323,37 @@ class TestSwapRelation:
         assert two.effect_size == -one.effect_size or math.isnan(one.effect_size) and math.isnan(two.effect_size)
         assert two.winner == _SWAPPED_WINNER[one.winner]
         assert (two.n, two.significant, two.degenerate) == (one.n, one.significant, one.degenerate)
+
+
+class TestCellRange:
+    """compare_cell refuses a cell once 4 n sum(x^2) over its two samples
+    overflows, and the cells below that bound compare in finite floats."""
+
+    @staticmethod
+    def cell(n, magnitude):
+        a = tuple(magnitude * (-1) ** i for i in range(n))
+        b = tuple(x / 2 for x in a)
+        return PairedSample(tuple(range(n)), a, b)
+
+    @pytest.mark.parametrize("n", [2, 5, 500])
+    def test_largest_values_compare_in_finite_floats(self, n):
+        # 2n values of magnitude m: 4 n sum(x^2) is 4 n (n m^2 + n m^2 / 4)
+        limit = math.sqrt(np.finfo(float).max / (5 * n * n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compare_cell(self.cell(n, limit * 0.99), "Rawlsian", "esg")
+        numbers = [report.mean_a, report.mean_b, *report.ci_a, *report.ci_b, report.effect_size]
+        assert all(map(math.isfinite, numbers))
+        with pytest.raises(ValueError, match="^Rawlsian esg: the values are too large to compare in floats"):
+            compare_cell(self.cell(n, limit * 1.01), "Rawlsian", "esg")
+
+    @pytest.mark.parametrize("value", [1e200, 1e308, math.inf, -math.inf, math.nan])
+    def test_one_value_out_of_range_refuses_the_cell(self, value):
+        a = [0.5] * 6
+        a[3] = value
+        sample = PairedSample(tuple(range(6)), tuple(a), (0.25,) * 6)
+        with pytest.raises(ValueError, match="^Utilitarian gini: the values are too large"):
+            compare_cell(sample, "Utilitarian", "gini")
 
 
 class TestPairedSample:
