@@ -3,20 +3,27 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import operator
 import os
+import pprint
 import re
 import shutil
 import stat
 import subprocess
 import sys
 import tempfile
+import textwrap
 import warnings
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
+
+try:  # a second oracle for the compiled schema checker, where installed
+    import jsonschema
+except ImportError:
+    jsonschema = None
 
 import triage_arena
 from triage_arena.cli import main
@@ -459,8 +466,7 @@ class TestCompiledSchemas:
             (("e",), "False is not one of [0, 'x']"),
             (("i",), "True is not of type 'integer'"),
         ]
-        reference = jsonschema.Draft202012Validator(schema).iter_errors(bad)
-        assert found == [(tuple(e.absolute_path), e.message) for e in sorted(reference, key=str)]
+        assert found == [(location, message) for location, message, _ in _reference_errors(schema, bad)]
 
 
 _SCALARS = (
@@ -531,10 +537,8 @@ class TestSchemaParity:
     COMPILED = {kind: compile_schema(schema) for kind, schema in SCHEMAS.items()}
 
     def assert_parity(self, kind, obj):
-        reference = jsonschema.Draft202012Validator(self.SCHEMAS[kind])
         expected = [
-            (tuple(e.absolute_path), e.message)
-            for e in sorted(reference.iter_errors(obj), key=str)
+            (location, message) for location, message, _ in _reference_errors(self.SCHEMAS[kind], obj)
         ]
         assert [(e.location, e.message) for e in self.COMPILED[kind](obj)] == expected
         return expected
@@ -566,13 +570,114 @@ class TestSchemaParity:
 _AWKWARD = st.text(alphabet="'\"\\{}\n\r\t x0", max_size=5)
 
 
+_IS_TYPE = {
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    "integer": lambda x: not isinstance(x, bool)
+    and (isinstance(x, int) or isinstance(x, float) and x.is_integer()),
+    "null": lambda x: x is None,
+    "number": lambda x: not isinstance(x, bool) and isinstance(x, (int, float)),
+    "object": lambda x: isinstance(x, dict),
+    "string": lambda x: isinstance(x, str),
+}
+_BOUND_FAILS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+
+
+def _json_equal(one, two):
+    """jsonschema's equality: a boolean equals only itself, containers
+    compare elementwise, anything else with ==."""
+    if one is two:
+        return True
+    if isinstance(one, str) or isinstance(two, str):
+        return one == two
+    if isinstance(one, list) and isinstance(two, list):
+        return len(one) == len(two) and all(map(_json_equal, one, two))
+    if isinstance(one, dict) and isinstance(two, dict):
+        return len(one) == len(two) and all(k in two and _json_equal(v, two[k]) for k, v in one.items())
+    unbool = lambda x: (bool, x) if isinstance(x, bool) else x  # noqa: E731
+    return unbool(one) == unbool(two)
+
+
+def _walk(schema, instance, path=(), schema_path=()):
+    """Each failed keyword as (instance path, schema path ending in the
+    keyword, message, subschema, instance), one draft 2020-12 keyword at a
+    time as jsonschema's keyword functions apply them."""
+    for keyword, value in schema.items():
+        fail = (path, schema_path + (keyword,), schema, instance)
+        if keyword == "type":
+            names = [value] if isinstance(value, str) else value
+            if not any(_IS_TYPE[name](instance) for name in names):
+                yield fail, f"{instance!r} is not of type {', '.join(map(repr, names))}"
+        elif keyword == "required":
+            if isinstance(instance, dict):
+                yield from ((fail, f"{name!r} is a required property") for name in value if name not in instance)
+        elif keyword == "minItems":
+            if isinstance(instance, list) and len(instance) < value:
+                yield fail, f"{instance!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif keyword in _BOUND_FAILS:
+            fails, text = _BOUND_FAILS[keyword]
+            if _IS_TYPE["number"](instance) and fails(instance, value):
+                yield fail, f"{instance!r} {text} {value!r}"
+        elif keyword == "const":
+            if not _json_equal(instance, value):
+                yield fail, f"{value!r} was expected"
+        elif keyword == "enum":
+            if not any(_json_equal(each, instance) for each in value):
+                yield fail, f"{instance!r} is not one of {value!r}"
+        elif keyword == "pattern":
+            if isinstance(instance, str) and not re.search(value, instance):
+                yield fail, f"{instance!r} does not match {value!r}"
+        elif keyword == "properties":
+            if isinstance(instance, dict):
+                for name, sub in value.items():
+                    if name in instance:
+                        yield from _walk(sub, instance[name], path + (name,), schema_path + (keyword, name))
+        elif keyword == "items":
+            if isinstance(instance, list):
+                for i, item in enumerate(instance):
+                    yield from _walk(value, item, path + (i,), schema_path + (keyword,))
+        elif keyword not in ("$schema", "$id"):
+            raise AssertionError(f"the reference does not know {keyword!r}")
+
+
+def _as_index(container, keys):
+    return f"{container}[{']['.join(map(repr, keys))}]" if keys else container
+
+
+def _error_str(fail, message):
+    """str() of jsonschema's ValidationError for one failed keyword."""
+    path, schema_path, schema, instance = fail
+
+    def pretty(thing):
+        return textwrap.indent(pprint.pformat(thing, width=72, sort_dicts=False), "    ").lstrip()
+
+    return (
+        f"{message}\n\n"
+        f"Failed validating {schema_path[-1]!r} in {_as_index('schema', schema_path[:-1])}:\n"
+        f"    {pretty(schema)}\n\n"
+        f"On {_as_index('instance', path)}:\n"
+        f"    {pretty(instance)}"
+    )
+
+
 def _reference_errors(schema, instance):
-    """jsonschema's errors as (location, message, location of the subschema)."""
-    found = jsonschema.Draft202012Validator(schema).iter_errors(instance)
-    return [
-        (tuple(e.absolute_path), e.message, tuple(e.absolute_schema_path)[:-1])
-        for e in sorted(found, key=str)
-    ]
+    """jsonschema's errors as (location, message, location of the subschema),
+    in the order of sorted(errors, key=str). The walk above gives them;
+    jsonschema itself must agree where it is installed."""
+    found = sorted(_walk(schema, instance), key=lambda error: _error_str(*error))
+    expected = [(fail[0], message, fail[1][:-1]) for fail, message in found]
+    if jsonschema is not None:
+        errors = jsonschema.Draft202012Validator(schema).iter_errors(instance)
+        assert expected == [
+            (tuple(e.absolute_path), e.message, tuple(e.absolute_schema_path)[:-1])
+            for e in sorted(errors, key=str)
+        ]
+    return expected
 
 
 class TestGeneratedChecker:
